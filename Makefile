@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench bench-gate bench-baseline parbench audit faults fuzz resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke lint ci
+.PHONY: build vet test short race golden bench bench-gate bench-baseline parbench audit faults fuzz e2e lint ci
 
 build:
 	$(GO) build ./...
@@ -18,11 +18,13 @@ test:
 short:
 	$(GO) test -short -timeout 10m ./...
 
-# Race coverage of the parallel harness. -short keeps the simulation-heavy
-# shape tests out; the concurrency tests never skip.
+# Race coverage of the parallel harness and the serving stack. -short
+# keeps the simulation-heavy shape tests out; the concurrency tests never
+# skip.
 race:
 	$(GO) test -race -short -timeout 30m ./internal/experiments ./internal/sim ./internal/gc
 	$(GO) test -race -timeout 30m -run 'Deterministic|Session|Parallel|Concurrent|KindTable' .
+	$(GO) test -race -timeout 30m ./internal/server ./internal/client ./internal/fault/netfault
 
 # Regenerate render golden files after an intentional format change.
 golden:
@@ -52,47 +54,24 @@ audit:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
-# configs must run cleanly) and the calendar ring (ring/spill accounting
+# configs must run cleanly), the calendar ring (ring/spill accounting
 # must match the retired map-scan reference on arbitrary reserve/query
-# interleavings). FUZZTIME=10m fuzz for a longer soak.
+# interleavings), and charond's job and sweep body decoders (no panic or
+# 5xx; a malformed body is a 400 that admits nothing). FUZZTIME=10m fuzz
+# for a longer soak.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run FuzzSubmitJob -fuzz=FuzzSubmitJob -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run FuzzSubmitSweep -fuzz=FuzzSubmitSweep -fuzztime=$(FUZZTIME) ./internal/server
 
-# Crash-safety smoke: interrupt a checkpointed sweep with SIGINT, resume
-# it, and diff against an uninterrupted golden run (see the script).
-resume-smoke:
-	./scripts/resume_smoke.sh
-
-# Serving smoke: boot charond, run a job over HTTP, assert the report is
-# byte-identical to the CLI's, assert resubmission is a cache hit, then
-# SIGTERM and assert a clean drain (see the script). Needs curl + jq.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# Chaos smoke: kill -9 charond mid-job, restart over the same cache
-# directory, and assert the journal replays the job to a byte-identical
-# result with no completed unit re-executed (see the script). Needs
-# curl + jq.
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-# Network-chaos smoke: put the seeded netfault proxy between charonctl
-# and charond, drive submit → poll → result through injected resets,
-# blackholes, latency, truncations and slowloris reads, and assert the
-# report stays byte-identical to the CLI while the proxy's fault log and
-# the client's retry counters reconcile (see the script). Needs jq.
-netchaos-smoke:
-	./scripts/netchaos_smoke.sh
-
-# Sweep smoke: submit a parameter grid as one batch, kill -9 charond
-# mid-sweep, restart, and assert the journaled manifest recovers the
-# sweep under its original child ids, the combined report stays
-# byte-identical to the concatenated CLI runs, and a duplicate sweep
-# deduplicates without re-execution (see the script). Needs curl + jq.
-sweep-smoke:
-	./scripts/sweep_smoke.sh
+# End-to-end gate: charond as a real process (serve, kill -9 recovery of
+# a job and a sweep, the netfault seed matrix). The test binary re-enters
+# charond itself, so nothing else is built. CLI interrupt/resume is
+# covered by TestSigintResumesByteIdentical in ./internal/cli.
+e2e:
+	$(GO) test -timeout 20m ./internal/e2e
 
 # Serial-vs-parallel wall-time comparison (also verifies byte-identical
 # output across parallelism settings).
@@ -116,4 +95,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
 
-ci: lint build test race audit faults resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke
+ci: lint build test race audit faults e2e

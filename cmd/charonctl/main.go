@@ -1,9 +1,9 @@
 // Command charonctl is the resilient command-line client for charond,
 // the simulation job service. It wraps every API exchange in bounded
-// retries with seeded deterministic jitter, optional hedged GET
-// polling, and a per-host circuit breaker, and it propagates the
-// command's -timeout to the server as an X-Charon-Deadline header so
-// the caller's patience bounds job execution end to end.
+// retries with seeded deterministic jitter and optional hedged GET
+// polling, and it propagates the command's -timeout to the server as an
+// X-Charon-Deadline header so the caller's patience bounds job execution
+// end to end.
 //
 // Usage:
 //
@@ -16,14 +16,12 @@
 //
 // Reports are rendered server-side through the same formatter as the
 // charonsim CLI, so the bytes charonctl prints are identical to a local
-// run. The extra "proxy" subcommand runs the deterministic netfault TCP
-// proxy for chaos testing:
+// run. internal/e2e's TestNetchaosE2E checks that through a seeded
+// netfault proxy.
 //
-//	charonctl proxy -listen 127.0.0.1:0 -target 127.0.0.1:8080 -net-rate 0.3 -net-seed 7
-//
-// See internal/client for the retry/hedge/breaker semantics and the
-// exit-code reference (0 ok, 1 network/runtime failure, 2 usage, 3 the
-// job itself failed).
+// See internal/client for the retry/hedge semantics and the exit-code
+// reference (0 ok, 1 network/runtime failure, 2 usage, 3 the job itself
+// failed).
 package main
 
 import (

@@ -12,16 +12,15 @@
 //   - Optional hedged GETs: when HedgeDelay elapses without a response,
 //     a second identical request races the first; first complete answer
 //     wins, the loser is canceled.
-//   - A per-host circuit breaker (closed→open→half-open) with
-//     deterministic probe scheduling, so a dead host is not hammered.
 //   - Client-side deadlines propagated over the wire: a context deadline
 //     becomes an X-Charon-Deadline header, and the server derives the
 //     job's execution deadline from it — the caller's patience bounds
 //     the work, end to end.
 //
-// Every retry, hedge, and breaker transition lands in a metrics.Registry
-// (Metrics()), so chaos harnesses can reconcile client-side counters
-// against the faults a netfault proxy injected.
+// Every retry and hedge lands in a metrics.Registry (Metrics()), so chaos
+// tests can reconcile client-side counters against the faults a netfault
+// proxy injected; internal/e2e's TestNetchaosE2E does exactly that against
+// a real charond process.
 package client
 
 import (
@@ -66,13 +65,6 @@ type Config struct {
 	// the first complete answer wins. Only idempotent GETs hedge;
 	// submissions rely on retries plus server-side dedup instead.
 	HedgeDelay time.Duration
-	// BreakerThreshold is the consecutive transport-failure count that
-	// opens the per-host circuit breaker (default 5; negative disables
-	// the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// a half-open probe (default 1s), plus up to +50% jitter from Seed.
-	BreakerCooldown time.Duration
 	// PollInterval paces Wait's status polling when the server sends no
 	// Retry-After hint (default 250ms).
 	PollInterval time.Duration
@@ -81,9 +73,9 @@ type Config struct {
 	// — by bug or hostility — must not stall a command past its own
 	// deadline on one hint.
 	RetryAfterMax time.Duration
-	// Seed selects the deterministic jitter pattern for backoff and
-	// breaker probes, exactly like the fault layer's seeds: the same
-	// seed reproduces the same schedule, different seeds desynchronize.
+	// Seed selects the deterministic backoff jitter pattern, exactly like
+	// the fault layer's seeds: the same seed reproduces the same schedule,
+	// different seeds desynchronize.
 	Seed int64
 	// Log receives request-level logs (nil = discard).
 	Log *slog.Logger
@@ -101,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 250 * time.Millisecond
@@ -180,9 +166,6 @@ type Client struct {
 
 	backoffMu  sync.Mutex
 	backoffSrc *fault.Source // deterministic retry jitter
-
-	breakerMu sync.Mutex
-	breakers  map[string]*breaker // per host
 }
 
 // New builds a client for the charond instance at cfg.BaseURL.
@@ -203,27 +186,13 @@ func New(cfg Config) (*Client, error) {
 		log:        cfg.Log,
 		reg:        metrics.NewRegistry(),
 		backoffSrc: fault.NewSource("client/backoff", cfg.Seed),
-		breakers:   map[string]*breaker{},
 	}, nil
 }
 
 // Metrics exposes the client's counter registry: retries, hedges,
-// breaker transitions, Retry-After hints honored. Chaos gates reconcile
-// it against the proxy's injected-fault log.
+// Retry-After hints honored. Chaos tests reconcile it against the
+// proxy's injected-fault log.
 func (c *Client) Metrics() *metrics.Registry { return c.reg }
-
-// breakerFor returns (creating if needed) the host's circuit breaker.
-func (c *Client) breakerFor(host string) *breaker {
-	c.breakerMu.Lock()
-	defer c.breakerMu.Unlock()
-	b, ok := c.breakers[host]
-	if !ok {
-		b = newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown,
-			fault.NewSource("client/breaker/"+host, c.cfg.Seed), c.reg)
-		c.breakers[host] = b
-	}
-	return b
-}
 
 // response is one complete HTTP exchange.
 type response struct {
@@ -256,12 +225,11 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// do runs one logical request through the retry/hedge/breaker stack.
+// do runs one logical request through the retry/hedge stack.
 // body is resent verbatim on every attempt; hedge must only be true for
 // idempotent requests.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
 	c.reg.AddUint("client/requests", 1)
-	br := c.breakerFor(c.base.Host)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -271,22 +239,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge
 			return nil, err
 		}
 
-		now := time.Now()
-		allowed, retryAt := br.allow(now)
-		if !allowed {
-			lastErr = fmt.Errorf("%w (next probe %s)", ErrBreakerOpen, retryAt.Format(time.RFC3339Nano))
-			if attempt >= c.cfg.RetryBudget {
-				return nil, lastErr
-			}
-			c.reg.AddUint("client/retries", 1)
-			if err := c.sleepUntil(ctx, retryAt); err != nil {
-				return nil, lastErr
-			}
-			continue
-		}
-
 		resp, err := c.exchange(ctx, method, path, body, hedge)
-		br.observe(err == nil, time.Now())
 		if err == nil {
 			if rerr := resp.asError(); rerr != nil && retryableStatus(resp.status) && attempt < c.cfg.RetryBudget {
 				lastErr = rerr
@@ -339,7 +292,7 @@ func parseRetryAfter(v string, now time.Time) (d time.Duration, ok bool) {
 // backoff computes the wait before retry `attempt`: a server Retry-After
 // hint when present — either RFC form, capped at RetryAfterMax so a
 // bogus hint cannot stall a command past its deadline — else
-// base·2^attempt (capped at 64x) plus up to +50% deterministic jitter.
+// fault.Backoff with its jitter drawn from the Seed stream.
 func (c *Client) backoff(attempt int, hdr http.Header) time.Duration {
 	if hdr != nil {
 		if d, ok := parseRetryAfter(hdr.Get("Retry-After"), time.Now()); ok {
@@ -351,15 +304,10 @@ func (c *Client) backoff(attempt int, hdr http.Header) time.Duration {
 			return d
 		}
 	}
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	d := c.cfg.RetryBackoff << uint(shift)
 	c.backoffMu.Lock()
-	j := jitterFrac(c.backoffSrc, d/2)
+	frac := c.backoffSrc.Frac()
 	c.backoffMu.Unlock()
-	return d + j
+	return fault.Backoff(c.cfg.RetryBackoff, attempt, frac)
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -374,10 +322,6 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func (c *Client) sleepUntil(ctx context.Context, at time.Time) error {
-	return c.sleep(ctx, time.Until(at))
 }
 
 // newRequest builds one attempt's request, propagating the context
@@ -399,7 +343,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 
 // exchange performs one (possibly hedged) HTTP exchange and reads the
 // complete body — a truncated body is a transport failure here, so the
-// retry and breaker layers see through torn responses.
+// retry layer sees through torn responses.
 func (c *Client) exchange(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
 	if !hedge || c.cfg.HedgeDelay <= 0 || method != http.MethodGet {
 		return c.attempt(ctx, method, path, body)
@@ -633,8 +577,8 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
 // SweepWait polls the sweep until every child reaches a terminal state
 // or ctx expires. One aggregate poll covers the whole grid — the server
 // folds all child states into a single answer with a position-aware
-// Retry-After — and each poll rides the usual retry/breaker/hedging
-// machinery. Transient polling failures do not abort the wait.
+// Retry-After — and each poll rides the usual retry/hedging machinery.
+// Transient polling failures do not abort the wait.
 func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
 	var lastErr error
 	for {
@@ -762,10 +706,5 @@ func decodeJob(data []byte) (Job, error) {
 // MetricsSnapshot writes the client-side counter snapshot as JSON —
 // charonctl's -client-metrics artifact.
 func (c *Client) MetricsSnapshot(w io.Writer) error {
-	c.breakerMu.Lock()
-	for host, b := range c.breakers {
-		c.reg.SetMax("client/breaker_state/"+host, b.stateGauge())
-	}
-	c.breakerMu.Unlock()
 	return c.reg.Snapshot().WriteJSON(w)
 }

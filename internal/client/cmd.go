@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"charonsim/internal/cli"
-	"charonsim/internal/fault/netfault"
 	"charonsim/internal/server"
 )
 
@@ -23,16 +21,16 @@ import (
 // (excluding the program name) and returns the process exit code:
 //
 //	0  success
-//	1  runtime failure (network, server error, proxy crash)
+//	1  runtime failure (network, server error)
 //	2  usage error (unknown command, flag parse failure, bad config)
 //	3  the job itself reached a failed or canceled terminal state —
 //	   the network edge worked; the simulation did not
 //
 // charonctl is the network-edge counterpart of the charonsim CLI: it
 // talks to a charond instance through the resilient client (retries,
-// hedged polling, per-host circuit breaker, deadline propagation) and
-// prints the server-rendered report verbatim, so bytes fetched over a
-// faulty network are identical to a local charonsim run.
+// hedged polling, deadline propagation) and prints the server-rendered
+// report verbatim, so bytes fetched over a faulty network are identical
+// to a local charonsim run.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("charonctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -42,13 +40,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		retries   = fs.Int("retries", 4, "retry budget per request beyond the first attempt (0 disables)")
 		backoff   = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, plus seeded jitter; server Retry-After hints override it)")
 		hedge     = fs.Duration("hedge", 0, "hedged-GET delay: issue a racing duplicate of an idempotent GET that has not answered after this long (0 disables)")
-		brkN      = fs.Int("breaker-threshold", 5, "consecutive transport failures that open the per-host circuit breaker (0 disables)")
-		brkCool   = fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe (plus seeded jitter)")
-		seed      = fs.Int64("seed", 0, "seed for the deterministic backoff/probe jitter streams")
+		seed      = fs.Int64("seed", 0, "seed for the deterministic backoff jitter stream")
 		poll      = fs.Duration("poll", 250*time.Millisecond, "status poll interval while waiting (server Retry-After hints override it)")
 		raMax     = fs.Duration("retry-after-max", 30*time.Second, "cap on honored server Retry-After hints, either RFC form (0 = no cap)")
-		noKeep    = fs.Bool("no-keepalive", false, "open a fresh connection per request; with a netfault proxy in the path every request then redraws the per-connection fault plan")
-		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, hedges, breaker transitions) as JSON to this path (\"-\" = stderr)")
+		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, hedges) as JSON to this path (\"-\" = stderr)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `usage: charonctl [flags] <command> [command flags]
@@ -60,7 +55,6 @@ Commands:
   result   fetch a finished job's rendered report (CLI byte-identical)
   cancel   cancel a job
   metrics  fetch the server's /v1/metrics document
-  proxy    run the deterministic network-fault proxy (netfault) in front of a target
 
 Flags:
 `)
@@ -78,16 +72,6 @@ Flags:
 	}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 
-	// The proxy subcommand stands alone: it is the fault side of the
-	// chaos harness and needs no API client.
-	if cmd == "proxy" {
-		return proxyMain(rest, stdout, stderr)
-	}
-
-	brkThreshold := *brkN
-	if brkThreshold == 0 {
-		brkThreshold = -1 // Config: 0 means default, negative disables
-	}
 	retryBudget := *retries
 	if retryBudget == 0 {
 		retryBudget = -1
@@ -96,24 +80,14 @@ Flags:
 	if retryAfterMax == 0 {
 		retryAfterMax = -1 // Config: 0 means default, negative disables
 	}
-	var hc *http.Client
-	if *noKeep {
-		hc = &http.Client{
-			Timeout:   30 * time.Second,
-			Transport: &http.Transport{DisableKeepAlives: true},
-		}
-	}
 	c, err := New(Config{
-		BaseURL:          *serverURL,
-		HTTPClient:       hc,
-		RetryBudget:      retryBudget,
-		RetryBackoff:     *backoff,
-		HedgeDelay:       *hedge,
-		BreakerThreshold: brkThreshold,
-		BreakerCooldown:  *brkCool,
-		PollInterval:     *poll,
-		RetryAfterMax:    retryAfterMax,
-		Seed:             *seed,
+		BaseURL:       *serverURL,
+		RetryBudget:   retryBudget,
+		RetryBackoff:  *backoff,
+		HedgeDelay:    *hedge,
+		PollInterval:  *poll,
+		RetryAfterMax: retryAfterMax,
+		Seed:          *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -155,7 +129,7 @@ func runCommand(ctx context.Context, c *Client, cmd string, args []string, stdou
 	case "metrics":
 		return cmdMetrics(ctx, c, args, stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "charonctl: unknown command %q (have submit, sweep, wait, result, cancel, metrics, proxy)\n", cmd)
+		fmt.Fprintf(stderr, "charonctl: unknown command %q (have submit, sweep, wait, result, cancel, metrics)\n", cmd)
 		return 2
 	}
 }
@@ -390,58 +364,4 @@ func writeClientMetrics(c *Client, path string, stderr io.Writer) error {
 		return err
 	}
 	return f.Close()
-}
-
-// proxyMain runs the netfault TCP proxy as a process: the chaos
-// harness's network side. It prints one parseable stdout line with the
-// bound address, serves until SIGINT/SIGTERM, and on shutdown dumps the
-// per-connection fault log (one line per injected fault, in accept
-// order) to -fault-log for determinism checks.
-func proxyMain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("charonctl proxy", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		listen   = fs.String("listen", "127.0.0.1:0", "address to listen on (port 0 picks a free port, printed on stdout)")
-		target   = fs.String("target", "", "host:port to forward to (required)")
-		rate     = fs.Float64("net-rate", 0, "master network-fault rate in [0, 1); per-class rates derive from it")
-		seedF    = fs.Int64("net-seed", 0, "deterministic fault-pattern seed")
-		delay    = fs.Duration("net-delay", 0, "injected one-way latency for delay-planned connections (0 = class default)")
-		faultLog = fs.String("fault-log", "", "append per-connection fault events to this file as they are injected")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	if *target == "" {
-		fmt.Fprintln(stderr, "charonctl proxy: -target is required")
-		return 2
-	}
-	var logW io.Writer
-	if *faultLog != "" {
-		f, err := os.OpenFile(*faultLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(stderr, "charonctl proxy:", err)
-			return 2
-		}
-		defer f.Close()
-		logW = f
-	}
-	p, err := netfault.New(*listen, *target, netfault.Config{
-		Rate: *rate, Seed: *seedF, Delay: *delay,
-	}, logW)
-	if err != nil {
-		fmt.Fprintln(stderr, "charonctl proxy:", err)
-		return 2
-	}
-	defer p.Close()
-	fmt.Fprintf(stdout, "netfault proxy listening on %s -> %s\n", p.Addr(), *target)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	counts := p.Counts()
-	fmt.Fprintf(stderr, "charonctl proxy: shutting down; injected=%d counts=%v\n", p.Injected(), counts)
-	return 0
 }

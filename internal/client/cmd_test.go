@@ -24,7 +24,6 @@ func TestCtlHelpExitsZero(t *testing.T) {
 	for _, args := range [][]string{
 		{"-h"}, {"-help"},
 		{"submit", "-h"},
-		{"proxy", "-h"},
 	} {
 		code, _, errOut := runCtl(t, args...)
 		if code != 0 {
@@ -38,14 +37,14 @@ func TestCtlHelpExitsZero(t *testing.T) {
 
 func TestCtlUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{},                              // no command
-		{"-definitely-not-a-flag"},      // bad global flag
-		{"frobnicate"},                  // unknown command
-		{"submit"},                      // missing -experiment
-		{"wait"},                        // missing job id
-		{"result", "a", "b"},            // too many args
-		{"metrics", "extra"},            // metrics takes none
-		{"proxy"},                       // missing -target
+		{},                                  // no command
+		{"-definitely-not-a-flag"},          // bad global flag
+		{"frobnicate"},                      // unknown command
+		{"submit"},                          // missing -experiment
+		{"wait"},                            // missing job id
+		{"result", "a", "b"},                // too many args
+		{"metrics", "extra"},                // metrics takes none
+		{"proxy"},                           // removed command
 		{"-server", "::bad::", "wait", "x"}, // unusable base URL
 	} {
 		code, _, _ := runCtl(t, args...)

@@ -107,6 +107,8 @@ func TestBackoffCapsRetryAfterHint(t *testing.T) {
 	}
 }
 
+// TestClientBackoffShiftCap: with no Retry-After hint the client falls
+// back to fault.Backoff, whose exponent saturates at 64x base.
 func TestClientBackoffShiftCap(t *testing.T) {
 	c, err := New(Config{BaseURL: "http://127.0.0.1:1", RetryBackoff: 100 * time.Millisecond})
 	if err != nil {

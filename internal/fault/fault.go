@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"time"
 
 	"charonsim/internal/sim"
 )
@@ -193,16 +194,12 @@ func (in *Injector) Source(name string) *Source {
 	if in == nil {
 		return nil
 	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return &Source{state: splitmix(h.Sum64() ^ uint64(in.cfg.Seed)*0x9e3779b97f4a7c15)}
+	return NewSource(name, in.cfg.Seed)
 }
 
-// NewSource builds a standalone deterministic stream for a named
-// component outside an Injector — the same (name, seed) derivation
-// Injector.Source uses, exported for fault layers that have their own
-// configuration surface (the filesystem injector, the netfault TCP
-// proxy) but must stay on the one seeding discipline.
+// NewSource builds the deterministic stream for a named component: the
+// one (name, seed) derivation behind Injector.Source, NewFS, the netfault
+// TCP proxy and the service edge's retry jitter.
 func NewSource(name string, seed int64) *Source {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -250,4 +247,13 @@ func (s *Source) Frac() float64 {
 		return 0
 	}
 	return float64(s.next()>>11) / (1 << 53)
+}
+
+// Backoff is the service edge's one retry-delay formula: base doubled per
+// attempt with the exponent capped at 6 (64x, so absurd attempt counts
+// cannot overflow), plus frac/2 of that as jitter. A frac in [0, 1) from
+// a Source bounds the wait to [d, 1.5d).
+func Backoff(base time.Duration, attempt int, frac float64) time.Duration {
+	d := base << uint(min(attempt, 6))
+	return d + time.Duration(float64(d)*frac/2)
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"math"
 	"testing"
+	"time"
 
 	"charonsim/internal/sim"
 )
@@ -167,6 +168,31 @@ func TestZeroProbabilityConsumesNoDraw(t *testing.T) {
 		a.Hit(0) // must not advance the stream
 		if a.Hit(0.5) != b.Hit(0.5) {
 			t.Fatalf("Hit(0) consumed a draw (diverged at %d)", i)
+		}
+	}
+}
+
+// TestBackoffShiftCap: the exponent saturates at 6, so absurd attempt
+// counts can neither overflow into negative waits nor escape 64x base,
+// and the jitter term spans [0, 50%) of the doubled base.
+func TestBackoffShiftCap(t *testing.T) {
+	base := 100 * time.Millisecond
+	cases := []struct {
+		attempt int
+		frac    float64
+		want    time.Duration
+	}{
+		{0, 0, 100 * time.Millisecond},
+		{1, 0.5, 250 * time.Millisecond},
+		{6, 0, 6400 * time.Millisecond},
+		{7, 0, 6400 * time.Millisecond},
+		{20, 0.5, 8 * time.Second},
+		{64, 0, 6400 * time.Millisecond},
+		{1000, 1, 9600 * time.Millisecond},
+	}
+	for _, tc := range cases {
+		if got := Backoff(base, tc.attempt, tc.frac); got != tc.want {
+			t.Errorf("Backoff(%v, %d, %v) = %v, want %v", base, tc.attempt, tc.frac, got, tc.want)
 		}
 	}
 }

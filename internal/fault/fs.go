@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"sync"
@@ -116,12 +115,10 @@ func NewFS(cfg FSConfig, inner atomicio.FS) *FS {
 	if !cfg.Enabled() {
 		return nil
 	}
-	h := fnv.New64a()
-	h.Write([]byte("fault/fs"))
 	return &FS{
 		cfg:   cfg.withDefaults(),
 		inner: inner,
-		src:   Source{state: splitmix(h.Sum64() ^ uint64(cfg.Seed)*0x9e3779b97f4a7c15)},
+		src:   *NewSource("fault/fs", cfg.Seed),
 	}
 }
 

@@ -23,7 +23,7 @@
 //     recovery phase of chaos tests); Close tears everything down.
 //   - Accountable. Every injected fault bumps a per-class counter and
 //     lands in the fault log, so a chaos gate can reconcile client-side
-//     retry/breaker counters against what was actually injected.
+//     retry/hedge counters against what was actually injected.
 package netfault
 
 import (
@@ -196,7 +196,6 @@ type Proxy struct {
 	mu  sync.Mutex // guards src (draws) and the fault log
 	src *fault.Source
 	log []Event
-	lw  io.Writer // optional line-per-fault log sink
 
 	disabled atomic.Bool
 	injected atomic.Uint64
@@ -207,10 +206,8 @@ type Proxy struct {
 }
 
 // New starts a proxy on listenAddr (use "127.0.0.1:0" for an ephemeral
-// port) forwarding to target. logW, when non-nil, receives one
-// "conn=<n> class=<class>" line per injected fault as it happens — the
-// chaos gate's post-mortem artifact.
-func New(listenAddr, target string, cfg Config, logW io.Writer) (*Proxy, error) {
+// port) forwarding to target.
+func New(listenAddr, target string, cfg Config) (*Proxy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -222,7 +219,6 @@ func New(listenAddr, target string, cfg Config, logW io.Writer) (*Proxy, error) 
 		cfg:    cfg.withDefaults(),
 		target: target,
 		ln:     ln,
-		lw:     logW,
 		closed: make(chan struct{}),
 		counts: map[string]*atomic.Uint64{},
 	}
@@ -325,9 +321,6 @@ func (p *Proxy) note(conn uint64, class string) {
 	p.counts[class].Add(1)
 	p.mu.Lock()
 	p.log = append(p.log, Event{Conn: conn, Class: class})
-	if p.lw != nil {
-		fmt.Fprintf(p.lw, "conn=%d class=%s\n", conn, class)
-	}
 	p.mu.Unlock()
 }
 

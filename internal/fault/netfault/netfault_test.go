@@ -37,7 +37,7 @@ func echoServer(t *testing.T) net.Listener {
 
 func newProxy(t *testing.T, target string, cfg Config) *Proxy {
 	t.Helper()
-	p, err := New("127.0.0.1:0", target, cfg, nil)
+	p, err := New("127.0.0.1:0", target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

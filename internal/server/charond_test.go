@@ -1,29 +1,13 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"os"
-	"os/exec"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 )
-
-// TestCharondHelperProcess re-enters the charond command inside the test
-// binary for the subprocess lifecycle tests. Inert in normal runs.
-func TestCharondHelperProcess(t *testing.T) {
-	if os.Getenv("CHAROND_HELPER") != "1" {
-		t.Skip("not a helper invocation")
-	}
-	args := strings.Split(os.Getenv("CHAROND_ARGS"), "\x1f")
-	os.Exit(Main(args, os.Stdout, os.Stderr))
-}
 
 func TestCharondHelpExitsZero(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -39,95 +23,6 @@ func TestCharondBadFlagExitsTwo(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := Main([]string{"-not-a-flag"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exited %d, want 2", code)
-	}
-}
-
-// TestCharondSigtermDrains boots charond as a real process on an
-// ephemeral port, runs a job over HTTP, then sends SIGTERM and asserts
-// the clean-drain exit code. This is the Go-level version of
-// scripts/serve_smoke.sh.
-func TestCharondSigtermDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess server is slow")
-	}
-	args := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4",
-		"-cache-dir", t.TempDir(), "-drain-timeout", "60s"}
-	cmd := exec.Command(os.Args[0], "-test.run=TestCharondHelperProcess$")
-	cmd.Env = append(os.Environ(), "CHAROND_HELPER=1",
-		"CHAROND_ARGS="+strings.Join(args, "\x1f"))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var errb bytes.Buffer
-	cmd.Stderr = &errb
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	killer := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
-	defer killer.Stop()
-
-	// The first stdout line announces the bound address.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatalf("charond printed no listening line; stderr:\n%s", errb.String())
-	}
-	line := sc.Text()
-	const marker = "listening on "
-	i := strings.Index(line, marker)
-	if i < 0 {
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatalf("unexpected stdout line %q", line)
-	}
-	base := strings.TrimSpace(line[i+len(marker):])
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-
-	// One fast end-to-end job through the real process.
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"experiment":"table4"}`))
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatalf("submit: %v; stderr:\n%s", err, errb.String())
-	}
-	var v view
-	dec := jsonDecode(resp.Body, &v)
-	resp.Body.Close()
-	if dec != nil || v.ID == "" {
-		t.Fatalf("submit decode: %v (%+v)", dec, v)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		r, err := http.Get(base + "/v1/jobs/" + v.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jv view
-		_ = jsonDecode(r.Body, &jv)
-		r.Body.Close()
-		if jv.State == StateDone {
-			break
-		}
-		if terminal(jv.State) || time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("job state %q (err %q)", jv.State, jv.Error)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-	if code := cmd.ProcessState.ExitCode(); code != 0 {
-		t.Fatalf("SIGTERM drain exited %d, want 0; stderr:\n%s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "drained cleanly") {
-		t.Fatalf("no clean-drain log line; stderr:\n%s", errb.String())
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"math"
@@ -1062,25 +1061,12 @@ func transientErr(err error) bool {
 	return errors.Is(err, charonsim.ErrInternal) || errors.Is(err, fault.ErrInjected)
 }
 
-// backoffDelay is the wait before retry `attempt`: base doubling per
-// attempt (capped at 64x) plus up to +50% jitter derived deterministically
-// from the job id and attempt number — the same job retries on the same
-// schedule in every process, keeping chaos runs reproducible, while
-// different jobs desynchronize.
+// backoffDelay is the wait before retry `attempt`: fault.Backoff with its
+// jitter drawn deterministically from the job id and attempt number — the
+// same job retries on the same schedule in every process, keeping chaos
+// runs reproducible, while different jobs desynchronize.
 func backoffDelay(base time.Duration, attempt int, id string) time.Duration {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << uint(shift)
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	z := h.Sum64() ^ uint64(attempt+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z>>11) / (1 << 53)
-	return d + time.Duration(float64(d)*frac/2)
+	return fault.Backoff(base, attempt, fault.NewSource(id, int64(attempt)+1).Frac())
 }
 
 func errString(err error) string {

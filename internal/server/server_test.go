@@ -205,6 +205,11 @@ func (g *gate) runner(ctx context.Context, exp string, _ charonsim.Config) (stri
 	}
 }
 
+// instantRunner finishes every job at once with a fixed report.
+func instantRunner(context.Context, string, charonsim.Config) (string, error) {
+	return "r\n", nil
+}
+
 func TestBackpressure(t *testing.T) {
 	g := newGate("report\n")
 	s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1, runner: g.runner})
@@ -453,8 +458,8 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestServedReportMatchesCLI is the end-to-end byte-identity gate at the
-// Go level (the serve-smoke script repeats it over real HTTP + processes):
+// TestServedReportMatchesCLI is the in-process byte-identity gate
+// (internal/e2e's TestServeE2E repeats it against a charond process):
 // the same experiment through the HTTP API and through the CLI produce
 // identical bytes, and the cached re-serve is identical again.
 func TestServedReportMatchesCLI(t *testing.T) {

@@ -374,10 +374,7 @@ func TestPollRetryAfterPositionAware(t *testing.T) {
 // pressure evicts terminal jobs whose result was already delivered
 // before older jobs still holding an unread answer.
 func TestEvictionPrefersFetchedResults(t *testing.T) {
-	instant := func(ctx context.Context, exp string, cfg charonsim.Config) (string, error) {
-		return "r\n", nil
-	}
-	_, base := newTestServer(t, Config{Workers: 1, MaxJobs: 2, runner: instant})
+	_, base := newTestServer(t, Config{Workers: 1, MaxJobs: 2, runner: instantRunner})
 
 	// unread finishes first (older), fetched second (newer, result read).
 	_, unread := postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
