@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench bench-gate bench-baseline parbench audit faults fuzz e2e lint ci
+.PHONY: build vet test short race golden bench parbench audit faults fuzz e2e lint ci
 
 build:
 	$(GO) build ./...
@@ -33,17 +33,6 @@ golden:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
-# Benchmark-regression gate: per-subsystem suite plus end-to-end RunAll,
-# compared against the committed bench_baseline.txt. Fails on >10%
-# geomean ns/op regression; writes BENCH.json. BENCH_SET=short for the
-# CI smoke set (microbenchmarks only, no RunAll).
-bench-gate:
-	./scripts/bench_gate.sh
-
-# Refresh bench_baseline.txt after an intentional perf change (commit it).
-bench-baseline:
-	BENCH_UPDATE=1 ./scripts/bench_gate.sh
-
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM
 # banks, utilization gauges in [0,1], unit-busy double accounting), plus a
@@ -56,15 +45,19 @@ audit:
 # Fuzz the public Config boundary (Validate must never panic, accepted
 # configs must run cleanly), the calendar ring (ring/spill accounting
 # must match the retired map-scan reference on arbitrary reserve/query
-# interleavings), and charond's job and sweep body decoders (no panic or
-# 5xx; a malformed body is a 400 that admits nothing). FUZZTIME=10m fuzz
-# for a longer soak.
+# interleavings), charond's job and sweep body decoders (no panic or
+# 5xx; a malformed body is a 400 that admits nothing), journal replay (a
+# fuzzed record is recovered or collected, never fatal) and checkpoint
+# entry decoding (a hit is a verified envelope; a rejected file is
+# deleted). FUZZTIME=10m fuzz for a longer soak.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run FuzzSubmitJob -fuzz=FuzzSubmitJob -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzSubmitSweep -fuzz=FuzzSubmitSweep -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run FuzzCheckpointEntry -fuzz=FuzzCheckpointEntry -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 # End-to-end gate: charond as a real process (serve, kill -9 recovery of
 # a job and a sweep, the netfault seed matrix). The test binary re-enters

@@ -292,8 +292,8 @@ func BenchmarkSuiteQuickSerialVsParallel(b *testing.B) {
 
 // BenchmarkRunAll measures the whole experiment suite end to end on one
 // workload, serially: every figure and table, functional recording plus
-// all platform replays. This is the headline number scripts/bench_gate.sh
-// records in BENCH.json — the wall-clock cost of a full sweep.
+// all platform replays — the wall-clock cost of a full sweep. Run it
+// with `go test -bench BenchmarkRunAll -benchtime 1x`.
 func BenchmarkRunAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reports, err := RunAll(Config{Workloads: []string{"BS"}, Parallelism: -1})

@@ -23,8 +23,8 @@ func benchRefs(n int) []RefOp {
 }
 
 // BenchmarkOffloadScanPush is the Scan&Push offload path (slot-load
-// coalescing, dependent header checks, pushes) consumed by
-// scripts/bench_gate.sh; BenchmarkOffloadCopy covers the streaming units.
+// coalescing, dependent header checks, pushes);
+// BenchmarkOffloadCopy covers the streaming units.
 func BenchmarkOffloadScanPush(b *testing.B) {
 	a, _ := newAccel(false)
 	refs := benchRefs(64)

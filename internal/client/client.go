@@ -4,7 +4,7 @@
 //
 //   - Bounded exponential-backoff retries with deterministic, seedable
 //     jitter, honoring server Retry-After hints (the 429 queue-full, 503
-//     shed/drain, and 202 poll paths all send one).
+//     draining, and 202 poll paths all send one).
 //   - Safe-to-retry submissions: job IDs are canonical content keys and
 //     the server deduplicates single-flight, so a duplicated POST — a
 //     retransmit after an ambiguous reset, or a hedge — lands on the
@@ -214,7 +214,7 @@ func (r *response) asError() error {
 }
 
 // retryableStatus classifies the statuses worth another attempt: the
-// queue-full 429, the shed/drain 503, and gateway-shaped 502/504. All of
+// queue-full 429, the draining 503, and gateway-shaped 502/504. All of
 // them may carry a Retry-After hint, which do() honors.
 func retryableStatus(status int) bool {
 	switch status {
@@ -419,100 +419,30 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 // job id is a canonical content key, so a duplicated POST deduplicates
 // server-side onto the same job.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (Job, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return Job{}, fmt.Errorf("client: encoding job spec: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", payload, false)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
+	return submit[Job](ctx, c, spec)
 }
 
 // Job fetches a job's status.
-func (c *Client) Job(ctx context.Context, id string) (Job, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, true)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
-}
+func (c *Client) Job(ctx context.Context, id string) (Job, error) { return status[Job](ctx, c, id) }
 
 // Wait polls the job until it reaches a terminal state or ctx expires.
 // Transient polling failures do not abort the wait — the job keeps
 // running server-side regardless, so the client keeps watching until
 // its deadline says otherwise.
-func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
-	var lastErr error
-	for {
-		j, err := c.Job(ctx, id)
-		if err == nil {
-			if j.Terminal() {
-				return j, nil
-			}
-			lastErr = nil
-		} else {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) {
-				return Job{}, err // the server answered: unknown job etc. — not transient
-			}
-			lastErr = err
-		}
-		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
-			if lastErr != nil {
-				return Job{}, fmt.Errorf("client: wait %s: %w (last poll failure: %v)", id, serr, lastErr)
-			}
-			return Job{}, fmt.Errorf("client: wait %s: %w", id, serr)
-		}
-	}
-}
+func (c *Client) Wait(ctx context.Context, id string) (Job, error) { return wait[Job](ctx, c, id) }
 
 // Result fetches a done job's rendered report — the exact bytes the
 // server rendered through cli.RenderReports, byte-identical to the
 // charonsim CLI's output for the same configuration. Returns ErrNotDone
 // while the job is still queued or running.
 func (c *Client) Result(ctx context.Context, id string) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, true)
-	if err != nil {
-		return "", err
-	}
-	if resp.status == http.StatusAccepted {
-		return "", ErrNotDone
-	}
-	if err := resp.asError(); err != nil {
-		return "", err
-	}
-	return string(resp.body), nil
+	return result[Job](ctx, c, id)
 }
 
 // WaitResult waits for the job to finish and returns its report. A
 // failed or canceled job returns the server's error.
 func (c *Client) WaitResult(ctx context.Context, id string) (string, error) {
-	for {
-		j, err := c.Wait(ctx, id)
-		if err != nil {
-			return "", err
-		}
-		switch j.State {
-		case server.StateDone:
-			text, err := c.Result(ctx, id)
-			if err == ErrNotDone {
-				continue // raced a state change; re-observe
-			}
-			return text, err
-		case server.StateFailed:
-			return "", fmt.Errorf("client: job %s: %w: %s", id, ErrJobFailed, j.Error)
-		default: // canceled
-			return "", fmt.Errorf("client: job %s: %w: %s", id, ErrJobCanceled, j.Error)
-		}
-	}
+	return waitResult[Job](ctx, c, id)
 }
 
 // SweepChild is one grid point's status row inside a sweep.
@@ -548,30 +478,12 @@ func (s Sweep) Terminal() bool {
 // the expanded grid, so a duplicated POST deduplicates server-side onto
 // the same sweep (and through it onto every cached child result).
 func (c *Client) SubmitSweep(ctx context.Context, spec server.SweepSpec) (Sweep, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return Sweep{}, fmt.Errorf("client: encoding sweep spec: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sweeps", payload, false)
-	if err != nil {
-		return Sweep{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Sweep{}, err
-	}
-	return decodeSweep(resp.body)
+	return submit[Sweep](ctx, c, spec)
 }
 
 // SweepStatus fetches a sweep's aggregate status.
 func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id), nil, true)
-	if err != nil {
-		return Sweep{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Sweep{}, err
-	}
-	return decodeSweep(resp.body)
+	return status[Sweep](ctx, c, id)
 }
 
 // SweepWait polls the sweep until every child reaches a terminal state
@@ -580,28 +492,7 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
 // Retry-After — and each poll rides the usual retry/hedging machinery.
 // Transient polling failures do not abort the wait.
 func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
-	var lastErr error
-	for {
-		sw, err := c.SweepStatus(ctx, id)
-		if err == nil {
-			if sw.Terminal() {
-				return sw, nil
-			}
-			lastErr = nil
-		} else {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) {
-				return Sweep{}, err // the server answered: unknown sweep etc.
-			}
-			lastErr = err
-		}
-		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
-			if lastErr != nil {
-				return Sweep{}, fmt.Errorf("client: sweep wait %s: %w (last poll failure: %v)", id, serr, lastErr)
-			}
-			return Sweep{}, fmt.Errorf("client: sweep wait %s: %w", id, serr)
-		}
-	}
+	return wait[Sweep](ctx, c, id)
 }
 
 // SweepResult fetches a completed sweep's combined report: every child's
@@ -609,7 +500,103 @@ func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
 // the equivalent charonsim CLI invocations locally. Returns ErrNotDone
 // while any child is still pending.
 func (c *Client) SweepResult(ctx context.Context, id string) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id)+"/result", nil, true)
+	return result[Sweep](ctx, c, id)
+}
+
+// SweepWaitResult waits for the sweep to finish and returns its combined
+// report. A failed or canceled sweep maps onto ErrJobFailed/ErrJobCanceled,
+// so charonctl's exit contract treats sweeps and jobs uniformly.
+func (c *Client) SweepWaitResult(ctx context.Context, id string) (string, error) {
+	return waitResult[Sweep](ctx, c, id)
+}
+
+// document is a Job or Sweep status document: what the generic helpers
+// below need to submit, poll and fetch either kind the same way.
+type document interface {
+	Job | Sweep
+	Terminal() bool
+	noun() string                    // "job" or "sweep"
+	ident() string                   // the id; empty in a malformed answer
+	outcome() (state, detail string) // detail says why it failed or was canceled
+}
+
+func (Job) noun() string   { return "job" }
+func (Sweep) noun() string { return "sweep" }
+
+func (j Job) ident() string   { return j.ID }
+func (s Sweep) ident() string { return s.ID }
+
+func (j Job) outcome() (string, string) { return j.State, j.Error }
+func (s Sweep) outcome() (string, string) {
+	return s.State, fmt.Sprintf("%d of %d children %s", s.Counts[s.State], s.Total, s.State)
+}
+
+// docPath is the resource path of a job or sweep id.
+func docPath[T document](id string) string {
+	var d T
+	return "/v1/" + d.noun() + "s/" + url.PathEscape(id)
+}
+
+func submit[T document](ctx context.Context, c *Client, spec any) (T, error) {
+	var d T
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		return d, fmt.Errorf("client: encoding %s spec: %w", d.noun(), err)
+	}
+	return fetch[T](ctx, c, http.MethodPost, "/v1/"+d.noun()+"s", payload)
+}
+
+func status[T document](ctx context.Context, c *Client, id string) (T, error) {
+	return fetch[T](ctx, c, http.MethodGet, docPath[T](id), nil)
+}
+
+// fetch runs one request through the retry stack (GETs may hedge) and
+// decodes the job or sweep document it answers with.
+func fetch[T document](ctx context.Context, c *Client, method, path string, body []byte) (T, error) {
+	var d T
+	resp, err := c.do(ctx, method, path, body, method == http.MethodGet)
+	if err != nil {
+		return d, err
+	}
+	if err := resp.asError(); err != nil {
+		return d, err
+	}
+	if err := json.Unmarshal(resp.body, &d); err != nil {
+		return *new(T), fmt.Errorf("client: decoding %s: %w (in %q)", d.noun(), err, resp.body)
+	}
+	if d.ident() == "" {
+		return d, fmt.Errorf("client: %s response missing id (in %q)", d.noun(), resp.body)
+	}
+	return d, nil
+}
+
+func wait[T document](ctx context.Context, c *Client, id string) (T, error) {
+	var lastErr error
+	for {
+		d, err := status[T](ctx, c, id)
+		if err == nil {
+			if d.Terminal() {
+				return d, nil
+			}
+			lastErr = nil
+		} else {
+			var apiErr *APIError
+			if errors.As(err, &apiErr) {
+				return d, err // the server answered: unknown id etc. — not transient
+			}
+			lastErr = err
+		}
+		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
+			if lastErr != nil {
+				return *new(T), fmt.Errorf("client: %s wait %s: %w (last poll failure: %v)", d.noun(), id, serr, lastErr)
+			}
+			return *new(T), fmt.Errorf("client: %s wait %s: %w", d.noun(), id, serr)
+		}
+	}
+}
+
+func result[T document](ctx context.Context, c *Client, id string) (string, error) {
+	resp, err := c.do(ctx, http.MethodGet, docPath[T](id)+"/result", nil, true)
 	if err != nil {
 		return "", err
 	}
@@ -622,53 +609,30 @@ func (c *Client) SweepResult(ctx context.Context, id string) (string, error) {
 	return string(resp.body), nil
 }
 
-// SweepWaitResult waits for the sweep to finish and returns its combined
-// report. A failed or canceled sweep maps onto ErrJobFailed/ErrJobCanceled,
-// so charonctl's exit contract treats sweeps and jobs uniformly.
-func (c *Client) SweepWaitResult(ctx context.Context, id string) (string, error) {
+func waitResult[T document](ctx context.Context, c *Client, id string) (string, error) {
 	for {
-		sw, err := c.SweepWait(ctx, id)
+		d, err := wait[T](ctx, c, id)
 		if err != nil {
 			return "", err
 		}
-		switch sw.State {
+		switch state, detail := d.outcome(); state {
 		case server.StateDone:
-			text, err := c.SweepResult(ctx, id)
+			text, err := result[T](ctx, c, id)
 			if err == ErrNotDone {
 				continue // raced a state change; re-observe
 			}
 			return text, err
 		case server.StateFailed:
-			return "", fmt.Errorf("client: sweep %s: %w: %d of %d children failed",
-				id, ErrJobFailed, sw.Counts[server.StateFailed], sw.Total)
+			return "", fmt.Errorf("client: %s %s: %w: %s", d.noun(), id, ErrJobFailed, detail)
 		default: // canceled
-			return "", fmt.Errorf("client: sweep %s: %w: %d of %d children canceled",
-				id, ErrJobCanceled, sw.Counts[server.StateCanceled], sw.Total)
+			return "", fmt.Errorf("client: %s %s: %w: %s", d.noun(), id, ErrJobCanceled, detail)
 		}
 	}
 }
 
-func decodeSweep(data []byte) (Sweep, error) {
-	var sw Sweep
-	if err := json.Unmarshal(data, &sw); err != nil {
-		return Sweep{}, fmt.Errorf("client: decoding sweep: %w (in %q)", err, data)
-	}
-	if sw.ID == "" {
-		return Sweep{}, fmt.Errorf("client: sweep response missing id (in %q)", data)
-	}
-	return sw, nil
-}
-
 // Cancel requests cancellation and returns the job's resulting view.
 func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, false)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
+	return fetch[Job](ctx, c, http.MethodDelete, docPath[Job](id), nil)
 }
 
 // ServerMetrics fetches the server's /v1/metrics document verbatim.
@@ -690,17 +654,6 @@ func (c *Client) Healthy(ctx context.Context) error {
 		return err
 	}
 	return resp.asError()
-}
-
-func decodeJob(data []byte) (Job, error) {
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
-		return Job{}, fmt.Errorf("client: decoding job: %w (in %q)", err, data)
-	}
-	if j.ID == "" {
-		return Job{}, fmt.Errorf("client: job response missing id (in %q)", data)
-	}
-	return j, nil
 }
 
 // MetricsSnapshot writes the client-side counter snapshot as JSON —

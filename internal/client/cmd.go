@@ -171,22 +171,7 @@ func cmdSubmit(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		spec.RunTimeout = runTimeout.String()
 	}
 
-	j, err := c.Submit(ctx, spec)
-	if err != nil {
-		fmt.Fprintln(stderr, "charonctl submit:", err)
-		return 1
-	}
-	if !*wait {
-		printJob(stdout, j)
-		return 0
-	}
-	text, err := c.WaitResult(ctx, j.ID)
-	if err != nil {
-		fmt.Fprintln(stderr, "charonctl submit:", err)
-		return jobExitCode(err)
-	}
-	io.WriteString(stdout, text)
-	return 0
+	return submitAndReport[Job](ctx, c, "submit", spec, *wait, stdout, stderr)
 }
 
 func cmdSweep(ctx context.Context, c *Client, args []string, stdout, stderr io.Writer) int {
@@ -241,18 +226,25 @@ func cmdSweep(ctx context.Context, c *Client, args []string, stdout, stderr io.W
 		spec.RunTimeout = runTimeout.String()
 	}
 
-	sw, err := c.SubmitSweep(ctx, spec)
+	return submitAndReport[Sweep](ctx, c, "sweep", spec, *wait, stdout, stderr)
+}
+
+// submitAndReport is the tail shared by submit and sweep: post the spec,
+// then print the accepted document, or with wait block until the job or
+// sweep finishes and print its report verbatim.
+func submitAndReport[T document](ctx context.Context, c *Client, cmd string, spec any, wait bool, stdout, stderr io.Writer) int {
+	d, err := submit[T](ctx, c, spec)
 	if err != nil {
-		fmt.Fprintln(stderr, "charonctl sweep:", err)
+		fmt.Fprintf(stderr, "charonctl %s: %v\n", cmd, err)
 		return 1
 	}
-	if !*wait {
-		printSweep(stdout, sw)
+	if !wait {
+		printJSON(stdout, d)
 		return 0
 	}
-	text, err := c.SweepWaitResult(ctx, sw.ID)
+	text, err := waitResult[T](ctx, c, d.ident())
 	if err != nil {
-		fmt.Fprintln(stderr, "charonctl sweep:", err)
+		fmt.Fprintf(stderr, "charonctl %s: %v\n", cmd, err)
 		return jobExitCode(err)
 	}
 	io.WriteString(stdout, text)
@@ -269,7 +261,7 @@ func cmdWait(ctx context.Context, c *Client, args []string, stdout, stderr io.Wr
 		fmt.Fprintln(stderr, "charonctl wait:", err)
 		return 1
 	}
-	printJob(stdout, j)
+	printJSON(stdout, j)
 	if j.State != server.StateDone {
 		return 3
 	}
@@ -300,7 +292,7 @@ func cmdCancel(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		fmt.Fprintln(stderr, "charonctl cancel:", err)
 		return 1
 	}
-	printJob(stdout, j)
+	printJSON(stdout, j)
 	return 0
 }
 
@@ -339,16 +331,11 @@ func jobExitCode(err error) int {
 	return 1
 }
 
-func printJob(w io.Writer, j Job) {
+// printJSON prints a job or sweep document, indented.
+func printJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(j)
-}
-
-func printSweep(w io.Writer, sw Sweep) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(sw)
+	_ = enc.Encode(v)
 }
 
 func writeClientMetrics(c *Client, path string, stderr io.Writer) error {

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkDDR4AccessAt is the full per-request DDR4 path (mapping, row
-// state machine, bus calendar) consumed by scripts/bench_gate.sh.
+// state machine, bus calendar).
 func BenchmarkDDR4AccessAt(b *testing.B) {
 	eng := sim.NewEngine()
 	d := NewDDR4(eng)

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkHostAccess is the host-side HMC path (SerDes link with CRC
-// accounting, cube routing, vault timing) consumed by
-// scripts/bench_gate.sh. The near-memory path has BenchmarkNearAccess.
+// accounting, cube routing, vault timing). The near-memory path has
+// BenchmarkNearAccess.
 func BenchmarkHostAccess(b *testing.B) {
 	eng := sim.NewEngine()
 	s := NewSystem(eng, testCubeShift)

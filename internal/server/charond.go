@@ -52,7 +52,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-unit run timeout applied to jobs that do not set run_timeout (0 = unbounded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before aborting them (completed units stay checkpointed)")
 		retryBudget  = fs.Int("retry-budget", 2, "max automatic retries per job for transient failures (injected I/O faults, recovered panics); 0 disables retries")
-		shedLatency  = fs.Duration("shed-latency", 0, "load-shedding bound: reject submissions with 503 + Retry-After when the estimated queue wait exceeds this (0 = no shedding)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -74,8 +73,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	srv, err := New(Config{
 		Workers: *workers, QueueDepth: *queueDepth,
 		CacheDir: *cacheDir, JobTimeout: *jobTimeout,
-		RetryBudget: budget, ShedLatency: *shedLatency,
-		Log: logger,
+		RetryBudget: budget, Log: logger,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
+	"time"
+
+	"charonsim/internal/checkpoint"
 )
 
 // fuzzSubmit posts arbitrary bodies to one collection through Handler()
@@ -88,4 +92,60 @@ func FuzzSubmitSweep(f *testing.F) {
 		`not json`,
 		`{}`,
 	)
+}
+
+// FuzzJournalReplay stores an arbitrary payload under an arbitrary key as
+// a valid journal envelope and boots a server over it. New must neither
+// panic nor fail, and afterwards the record is either recovered (a job or
+// sweep with the key's id is tracked) or garbage-collected.
+func FuzzJournalReplay(f *testing.F) {
+	job := JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}
+	_, jobKey, _ := job.Resolve()
+	batch := SweepSpec{Experiments: []string{"table3", "table4"}, Workloads: []string{"BS"}}
+	_, sweepKey, _ := batch.Expand()
+	created := time.Unix(0, 0).UTC()
+	seeds := []struct {
+		key string
+		rec any
+	}{
+		{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateRunning, Created: created}},
+		{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Created: created}},
+		{jobKey, journalRecord{Schema: journalSchema, Key: jobKey, Spec: JobSpec{Experiment: "no-such"}, State: StateQueued}},
+		{"job/v1|stale", journalRecord{Schema: journalSchema, Key: "job/v1|stale", Spec: job, State: StateQueued}},
+		{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, ID: jobID(sweepKey), Key: sweepKey, Spec: batch, State: SweepStateActive, Created: created}},
+		{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, Key: sweepKey, Spec: batch, State: StateFailed}},
+		{jobKey, "not a record"},
+	}
+	for _, sd := range seeds {
+		raw, err := json.Marshal(sd.rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sd.key, raw)
+	}
+	f.Fuzz(func(t *testing.T, key string, payload []byte) {
+		dir := t.TempDir()
+		st, err := checkpoint.Open(filepath.Join(dir, "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(payload) {
+			payload, _ = json.Marshal(string(payload)) // the envelope carries JSON
+		}
+		if err := st.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Workers: 1, CacheDir: dir, runner: instantRunner})
+		if err != nil {
+			t.Fatalf("New over a fuzzed journal: %v", err)
+		}
+		defer s.Close()
+		s.mu.Lock()
+		_, isJob := s.jobs[jobID(key)]
+		_, isSweep := s.sweeps[jobID(key)]
+		s.mu.Unlock()
+		if _, ok := st.Get(key); ok && !isJob && !isSweep {
+			t.Fatalf("record %q under %q was neither recovered nor collected", payload, key)
+		}
+	})
 }

@@ -149,7 +149,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	deadline time.Time // effective execution deadline (zero = unbounded); from X-Charon-Deadline, tightened by RunTimeout at start
-	text     string // rendered report (CLI format, no wall-clock trailer)
+	text     string    // rendered report (CLI format, no wall-clock trailer)
 	errMsg   string
 	cancel   context.CancelFunc // non-nil while running
 	canceled bool               // cancellation requested (DELETE or drain)
@@ -158,6 +158,18 @@ type job struct {
 	seq       uint64          // bumped on every state mutation; orders journal writes
 	attempts  []attemptRecord // execution attempts (retry policy history)
 	recovered int             // journal crash-replay generations (0 = never crashed)
+}
+
+// newJob builds a queued job for admitLocked from a resolved descriptor.
+func newJob(spec JobSpec, cfg charonsim.Config, key string, deadline time.Time) *job {
+	return &job{id: jobID(key), key: key, spec: spec, cfg: cfg, deadline: deadline,
+		state: StateQueued, created: time.Now(), done: make(chan struct{})}
+}
+
+func (j *job) retention() (terminal, fetched bool, created time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return terminalState(j.state), j.fetched, j.created
 }
 
 // view is the JSON representation of a job.

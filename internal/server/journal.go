@@ -96,36 +96,44 @@ func (jl *journal) record(j *job) {
 		Schema: journalSchema, ID: j.id, Key: j.key, Spec: j.spec,
 		State: j.state, Error: j.errMsg,
 		Created: j.created, Updated: time.Now(),
-		Attempts: append([]attemptRecord(nil), j.attempts...),
+		Attempts:  append([]attemptRecord(nil), j.attempts...),
 		Recovered: j.recovered,
 	}
 	seq := j.seq
 	j.mu.Unlock()
+	jl.put(j.id, j.key, seq, rec)
+}
 
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		jl.health.observe(fmt.Errorf("journal: encode %s: %w", j.id, err))
+// put durably writes one job record or sweep manifest under key, unless a
+// write with the same or a newer seq already landed for id.
+func (jl *journal) put(id, key string, seq uint64, rec any) {
+	if jl == nil {
 		return
 	}
-
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		jl.health.observe(fmt.Errorf("journal: encode %s: %w", id, err))
+		return
+	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if last, ok := jl.seq[j.id]; ok && seq <= last {
+	if last, ok := jl.seq[id]; ok && seq <= last {
 		return // a newer transition already landed
 	}
-	if err := jl.st.Put(j.key, payload); err != nil {
+	if err := jl.st.Put(key, payload); err != nil {
 		jl.health.observe(err)
 		return
 	}
-	jl.seq[j.id] = seq
+	jl.seq[id] = seq
 	jl.health.observe(nil)
 }
 
 // replay loads every journal record, splitting it into unfinished work to
 // resubmit — jobs and sweep manifests, by the record's kind tag — and
 // terminal keys to garbage-collect. Records from a different schema, or
-// whose spec no longer resolves (the job grammar moved under them), are
-// treated as terminal: logged and collected, never replayed wrong.
+// that do not decode under the key they are stored at, are treated as
+// terminal: logged and collected, never replayed wrong. Whether an
+// unfinished record's spec still resolves is recovery's check.
 func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []sweepRecord, terminalKeys []string, err error) {
 	if jl == nil {
 		return nil, nil, nil, nil
@@ -151,11 +159,6 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 				terminalKeys = append(terminalKeys, key)
 				return true
 			}
-			if _, _, rerr := rec.Spec.Expand(); rerr != nil {
-				log.Warn("journal: dropping unresolvable sweep", "sweep", rec.ID, "err", rerr)
-				terminalKeys = append(terminalKeys, key)
-				return true
-			}
 			sweeps = append(sweeps, rec)
 			return true
 		}
@@ -169,41 +172,10 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 			terminalKeys = append(terminalKeys, key)
 			return true
 		}
-		if _, _, rerr := rec.Spec.Resolve(); rerr != nil {
-			log.Warn("journal: dropping unresolvable job", "job", rec.ID, "err", rerr)
-			terminalKeys = append(terminalKeys, key)
-			return true
-		}
 		pending = append(pending, rec)
 		return true
 	})
 	return pending, sweeps, terminalKeys, err
-}
-
-// recordSweep durably persists a sweep manifest snapshot, with the same
-// monotonic-seq staleness guard record uses for jobs. The manifest is
-// membership, not progress: child jobs journal their own transitions, so
-// a sweep rewrite only happens at admission, recovery, and completion.
-func (jl *journal) recordSweep(rec sweepRecord, seq uint64) {
-	if jl == nil {
-		return
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		jl.health.observe(fmt.Errorf("journal: encode sweep %s: %w", rec.ID, err))
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if last, ok := jl.seq[rec.ID]; ok && seq <= last {
-		return // a newer transition already landed
-	}
-	if err := jl.st.Put(rec.Key, payload); err != nil {
-		jl.health.observe(err)
-		return
-	}
-	jl.seq[rec.ID] = seq
-	jl.health.observe(nil)
 }
 
 // gc deletes terminal records. Best-effort: a record that refuses to die

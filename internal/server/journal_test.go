@@ -302,51 +302,6 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestLoadShedding: once the duration estimator has evidence, submissions
-// whose predicted wait exceeds the bound get 503 + Retry-After — while
-// dedup hits on already-tracked jobs still answer 200.
-func TestLoadShedding(t *testing.T) {
-	g := newGate("r\n")
-	s, base := newTestServer(t, Config{
-		Workers: 1, QueueDepth: 16, ShedLatency: 10 * time.Millisecond, runner: g.runner,
-	})
-
-	// No evidence yet (no completed job): nothing sheds.
-	resp, a := postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("A = %d, want 202", resp.StatusCode)
-	}
-	<-g.started
-	waitState(t, base, a.ID, StateRunning)
-	resp, b := postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("B with empty estimator = %d, want 202", resp.StatusCode)
-	}
-
-	// Feed the estimator a pathological mean: anything queued now implies
-	// an hour of wait against a 10ms bound.
-	s.avgRunNanos.Store(int64(time.Hour))
-	resp, _ = postJob(t, base, `{"experiment":"fig12","workloads":["LR"]}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed 503 without Retry-After")
-	}
-	if n := s.Metrics().Counter("server/shed_rejected"); n != 1 {
-		t.Fatalf("shed_rejected = %v, want 1", n)
-	}
-	// Dedup of the queued job B is still a 200, not a shed.
-	resp, _ = postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dedup during shed = %d, want 200", resp.StatusCode)
-	}
-
-	close(g.open)
-	waitState(t, base, a.ID, StateDone)
-	waitState(t, base, b.ID, StateDone)
-}
-
 // TestDegradedCacheModeAndRecovery drives the persistence stack through a
 // full disk (every write fails) and back: the server flips into degraded
 // mode with gauges + error detail on /v1/metrics, keeps serving jobs from

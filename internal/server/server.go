@@ -12,6 +12,7 @@
 // Endpoints:
 //
 //	POST   /v1/jobs             submit (202; 200 on dedup/cache hit; 429 full; 503 draining)
+//	POST   /v1/sweeps           submit a parameter grid as one batch (see SweepSpec)
 //	GET    /v1/jobs             list tracked jobs
 //	GET    /v1/jobs/{id}        job status
 //	GET    /v1/jobs/{id}/result rendered report (CLI byte-identical)
@@ -36,6 +37,8 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,9 +74,10 @@ type Config struct {
 	// the existing RunTimeout plumbing: the harness worker pool budget
 	// plus the engine watchdog heartbeat.
 	JobTimeout time.Duration
-	// MaxJobs bounds the in-memory job table (default 1024); when
-	// exceeded, the oldest terminal jobs are evicted. Their results stay
-	// servable from the disk cache.
+	// MaxJobs bounds the in-memory job table and, separately, the sweep
+	// table (default 1024 each); when exceeded, the oldest terminal
+	// entries are evicted. Their results stay servable from the disk
+	// cache.
 	MaxJobs int
 	// RetryBudget bounds automatic re-executions of transiently-failed
 	// jobs — injected I/O faults and recovered internal panics
@@ -85,12 +89,6 @@ type Config struct {
 	// per attempt up to 64x, plus up to +50% deterministic jitter derived
 	// from the job id. Tests shrink it.
 	RetryBackoff time.Duration
-	// ShedLatency, when positive, enables latency-aware load shedding: a
-	// submission whose estimated queue wait (queued jobs × the observed
-	// mean job duration ÷ workers) exceeds it is rejected with 503 +
-	// Retry-After — distinct from the hard 429 queue-depth limit, which
-	// still applies.
-	ShedLatency time.Duration
 	// Log receives structured request and lifecycle logs (nil = discard).
 	Log *slog.Logger
 
@@ -145,7 +143,7 @@ type Server struct {
 	cacheHealth   *degrader // result-cache degraded-mode tracker
 	journalHealth *degrader // journal degraded-mode tracker
 
-	avgRunNanos atomic.Int64 // EWMA of completed job durations (shed estimator)
+	avgRunNanos atomic.Int64 // EWMA of completed job durations (Retry-After estimator)
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
@@ -155,14 +153,14 @@ type Server struct {
 	sweeps        map[string]*sweep
 	queue         *jobQueue
 	draining      bool
-	drainDeadline time.Time // Drain's ctx deadline; sizes the draining 503's Retry-After
+	drainDeadline time.Time      // Drain's ctx deadline; sizes the draining 503's Retry-After
 	wg            sync.WaitGroup // worker goroutines
 }
 
 // jobQueue is the admission queue: an unbounded FIFO the workers pop
-// from. The client-facing QueueDepth bound is enforced by explicit len
-// checks at admission (submit's 429, the shed estimator), not by the
-// queue's capacity — journal recovery and sweep expansion must always be
+// from. The client-facing QueueDepth bound is enforced by an explicit len
+// check in the admission gate (gateLocked's 429), not by the queue's
+// capacity — journal recovery and sweep expansion must always be
 // able to enqueue work they have already promised a caller, even when
 // that transiently exceeds the depth new submissions are held to.
 //
@@ -274,26 +272,8 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-
-	recovered, pendingSweeps, gcKeys := s.replayJournal()
-	// The queue is unbounded internally: every recovered job enqueues
-	// ahead of the client-facing admission bound — submissions are
-	// rejected once QueueDepth jobs wait, but crash-recovered work must
-	// never be dropped for lack of a slot.
 	s.queue = newJobQueue()
-	for _, j := range recovered {
-		s.jobs[j.id] = j
-		s.queue.push(j)
-		s.journal.record(j)
-		s.reg.AddUint("server/journal_recovered", 1)
-		s.log.Info("journal: recovered job", "job", j.id,
-			"experiment", j.spec.Experiment, "generation", j.recovered)
-	}
-	gcKeys = append(gcKeys, s.recoverSweeps(pendingSweeps)...)
-	if n := s.journal.gc(gcKeys); n > 0 {
-		s.reg.AddUint("server/journal_gc", uint64(n))
-		s.log.Info("journal: collected terminal records", "n", n)
-	}
+	s.recoverJournal()
 
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -302,47 +282,46 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replayJournal loads the journal and rebuilds the unfinished jobs a dead
-// process left behind. Jobs whose result meanwhile landed in the response
-// cache (crash between persist and the journal's terminal transition) are
-// completed in place rather than re-run. Returns the jobs to requeue and
-// the record keys to garbage-collect.
-func (s *Server) replayJournal() (recovered []*job, pendingSweeps []sweepRecord, gcKeys []string) {
-	pending, sweeps, terminal, err := s.journal.replay(s.log)
+// recoverJournal rebuilds the unfinished work a dead process left behind.
+// Each unfinished job record is re-admitted under its original id through
+// the admission path, without the gate: crash-recovered work is never
+// dropped for lack of a queue slot. A job whose report meanwhile landed in
+// the response cache (a crash between persist and the journal's terminal
+// transition) completes in place instead of re-running. Active sweep
+// manifests are rebuilt over the recovered jobs next, and terminal or
+// unusable records are garbage-collected.
+func (s *Server) recoverJournal() {
+	pending, sweeps, gcKeys, err := s.journal.replay(s.log)
 	if err != nil {
 		s.log.Warn("journal: replay scan failed; continuing without recovery", "err", err)
-		return nil, nil, nil
+		return
 	}
-	gcKeys = terminal
+	s.mu.Lock()
 	for _, rec := range pending {
+		// A record must still resolve to the key it is stored under; one
+		// the job grammar moved under is collected, never replayed wrong.
 		cfg, key, rerr := rec.Spec.Resolve()
-		if rerr != nil { // replay() pre-checked; defensive
+		if rerr != nil || key != rec.Key {
+			s.log.Warn("journal: dropping unresolvable job", "job", rec.ID, "err", rerr)
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
-		j := &job{
-			id: jobID(key), key: key, spec: rec.Spec, cfg: cfg,
-			state: StateQueued, created: rec.Created,
-			attempts:  rec.Attempts,
-			recovered: rec.Recovered + 1,
-			seq:       1,
-			done:      make(chan struct{}),
-		}
-		if text, ok := s.cachedText(key); ok {
-			// The previous process finished the work and persisted the
-			// report but died before journaling "done".
-			j.state = StateDone
-			j.cached = true
-			j.text = text
-			j.finished = time.Now()
-			close(j.done)
-			s.jobs[j.id] = j
+		j := newJob(rec.Spec, cfg, key, time.Time{})
+		j.created, j.attempts, j.recovered = rec.Created, rec.Attempts, rec.Recovered+1
+		if _, queued, _ := s.admitLocked(j, false); !queued {
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
-		recovered = append(recovered, j)
+		s.reg.AddUint("server/journal_recovered", 1)
+		s.log.Info("journal: recovered job", "job", j.id,
+			"experiment", j.spec.Experiment, "generation", j.recovered)
 	}
-	return recovered, sweeps, gcKeys
+	s.mu.Unlock()
+	gcKeys = append(gcKeys, s.recoverSweeps(sweeps)...)
+	if n := s.journal.gc(gcKeys); n > 0 {
+		s.reg.AddUint("server/journal_gc", uint64(n))
+		s.log.Info("journal: collected terminal records", "n", n)
+	}
 }
 
 // Metrics exposes the server's registry (tests and the /v1/metrics
@@ -435,150 +414,173 @@ const maxBodyBytes = 1 << 20
 // time on an answer nobody is still waiting for.
 const DeadlineHeader = "X-Charon-Deadline"
 
-// parseDeadline extracts the client deadline header (zero time when
-// absent).
-func parseDeadline(r *http.Request) (time.Time, error) {
-	raw := r.Header.Get(DeadlineHeader)
-	if raw == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339Nano, raw)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("invalid %s header %q: %v (want RFC3339Nano, e.g. %q)",
-			DeadlineHeader, raw, err, time.Now().UTC().Format(time.RFC3339Nano))
-	}
-	return t, nil
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// readSpec decodes a submission body into spec, checks it with valid, and
+// reads the client deadline header (zero when absent). On failure it
+// writes the answer — 413 for an oversized body, 400 for a malformed or
+// invalid spec or deadline header, 504 for a deadline already past — and
+// returns false.
+func (s *Server) readSpec(w http.ResponseWriter, r *http.Request, what string, spec any, valid func() error) (deadline time.Time, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(spec); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"job spec exceeds the %d-byte limit (a spec is a handful of scalar knobs; this is not one)", maxBodyBytes)
-			return
+			writeError(w, http.StatusRequestEntityTooLarge, "%s spec exceeds the %d-byte limit", what, maxBodyBytes)
+		} else {
+			writeError(w, http.StatusBadRequest, "decoding %s spec: %v", what, err)
 		}
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
-		return
+		return deadline, false
 	}
-	cfg, key, err := spec.Resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
+	if err := valid(); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid %s spec: %v", what, err)
+		return deadline, false
 	}
-	deadline, err := parseDeadline(r)
+	raw := r.Header.Get(DeadlineHeader)
+	if raw == "" {
+		return deadline, true
+	}
+	deadline, err := time.Parse(time.RFC3339Nano, raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		writeError(w, http.StatusBadRequest, "invalid %s header %q: %v (want RFC3339Nano, e.g. %q)",
+			DeadlineHeader, raw, err, time.Now().UTC().Format(time.RFC3339Nano))
+		return deadline, false
 	}
 	if !deadline.IsZero() && !deadline.After(time.Now()) {
 		s.reg.AddUint("server/deadline_expired_rejects", 1)
 		writeError(w, http.StatusGatewayTimeout,
 			"deadline %s already expired at admission; not queueing doomed work",
 			deadline.UTC().Format(time.RFC3339Nano))
+		return deadline, false
+	}
+	return deadline, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec JobSpec
+	var cfg charonsim.Config
+	var key string
+	deadline, ok := s.readSpec(w, r, "job", &spec, func() (err error) {
+		cfg, key, err = spec.Resolve()
+		return err
+	})
+	if !ok {
 		return
 	}
-	j, status, retryAfter, err := s.submit(spec, cfg, key, deadline)
-	if err != nil {
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-		}
-		writeError(w, status, "%v", err)
+	s.mu.Lock()
+	j, queued, rej := s.admitLocked(newJob(spec, cfg, key, deadline), true)
+	s.mu.Unlock()
+	if rej != nil {
+		rej.write(w)
 		return
+	}
+	status := http.StatusOK
+	if queued {
+		status = http.StatusAccepted
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, status, j.view())
 }
 
-// submit deduplicates, consults the response cache, applies load
-// shedding and the queue-depth bound, journals the accepted descriptor,
-// and enqueues. The returned status is 200 for an existing/cached job,
-// 202 for a freshly queued one; on rejection retryAfter carries the
-// Retry-After hint in seconds.
-func (s *Server) submit(spec JobSpec, cfg charonsim.Config, key string, deadline time.Time) (j *job, status, retryAfter int, err error) {
-	id := jobID(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.jobs[id]; ok {
-		existing.mu.Lock()
-		state := existing.state
-		existing.mu.Unlock()
-		switch state {
-		case StateQueued, StateRunning, StateDone:
-			// Single-flight dedup: same descriptor, same job. The first
-			// submitter's deadline governs — a duplicate POST (a client
-			// retry after an ambiguous failure) must not loosen or tighten
-			// work already in flight.
+// admitLocked is charond's one admission path: POST /v1/jobs, every sweep
+// child and journal recovery hand it a fresh job from newJob, and it
+//
+//  1. reuses a live or done job with the same canonical key — single-flight
+//     dedup, where the first submitter's deadline governs, so a duplicate
+//     POST (a client retry after an ambiguous failure) cannot loosen or
+//     tighten work already in flight;
+//  2. otherwise completes the job from the result cache, which may hold a
+//     report persisted by an earlier process over the same directory;
+//  3. otherwise, when gate is set, passes the admission gate (gateLocked);
+//  4. then journals the job — before any 202 leaves, so a crash at any
+//     later moment leaves a record to replay — and enqueues it.
+//
+// It returns the job that answers — j, or the one reused — and whether j
+// was queued. A failed or canceled job under the same key is replaced only at step 2
+// or 4, so a refused resubmission leaves it readable.
+//
+// server/jobs_submitted counts the fresh jobs admitted at step 2 or 4,
+// whichever entry point brought them; a reused job and a refused
+// submission count nothing. Callers hold s.mu.
+func (s *Server) admitLocked(j *job, gate bool) (answer *job, queued bool, rej *rejection) {
+	j.seq = 1
+	if old, ok := s.jobs[j.id]; ok {
+		old.mu.Lock()
+		state, seq := old.state, old.seq
+		old.mu.Unlock()
+		if reusable(state) {
 			s.reg.AddUint("server/dedup_hits", 1)
 			if state == StateDone {
 				s.reg.AddUint("server/cache_hits", 1)
 			}
-			return existing, http.StatusOK, 0, nil
+			return old, false, nil
 		}
-		// failed/canceled: fall through and replace with a fresh attempt.
-		delete(s.jobs, id)
+		// The old job is terminal, so its seq is final: continuing past it
+		// keeps a late journal write of the old job from overwriting the
+		// replacement's record.
+		j.seq = seq + 1
 	}
-	if s.draining {
-		return nil, http.StatusServiceUnavailable, s.drainRetryAfterLocked(),
-			errors.New("server is draining; not accepting new jobs")
-	}
-	s.reg.AddUint("server/jobs_submitted", 1)
-
-	j = &job{id: id, key: key, spec: spec, cfg: cfg, deadline: deadline,
-		state: StateQueued, created: time.Now(), seq: 1, done: make(chan struct{})}
-
-	// Warm path: a prior run of this exact descriptor — possibly by an
-	// earlier process over the same cache directory — already persisted
-	// the report.
-	if text, ok := s.cachedText(key); ok {
-		j.state = StateDone
-		j.cached = true
-		j.text = text
-		j.finished = time.Now()
+	if text, ok := s.cachedText(j.key); ok {
+		j.state, j.cached, j.text, j.finished = StateDone, true, text, time.Now()
 		close(j.done)
-		s.insertLocked(j)
+		insertLocked(s.jobs, j.id, j, s.cfg.MaxJobs)
 		s.reg.AddUint("server/cache_hits", 1)
-		return j, http.StatusOK, 0, nil
+		s.reg.AddUint("server/jobs_submitted", 1)
+		return j, false, nil
 	}
 	s.reg.AddUint("server/cache_misses", 1)
-
-	// Latency-aware shedding: refuse work we could queue but not serve
-	// within the configured wait bound. Softer and earlier than the hard
-	// depth limit below, with an honest Retry-After.
-	if wait := s.estimatedWait(s.queue.len()); s.cfg.ShedLatency > 0 && wait > s.cfg.ShedLatency {
-		s.reg.AddUint("server/shed_rejected", 1)
-		return nil, http.StatusServiceUnavailable, retryAfterSeconds(wait),
-			fmt.Errorf("estimated queue wait %s exceeds the %s shed bound; retry later",
-				wait.Round(time.Millisecond), s.cfg.ShedLatency)
+	if gate {
+		if rej := s.gateLocked("jobs"); rej != nil {
+			return nil, false, rej
+		}
 	}
-
-	// Hard depth bound. The internal queue is unbounded (journal recovery
-	// and sweep expansion pre-seed it past the depth), so the
-	// client-facing limit is an explicit length check.
-	if s.queue.len() >= s.cfg.QueueDepth {
-		s.reg.AddUint("server/queue_rejected", 1)
-		return nil, http.StatusTooManyRequests, 1,
-			fmt.Errorf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)
-	}
-
-	// Durability point: the accepted descriptor is journaled before the
-	// 202 leaves the building, so a crash at any later moment leaves a
-	// record to replay.
-	s.insertLocked(j)
+	s.reg.AddUint("server/jobs_submitted", 1)
+	insertLocked(s.jobs, j.id, j, s.cfg.MaxJobs)
 	s.journal.record(j)
 	s.queue.push(j)
 	s.reg.SetMax("server/queue_high_water", float64(s.queue.len()))
-	return j, http.StatusAccepted, 0, nil
+	return j, true, nil
+}
+
+// reusable reports whether a tracked job or sweep in state answers a
+// resubmission of its key; a failed or canceled one is replaced instead.
+func reusable(state string) bool {
+	return state != StateFailed && state != StateCanceled
+}
+
+// rejection is a submission the admission gate refused.
+type rejection struct {
+	status     int
+	retryAfter int // Retry-After hint, in seconds
+	msg        string
+}
+
+func (rej *rejection) write(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(rej.retryAfter))
+	writeError(w, rej.status, "%s", rej.msg)
+}
+
+// gateLocked is admission's gate: a draining server refuses new work with
+// 503, a full queue with 429, each with a Retry-After hint. The internal
+// queue is unbounded (journal recovery and sweep expansion enqueue past
+// the depth), so the client-facing bound is this explicit length check.
+// Callers hold s.mu.
+func (s *Server) gateLocked(what string) *rejection {
+	if s.draining {
+		return &rejection{http.StatusServiceUnavailable, s.drainRetryAfterLocked(),
+			"server is draining; not accepting new " + what}
+	}
+	if s.queue.len() >= s.cfg.QueueDepth {
+		s.reg.AddUint("server/queue_rejected", 1)
+		return &rejection{http.StatusTooManyRequests, 1,
+			fmt.Sprintf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)}
+	}
+	return nil
 }
 
 // estimatedWait predicts how long a job with `ahead` queued jobs in
 // front of it waits for a worker: ahead times the observed mean job
 // duration, spread over the worker pool. Zero until the first job
-// completes — the server sheds on evidence, not guesses.
+// completes — the hint rests on evidence, not guesses.
 func (s *Server) estimatedWait(ahead int) time.Duration {
 	avg := s.avgRunNanos.Load()
 	if avg <= 0 || ahead <= 0 {
@@ -627,41 +629,39 @@ func (s *Server) pollRetryAfter(j *job) int {
 	return retryAfterSeconds(s.estimatedWait(ahead + 1))
 }
 
-// insertLocked adds j to the job table and evicts terminal jobs past the
-// retention bound. Eviction prefers terminal jobs whose result has
-// already been fetched (oldest first) and only then falls back to
-// unfetched terminal jobs — a done job nobody has read yet still owes
-// its submitter an answer, so it must never be displaced by older jobs
-// that already delivered theirs. Callers hold s.mu.
-func (s *Server) insertLocked(j *job) {
-	s.jobs[j.id] = j
-	for len(s.jobs) > s.cfg.MaxJobs {
-		var oldestFetched, oldestUnfetched *job
-		for _, cand := range s.jobs {
-			cand.mu.Lock()
-			terminal := cand.state == StateDone || cand.state == StateFailed || cand.state == StateCanceled
-			fetched := cand.fetched
-			created := cand.created
-			cand.mu.Unlock()
+// retained is what the retention policy reads from a tracked job or
+// sweep.
+type retained interface {
+	retention() (terminal, fetched bool, created time.Time)
+}
+
+// insertLocked adds v to a job or sweep table under id and evicts
+// terminal entries past the retention bound. Eviction prefers terminal
+// entries whose result has already been fetched (oldest first) and only
+// then falls back to unfetched terminal ones — a done job nobody has read
+// yet still owes its submitter an answer, so it must never be displaced
+// by older ones that already delivered theirs. Live entries are never
+// evicted; with nothing terminal the table grows. Callers hold s.mu.
+func insertLocked[T retained](table map[string]T, id string, v T, bound int) {
+	table[id] = v
+	for len(table) > bound {
+		victim, found := "", false
+		var victimFetched bool
+		var victimCreated time.Time
+		for cid, cand := range table {
+			terminal, fetched, created := cand.retention()
 			if !terminal {
 				continue
 			}
-			if fetched {
-				if oldestFetched == nil || created.Before(oldestFetched.created) {
-					oldestFetched = cand
-				}
-			} else if oldestUnfetched == nil || created.Before(oldestUnfetched.created) {
-				oldestUnfetched = cand
+			if !found || fetched && !victimFetched ||
+				fetched == victimFetched && created.Before(victimCreated) {
+				victim, found, victimFetched, victimCreated = cid, true, fetched, created
 			}
 		}
-		victim := oldestFetched
-		if victim == nil {
-			victim = oldestUnfetched
+		if !found {
+			return
 		}
-		if victim == nil {
-			return // everything is live; let the table grow
-		}
-		delete(s.jobs, victim.id)
+		delete(table, victim)
 	}
 }
 
@@ -711,24 +711,29 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		views = append(views, j.view())
 	}
 	s.mu.Unlock()
-	// Stable order: newest first, id as tie-break.
-	sortViews(views)
+	sortNewestFirst(views)
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
-func sortViews(vs []view) {
-	for i := 1; i < len(vs); i++ {
-		for k := i; k > 0 && viewLess(vs[k], vs[k-1]); k-- {
-			vs[k], vs[k-1] = vs[k-1], vs[k]
-		}
-	}
+// listed is a job or sweep status document in a list response.
+type listed interface {
+	listKey() (created, id string)
 }
 
-func viewLess(a, b view) bool {
-	if a.Created != b.Created {
-		return a.Created > b.Created
-	}
-	return a.ID < b.ID
+func (v view) listKey() (string, string)      { return v.Created, v.ID }
+func (v sweepView) listKey() (string, string) { return v.Created, v.ID }
+
+// sortNewestFirst gives list responses their stable order: newest first,
+// id as tie-break.
+func sortNewestFirst[T listed](vs []T) {
+	slices.SortFunc(vs, func(a, b T) int {
+		ca, ia := a.listKey()
+		cb, ib := b.listKey()
+		if c := strings.Compare(cb, ca); c != 0 {
+			return c
+		}
+		return strings.Compare(ia, ib)
+	})
 }
 
 func (s *Server) jobFor(r *http.Request) (*job, bool) {
@@ -1076,7 +1081,7 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// observeRunDuration feeds the shed estimator's EWMA (weight 1/4 on the
+// observeRunDuration feeds the Retry-After estimator's EWMA (weight 1/4 on the
 // newest observation).
 func (s *Server) observeRunDuration(d time.Duration) {
 	for {

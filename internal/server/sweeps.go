@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,7 +70,6 @@ type sweepChild struct {
 	spec JobSpec
 	cfg  charonsim.Config
 	key  string
-	id   string
 }
 
 // Expand validates the sweep spec and returns its grid points in
@@ -115,7 +112,7 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 			return fmt.Errorf("duplicate grid point: children %d and %d are the same job (%s)", prev, len(children), key)
 		}
 		seen[key] = len(children)
-		children = append(children, sweepChild{spec: child, cfg: cfg, key: key, id: jobID(key)})
+		children = append(children, sweepChild{spec: child, cfg: cfg, key: key})
 		return nil
 	}
 	for _, exp := range sp.Experiments {
@@ -174,9 +171,21 @@ type sweep struct {
 	recovered  int    // journal crash-replay generations
 	seq        uint64 // orders journal manifest writes
 	finalState string // terminal aggregate state once journaled ("" while active)
+	fetched    bool   // terminal answer delivered to at least one result fetch
+}
+
+func newSweep(key string, spec SweepSpec, created time.Time) *sweep {
+	return &sweep{id: jobID(key), key: key, spec: spec, created: created, childIDs: map[string]bool{}}
 }
 
 func (sw *sweep) contains(jobID string) bool { return sw.childIDs[jobID] }
+
+func (sw *sweep) retention() (terminal, fetched bool, created time.Time) {
+	terminal = terminalState(aggregateState(sw.counts()))
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return terminal, sw.fetched, sw.created
+}
 
 // sweepCounts is the per-state census of a sweep's children.
 type sweepCounts struct {
@@ -247,18 +256,25 @@ type sweepRecord struct {
 	Recovered int       `json:"recovered,omitempty"`
 }
 
-// record snapshots the sweep as a journal manifest. Callers hold sw.mu.
-func (sw *sweep) recordLocked(state string) sweepRecord {
+// journalSweep durably writes sw's manifest in state. The manifest is
+// membership, not progress: child jobs journal their own transitions, so
+// it is written only at admission, recovery and completion.
+func (s *Server) journalSweep(sw *sweep, state string) {
 	ids := make([]string, len(sw.children))
 	for i, j := range sw.children {
 		ids[i] = j.id
 	}
-	return sweepRecord{
+	sw.mu.Lock()
+	sw.seq++
+	rec := sweepRecord{
 		Schema: journalSchema, Kind: journalKindSweep,
 		ID: sw.id, Key: sw.key, Spec: sw.spec, State: state,
 		Created: sw.created, Updated: time.Now(),
 		ChildIDs: ids, Recovered: sw.recovered,
 	}
+	seq := sw.seq
+	sw.mu.Unlock()
+	s.journal.put(sw.id, sw.key, seq, rec)
 }
 
 // sweepChildView is one child's row in the sweep status document.
@@ -315,174 +331,89 @@ func (sw *sweep) view() sweepView {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec SweepSpec
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"sweep spec exceeds the %d-byte limit", maxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding sweep spec: %v", err)
+	var children []sweepChild
+	var key string
+	deadline, ok := s.readSpec(w, r, "sweep", &spec, func() (err error) {
+		children, key, err = spec.Expand()
+		return err
+	})
+	if !ok {
 		return
 	}
-	children, key, err := spec.Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep spec: %v", err)
-		return
-	}
-	deadline, err := parseDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !deadline.IsZero() && !deadline.After(time.Now()) {
-		s.reg.AddUint("server/deadline_expired_rejects", 1)
-		writeError(w, http.StatusGatewayTimeout,
-			"deadline %s already expired at admission; not queueing doomed work",
-			deadline.UTC().Format(time.RFC3339Nano))
-		return
-	}
-	sw, status, retryAfter, err := s.submitSweep(spec, children, key, deadline)
-	if err != nil {
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-		}
-		writeError(w, status, "%v", err)
+	sw, status, rej := s.submitSweep(newSweep(key, spec, time.Now()), children, deadline)
+	if rej != nil {
+		rej.write(w)
 		return
 	}
 	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
 	writeJSON(w, status, sw.view())
 }
 
-// submitSweep admits one sweep: single-flight dedup on the sweep key,
-// then per-child admission through the shared job machinery (each child
-// deduplicates against in-flight jobs and the result cache exactly like
-// an individual POST /v1/jobs), a journaled manifest before the response
-// leaves, and the children enqueued in grid order. The returned status
-// is 200 for an existing (or instantly cache-complete) sweep, 202 when
-// any child was freshly queued.
-func (s *Server) submitSweep(spec SweepSpec, children []sweepChild, key string, deadline time.Time) (sw *sweep, status, retryAfter int, err error) {
-	id := jobID(key)
+// submitSweep admits one sweep. A live or done sweep with the same key is
+// reused: the same grid is the same sweep, and a duplicate submission
+// must reuse its children (and through them every cached child result)
+// rather than re-running. Otherwise the sweep passes the admission gate
+// as a whole — batch work is admitted all-or-nothing, never half-queued —
+// and its children then enqueue together, transiently past QueueDepth,
+// which later single submissions see as a full queue. A failed or
+// canceled sweep under the same key is replaced only once its successor
+// is admitted. The status is 200 for a reused sweep or one whose every
+// child was already answered, 202 otherwise.
+func (s *Server) submitSweep(sw *sweep, children []sweepChild, deadline time.Time) (*sweep, int, *rejection) {
 	s.mu.Lock()
-	if existing, ok := s.sweeps[id]; ok {
-		state := aggregateState(existing.counts())
-		if state != StateFailed && state != StateCanceled {
-			// Single-flight dedup: the same grid is the same sweep, and a
-			// duplicate submission must reuse its children (and through
-			// them every cached child result) rather than re-running.
+	if old, ok := s.sweeps[sw.id]; ok {
+		if reusable(aggregateState(old.counts())) {
 			s.reg.AddUint("server/sweep_dedup_hits", 1)
 			s.mu.Unlock()
-			return existing, http.StatusOK, 0, nil
+			return old, http.StatusOK, nil
 		}
-		// failed/canceled: fall through and replace with a fresh attempt,
-		// mirroring individual-job resubmission semantics.
-		delete(s.sweeps, id)
+		// The old sweep writes at most one more manifest (its terminal
+		// one, at seq+1); starting past that keeps it from overwriting
+		// the replacement's.
+		old.mu.Lock()
+		sw.seq = old.seq + 1
+		old.mu.Unlock()
 	}
-	if s.draining {
-		defer s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, s.drainRetryAfterLocked(),
-			errors.New("server is draining; not accepting new sweeps")
-	}
-	if wait := s.estimatedWait(s.queue.len()); s.cfg.ShedLatency > 0 && wait > s.cfg.ShedLatency {
-		s.reg.AddUint("server/shed_rejected", 1)
+	if rej := s.gateLocked("sweeps"); rej != nil {
 		s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, retryAfterSeconds(wait),
-			fmt.Errorf("estimated queue wait %s exceeds the %s shed bound; retry later",
-				wait.Round(time.Millisecond), s.cfg.ShedLatency)
-	}
-	// The depth bound gates sweep admission as a whole: a sweep needs a
-	// free slot to start, and once admitted its children enqueue
-	// atomically — transiently past QueueDepth, which subsequent single
-	// submissions then see as a full queue. Batch work is admitted
-	// all-or-nothing; it is never half-queued.
-	if s.queue.len() >= s.cfg.QueueDepth {
-		s.reg.AddUint("server/queue_rejected", 1)
-		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests, 1,
-			fmt.Errorf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)
+		return nil, 0, rej
 	}
 	s.reg.AddUint("server/sweeps_submitted", 1)
-
-	sw = &sweep{
-		id: id, key: key, spec: spec, created: time.Now(),
-		childIDs: map[string]bool{}, seq: 1,
-	}
-	fresh := 0
-	for _, c := range children {
-		j, isNew := s.admitChildLocked(c, deadline)
-		if isNew {
-			fresh++
-		} else {
-			s.reg.AddUint("server/sweep_child_dedup", 1)
-		}
-		sw.children = append(sw.children, j)
-		sw.childIDs[j.id] = true
-	}
 	s.reg.AddUint("server/sweep_children", uint64(len(children)))
-	s.sweeps[id] = sw
-	s.reg.SetMax("server/queue_high_water", float64(s.queue.len()))
-
-	// Durability point: the manifest is journaled before the response,
-	// so a crash from here on replays the sweep — with these exact child
-	// ids — instead of losing the batch.
-	sw.mu.Lock()
-	rec := sw.recordLocked(SweepStateActive)
-	seq := sw.seq
-	sw.mu.Unlock()
-	s.journal.recordSweep(rec, seq)
+	queued := s.startSweepLocked(sw, children, deadline)
+	if reused := len(children) - queued; reused > 0 {
+		s.reg.AddUint("server/sweep_child_dedup", uint64(reused))
+	}
 	s.mu.Unlock()
 
-	status = http.StatusAccepted
-	if fresh == 0 && !sw.counts().pending() {
+	status := http.StatusAccepted
+	if queued == 0 && !sw.counts().pending() {
 		// Every grid point was already answered (dedup or cache): the
 		// sweep is born terminal.
 		status = http.StatusOK
 	}
 	s.maybeFinishSweep(sw)
-	return sw, status, 0, nil
+	return sw, status, nil
 }
 
-// admitChildLocked admits one sweep child through the same machinery an
-// individual submission uses: reuse an in-flight or completed job with
-// the same canonical key, serve the on-disk result cache, or journal and
-// enqueue a fresh job. isNew reports whether a fresh job was queued.
-// Callers hold s.mu.
-func (s *Server) admitChildLocked(c sweepChild, deadline time.Time) (j *job, isNew bool) {
-	if existing, ok := s.jobs[c.id]; ok {
-		existing.mu.Lock()
-		state := existing.state
-		existing.mu.Unlock()
-		switch state {
-		case StateQueued, StateRunning, StateDone:
-			s.reg.AddUint("server/dedup_hits", 1)
-			if state == StateDone {
-				s.reg.AddUint("server/cache_hits", 1)
-			}
-			return existing, false
+// startSweepLocked admits sw's children in grid order through the job
+// admission path, without the gate — the sweep passed it as a whole, or
+// is being recovered — then tracks the sweep and journals its manifest
+// before the response leaves, so a crash from here on replays the sweep
+// with these exact child ids. It returns how many children were freshly
+// queued. Callers hold s.mu.
+func (s *Server) startSweepLocked(sw *sweep, children []sweepChild, deadline time.Time) (queued int) {
+	for _, c := range children {
+		j, fresh, _ := s.admitLocked(newJob(c.spec, c.cfg, c.key, deadline), false)
+		if fresh {
+			queued++
 		}
-		delete(s.jobs, c.id) // failed/canceled: fresh attempt below
+		sw.children = append(sw.children, j)
+		sw.childIDs[j.id] = true
 	}
-	j = &job{id: c.id, key: c.key, spec: c.spec, cfg: c.cfg, deadline: deadline,
-		state: StateQueued, created: time.Now(), seq: 1, done: make(chan struct{})}
-	if text, ok := s.cachedText(c.key); ok {
-		j.state = StateDone
-		j.cached = true
-		j.text = text
-		j.finished = time.Now()
-		close(j.done)
-		s.insertLocked(j)
-		s.reg.AddUint("server/cache_hits", 1)
-		return j, false
-	}
-	s.reg.AddUint("server/cache_misses", 1)
-	s.reg.AddUint("server/jobs_submitted", 1)
-	s.insertLocked(j)
-	s.journal.record(j)
-	s.queue.push(j)
-	return j, true
+	insertLocked(s.sweeps, sw.id, sw, s.cfg.MaxJobs)
+	s.journalSweep(sw, SweepStateActive)
+	return queued
 }
 
 // noteChildTerminal runs after any job reaches a terminal state: every
@@ -515,11 +446,8 @@ func (s *Server) maybeFinishSweep(sw *sweep) {
 		return
 	}
 	sw.finalState = state
-	sw.seq++
-	rec := sw.recordLocked(state)
-	seq := sw.seq
 	sw.mu.Unlock()
-	s.journal.recordSweep(rec, seq)
+	s.journalSweep(sw, state)
 	switch state {
 	case StateDone:
 		s.reg.AddUint("server/sweeps_completed", 1)
@@ -532,45 +460,28 @@ func (s *Server) maybeFinishSweep(sw *sweep) {
 }
 
 // recoverSweeps rebuilds journaled sweep manifests after a crash: the
-// spec re-expands to the same ordered grid, each child reattaches to its
-// recovered job (replayed moments earlier under its original id), or is
-// completed from the result cache, or — for the narrow crash window
-// where a child's own journal record never landed — is re-admitted
-// fresh under the same deterministic id. Returns journal keys to GC
-// (none today: a recovered manifest overwrites its own key).
+// spec re-expands to the same ordered grid, and each child goes through
+// the admission path again — reattaching to its recovered job (replayed
+// moments earlier under its original id), completing from the result
+// cache, or, for the narrow crash window where a child's own journal
+// record never landed, re-admitted fresh under the same deterministic id.
+// A manifest that no longer expands to its own key is returned for GC.
 func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
 	for _, rec := range recs {
 		children, key, err := rec.Spec.Expand()
-		if err != nil { // replay() pre-checked; defensive
+		if err != nil || key != rec.Key {
+			s.log.Warn("journal: dropping unresolvable sweep", "sweep", rec.ID, "err", err)
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
-		sw := &sweep{
-			id: jobID(key), key: key, spec: rec.Spec, created: rec.Created,
-			childIDs:  map[string]bool{},
-			recovered: rec.Recovered + 1,
-			seq:       1,
-		}
+		sw := newSweep(key, rec.Spec, rec.Created)
+		sw.recovered = rec.Recovered + 1
 		s.mu.Lock()
-		for _, c := range children {
-			j, isNew := s.admitChildLocked(c, time.Time{})
-			if isNew {
-				s.log.Info("journal: re-admitted lost sweep child", "sweep", sw.id, "job", j.id)
-			}
-			sw.children = append(sw.children, j)
-			sw.childIDs[j.id] = true
-		}
-		s.sweeps[sw.id] = sw
+		readmitted := s.startSweepLocked(sw, children, time.Time{})
 		s.mu.Unlock()
-
-		sw.mu.Lock()
-		manifest := sw.recordLocked(SweepStateActive)
-		seq := sw.seq
-		sw.mu.Unlock()
-		s.journal.recordSweep(manifest, seq)
 		s.reg.AddUint("server/sweeps_recovered", 1)
-		s.log.Info("journal: recovered sweep", "sweep", sw.id,
-			"children", len(sw.children), "generation", sw.recovered)
+		s.log.Info("journal: recovered sweep", "sweep", sw.id, "children", len(sw.children),
+			"readmitted", readmitted, "generation", sw.recovered)
 		s.maybeFinishSweep(sw)
 	}
 	return gcKeys
@@ -594,20 +505,8 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	for _, sw := range sweeps {
 		views = append(views, sw.view())
 	}
-	// Stable order: newest first, id as tie-break (same rule as jobs).
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && sweepViewLess(views[k], views[k-1]); k-- {
-			views[k], views[k-1] = views[k-1], views[k]
-		}
-	}
+	sortNewestFirst(views)
 	writeJSON(w, http.StatusOK, map[string]any{"sweeps": views})
-}
-
-func sweepViewLess(a, b sweepView) bool {
-	if a.Created != b.Created {
-		return a.Created > b.Created
-	}
-	return a.ID < b.ID
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
@@ -657,6 +556,9 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, sw.view())
 		return
 	}
+	sw.mu.Lock()
+	sw.fetched = true
+	sw.mu.Unlock()
 	if c.failed > 0 || c.canceled > 0 {
 		for _, j := range sw.children {
 			state, _, errMsg := j.snapshot()
@@ -679,11 +581,4 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		j.markFetched()
 		io.WriteString(w, text)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

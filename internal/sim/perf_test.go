@@ -6,7 +6,7 @@ import (
 )
 
 // This file pins the simulation kernel's hot-path performance contract:
-// per-subsystem benchmarks consumed by scripts/bench_gate.sh, plus
+// per-subsystem benchmarks (run with `go test -bench .`), plus
 // allocation budgets (testing.AllocsPerRun) for the paths every memory
 // access crosses. The budgets are exact — a regression that starts
 // allocating per reservation or per event shows up here before it shows
