@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench parbench audit faults fuzz e2e lint ci
+.PHONY: build vet test short race golden bench benchmark parbench audit faults fuzz e2e lint ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,11 @@ golden:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
+
+# The repository benchmark (bench/README.md): every workload, end-to-end
+# and per-layer metrics plus the output oracle.
+benchmark:
+	bash bench/run.sh --workload all --seed 1
 
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM

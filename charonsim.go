@@ -126,8 +126,10 @@ type Config struct {
 	// truncated or version-mismatched entries are detected and discarded.
 	// The key includes the fault and parallelism knobs, so changing any
 	// Config field that could affect results invalidates the cache
-	// naturally. Incompatible with MetricsPath/TracePath: a cached replay
-	// executes no simulation and would silently skew their counters.
+	// naturally. With MetricsPath set, each entry also stores the unit's
+	// metrics snapshot, so a resumed run writes the same snapshot as an
+	// uninterrupted one. Incompatible with TracePath: a trace must show
+	// every simulated span, and a cached replay simulates nothing.
 	CheckpointDir string
 	// WatchdogStalls overrides the engine watchdog's stall budget — the
 	// number of consecutive events executed without simulated time
@@ -161,8 +163,9 @@ func (c Config) faultConfig() fault.Config {
 // parallelism below the documented -1 serial sentinel, unknown workload
 // names, out-of-range fault rates, a fault seed with no fault to apply it
 // to, negative deadlines/timeouts, a trace request without a metrics
-// snapshot to accompany it, and a trace path with a ".csv" extension (the
-// trace format is JSON only).
+// snapshot to accompany it, a trace path with a ".csv" extension (the
+// trace format is JSON only), and a trace combined with a checkpoint
+// directory.
 func (c Config) Validate() error {
 	if c.Threads < 0 {
 		return fmt.Errorf("charonsim: Threads must be >= 0 (0 selects the default), got %d", c.Threads)
@@ -206,8 +209,8 @@ func (c Config) Validate() error {
 	if c.WatchdogQueue < -1 {
 		return fmt.Errorf("charonsim: WatchdogQueue must be >= -1 (-1 disables, 0 = default), got %d", c.WatchdogQueue)
 	}
-	if c.CheckpointDir != "" && (c.MetricsPath != "" || c.TracePath != "") {
-		return fmt.Errorf("charonsim: CheckpointDir is incompatible with MetricsPath/TracePath (a cached replay executes no simulation, so the metrics and trace would silently undercount)")
+	if c.CheckpointDir != "" && c.TracePath != "" {
+		return fmt.Errorf("charonsim: CheckpointDir is incompatible with TracePath (a cached replay simulates nothing, so the trace would silently miss its spans)")
 	}
 	if err := c.faultConfig().Validate(); err != nil {
 		// The injector's own checks catch what the public knobs can still
@@ -520,10 +523,10 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 	return &Report{ID: id, Title: e.title, Text: text}, nil
 }
 
-// RunAll executes every experiment, sharing recorded workload runs across
-// experiments (the session's single-flight memoization records each
-// workload exactly once, no matter how many experiments need it or how
-// many run at a time). Reports come back in Experiments() order and are
+// RunAll executes every experiment, sharing recorded workload runs and
+// replays across experiments (the session's single-flight memoization
+// records each workload and simulates each replay unit exactly once, no
+// matter how many experiments need it or how many run at a time). Reports come back in Experiments() order and are
 // byte-identical at every parallelism level; on error, the reports for
 // experiments ordered before the first failing one are still returned.
 func RunAll(cfg Config) ([]*Report, error) {

@@ -263,6 +263,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative offload deadline", Config{OffloadDeadline: -time.Millisecond}, "OffloadDeadline"},
 		{"negative run timeout", Config{RunTimeout: -time.Second}, "RunTimeout"},
 		{"run timeout alone", Config{RunTimeout: time.Minute}, ""},
+		{"checkpoint with metrics", Config{CheckpointDir: "c", MetricsPath: "m.json"}, ""},
+		{"checkpoint with trace", Config{CheckpointDir: "c", MetricsPath: "m.json", TracePath: "t.json"}, "CheckpointDir"},
 	}
 	for _, tc := range tests {
 		err := tc.cfg.Validate()

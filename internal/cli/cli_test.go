@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,12 +61,55 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsObservability: a checkpoint directory conflicts
+// with a trace (cached units simulate nothing), but not with metrics —
+// each entry stores its unit's snapshot, so a run served wholly from the
+// checkpoint writes the same metrics file as the run that filled it.
 func TestCheckpointRejectsObservability(t *testing.T) {
 	var out, errb bytes.Buffer
+	dir := t.TempDir()
 	code := Run([]string{"-exp", "table4", "-checkpoint-dir", t.TempDir(),
-		"-metrics", filepath.Join(t.TempDir(), "m.json")}, &out, &errb)
-	if code != 2 {
-		t.Fatalf("checkpoint+metrics exited %d, want 2", code)
+		"-metrics", filepath.Join(dir, "m.json"), "-trace", filepath.Join(dir, "t.json")}, &out, &errb)
+	if code != 2 || !strings.Contains(errb.String(), "CheckpointDir") {
+		t.Fatalf("checkpoint+trace exited %d, want 2 naming CheckpointDir (stderr: %s)", code, errb.String())
+	}
+
+	if testing.Short() {
+		t.Skip("checkpoint+metrics runs a simulation")
+	}
+	ckpt := t.TempDir()
+	var snaps [2][]byte
+	var entries [2]os.FileInfo
+	for i := range snaps {
+		path := filepath.Join(dir, fmt.Sprintf("m%d.json", i))
+		out.Reset()
+		errb.Reset()
+		if code := Run([]string{"-exp", "fig4a", "-workloads", "ALS", "-checkpoint-dir", ckpt,
+			"-metrics", path}, &out, &errb); code != 0 {
+			t.Fatalf("run %d: checkpoint+metrics exited %d: %s", i, code, errb.String())
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = b
+		ents, _ := filepath.Glob(filepath.Join(ckpt, "*.ckpt.json"))
+		if len(ents) != 1 {
+			t.Fatalf("run %d: checkpoint holds %d units, want the one fig4a replays", i, len(ents))
+		}
+		if entries[i], err = os.Stat(ents[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A re-simulated unit is rewritten by rename, which replaces the file.
+	if !os.SameFile(entries[0], entries[1]) {
+		t.Fatal("second run re-simulated its unit instead of hitting the checkpoint")
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("metrics of the all-hits run differ from the run that filled the checkpoint:\n%s\nvs\n%s", snaps[0], snaps[1])
+	}
+	if !bytes.Contains(snaps[1], []byte("ddr4/cpu/core0/busy_ps")) {
+		t.Fatalf("all-hits run wrote no counters:\n%s", snaps[1])
 	}
 }
 

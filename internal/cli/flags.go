@@ -43,7 +43,7 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate or -offload-deadline)")
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the engine watchdog heartbeat (0 = unbounded)")
-	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -metrics/-trace)")
+	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
 	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "engine watchdog: consecutive zero-advance steps before a run is declared wedged (0 = default, -1 = disable)")
 	fs.IntVar(&f.WatchdogQueue, "watchdog-queue", 0, "engine watchdog: event-queue depth bound (0 = default, -1 = disable)")
 }

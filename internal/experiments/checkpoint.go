@@ -7,22 +7,22 @@ import (
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
+	"charonsim/internal/metrics"
 )
 
-// resultSchema versions the serialized []exec.Result payload; bump it
+// resultSchema versions the serialized unitResult payload; bump it
 // whenever exec.Result (or anything feeding it) changes shape or timing
 // semantics, so stale sweeps re-execute instead of replaying old numbers.
-const resultSchema = 1
+// Version 2 added the unit's metrics snapshot.
+const resultSchema = 2
 
-// checkpointStore returns the session's store, or nil when checkpointing
-// is disabled or observability is active: a replay served from cache
-// executes no simulation, so it would contribute nothing to the metrics
-// registry or trace recorder and silently skew their output.
-func (s *Session) checkpointStore() *checkpoint.Store {
-	if s.cfg.Checkpoint == nil || s.cfg.Metrics.Enabled() || s.cfg.Trace != nil {
-		return nil
-	}
-	return s.cfg.Checkpoint
+// unitResult is everything one replay unit produces: its per-event
+// results and, when the session collects metrics, a snapshot of the
+// platform's counters. It is both the memo's value and the checkpoint
+// payload.
+type unitResult struct {
+	Results []exec.Result     `json:"results"`
+	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }
 
 // runKey canonicalizes the fully-resolved configuration of one replay
@@ -47,26 +47,27 @@ func faultKey(fc fault.Config) string {
 		fc.UnitDegradeRate, fc.DegradeFactor, fc.FailAllUnits, uint64(fc.OffloadDeadline))
 }
 
-// getCachedResults decodes a stored replay. Decode failures are treated
-// as a miss (the entry is deleted so it gets rebuilt) — the store's
-// checksum makes them near-impossible, but a miss is always safe.
-func getCachedResults(st *checkpoint.Store, key string) ([]exec.Result, bool) {
+// getCachedUnit decodes a stored replay. Decode failures are treated as
+// a miss — the store's checksum makes them near-impossible, but a miss is
+// always safe. So is an entry without a metrics snapshot when the session
+// needs one: re-executing the unit rewrites it with the snapshot.
+func getCachedUnit(st *checkpoint.Store, key string, needMetrics bool) (unitResult, bool) {
 	payload, ok := st.Get(key)
 	if !ok {
-		return nil, false
+		return unitResult{}, false
 	}
-	var out []exec.Result
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, false
+	var u unitResult
+	if err := json.Unmarshal(payload, &u); err != nil || (needMetrics && u.Metrics == nil) {
+		return unitResult{}, false
 	}
-	return out, true
+	return u, true
 }
 
-// putCachedResults persists one completed replay. Errors are swallowed by
+// putCachedUnit persists one completed replay. Errors are swallowed by
 // design (counted in the store's stats): checkpointing must never fail a
 // sweep that would otherwise succeed.
-func putCachedResults(st *checkpoint.Store, key string, results []exec.Result) {
-	payload, err := json.Marshal(results)
+func putCachedUnit(st *checkpoint.Store, key string, u unitResult) {
+	payload, err := json.Marshal(u)
 	if err != nil {
 		return
 	}

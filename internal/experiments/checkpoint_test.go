@@ -108,21 +108,32 @@ func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 	}
 }
 
-// TestCheckpointDisabledWithObservability: a session carrying a metrics
-// registry or trace recorder must bypass the store entirely — cached
-// replays execute no simulation and would skew the counters.
+// TestCheckpointDisabledWithObservability: a traced session bypasses the
+// memo and the checkpoint store, because a trace must show every
+// simulated span — each call simulates, and nothing is read or persisted.
 func TestCheckpointDisabledWithObservability(t *testing.T) {
 	st := newStore(t)
-	for _, cfg := range []Config{
-		{Checkpoint: st, Metrics: metrics.NewRegistry()},
-		{Checkpoint: st, Trace: metrics.NewRecorder(0)},
-	} {
-		if got := NewSession(cfg).checkpointStore(); got != nil {
-			t.Fatalf("checkpointStore() with observability enabled = %v, want nil", got)
+	s := NewSession(Config{Workloads: []string{"BS"}, Checkpoint: st,
+		Metrics: metrics.NewRegistry(), Trace: metrics.NewRecorder(0)})
+	sims := 0
+	s.SetReplayHook(func(string) { sims++ })
+	r, err := s.Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Replay(r, exec.KindIdeal, 8); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if NewSession(Config{Checkpoint: st}).checkpointStore() != st {
-		t.Fatal("checkpointStore() without observability should return the store")
+	if sims != 2 {
+		t.Fatalf("traced session simulated %d of 2 replays of one unit", sims)
+	}
+	if hits, misses, _, _ := st.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("traced session consulted the store: %d hits, %d misses", hits, misses)
+	}
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Fatalf("traced session persisted %d entries (err %v)", n, err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"charonsim/internal/exec"
+	"charonsim/internal/fault"
 	"charonsim/internal/gc"
 	"charonsim/internal/stats"
 )
@@ -91,23 +92,23 @@ func Fig4(s *Session, kind gc.Kind) (*Fig4Result, error) {
 		if err != nil {
 			return err
 		}
-		p, err := s.NewPlatform(exec.KindDDR4, r.Env, cfg.Threads, exec.Options{})
+		// The breakdown characterizes the healthy host, so it replays
+		// fault-free whatever the session's fault configuration.
+		rr, err := s.ReplayFault(r, exec.KindDDR4, cfg.Threads, fault.Config{})
 		if err != nil {
 			return err
 		}
 		var prim [gc.NumPrims]float64
 		var total float64
-		for _, ev := range r.Col.Log {
-			rr := p.Replay(ev, cfg.Threads)
+		for e, ev := range r.Col.Log {
 			if ev.Kind != kind {
 				continue
 			}
-			for i, v := range rr.PrimTime {
+			for i, v := range rr[e].PrimTime {
 				prim[i] += v.Seconds()
 				total += v.Seconds()
 			}
 		}
-		s.Observe(p)
 		var share [gc.NumPrims]float64
 		key := 0.0
 		for i := range prim {

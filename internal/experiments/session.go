@@ -67,12 +67,13 @@ type Config struct {
 	Ctx context.Context
 	// Checkpoint, when non-nil, makes sweeps resumable: every replay unit
 	// is keyed by a canonical hash of its fully-resolved configuration,
-	// consulted before dispatching and persisted (atomically, with a
-	// checksum) after completing. Cached units are byte-identical to live
-	// ones, so a resumed sweep's report matches an uninterrupted run.
-	// Ignored while Metrics or Trace are enabled: served-from-cache
-	// replays would not feed the component counters, silently skewing the
-	// snapshot (the public Config.Validate rejects the combination).
+	// consulted before simulating and persisted (atomically, with a
+	// checksum) after completing, together with the unit's metrics
+	// snapshot when Metrics is on. Cached units are byte-identical to live
+	// ones and re-publish the same counters, so a resumed sweep's report
+	// and metrics match an uninterrupted run. Ignored while Trace is on: a
+	// trace must show every simulated span (the public Config.Validate
+	// rejects the combination).
 	Checkpoint *checkpoint.Store
 	// WatchdogStalls bounds consecutive engine/scheduler steps without
 	// simulated-time advance before a run is declared wedged and aborted
@@ -140,24 +141,29 @@ type Run struct {
 }
 
 // Session caches recorded workload runs and platform replays so that the
-// full experiment suite records each workload once.
+// full experiment suite records each workload once and simulates each
+// distinct replay unit once.
 //
-// Session is safe for concurrent use: Record/RecordMode have single-flight
-// semantics — concurrent calls for the same (workload, factor, mode) key
-// execute the recording exactly once while the other callers block on the
-// in-flight result. Replay constructs a fresh platform per call and only
-// reads the (immutable after recording) Run, so any number of replays may
-// proceed concurrently.
+// Session is safe for concurrent use: Record/RecordMode and Replay/
+// ReplayFault have single-flight semantics — concurrent calls for the same
+// recording key (workload, factor, mode) or replay key (runKey) execute
+// the unit exactly once while the other callers block, off the lock, on
+// the in-flight result. A replay simulates on a fresh platform and only
+// reads the (immutable after recording) Run, so distinct units proceed
+// concurrently; callers share the memoized result slice and must not
+// modify it.
 type Session struct {
 	cfg Config
 
-	mu   sync.Mutex
-	runs map[string]*inflight // key: name@factor@mode
+	mu      sync.Mutex
+	runs    map[string]*inflight // key: name@factor@mode
+	replays map[string]*flight   // key: runKey
 
-	// onRecord, when set, is invoked (synchronously, off the lock) each
-	// time a recording is actually executed — the exactly-once counter
-	// hook the concurrency tests use.
+	// onRecord and onReplay, when set, are invoked (synchronously, off the
+	// lock) each time a recording or a replay is actually simulated — the
+	// exactly-once counter hooks the concurrency tests use.
 	onRecord func(key string)
+	onReplay func(key string)
 }
 
 // inflight is a single-flight slot: the first caller claims the key and
@@ -170,9 +176,21 @@ type inflight struct {
 	err  error
 }
 
+// flight is a replay's single-flight slot: the first caller claims the
+// key and resolves it from the checkpoint store or by simulating; done is
+// closed when unit and err are final. Unlike recordings, only a completed
+// replay stays memoized: a failed or aborted one is removed before done
+// closes, and err tells its waiters why.
+type flight struct {
+	done chan struct{}
+	unit unitResult
+	err  error
+}
+
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{}}
+	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{},
+		replays: map[string]*flight{}}
 }
 
 // Config returns the session configuration (defaults applied).
@@ -182,6 +200,11 @@ func (s *Session) Config() Config { return s.cfg }
 // recording (not per cache hit). Must be set before the session is shared
 // across goroutines.
 func (s *Session) SetRecordHook(fn func(key string)) { s.onRecord = fn }
+
+// SetReplayHook registers a callback fired once per actually-simulated
+// replay unit (not per memo or checkpoint hit), with the unit's runKey.
+// Must be set before the session is shared across goroutines.
+func (s *Session) SetReplayHook(fn func(key string)) { s.onReplay = fn }
 
 // RecordKey is the memoization key for (name, factor, mode).
 func RecordKey(name string, factor float64, mode gc.Mode) string {
@@ -260,10 +283,14 @@ func (s *Session) NewPlatform(kind exec.Kind, env exec.Env, threads int, opt exe
 
 // Observe publishes a finished platform's component counters into the
 // session's metrics registry. No-op when metrics are disabled.
-func (s *Session) Observe(p exec.Platform) {
-	if s.cfg.Metrics.Enabled() {
+func (s *Session) Observe(p exec.Platform) { collect(p, s.cfg.Metrics) }
+
+// collect publishes a finished platform's component counters into reg.
+// No-op when reg is nil.
+func collect(p exec.Platform, reg *metrics.Registry) {
+	if reg.Enabled() {
 		if ms, ok := p.(exec.MetricsSource); ok {
-			ms.CollectMetrics(s.cfg.Metrics)
+			ms.CollectMetrics(reg)
 		}
 	}
 }
@@ -279,19 +306,96 @@ func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, er
 // the session's — the fault-sweep experiment uses it to replay the same
 // recording at several fault rates within one session.
 //
-// When the session has a checkpoint store, the fully-resolved run key is
-// consulted first: a valid cached entry is returned byte-identically
-// without simulating, and a live result is persisted on completion.
-// Store I/O failures never fail the replay — a lost Put just means that
-// unit re-executes on the next resume.
+// A unit is resolved memo first, then checkpoint store, then simulation.
+// Concurrent and repeated calls for one runKey share a single result, and
+// every call re-publishes the unit's metrics snapshot, so the registry
+// ends up exactly as if each call had simulated. A checkpoint hit returns
+// the stored results byte-identically, and a live result is persisted on
+// completion; store I/O failures never fail the replay — a lost Put just
+// means that unit re-executes on the next resume. A traced session
+// bypasses memo and store: a trace must show every simulated span.
 func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
-	st := s.checkpointStore()
-	var key string
-	if st != nil {
-		key = s.runKey(r, kind, threads, fc)
-		if out, ok := getCachedResults(st, key); ok {
-			return out, nil
+	key := s.runKey(r, kind, threads, fc)
+	if s.cfg.Trace != nil {
+		u, err := s.simulate(key, r, kind, threads, fc)
+		return s.publish(u), err
+	}
+	s.mu.Lock()
+	f, waiting := s.replays[key]
+	if !waiting {
+		f = &flight{done: make(chan struct{})}
+		s.replays[key] = f
+	}
+	s.mu.Unlock()
+	if waiting {
+		<-f.done // block on the in-flight (or completed) replay
+	} else {
+		s.resolve(f, key, r, kind, threads, fc)
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return s.publish(f.unit), nil
+}
+
+// publish merges a unit's metrics snapshot into the session's registry
+// and returns its results.
+func (s *Session) publish(u unitResult) []exec.Result {
+	if u.Metrics != nil {
+		s.cfg.Metrics.MergeSnapshot(*u.Metrics)
+	}
+	return u.Results
+}
+
+// resolve fills a claimed flight from the checkpoint store or by
+// simulating, then closes it. A unit that does not complete — an error,
+// or a panic such as the sim.Aborted a cancelled context or the watchdog
+// raises — is removed from the memo before done closes, so its waiters
+// return the owner's failure instead of hanging and a later call replays
+// the unit afresh. The panic itself still propagates to the owner.
+func (s *Session) resolve(f *flight, key string, r *Run, kind exec.Kind, threads int, fc fault.Config) {
+	completed := false
+	defer func() {
+		if completed {
+			close(f.done)
+			return
 		}
+		p := recover()
+		if ab, ok := p.(sim.Aborted); ok {
+			f.err = fmt.Errorf("experiments: replay of %s on %s aborted: %w", r.Name, kind, ab.Err)
+		} else if p != nil || f.err == nil {
+			f.err = fmt.Errorf("experiments: replay of %s on %s did not complete: %v", r.Name, kind, p)
+		}
+		s.mu.Lock()
+		delete(s.replays, key)
+		s.mu.Unlock()
+		close(f.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
+	st := s.cfg.Checkpoint
+	if st != nil {
+		if u, ok := getCachedUnit(st, key, s.cfg.Metrics.Enabled()); ok {
+			f.unit, completed = u, true
+			return
+		}
+	}
+	if f.unit, f.err = s.simulate(key, r, kind, threads, fc); f.err != nil {
+		return
+	}
+	if st != nil {
+		putCachedUnit(st, key, f.unit)
+	}
+	completed = true
+}
+
+// simulate replays a run's full GC log on a fresh platform. When the
+// session collects metrics, the platform's counters come back as a
+// snapshot of the unit's own.
+func (s *Session) simulate(key string, r *Run, kind exec.Kind, threads int, fc fault.Config) (unitResult, error) {
+	if s.onReplay != nil {
+		s.onReplay(key)
 	}
 	opt := exec.Options{}
 	if fc.Enabled() {
@@ -299,17 +403,19 @@ func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Conf
 	}
 	p, err := s.NewPlatform(kind, r.Env, threads, opt)
 	if err != nil {
-		return nil, err
+		return unitResult{}, err
 	}
-	out := make([]exec.Result, 0, len(r.Col.Log))
+	u := unitResult{Results: make([]exec.Result, 0, len(r.Col.Log))}
 	for _, ev := range r.Col.Log {
-		out = append(out, p.Replay(ev, threads))
+		u.Results = append(u.Results, p.Replay(ev, threads))
 	}
-	s.Observe(p)
-	if st != nil {
-		putCachedResults(st, key, out)
+	if s.cfg.Metrics.Enabled() {
+		reg := metrics.NewRegistry()
+		collect(p, reg)
+		snap := reg.Snapshot()
+		u.Metrics = &snap
 	}
-	return out, nil
+	return u, nil
 }
 
 // Totals aggregates replay results.

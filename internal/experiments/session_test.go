@@ -1,12 +1,21 @@
 package experiments
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"charonsim/internal/exec"
+	"charonsim/internal/fault"
 	"charonsim/internal/gc"
+	"charonsim/internal/metrics"
+	"charonsim/internal/sim"
 )
 
 // TestSessionConcurrentRecord hammers Record/RecordMode from 32 goroutines
@@ -123,6 +132,273 @@ func TestSessionConcurrentRecordError(t *testing.T) {
 	}
 	if execs != 1 {
 		t.Fatalf("cache hit re-executed the recording (%d executions)", execs)
+	}
+}
+
+// replayCounter is a replay hook that counts simulations per runKey.
+type replayCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func countReplays(s *Session) *replayCounter {
+	c := &replayCounter{n: map[string]int{}}
+	s.SetReplayHook(func(key string) {
+		c.mu.Lock()
+		c.n[key]++
+		c.mu.Unlock()
+	})
+	return c
+}
+
+func (c *replayCounter) total() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, v := range c.n {
+		n += v
+	}
+	return n
+}
+
+// TestSessionReplayOncePerUnit runs every simulating experiment on ALS in
+// one session and pins the replay memo: each distinct runKey simulates
+// exactly once, however many experiments replay it.
+func TestSessionReplayOncePerUnit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole simulating suite")
+	}
+	s := NewSession(Config{Workloads: []string{"ALS"}, Parallelism: 4})
+	c := countReplays(s)
+	for _, run := range []func(*Session) error{
+		func(s *Session) error { _, err := Fig2(s); return err },
+		func(s *Session) error { _, err := Fig4(s, gc.Minor); return err },
+		func(s *Session) error { _, err := Fig4(s, gc.Major); return err },
+		func(s *Session) error { _, err := Fig12(s); return err },
+		func(s *Session) error { _, err := Fig13(s); return err },
+		func(s *Session) error { _, err := Fig14(s); return err },
+		func(s *Session) error { _, err := Fig15(s); return err },
+		func(s *Session) error { _, err := Fig16(s); return err },
+		func(s *Session) error { _, err := Fig17(s); return err },
+		func(s *Session) error { _, err := Ablations(s); return err },
+		func(s *Session) error { _, err := CollectorStudy(s); return err },
+		func(s *Session) error { _, err := Thermal(s); return err },
+		func(s *Session) error { _, err := FigFaultSweep(s); return err },
+	} {
+		if err := run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, n := range c.n {
+		if n != 1 {
+			t.Errorf("unit %s simulated %d times, want 1", key, n)
+		}
+	}
+	// Fig2's four heap factors, Fig12's HMC/Charon/Ideal, Fig15's
+	// 1/2/4/16-thread DDR4 and Charon points plus five distributed ones,
+	// Fig16's CPU-side Charon, the collector study's G1 and CMS pairs, and
+	// the fault sweep's four faulted Charon columns.
+	if len(c.n) != 29 {
+		t.Fatalf("simulated %d distinct units, want 29", len(c.n))
+	}
+}
+
+// TestSessionConcurrentReplay: goroutines replaying one key at once, and
+// a caller after them, simulate it once and all receive the same result
+// slice.
+func TestSessionConcurrentReplay(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"ALS"}})
+	c := countReplays(s)
+	r, err := s.Record("ALS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 16
+	outs := make([][]exec.Result, goroutines+1)
+	errs := make([]error, goroutines+1)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			defer done.Done()
+			start.Wait()
+			outs[g], errs[g] = s.Replay(r, exec.KindCharon, 8)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	// A later caller hits the memo too.
+	outs[goroutines], errs[goroutines] = s.Replay(r, exec.KindCharon, 8)
+	for g := range outs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if len(outs[g]) != len(r.Col.Log) || &outs[g][0] != &outs[0][0] {
+			t.Fatalf("goroutine %d got a different result slice", g)
+		}
+	}
+	if n := c.total(); n != 1 {
+		t.Fatalf("one key simulated %d times, want 1", n)
+	}
+}
+
+// TestSessionReplayRepublishesMetrics: a memo hit and a checkpoint hit
+// publish exactly the counters a re-simulation would, and a metrics
+// session treats a stored unit without a snapshot as a miss.
+func TestSessionReplayRepublishesMetrics(t *testing.T) {
+	snapshot := func(cfg Config) (string, int) {
+		t.Helper()
+		cfg.Workloads, cfg.Metrics = []string{"ALS"}, metrics.NewRegistry()
+		s := NewSession(cfg)
+		c := countReplays(s)
+		r, err := s.Record("ALS", 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := s.Replay(r, exec.KindCharon, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := json.Marshal(cfg.Metrics.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b), c.total()
+	}
+	// A traced session simulates every call: the reference.
+	want, sims := snapshot(Config{Trace: metrics.NewRecorder(0)})
+	if sims != 2 {
+		t.Fatalf("traced session simulated %d of 2 replays", sims)
+	}
+
+	st := newStore(t)
+	// An entry written without metrics carries no snapshot.
+	plain := NewSession(Config{Workloads: []string{"ALS"}, Checkpoint: st})
+	r, err := plain.Record("ALS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Replay(r, exec.KindCharon, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sims int
+	}{
+		{"memo hit after a snapshot-less entry", 1},
+		{"checkpoint hit", 0},
+	} {
+		got, sims := snapshot(Config{Checkpoint: st})
+		if sims != tc.sims {
+			t.Fatalf("%s: simulated %d units, want %d", tc.name, sims, tc.sims)
+		}
+		if got != want {
+			t.Fatalf("%s: metrics differ from re-simulation", tc.name)
+		}
+	}
+}
+
+// switchCtx is a context whose cancellation can be switched off again,
+// so one session can see an aborted replay and then a healthy one.
+type switchCtx struct {
+	context.Context
+	cancelled atomic.Bool
+}
+
+func (c *switchCtx) Err() error {
+	if c.cancelled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// replayRecovered is Replay with the worker pool's panic conversion: a
+// sim.Aborted escaping the replay comes back as its error.
+func replayRecovered(s *Session, r *Run, kind exec.Kind) (out []exec.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ab, ok := p.(sim.Aborted)
+			if !ok {
+				panic(p)
+			}
+			err = ab.Err
+		}
+	}()
+	return s.Replay(r, kind, 8)
+}
+
+// waitParkedIn polls the goroutine dump until some goroutine is blocked
+// on a channel receive inside fn.
+func waitParkedIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine blocked in %s", fn)
+}
+
+// TestSessionAbortedReplayNotMemoized: a replay aborted by its context
+// leaves no memo entry, a waiter on the same key gets an error instead of
+// blocking, and a later replay of the key with a live context succeeds.
+func TestSessionAbortedReplayNotMemoized(t *testing.T) {
+	ctx := &switchCtx{Context: context.Background()}
+	s := NewSession(Config{Workloads: []string{"ALS"}, Ctx: ctx})
+	r, err := s.Record("ALS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sims atomic.Int32
+	waiter := make(chan error, 1)
+	s.SetReplayHook(func(string) {
+		if sims.Add(1) != 1 {
+			return
+		}
+		// The owner has claimed the key: start a waiter, wait until it
+		// blocks on the flight, then cancel before the owner simulates.
+		go func() {
+			_, err := replayRecovered(s, r, exec.KindDDR4)
+			waiter <- err
+		}()
+		waitParkedIn(t, "(*Session).ReplayFault")
+		ctx.cancelled.Store(true)
+	})
+
+	if _, err := replayRecovered(s, r, exec.KindDDR4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner: got %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter: got %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("waiter blocked on an aborted replay")
+	}
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("aborted key simulated %d times, want 1 (the waiter should have waited)", n)
+	}
+	key := s.runKey(r, exec.KindDDR4, 8, fault.Config{})
+	s.mu.Lock()
+	_, memoized := s.replays[key]
+	s.mu.Unlock()
+	if memoized {
+		t.Fatal("aborted replay left a memo entry")
+	}
+
+	ctx.cancelled.Store(false)
+	out, err := s.Replay(r, exec.KindDDR4, 8)
+	if err != nil || len(out) != len(r.Col.Log) {
+		t.Fatalf("fresh replay after the abort: %d results, err %v", len(out), err)
+	}
+	if n := sims.Load(); n != 2 {
+		t.Fatalf("fresh replay simulated %d units in total, want 2", n)
 	}
 }
 

@@ -133,19 +133,27 @@ func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	r.MergeSnapshot(o.Snapshot())
+}
+
+// MergeSnapshot folds a snapshot into r exactly as Merge folds the
+// registry it was taken from, so a stored snapshot re-publishes the same
+// values as the live counters did.
+func (r *Registry) MergeSnapshot(s Snapshot) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, v := range o.counters {
+	for k, v := range s.Counters {
 		r.counters[k] += v
 	}
-	for k, v := range o.gauges {
+	for k, v := range s.Gauges {
 		if cur, ok := r.gauges[k]; !ok || v > cur {
 			r.gauges[k] = v
 		}
 	}
-	for k, v := range o.dists {
+	for k, v := range s.Dists {
 		d := r.dists[k]
 		d.merge(v)
 		r.dists[k] = d

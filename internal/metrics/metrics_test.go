@@ -100,6 +100,36 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
+// TestMergeSnapshotRoundTrip: a snapshot that went through JSON merges
+// exactly as the registry it was taken from.
+func TestMergeSnapshotRoundTrip(t *testing.T) {
+	part := NewRegistry()
+	part.AddUint("c", 3)
+	part.SetMax("g", 0.1+0.2)
+	part.Observe("d", 1.0/3)
+	part.Observe("d", 7)
+	b, err := json.Marshal(part.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	live, stored := NewRegistry(), NewRegistry()
+	for i := 0; i < 2; i++ {
+		live.Merge(part)
+		stored.MergeSnapshot(snap)
+	}
+	lj, _ := json.Marshal(live.Snapshot())
+	sj, _ := json.Marshal(stored.Snapshot())
+	if string(lj) != string(sj) {
+		t.Fatalf("stored snapshot merged differently:\n%s\n%s", lj, sj)
+	}
+	var nilReg *Registry
+	nilReg.MergeSnapshot(snap) // disabled registry: no-op, no panic
+}
+
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
