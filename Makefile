@@ -40,17 +40,21 @@ benchmark:
 
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM
-# banks, utilization gauges in [0,1], unit-busy double accounting), plus a
-# short fuzz pass over the public Config boundary.
+# banks, utilization gauges in [0,1], unit-busy double accounting), the
+# cache's equivalence to its stamp-based LRU reference, plus short fuzz
+# passes over the public Config boundary and that cache equivalence.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate' ./internal/exec ./internal/charon ./internal/sim .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
+	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
 # configs must run cleanly), the calendar ring (ring/spill accounting
 # must match the retired map-scan reference on arbitrary reserve/query
-# interleavings), charond's job and sweep body decoders (no panic or
+# interleavings), the host cache (results, stats, flushes and dirty-line
+# order must match the retired stamp-based LRU reference on any geometry
+# up to 16 ways), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
 # fuzzed record is recovered or collected, never fatal) and checkpoint
 # entry decoding (a hit is a verified envelope; a rejected file is
@@ -59,6 +63,7 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSubmitJob -fuzz=FuzzSubmitJob -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzSubmitSweep -fuzz=FuzzSubmitSweep -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server

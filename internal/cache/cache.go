@@ -1,5 +1,5 @@
 // Package cache implements a set-associative, write-back, write-allocate
-// cache model with LRU replacement. It is used both for the host's
+// cache model with true-LRU replacement. It is used both for the host's
 // L1/L2/L3 hierarchy (Table 2) and for Charon's dedicated bitmap cache
 // (8 KB, 8-way, 32 B blocks, Section 4.5). The model tracks tags and dirty
 // bits only; data lives in the functional heap arena.
@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
@@ -82,13 +83,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64
-}
-
 // Result reports the outcome of one access.
 type Result struct {
 	Hit bool
@@ -99,11 +93,23 @@ type Result struct {
 
 // Cache is a single cache level. Not safe for concurrent use; the
 // simulator is single-threaded.
+//
+// Replacement is exact true LRU in constant work per access. Each way is
+// one packed key, and each set keeps a valid mask and a recency word, so
+// neither a hit nor a miss scans the set for a least-recent line.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	ways  uint64
 	nsets uint64
-	tick  uint64
+
+	// keys holds one word per way, set-major: tag<<2 | keyValid | keyDirty,
+	// so an invalid way is 0 and a hit is one compare per way.
+	keys []uint64
+	sets []setState
+	// full is the valid mask of a set with every way filled; top is the
+	// bit offset of the least-recent nibble of a recency word.
+	full uint16
+	top  uint
 
 	// Shift/mask fast path for the index math: every standard geometry
 	// (Table 2, the scaled variants, the bitmap cache) has power-of-two
@@ -115,6 +121,36 @@ type Cache struct {
 	setMask    uint64
 
 	Stats Stats
+}
+
+// setState is one set's replacement state. valid has bit w set when way
+// w holds a line. recency lists the way indices as 4-bit nibbles, most
+// recently used at bit 0, so the least recently used way is the top
+// nibble; nibbles above the set's ways stay zero.
+type setState struct {
+	recency uint64
+	valid   uint16
+}
+
+const (
+	keyDirty = 1
+	keyValid = 2
+
+	// maxWays is the most ways one 64-bit recency word can order.
+	maxWays = 16
+	// nibbles has a one in the low bit of every nibble.
+	nibbles = 0x1111111111111111
+)
+
+// toFront returns recency with way's nibble moved to bit 0 and the
+// nibbles it passed shifted up one place. The nibble is found without a
+// loop: XOR zeroes the nibble equal to way, and the borrow trick flags the
+// lowest zero nibble exactly.
+func toFront(recency uint64, way uint64) uint64 {
+	x := recency ^ nibbles*way
+	zero := (x - nibbles) &^ x & (nibbles << 3)
+	s := uint(bits.TrailingZeros64(zero)) &^ 3
+	return recency&(^uint64(0)<<(s+4)) | (recency&(1<<s-1))<<4 | way
 }
 
 // log2 returns the exponent of a power of two, or ok=false.
@@ -131,22 +167,37 @@ func log2(v uint64) (uint, bool) {
 }
 
 // New builds a cache from cfg. Panics on a geometry that doesn't divide
-// evenly, since that is a configuration bug.
+// evenly, has more ways than a recency word orders, or whose tags would
+// lose bits in the packed key, since each is a configuration bug.
 func New(cfg Config) *Cache {
-	if cfg.BlockSize == 0 || cfg.Ways <= 0 {
+	if cfg.BlockSize == 0 || cfg.Ways <= 0 || cfg.Ways > maxWays {
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
 	}
 	blocks := cfg.SizeBytes / cfg.BlockSize
-	nsets := blocks / uint64(cfg.Ways)
-	if nsets == 0 || blocks%uint64(cfg.Ways) != 0 {
+	ways := uint64(cfg.Ways)
+	nsets := blocks / ways
+	if nsets == 0 || blocks%ways != 0 {
 		panic(fmt.Sprintf("cache %s: %d blocks not divisible into %d ways", cfg.Name, blocks, cfg.Ways))
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*uint64(cfg.Ways))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Ways) : (uint64(i)+1)*uint64(cfg.Ways)]
+	// A tag is addr/(BlockSize*nsets); below 4 bytes per way column the
+	// top two tag bits would be shifted out of the key.
+	if cfg.BlockSize*nsets < 4 {
+		panic(fmt.Sprintf("cache %s: %d sets of %d-byte blocks leave tags too wide for a packed key", cfg.Name, nsets, cfg.BlockSize))
 	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
+	c := &Cache{
+		cfg:   cfg,
+		ways:  ways,
+		nsets: nsets,
+		keys:  make([]uint64, nsets*ways),
+		sets:  make([]setState, nsets),
+		full:  uint16(1<<ways - 1),
+		top:   uint(4 * (ways - 1)),
+	}
+	// Any order of the way indices will do; start with way w at nibble w.
+	initial := uint64(0xFEDCBA9876543210) & (^uint64(0) >> (64 - 4*ways))
+	for i := range c.sets {
+		c.sets[i].recency = initial
+	}
 	bs, okB := log2(cfg.BlockSize)
 	ss, okS := log2(nsets)
 	if okB && okS {
@@ -187,56 +238,70 @@ func (c *Cache) blockAddr(set, tag uint64) uint64 {
 	return (tag*c.nsets + set) * c.cfg.BlockSize
 }
 
+// setKeys returns the keys of set's ways.
+func (c *Cache) setKeys(set uint64) []uint64 {
+	base := set * c.ways
+	return c.keys[base : base+c.ways : base+c.ways]
+}
+
+// find returns the index of the valid way in keys holding tag, or -1.
+func find(keys []uint64, tag uint64) int {
+	want := tag<<2 | keyValid | keyDirty
+	for i, k := range keys {
+		if k|keyDirty == want {
+			return i
+		}
+	}
+	return -1
+}
+
 // Access looks up addr, allocating on miss (write-allocate) and marking
 // dirty on writes. It touches exactly one block; callers split larger
-// accesses with memsys.SplitBursts at the block size.
+// accesses with memsys.SplitBursts at the block size. The victim is the
+// first invalid way, else the least recently used one.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.index(addr)
-	lines := c.sets[set]
-	c.tick++
-
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lru = c.tick
-			if write {
-				lines[i].dirty = true
-			}
-			c.Stats.Hits++
-			return Result{Hit: true}
+	keys := c.setKeys(set)
+	st := &c.sets[set]
+	if i := find(keys, tag); i >= 0 {
+		if write {
+			keys[i] |= keyDirty
 		}
+		st.recency = toFront(st.recency, uint64(i))
+		c.Stats.Hits++
+		return Result{Hit: true}
 	}
 	c.Stats.Misses++
 
-	// Choose a victim: first invalid way, else least recently used.
-	victim := 0
-	for i := range lines {
-		if !lines[i].valid {
-			victim = i
-			break
-		}
-		if lines[i].lru < lines[victim].lru {
-			victim = i
-		}
-	}
 	res := Result{}
-	if lines[victim].valid && lines[victim].dirty {
-		res.Writeback = true
-		res.WritebackAddr = c.blockAddr(set, lines[victim].tag)
-		c.Stats.Writebacks++
+	var victim uint64
+	if st.valid != c.full {
+		victim = uint64(bits.TrailingZeros16(^st.valid))
+		st.valid |= 1 << victim
+	} else {
+		// Every way of a full set was filled after it was last emptied,
+		// and each fill moved it to the front, so the top nibble is the
+		// least recently used way.
+		victim = st.recency >> c.top
+		if k := keys[victim]; k&keyDirty != 0 {
+			res.Writeback = true
+			res.WritebackAddr = c.blockAddr(set, k>>2)
+			c.Stats.Writebacks++
+		}
 	}
-	lines[victim] = line{valid: true, dirty: write, tag: tag, lru: c.tick}
+	key := tag<<2 | keyValid
+	if write {
+		key |= keyDirty
+	}
+	keys[victim] = key
+	st.recency = toFront(st.recency, victim)
 	return res
 }
 
 // Contains reports whether addr's block is cached (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return find(c.setKeys(set), tag) >= 0
 }
 
 // Invalidate drops addr's block if present, returning whether it was dirty
@@ -244,28 +309,27 @@ func (c *Cache) Contains(addr uint64) bool {
 // a Charon processing unit does to the host hierarchy (Section 4.1).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set, tag := c.index(addr)
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			dirty = lines[i].dirty
-			lines[i] = line{}
-			return true, dirty
-		}
+	keys := c.setKeys(set)
+	i := find(keys, tag)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = keys[i]&keyDirty != 0
+	keys[i] = 0
+	c.sets[set].valid &^= 1 << uint(i)
+	return true, dirty
 }
 
 // Flush empties the whole cache and returns the number of dirty lines that
 // would be written back. Used for the GC-start bulk flush (Section 4.6:
 // "flushing 24MB LLC takes only 300µs with 80GB/sec HMC bandwidth").
 func (c *Cache) Flush() (dirty int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
-		}
+	for i, k := range c.keys {
+		dirty += int(k & keyDirty)
+		c.keys[i] = 0
+	}
+	for i := range c.sets {
+		c.sets[i].valid = 0
 	}
 	c.Stats.Flushes++
 	return dirty
@@ -275,14 +339,14 @@ func (c *Cache) Flush() (dirty int) {
 // traffic accounting without flushing).
 func (c *Cache) DirtyLines() []uint64 { return c.AppendDirtyLines(nil) }
 
-// AppendDirtyLines appends the addresses of all dirty blocks to dst and
-// returns the extended slice, letting flush loops reuse one scratch
-// buffer instead of allocating per flush.
+// AppendDirtyLines appends the addresses of all dirty blocks to dst, set by
+// set and way by way within a set, and returns the extended slice, letting
+// flush loops reuse one scratch buffer instead of allocating per flush.
 func (c *Cache) AppendDirtyLines(dst []uint64) []uint64 {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dst = append(dst, c.blockAddr(uint64(s), c.sets[s][i].tag))
+	for set := uint64(0); set < c.nsets; set++ {
+		for _, k := range c.setKeys(set) {
+			if k&keyDirty != 0 {
+				dst = append(dst, c.blockAddr(set, k>>2))
 			}
 		}
 	}
@@ -327,7 +391,7 @@ type LookupResult struct {
 func (h *Hierarchy) Access(addr uint64, write bool) LookupResult {
 	res := LookupResult{Writebacks: h.wb[:0]}
 	for i, c := range h.Levels {
-		res.Latency += c.Config().HitLatency
+		res.Latency += c.cfg.HitLatency
 		r := c.Access(addr, write && i == 0)
 		if r.Writeback {
 			h.writeback(i+1, r.WritebackAddr, &res)

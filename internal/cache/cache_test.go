@@ -183,12 +183,30 @@ func TestHierarchyInvalidate(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad geometry")
-		}
-	}()
-	New(Config{Name: "bad", SizeBytes: 100, Ways: 3, BlockSize: 0})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero block size", Config{SizeBytes: 100, Ways: 3, BlockSize: 0}},
+		{"17 ways overflow the recency word", Config{SizeBytes: 17 * 64, Ways: 17, BlockSize: 64}},
+		{"32 ways", Config{SizeBytes: 32 << 10, Ways: 32, BlockSize: 64}},
+		{"1 set of 1-byte blocks drops tag bits", Config{SizeBytes: 8, Ways: 8, BlockSize: 1}},
+		{"3 sets of 1-byte blocks drops tag bits", Config{SizeBytes: 6, Ways: 2, BlockSize: 1}},
+		{"1 set of 2-byte blocks drops tag bits", Config{SizeBytes: 32, Ways: 16, BlockSize: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New(%+v) did not panic", tc.cfg)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
+	// The boundary geometries just inside each limit are accepted.
+	New(Config{SizeBytes: 16 * 64, Ways: 16, BlockSize: 64})
+	New(Config{SizeBytes: 4, Ways: 1, BlockSize: 4})
+	New(Config{SizeBytes: 8, Ways: 2, BlockSize: 1})
 }
 
 func TestTable2Configs(t *testing.T) {
