@@ -41,18 +41,22 @@ benchmark:
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM
 # banks, utilization gauges in [0,1], unit-busy double accounting), the
-# cache's equivalence to its stamp-based LRU reference, plus short fuzz
-# passes over the public Config boundary and that cache equivalence.
+# cache's equivalence to its stamp-based LRU reference, the calendar
+# ring's and slot heap's equivalence to their retired references, plus
+# short fuzz passes over the public Config boundary, that cache
+# equivalence and the calendar ring.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|CalendarRing|SlotsMatchReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
-# configs must run cleanly), the calendar ring (ring/spill accounting
-# must match the retired map-scan reference on arbitrary reserve/query
-# interleavings), the host cache (results, stats, flushes and dirty-line
+# configs must run cleanly), the calendar ring (exact against the
+# retired map-scan reference on arbitrary reserve/query interleavings
+# inside the window; behind it, reservations clamp to the window base and
+# are counted), the host cache (results, stats, flushes and dirty-line
 # order must match the retired stamp-based LRU reference on any geometry
 # up to 16 ways), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a

@@ -97,7 +97,6 @@ type Stats struct {
 	Offloads       [4]uint64 // by unit kind: copy, search, scanpush, bitmapcount
 	RequestPackets uint64
 	ResponseBytes  uint64
-	BitmapCache    cache.Stats
 	TLBAccesses    uint64
 	TLBRemote      uint64
 	TLBWalks       uint64
@@ -134,37 +133,6 @@ type unit struct {
 	degraded bool
 }
 
-// mai is a cube's Memory Access Interface: a bounded request buffer that
-// limits in-flight memory accesses, like an MSHR file (Section 4.1).
-type mai struct {
-	inflight []sim.Time
-	limit    int
-}
-
-// reserve issues a memory access no earlier than ready, constrained by
-// buffer availability; complete computes the completion given the actual
-// start. Returns the completion time.
-func (m *mai) reserve(ready sim.Time, complete func(start sim.Time) sim.Time) sim.Time {
-	if len(m.inflight) < m.limit {
-		done := complete(ready)
-		m.inflight = append(m.inflight, done)
-		return done
-	}
-	idx := 0
-	for i := 1; i < len(m.inflight); i++ {
-		if m.inflight[i] < m.inflight[idx] {
-			idx = i
-		}
-	}
-	start := ready
-	if m.inflight[idx] > start {
-		start = m.inflight[idx]
-	}
-	done := complete(start)
-	m.inflight[idx] = done
-	return done
-}
-
 // Accelerator is the full Charon deployment over an HMC system.
 type Accelerator struct {
 	cfg Config
@@ -174,11 +142,15 @@ type Accelerator struct {
 	bitmapCount [][]unit
 	scanPush    []unit // central cube
 
-	mais []mai
+	// mais are the cubes' Memory Access Interfaces: bounded request
+	// buffers that limit in-flight memory accesses, like an MSHR file
+	// (Section 4.1).
+	mais []sim.Slots
 
 	// Unified bitmap cache (on the central cube) or per-cube slices.
-	bmCaches    []*cache.Cache
-	bmCachePort []*sim.Calendar // port occupancy per cache
+	bmCaches     []*cache.Cache
+	bmCachePort  []*sim.Calendar // port occupancy per cache
+	bmHitLatency sim.Time        // shared by every bitmap cache
 
 	// TLB slices (one, or one per cube when Distributed) and the active
 	// process id (PCID).
@@ -227,7 +199,7 @@ func NewFault(cfg Config, sys *hmc.System, inj *fault.Injector) *Accelerator {
 	for c := 0; c < ncubes; c++ {
 		a.copySearch = append(a.copySearch, make([]unit, cfg.CopySearchPerCube))
 		a.bitmapCount = append(a.bitmapCount, make([]unit, cfg.BitmapCountPerCube))
-		a.mais = append(a.mais, mai{limit: cfg.MAIEntries})
+		a.mais = append(a.mais, sim.NewSlots(cfg.MAIEntries))
 	}
 	a.scanPush = make([]unit, cfg.ScanPushUnits)
 	ncaches := 1
@@ -247,6 +219,7 @@ func NewFault(cfg Config, sys *hmc.System, inj *fault.Injector) *Accelerator {
 	if cfg.BitmapCacheBytes != 0 {
 		bmCfg.SizeBytes = cfg.BitmapCacheBytes
 	}
+	a.bmHitLatency = bmCfg.HitLatency
 	for i := 0; i < ncaches; i++ {
 		a.bmCaches = append(a.bmCaches, cache.New(bmCfg))
 		a.bmCachePort = append(a.bmCachePort, sim.NewCalendar(50*sim.Nanosecond))
@@ -452,6 +425,15 @@ func (a *Accelerator) memAccess(start sim.Time, cube int, kind memsys.Kind, addr
 	return a.sys.NearAccessAt(start, cube, kind, addr, size)
 }
 
+// maiAccess issues a memory access from `cube` no earlier than ready, once
+// the cube's MAI has a free entry, and returns its completion.
+func (a *Accelerator) maiAccess(ready sim.Time, cube int, kind memsys.Kind, addr uint64, size uint32) sim.Time {
+	m := &a.mais[cube]
+	done := a.memAccess(m.Start(ready), cube, kind, addr, size)
+	m.Add(done)
+	return done
+}
+
 // bmCacheFor returns the bitmap cache index serving a unit on `cube`, plus
 // the extra per-access latency for reaching it (unified caches on the
 // central cube cost remote units a link round trip).
@@ -475,8 +457,7 @@ func (a *Accelerator) bitmapCacheAccess(t sim.Time, cube int, addr uint64, write
 	port := a.cfg.LogicPeriod / 2
 	start := a.bmCachePort[idx].Reserve(t+extra, port) - port
 	res := c.Access(addr, write)
-	a.Stats.BitmapCache = c.Stats
-	done := start + c.Config().HitLatency
+	done := start + a.bmHitLatency
 	if !res.Hit {
 		homeCube := idx
 		if !a.cfg.Distributed {

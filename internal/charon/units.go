@@ -37,13 +37,10 @@ func (a *Accelerator) OffloadCopy(t sim.Time, src, dst uint64, size uint32) sim.
 	// row-thrashing interleave).
 	var last sim.Time
 	issue := start
-	m := &a.mais[cube]
 	writes := a.copyPend[:0]
 	memsys.SplitBursts(src, size, a.grain(), func(addr uint64, n uint32) {
 		off := addr - src
-		readDone := m.reserve(issue, func(st sim.Time) sim.Time {
-			return a.memAccess(st, cube, memsys.Read, addr, n)
-		})
+		readDone := a.maiAccess(issue, cube, memsys.Read, addr, n)
 		writes = append(writes, pendWrite{off: off, n: n, readDone: readDone})
 		issue += a.cfg.LogicPeriod
 	})
@@ -83,11 +80,8 @@ func (a *Accelerator) OffloadSearch(t sim.Time, start64 uint64, size uint32) sim
 
 	var last sim.Time
 	issue := start
-	m := &a.mais[cube]
 	memsys.SplitBursts(start64, size, a.grain(), func(addr uint64, n uint32) {
-		done := m.reserve(issue, func(st sim.Time) sim.Time {
-			return a.memAccess(st, cube, memsys.Read, addr, n)
-		})
+		done := a.maiAccess(issue, cube, memsys.Read, addr, n)
 		// One cycle of comparison per response.
 		done += a.cfg.LogicPeriod
 		if done > last {
@@ -166,7 +160,6 @@ func (a *Accelerator) OffloadScanPush(t sim.Time, obj uint64, refs []RefOp, stac
 		start = un.freeAt
 	}
 
-	m := &a.mais[cube]
 	var last sim.Time
 	bump := func(d sim.Time) {
 		if d > last {
@@ -192,9 +185,7 @@ func (a *Accelerator) OffloadScanPush(t sim.Time, obj uint64, refs []RefOp, stac
 			end += 8
 			j++
 		}
-		done := m.reserve(issue, func(st sim.Time) sim.Time {
-			return a.memAccess(st, cube, memsys.Read, base, uint32(end-base))
-		})
+		done := a.maiAccess(issue, cube, memsys.Read, base, uint32(end-base))
 		for k := i; k < j; k++ {
 			slotDone[k] = done
 		}
@@ -214,9 +205,7 @@ func (a *Accelerator) OffloadScanPush(t sim.Time, obj uint64, refs []RefOp, stac
 		if r.CheckHeader {
 			// is_unmarked: 16 B header read at the target (minimum HMC
 			// granularity; Section 4.5 notes the overfetch).
-			ready = m.reserve(ready, func(st sim.Time) sim.Time {
-				return a.memAccess(st, cube, memsys.Read, r.Target&^uint64(15), 16)
-			})
+			ready = a.maiAccess(ready, cube, memsys.Read, r.Target&^uint64(15), 16)
 			bump(ready)
 		}
 		if r.BitmapProbe {

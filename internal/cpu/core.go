@@ -134,7 +134,7 @@ type Core struct {
 	retireRing []sim.Time // retire times of the last WindowSize ops
 	retireIdx  int
 	lastRetire sim.Time
-	mshr       []sim.Time // completion times of outstanding misses
+	mshr       sim.Slots // completion times of outstanding misses
 
 	// Stream state: completion times of recent ops, indexed by absolute
 	// stream position, so dependencies resolve across ExecBatch calls.
@@ -158,7 +158,8 @@ const streamRing = 512
 // NewCore builds a core with its own hierarchy (levels may be shared: the
 // Host wires the same L3 into every core's hierarchy).
 func NewCore(cfg Config, hier *cache.Hierarchy, mem MemBackend) *Core {
-	return &Core{cfg: cfg, hier: hier, mem: mem, retireRing: make([]sim.Time, cfg.WindowSize)}
+	return &Core{cfg: cfg, hier: hier, mem: mem, retireRing: make([]sim.Time, cfg.WindowSize),
+		mshr: sim.NewSlots(cfg.MSHRs)}
 }
 
 // Hierarchy returns the core's cache hierarchy.
@@ -175,32 +176,19 @@ func (c *Core) SetCursor(t sim.Time) {
 	}
 }
 
-// mshrSlot returns the earliest time a new miss can be issued given at
-// most cfg.MSHRs outstanding, and records the new miss's completion.
-func (c *Core) mshrReserve(ready sim.Time, complete func(start sim.Time) sim.Time) sim.Time {
-	if len(c.mshr) < c.cfg.MSHRs {
-		done := complete(ready)
-		c.mshr = append(c.mshr, done)
-		if len(c.mshr) > c.Stats.MaxInflight {
-			c.Stats.MaxInflight = len(c.mshr)
-		}
-		return done
-	}
-	// Find the earliest-free MSHR.
-	idx := 0
-	for i := 1; i < len(c.mshr); i++ {
-		if c.mshr[i] < c.mshr[idx] {
-			idx = i
-		}
-	}
-	start := ready
-	if c.mshr[idx] > start {
+// mshrAccess issues a 64 B miss to memory no earlier than ready, once one
+// of the cfg.MSHRs slots is free, and returns its completion.
+func (c *Core) mshrAccess(ready sim.Time, kind memsys.Kind, addr uint64) sim.Time {
+	start := c.mshr.Start(ready)
+	if start > ready {
 		c.Stats.MSHRStalls++
-		c.Stats.MSHRStallTime += c.mshr[idx] - start
-		start = c.mshr[idx]
+		c.Stats.MSHRStallTime += start - ready
 	}
-	done := complete(start)
-	c.mshr[idx] = done
+	done := c.mem.AccessAt(start, kind, addr, 64)
+	c.mshr.Add(done)
+	if n := c.mshr.Len(); n > c.Stats.MaxInflight {
+		c.Stats.MaxInflight = n
+	}
 	return done
 }
 
@@ -302,9 +290,7 @@ func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
 						}
 					} else {
 						c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
-						d = c.mshrReserve(ready+r.Latency, func(st sim.Time) sim.Time {
-							return c.mem.AccessAt(st, kind, a, 64)
-						})
+						d = c.mshrAccess(ready+r.Latency, kind, a)
 					}
 				} else {
 					c.Stats.CacheHits++

@@ -1,5 +1,7 @@
 package sim
 
+import "sync/atomic"
+
 // Calendar tracks the occupancy of a serial resource (a DRAM data bus, an
 // HMC link lane, a cache port) in fixed-width time buckets, so that
 // reservations made out of call order can still backfill idle gaps. A
@@ -14,39 +16,39 @@ package sim
 // the bucket). This bounds the error by the bucket width while preserving
 // total capacity exactly.
 //
-// Storage is a sliding ring over the window of recently touched buckets
-// (simulated time only moves forward, so almost every reservation lands
-// near the latest bucket): bucket b lives at ring[b%ringSize] while b is
-// inside [base, base+ringSize). When a reservation advances past the
-// window, the buckets that slide out are retired into the spill map with
-// their state intact, so a straggler reservation behind the window (or a
-// windowed BusyWithin query) still sees exact occupancy. The ring replaces
-// the previous map-of-every-bucket representation: reservation-time lookups
-// become array indexing, and retired buckets cost memory only when nonzero.
+// Storage is a sliding ring over the 4096 most recently reached buckets
+// (the window): bucket b lives at ring[b%calRingSize] while b is inside
+// [base, base+calRingSize). Simulated time only moves forward, so almost
+// every reservation lands near the newest bucket; when one advances past
+// the window, the buckets that slide out are cleared and only their summed
+// occupancy survives (in belowMax). The calendar promises:
+//
+//   - Inside the window, Reserve and BusyWithin are exact: identical to a
+//     calendar that keeps every bucket forever.
+//   - A reservation behind the window (its start bucket already slid out)
+//     is clamped to the window base and counted in ClampedReservations. It
+//     still ends no earlier than at+dur, and Busy still counts it in full.
+//     The window spans 4096 buckets (~400 µs at the 100 ns DRAM width),
+//     orders of magnitude beyond the replay scheduler's thread skew, so no
+//     simulation reaches this path; tests assert the count stays zero.
+//   - BusyWithin for a horizon behind the window returns min(horizon,
+//     occupancy retired below the window): at most the horizon, and
+//     monotone in it.
 type Calendar struct {
 	width Time
 	ring  []bucket
 	// base is the lowest bucket index the ring currently represents. It
-	// only grows; bucket b is at ring[b&ringMask] iff base <= b < base+ringSize.
+	// only grows; bucket b is at ring[b&calRingMask] iff
+	// base <= b < base+calRingSize.
 	base int64
-	// spill retains nonzero buckets that slid out of the ring window, in
-	// fixed-size chunks keyed by bucket>>spillChunkBits. Buckets retire in
-	// increasing order, so consecutive retirements hit the same chunk;
-	// lastSpill caches it and the map is touched once per chunk, not once
-	// per bucket (dense runs retire millions of nonzero buckets — per-bucket
-	// map writes were 18% of an end-to-end run). Chunks materialize only
-	// when a nonzero bucket retires into them, so idle simulated time
-	// (mutator phases between GC events) costs nothing.
-	spill        map[int64]*spillChunk
-	lastSpill    *spillChunk
-	lastSpillIdx int64
 
 	// Incremental horizon accounting, so BusyWithin(h) for h at or beyond
 	// the latest occupied bucket — the overwhelmingly common query, since
-	// metrics collect at the platform clock — is O(1) instead of a scan:
-	// maxBucket is the highest bucket holding occupancy (-1 when empty),
-	// maxBusy its busy time, and belowMax the summed busy of every bucket
-	// before it. Invariant after each Reserve: belowMax + maxBusy == Busy.
+	// metrics collect at the platform clock — is O(1): maxBucket is the
+	// highest bucket holding occupancy (-1 when empty; always inside the
+	// window), maxBusy its busy time, and belowMax the summed busy of every
+	// bucket before it, retired ones included. Invariant after each
+	// Reserve: belowMax + maxBusy == Busy.
 	maxBucket int64
 	maxBusy   Time
 	belowMax  Time
@@ -69,51 +71,22 @@ type bucket struct {
 	busy Time
 }
 
-// Ring geometry: 4096 buckets cover ~400 µs of window at the 100 ns DRAM
-// bucket width — orders of magnitude beyond the replay scheduler's thread
-// skew, so out-of-window reservations are pathological, not routine.
+// Ring geometry: the window is 4096 buckets.
 const (
 	calRingBits = 12
 	calRingSize = int64(1) << calRingBits
 	calRingMask = calRingSize - 1
-
-	// Spill chunk geometry: 512 buckets (8 KB) per chunk.
-	spillChunkBits = 9
-	spillChunkSize = int64(1) << spillChunkBits
-	spillChunkMask = spillChunkSize - 1
 )
 
-// spillChunk holds one aligned run of retired buckets.
-type spillChunk [spillChunkSize]bucket
+// clampedReservations counts reservations behind their calendar's window,
+// process-wide.
+var clampedReservations atomic.Int64
 
-// spillAt returns retired bucket b's state (zero when never spilled).
-func (c *Calendar) spillAt(b int64) bucket {
-	if c.lastSpill != nil && b>>spillChunkBits == c.lastSpillIdx {
-		return c.lastSpill[b&spillChunkMask]
-	}
-	if ch := c.spill[b>>spillChunkBits]; ch != nil {
-		return ch[b&spillChunkMask]
-	}
-	return bucket{}
-}
-
-// spillPut stores retired bucket b's state, materializing its chunk on
-// first use and caching it for the next consecutive retirement.
-func (c *Calendar) spillPut(b int64, bk bucket) {
-	ci := b >> spillChunkBits
-	if c.lastSpill == nil || ci != c.lastSpillIdx {
-		if c.spill == nil {
-			c.spill = make(map[int64]*spillChunk)
-		}
-		ch := c.spill[ci]
-		if ch == nil {
-			ch = new(spillChunk)
-			c.spill[ci] = ch
-		}
-		c.lastSpill, c.lastSpillIdx = ch, ci
-	}
-	c.lastSpill[b&spillChunkMask] = bk
-}
+// ClampedReservations returns how many reservations, over every calendar in
+// the process, started behind their calendar's window and were clamped to
+// its base. Simulations never do this; a nonzero count means results were
+// approximated.
+func ClampedReservations() int64 { return clampedReservations.Load() }
 
 // NewCalendar creates a calendar with the given bucket width. Widths
 // around the resource's typical service time × 20 balance precision and
@@ -125,24 +98,26 @@ func NewCalendar(width Time) *Calendar {
 	return &Calendar{width: width, ring: make([]bucket, calRingSize), maxBucket: -1}
 }
 
-// slideTo advances the ring window so bucket b fits, retiring outgoing
-// nonzero buckets into the spill map. Amortized O(1) per bucket of
-// simulated time advanced.
+// slideTo advances the ring window so bucket b fits, clearing the buckets
+// that slide out (one ring range, so at most two clears).
 func (c *Calendar) slideTo(b int64) {
 	newBase := b - calRingSize + 1
-	steps := newBase - c.base
-	if steps > calRingSize {
-		steps = calRingSize
-	}
-	for i := int64(0); i < steps; i++ {
-		idx := c.base + i
-		s := &c.ring[idx&calRingMask]
-		if s.highWater != 0 || s.busy != 0 {
-			c.spillPut(idx, *s)
-			*s = bucket{}
-		}
+	steps := min(newBase-c.base, calRingSize)
+	lo := c.base & calRingMask
+	if hi := lo + steps; hi <= calRingSize {
+		clear(c.ring[lo:hi])
+	} else {
+		clear(c.ring[lo:])
+		clear(c.ring[:hi-calRingSize])
 	}
 	c.base = newBase
+}
+
+// clampToWindow is the cold path for a reservation whose start bucket has
+// slid out of the window: it restarts at the window base.
+func (c *Calendar) clampToWindow() (Time, int64) {
+	clampedReservations.Add(1)
+	return Time(c.base) * c.width, c.base
 }
 
 // Reserve books dur of occupancy starting no earlier than at, returning
@@ -153,20 +128,17 @@ func (c *Calendar) Reserve(at Time, dur Time) Time {
 	}
 	c.Busy += dur
 	b := int64(at / c.width)
+	if b < c.base {
+		at, b = c.clampToWindow()
+	}
 	remaining := dur
 	var end Time
 	for remaining > 0 {
-		bucketStart := Time(b) * c.width
-		var bk bucket
-		inRing := b >= c.base
-		if inRing {
-			if b >= c.base+calRingSize {
-				c.slideTo(b)
-			}
-			bk = c.ring[b&calRingMask]
-		} else {
-			bk = c.spillAt(b)
+		if b >= c.base+calRingSize {
+			c.slideTo(b)
 		}
+		bk := &c.ring[b&calRingMask]
+		bucketStart := Time(b) * c.width
 		// Position within the bucket: after existing occupancy, and not
 		// before the requested time for the first chunk.
 		pos := bucketStart + bk.highWater
@@ -187,11 +159,6 @@ func (c *Calendar) Reserve(at Time, dur Time) Time {
 		}
 		bk.highWater = (pos + take) - bucketStart
 		bk.busy += take
-		if inRing {
-			c.ring[b&calRingMask] = bk
-		} else {
-			c.spillPut(b, bk)
-		}
 		// Maintain the incremental horizon accounting. Chunks of one
 		// reservation arrive in increasing bucket order, and any bucket
 		// above maxBucket holds no occupancy yet.
@@ -220,79 +187,36 @@ func (c *Calendar) Reserve(at Time, dur Time) Time {
 //
 // Horizons at or beyond the last occupied bucket — every end-of-run
 // utilization query — are answered in O(1) from the incremental
-// accounting; earlier horizons fall back to an exact bucket scan.
+// accounting. Earlier horizons inside the window take the total and
+// subtract the ring buckets above the horizon; horizons behind the window
+// get min(horizon, occupancy retired below the window).
 func (c *Calendar) BusyWithin(horizon Time) Time {
 	if horizon == 0 || c.maxBucket < 0 {
 		return 0
 	}
 	lastBucket := int64((horizon - 1) / c.width)
-	var t Time
+	t := c.belowMax + c.maxBusy
 	switch {
 	case lastBucket > c.maxBucket:
 		// Every occupied bucket is fully inside the horizon.
-		t = c.belowMax + c.maxBusy
-	case lastBucket == c.maxBucket:
-		// Only the latest bucket straddles the horizon: occupancy within a
-		// bucket is not positioned, so cap the contribution at the
-		// in-horizon width (error bounded by one bucket width).
+	case lastBucket >= c.base:
+		// Drop the buckets above the horizon, then cap the straddling
+		// bucket at its in-horizon width: occupancy within a bucket is not
+		// positioned (error bounded by one bucket width).
+		for b := lastBucket + 1; b <= c.maxBucket; b++ {
+			t -= c.ring[b&calRingMask].busy
+		}
 		in := horizon - Time(lastBucket)*c.width
-		t = c.belowMax
-		if c.maxBusy < in {
-			t += c.maxBusy
-		} else {
-			t += in
+		if busy := c.ring[lastBucket&calRingMask].busy; busy > in {
+			t -= busy - in
 		}
 	default:
-		t = c.busyWithinScan(horizon, lastBucket)
-	}
-	if t > horizon {
-		t = horizon
-	}
-	return t
-}
-
-// busyWithinScan is the exact slow path for horizons before the latest
-// occupied bucket: sum bucket occupancy over the spill map and the ring
-// window, capping the straddling bucket's contribution.
-func (c *Calendar) busyWithinScan(horizon Time, lastBucket int64) Time {
-	var t Time
-	for ci, ch := range c.spill {
-		for i := range ch {
-			bk := ch[i]
-			if bk.busy == 0 {
-				continue
-			}
-			switch b := ci<<spillChunkBits + int64(i); {
-			case b < lastBucket:
-				t += bk.busy
-			case b == lastBucket:
-				in := horizon - Time(b)*c.width
-				if bk.busy < in {
-					t += bk.busy
-				} else {
-					t += in
-				}
-			}
+		// Behind the window only the retired buckets' sum is left.
+		for b := c.base; b <= c.maxBucket; b++ {
+			t -= c.ring[b&calRingMask].busy
 		}
 	}
-	hi := c.maxBucket
-	if hi > lastBucket {
-		hi = lastBucket
-	}
-	for b := c.base; b <= hi; b++ {
-		bk := c.ring[b&calRingMask]
-		if b == lastBucket {
-			in := horizon - Time(b)*c.width
-			if bk.busy < in {
-				t += bk.busy
-			} else {
-				t += in
-			}
-			continue
-		}
-		t += bk.busy
-	}
-	return t
+	return min(t, horizon)
 }
 
 // Utilization returns the fraction of [0, horizon) reserved, always in

@@ -180,3 +180,35 @@ func TestCalendarBusyWithinNeverExceedsHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCalendarClampsBehindWindow(t *testing.T) {
+	// A reservation whose start bucket slid out of the window restarts at
+	// the window base, still ends no earlier than at+dur, stays in Busy,
+	// and is counted.
+	c := NewCalendar(100)
+	c.Reserve(0, 50)
+	far := Time(calRingSize+10) * 100 // slides the base to bucket 11
+	c.Reserve(far, 50)
+	before := ClampedReservations()
+	end := c.Reserve(0, 30)
+	if ClampedReservations() != before+1 {
+		t.Fatalf("ClampedReservations %d -> %d, want one more", before, ClampedReservations())
+	}
+	if base := Time(11) * 100; end != base+30 {
+		t.Fatalf("clamped reservation ends at %d, want window base %d + 30", end, base)
+	}
+	if c.Busy != 130 {
+		t.Fatalf("Busy = %d, want 130", c.Busy)
+	}
+	// Behind the window only the retired sum (the first 50) is left.
+	if got := c.BusyWithin(10); got != 10 {
+		t.Fatalf("BusyWithin(10) = %d, want min(10, 50)", got)
+	}
+	if got := c.BusyWithin(1000); got != 50 {
+		t.Fatalf("BusyWithin(1000) = %d, want retired 50", got)
+	}
+	// Inside the window the answer is exact again.
+	if got := c.BusyWithin(1200); got != 80 {
+		t.Fatalf("BusyWithin(1200) = %d, want 50 + 30", got)
+	}
+}

@@ -68,6 +68,21 @@ func TestCalendarReserveAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestSlotsAllocsSteadyState: issuing through a slot pool — free slots
+// and full-pool replacement alike — must not allocate; NewSlots sizes the
+// heap up front.
+func TestSlotsAllocsSteadyState(t *testing.T) {
+	s := NewSlots(32)
+	ready := Time(0)
+	allocs := testing.AllocsPerRun(2000, func() {
+		ready += 3
+		s.Add(s.Start(ready) + Time(ready%97)*10)
+	})
+	if allocs != 0 {
+		t.Fatalf("Slots.Start+Add allocates %.1f allocs/op, budget 0", allocs)
+	}
+}
+
 // TestEngineScheduleAllocsSteadyState: once the queue slice has grown to
 // its working capacity, Schedule+Step must not allocate — the event heap
 // stores events by value and the watchdog diagnostics closure must not
