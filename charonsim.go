@@ -7,7 +7,7 @@
 //
 //   - a generational JVM-like heap with a ParallelScavenge-style collector
 //     (minor scavenge + full mark-compact), card table and mark bitmaps;
-//   - a discrete-event memory-system simulator: DDR4 channels, an HMC
+//   - a reservation-based memory-system simulator: DDR4 channels, an HMC
 //     (4 cubes x 32 vaults, serial links, star topology), host OoO cores
 //     with caches/MSHRs/prefetcher;
 //   - the Charon accelerator: Copy/Search, Bitmap Count and Scan&Push
@@ -52,11 +52,10 @@ import (
 	"charonsim/internal/workload"
 )
 
-// ErrNoProgress is the engine watchdog's verdict on a wedged simulation:
-// a run aborted because simulated time stopped advancing, the event queue
-// grew without bound, or the per-run wall-clock heartbeat expired. Match
-// it with errors.Is on any error returned from Run, RunAll or the
-// Simulate functions.
+// ErrNoProgress is the replay watchdog's verdict on a wedged simulation:
+// a run aborted because simulated time stopped advancing or the per-run
+// wall-clock heartbeat expired. Match it with errors.Is on any error
+// returned from Run, RunAll or the Simulate functions.
 var ErrNoProgress = sim.ErrNoProgress
 
 // ErrInternal marks an internal invariant violation (a panic in the
@@ -113,7 +112,7 @@ type Config struct {
 	// RunTimeout, when positive, bounds each simulation unit's wall-clock
 	// time in the harness worker pool; a run exceeding it fails with a
 	// timeout error instead of hanging the whole sweep. It also arms the
-	// engine watchdog's wall-clock heartbeat inside each run, so a wedged
+	// replay watchdog's wall-clock heartbeat inside each run, so a wedged
 	// simulation aborts with diagnostics (ErrNoProgress) rather than
 	// silently burning its budget.
 	RunTimeout time.Duration
@@ -131,16 +130,12 @@ type Config struct {
 	// uninterrupted one. Incompatible with TracePath: a trace must show
 	// every simulated span, and a cached replay simulates nothing.
 	CheckpointDir string
-	// WatchdogStalls overrides the engine watchdog's stall budget — the
-	// number of consecutive events executed without simulated time
-	// advancing before the run is declared wedged. 0 selects the default
-	// (generous enough for every legitimate workload); -1 disables the
-	// stall check.
+	// WatchdogStalls overrides the replay watchdog's stall budget — the
+	// number of consecutive replay-scheduler steps executed without
+	// simulated time advancing before the run is declared wedged. 0
+	// selects the default (generous enough for every legitimate workload);
+	// -1 disables the stall check.
 	WatchdogStalls int
-	// WatchdogQueue overrides the engine watchdog's event-queue bound — a
-	// queue growing past it aborts the run as a leak. 0 selects the
-	// default; -1 disables the check.
-	WatchdogQueue int
 }
 
 func (c Config) toInternal() experiments.Config {
@@ -148,8 +143,7 @@ func (c Config) toInternal() experiments.Config {
 		Workloads: c.Workloads, Parallelism: c.Parallelism,
 		Fault:          c.faultConfig(),
 		RunTimeout:     c.RunTimeout,
-		WatchdogStalls: c.WatchdogStalls,
-		WatchdogQueue:  c.WatchdogQueue}
+		WatchdogStalls: c.WatchdogStalls}
 }
 
 // faultConfig maps the public fault knobs onto the injector configuration.
@@ -205,9 +199,6 @@ func (c Config) Validate() error {
 	}
 	if c.WatchdogStalls < -1 {
 		return fmt.Errorf("charonsim: WatchdogStalls must be >= -1 (-1 disables, 0 = default), got %d", c.WatchdogStalls)
-	}
-	if c.WatchdogQueue < -1 {
-		return fmt.Errorf("charonsim: WatchdogQueue must be >= -1 (-1 disables, 0 = default), got %d", c.WatchdogQueue)
 	}
 	if c.CheckpointDir != "" && c.TracePath != "" {
 		return fmt.Errorf("charonsim: CheckpointDir is incompatible with TracePath (a cached replay simulates nothing, so the trace would silently miss its spans)")
@@ -354,70 +345,32 @@ type experimentEntry struct {
 	run   func(s *experiments.Session) (string, error)
 }
 
+// rendered adapts an experiment whose result renders itself to the
+// experimentEntry runner shape.
+func rendered[R interface{ Render() string }](run func(*experiments.Session) (R, error)) func(*experiments.Session) (string, error) {
+	return func(s *experiments.Session) (string, error) {
+		r, err := run(s)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
+	}
+}
+
 var experimentTable = map[string]experimentEntry{
-	"fig2": {"GC overhead vs heap size", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig2(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig4a": {"MinorGC runtime breakdown", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig4(s, gc.Minor)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig4b": {"MajorGC runtime breakdown", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig4(s, gc.Major)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig12": {"Overall GC speedup", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig12(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig13": {"Bandwidth and locality", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig13(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig14": {"Per-primitive speedups", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig14(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig15": {"GC throughput scalability", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig15(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig16": {"Memory-side vs CPU-side placement", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig16(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"fig17": {"GC energy", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Fig17(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
+	"fig2": {"GC overhead vs heap size", rendered(experiments.Fig2)},
+	"fig4a": {"MinorGC runtime breakdown", rendered(func(s *experiments.Session) (*experiments.Fig4Result, error) {
+		return experiments.Fig4(s, gc.Minor)
+	})},
+	"fig4b": {"MajorGC runtime breakdown", rendered(func(s *experiments.Session) (*experiments.Fig4Result, error) {
+		return experiments.Fig4(s, gc.Major)
+	})},
+	"fig12": {"Overall GC speedup", rendered(experiments.Fig12)},
+	"fig13": {"Bandwidth and locality", rendered(experiments.Fig13)},
+	"fig14": {"Per-primitive speedups", rendered(experiments.Fig14)},
+	"fig15": {"GC throughput scalability", rendered(experiments.Fig15)},
+	"fig16": {"Memory-side vs CPU-side placement", rendered(experiments.Fig16)},
+	"fig17": {"GC energy", rendered(experiments.Fig17)},
 	"table1": {"Primitive applicability", func(*experiments.Session) (string, error) {
 		return experiments.RenderTable1(), nil
 	}},
@@ -437,27 +390,9 @@ var experimentTable = map[string]experimentEntry{
 		}
 		return experiments.RenderAblations(rs), nil
 	}},
-	"collectors": {"Table 1 applicability study (ParallelScavenge vs G1 vs CMS)", func(s *experiments.Session) (string, error) {
-		r, err := experiments.CollectorStudy(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"thermal": {"Power and thermal analysis", func(s *experiments.Session) (string, error) {
-		r, err := experiments.Thermal(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
-	"faults": {"Fault sweep: GC time under injected faults, healthy to all-units-failed", func(s *experiments.Session) (string, error) {
-		r, err := experiments.FigFaultSweep(s)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}},
+	"collectors": {"Table 1 applicability study (ParallelScavenge vs G1 vs CMS)", rendered(experiments.CollectorStudy)},
+	"thermal":    {"Power and thermal analysis", rendered(experiments.Thermal)},
+	"faults":     {"Fault sweep: GC time under injected faults, healthy to all-units-failed", rendered(experiments.FigFaultSweep)},
 }
 
 // Experiments lists the available experiment ids in a stable order.
@@ -625,12 +560,55 @@ func (g *GCStats) Overhead() float64 {
 // log on the chosen platform, and returns aggregate statistics.
 func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCStats, err error) {
 	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", name, p))
-	kind, err := p.kind()
+	sm, err := simulate(name, factor, p, threads)
 	if err != nil {
 		return nil, err
 	}
+	tot := experiments.Sum(sm.kind, sm.results, sm.threads)
+
+	st = &GCStats{
+		Workload: name, Platform: p, HeapFactor: sm.factor, Threads: sm.threads,
+		TotalPause:   simToDuration(tot.Duration),
+		MutatorTime:  simToDuration(sm.run.MutTime),
+		PrimSeconds:  map[string]float64{},
+		Bandwidth:    tot.BandwidthGBs(),
+		LocalRatio:   tot.Local,
+		EnergyJoules: float64(tot.Energy.Total()),
+	}
+	for pr := 0; pr < int(gc.NumPrims); pr++ {
+		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
+	}
+	for _, ev := range sm.run.Col.Log {
+		if ev.Kind == gc.Minor {
+			st.MinorGCs++
+		} else {
+			st.MajorGCs++
+		}
+		st.LiveBytes += ev.LiveBytes
+		st.ReclaimedBytes += ev.ReclaimedBytes
+	}
+	return st, nil
+}
+
+// simulation is one workload recorded and replayed on one platform, with
+// the heap factor and thread count resolved to their defaults.
+type simulation struct {
+	kind    exec.Kind
+	factor  float64
+	threads int
+	run     *experiments.Run
+	results []exec.Result
+}
+
+// simulate validates the SimulateGC arguments, records the workload, and
+// replays its GC log on platform p.
+func simulate(name string, factor float64, p Platform, threads int) (simulation, error) {
+	kind, err := p.kind()
+	if err != nil {
+		return simulation{}, err
+	}
 	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
-		return nil, err
+		return simulation{}, err
 	}
 	if factor == 0 {
 		factor = 1.5
@@ -641,36 +619,13 @@ func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCSta
 	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
 	run, err := s.Record(name, factor)
 	if err != nil {
-		return nil, err
+		return simulation{}, err
 	}
 	results, err := s.Replay(run, kind, threads)
 	if err != nil {
-		return nil, err
+		return simulation{}, err
 	}
-	tot := experiments.Sum(kind, results, threads)
-
-	st = &GCStats{
-		Workload: name, Platform: p, HeapFactor: factor, Threads: threads,
-		TotalPause:   simToDuration(tot.Duration),
-		MutatorTime:  simToDuration(run.MutTime),
-		PrimSeconds:  map[string]float64{},
-		Bandwidth:    tot.BandwidthGBs(),
-		LocalRatio:   tot.Local,
-		EnergyJoules: float64(tot.Energy.Total()),
-	}
-	for pr := 0; pr < int(gc.NumPrims); pr++ {
-		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
-	}
-	for _, ev := range run.Col.Log {
-		if ev.Kind == gc.Minor {
-			st.MinorGCs++
-		} else {
-			st.MajorGCs++
-		}
-		st.LiveBytes += ev.LiveBytes
-		st.ReclaimedBytes += ev.ReclaimedBytes
-	}
-	return st, nil
+	return simulation{kind: kind, factor: factor, threads: threads, run: run, results: results}, nil
 }
 
 func simToDuration(t sim.Time) time.Duration {
@@ -692,31 +647,13 @@ type GCEvent struct {
 // per GC event, in order, with its simulated pause on the chosen platform.
 func SimulateGCEvents(name string, factor float64, p Platform, threads int) (evs []GCEvent, err error) {
 	defer recoverInvariant(&err, fmt.Sprintf("SimulateGCEvents(%s, %s)", name, p))
-	kind, err := p.kind()
+	sm, err := simulate(name, factor, p, threads)
 	if err != nil {
 		return nil, err
 	}
-	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
-		return nil, err
-	}
-	if factor == 0 {
-		factor = 1.5
-	}
-	if threads == 0 {
-		threads = 8
-	}
-	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
-	run, err := s.Record(name, factor)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.Replay(run, kind, threads)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GCEvent, 0, len(results))
-	for i, r := range results {
-		ev := run.Col.Log[i]
+	out := make([]GCEvent, 0, len(sm.results))
+	for i, r := range sm.results {
+		ev := sm.run.Col.Log[i]
 		out = append(out, GCEvent{
 			Seq: ev.Seq, Kind: ev.Kind.String(), Reason: ev.Reason,
 			Pause:          simToDuration(r.Duration),

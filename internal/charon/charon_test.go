@@ -11,20 +11,19 @@ import (
 
 const cubeShift = 22
 
-func newAccel(distributed bool) (*Accelerator, *sim.Engine) {
-	eng := sim.NewEngine()
-	sys := hmc.NewSystem(eng, cubeShift)
+func newAccel(distributed bool) *Accelerator {
+	sys := hmc.NewSystem(cubeShift, hmc.Star, nil)
 	cfg := DefaultConfig()
 	cfg.Distributed = distributed
 	a := New(cfg, sys)
 	// Pin the address ranges the tests touch (the initialize() intrinsic,
 	// as the real host runtime would at launch).
 	a.Initialize(1, AddrRange{Base: 0, Bytes: 64 << 20}, AddrRange{Base: 1 << 30, Bytes: 8 << 20})
-	return a, eng
+	return a
 }
 
 func TestOffloadCopyCompletes(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	done := a.OffloadCopy(0, 0, 1<<20, 4096)
 	if done == 0 {
 		t.Fatal("no completion time")
@@ -45,7 +44,7 @@ func TestOffloadCopyCompletes(t *testing.T) {
 }
 
 func TestCopyScheduledToSourceCube(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	src := uint64(2) << cubeShift // cube 2
 	a.OffloadCopy(0, src, src+4096, 1024)
 	// Unit busy on cube 2, idle elsewhere.
@@ -60,7 +59,7 @@ func TestCopyScheduledToSourceCube(t *testing.T) {
 func TestCopyThroughputNearInternalBandwidth(t *testing.T) {
 	// A large single copy should move data at a rate far above the 80 GB/s
 	// host link: the point of near-memory placement.
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	const size = 1 << 20 // 1 MB within one cube (4 MB interleave)
 	// Destination offset by a few lines so src/dst streams land in
 	// different banks (GC destinations are never bank-aligned with their
@@ -78,7 +77,7 @@ func TestCopyThroughputNearInternalBandwidth(t *testing.T) {
 func TestCrossCubeCopiesRunInParallel(t *testing.T) {
 	// Copies on different cubes use disjoint units and disjoint internal
 	// bandwidth: the second finishes at roughly the same time as the first.
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	c1 := uint64(1) << cubeShift
 	d1 := a.OffloadCopy(0, 0, 1<<20, 65536)
 	d2 := a.OffloadCopy(0, c1, c1+1<<20, 65536)
@@ -90,7 +89,7 @@ func TestCrossCubeCopiesRunInParallel(t *testing.T) {
 func TestSameCubeUnitsShareBandwidthAndQueue(t *testing.T) {
 	// Two same-cube copies run on both units but share the cube's internal
 	// bandwidth (~2x each); a third queues behind a unit (>2x).
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	d1 := a.OffloadCopy(0, 0, 1<<20, 65536)
 	d2 := a.OffloadCopy(0, 4096, 1<<20+65536, 65536)
 	d3 := a.OffloadCopy(0, 8192, 1<<20+131072, 65536)
@@ -106,7 +105,7 @@ func TestSameCubeUnitsShareBandwidthAndQueue(t *testing.T) {
 }
 
 func TestOffloadSearchValueResponse(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	a.OffloadSearch(0, 0, 2048)
 	if a.Stats.Offloads[KSearch] != 1 {
 		t.Fatal("search not counted")
@@ -122,7 +121,7 @@ func TestOffloadSearchValueResponse(t *testing.T) {
 }
 
 func TestOffloadBitmapCountUsesCache(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	beg, end := uint64(0), uint64(1<<20)
 	// Repeated overlapping ranges: the second call should be mostly hits.
 	a.OffloadBitmapCount(0, beg, end, 4096)
@@ -138,7 +137,7 @@ func TestOffloadBitmapCountUsesCache(t *testing.T) {
 
 func TestBitmapCountComputeBound(t *testing.T) {
 	// With a warm cache, the unit is bounded by its 8 B/cycle pipeline.
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	busy := func() sim.Time {
 		var b sim.Time
 		for _, u := range a.bitmapCount[0] {
@@ -157,7 +156,7 @@ func TestBitmapCountComputeBound(t *testing.T) {
 }
 
 func TestScanPushAlwaysCentralCube(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	refs := []RefOp{{Slot: 3 << cubeShift, Target: 2 << cubeShift, CheckHeader: true, Push: true}}
 	a.OffloadScanPush(0, 3<<cubeShift, refs, 1<<30)
 	busy := sim.Time(0)
@@ -174,7 +173,7 @@ func TestScanPushAlwaysCentralCube(t *testing.T) {
 }
 
 func TestScanPushCoalescesContiguousSlots(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	var refs []RefOp
 	for i := 0; i < 32; i++ {
 		refs = append(refs, RefOp{Slot: uint64(4096 + 8*i)})
@@ -188,8 +187,8 @@ func TestScanPushCoalescesContiguousSlots(t *testing.T) {
 }
 
 func TestScanPushDependentChainSlower(t *testing.T) {
-	aFast, _ := newAccel(false)
-	aSlow, _ := newAccel(false)
+	aFast := newAccel(false)
+	aSlow := newAccel(false)
 	// Same slots; one with header checks + pushes, one bare.
 	mk := func(check bool) []RefOp {
 		var refs []RefOp
@@ -212,8 +211,8 @@ func TestUnifiedVsDistributedBitmapCache(t *testing.T) {
 	// Bitmap Count on a non-central cube: unified placement pays a round
 	// trip to the centre per access; distributed slices are local.
 	begCube1 := uint64(1) << cubeShift
-	aU, _ := newAccel(false)
-	aD, _ := newAccel(true)
+	aU := newAccel(false)
+	aD := newAccel(true)
 	dU := aU.OffloadBitmapCount(0, begCube1, begCube1+1<<20, 2048)
 	dD := aD.OffloadBitmapCount(0, begCube1, begCube1+1<<20, 2048)
 	if dD >= dU {
@@ -228,7 +227,7 @@ func TestUnifiedVsDistributedBitmapCache(t *testing.T) {
 }
 
 func TestBitmapCacheFlush(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	refs := []RefOp{{Slot: 4096, Target: 8192, CheckHeader: true, MarkBitmap: true}}
 	a.OffloadScanPush(0, 4096, refs, 1<<30)
 	writesBefore := a.sys.TSVStats().Writes
@@ -247,14 +246,13 @@ func TestBitmapCacheFlush(t *testing.T) {
 func TestMAIBoundsInflight(t *testing.T) {
 	// With MAI=1 the streaming copy degenerates to serial accesses; with
 	// 32 it overlaps. Compare.
-	eng1 := sim.NewEngine()
-	sys1 := hmc.NewSystem(eng1, cubeShift)
+	sys1 := hmc.NewSystem(cubeShift, hmc.Star, nil)
 	cfg1 := DefaultConfig()
 	cfg1.MAIEntries = 1
 	a1 := New(cfg1, sys1)
 	dSerial := a1.OffloadCopy(0, 0, 1<<20, 65536)
 
-	a32, _ := newAccel(false)
+	a32 := newAccel(false)
 	dParallel := a32.OffloadCopy(0, 0, 1<<20, 65536)
 	if dParallel*2 > dSerial {
 		t.Fatalf("MAI parallelism ineffective: serial %v, parallel %v", dSerial, dParallel)
@@ -262,7 +260,7 @@ func TestMAIBoundsInflight(t *testing.T) {
 }
 
 func TestHostLinkCarriesOnlyPackets(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	a.OffloadCopy(0, 0, 1<<20, 1<<16)
 	hl := a.sys.HostLink().Stats.Bytes()
 	if hl != hmc.OffloadReqBytes+hmc.RespPlainBytes {
@@ -272,7 +270,7 @@ func TestHostLinkCarriesOnlyPackets(t *testing.T) {
 }
 
 func TestUnitBusyAccounting(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	a.OffloadCopy(0, 0, 1<<20, 4096)
 	a.OffloadScanPush(0, 4096, []RefOp{{Slot: 4096}}, 1<<30)
 	a.OffloadBitmapCount(0, 0, 1<<20, 512)
@@ -283,7 +281,7 @@ func TestUnitBusyAccounting(t *testing.T) {
 }
 
 func BenchmarkOffloadCopy(b *testing.B) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	t := sim.Time(0)
 	for i := 0; i < b.N; i++ {
 		t = a.OffloadCopy(t, uint64(i%1024)*4096, 1<<21, 4096)
@@ -292,8 +290,7 @@ func BenchmarkOffloadCopy(b *testing.B) {
 
 func TestConfigurableStreamGrain(t *testing.T) {
 	run := func(grain uint64) sim.Time {
-		eng := sim.NewEngine()
-		sys := hmc.NewSystem(eng, cubeShift)
+		sys := hmc.NewSystem(cubeShift, hmc.Star, nil)
 		cfg := DefaultConfig()
 		cfg.StreamGrain = grain
 		a := New(cfg, sys)
@@ -308,8 +305,7 @@ func TestConfigurableStreamGrain(t *testing.T) {
 
 func TestConfigurableBitmapCacheSize(t *testing.T) {
 	mk := func(bytes uint64) *Accelerator {
-		eng := sim.NewEngine()
-		sys := hmc.NewSystem(eng, cubeShift)
+		sys := hmc.NewSystem(cubeShift, hmc.Star, nil)
 		cfg := DefaultConfig()
 		cfg.BitmapCacheBytes = bytes
 		return New(cfg, sys)
@@ -330,7 +326,7 @@ func TestConfigurableBitmapCacheSize(t *testing.T) {
 
 func TestTLBPinnedPagesNeverMiss(t *testing.T) {
 	// Section 4.6: pinned huge pages mean no TLB misses during execution.
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	a.Initialize(1, AddrRange{Base: 0, Bytes: 16 << 20})
 	a.OffloadCopy(0, 0, 1<<21, 4096)
 	a.OffloadSearch(0, 1<<20, 2048)
@@ -345,8 +341,7 @@ func TestTLBPinnedPagesNeverMiss(t *testing.T) {
 }
 
 func TestTLBMissWalksAndRefills(t *testing.T) {
-	eng := sim.NewEngine()
-	a := New(DefaultConfig(), hmc.NewSystem(eng, cubeShift))
+	a := New(DefaultConfig(), hmc.NewSystem(cubeShift, hmc.Star, nil))
 	// No Initialize: the first offload to a page walks, the second hits.
 	d1 := a.OffloadCopy(0, 0, 1<<21+64, 256)
 	if a.Stats.TLBWalks != 1 {
@@ -388,8 +383,8 @@ func TestTLBStructure(t *testing.T) {
 }
 
 func TestUnifiedTLBRemotePenalty(t *testing.T) {
-	aU, _ := newAccel(false)
-	aD, _ := newAccel(true)
+	aU := newAccel(false)
+	aD := newAccel(true)
 	for _, a := range []*Accelerator{aU, aD} {
 		a.Initialize(1, AddrRange{Base: 0, Bytes: 16 << 20})
 	}
@@ -425,7 +420,7 @@ func TestPerUnitMetricsAgreeWithUnitBusy(t *testing.T) {
 	// The per-unit metric counters and the UnitBusy aggregate are two
 	// independent accountings of the same reservations; they must agree
 	// exactly on a scripted descriptor sequence.
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	if end := scriptedOffloads(a); end == 0 {
 		t.Fatal("scripted sequence did not run")
 	}
@@ -478,7 +473,7 @@ func TestPerUnitMetricsAgreeWithUnitBusy(t *testing.T) {
 }
 
 func TestTraceSpanPerOffload(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	rec := metrics.NewRecorder(0)
 	a.SetRecorder(rec)
 	scriptedOffloads(a)
@@ -495,7 +490,7 @@ func TestRequesterBytesMatchVaultService(t *testing.T) {
 	// The accelerator-local form of the byte-conservation invariant: what
 	// memAccess requested equals what the vaults served (no host traffic
 	// here, so the two sides are directly comparable).
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	scriptedOffloads(a)
 	if a.Stats.Mem.Bytes() == 0 {
 		t.Fatal("no requester-side traffic recorded")

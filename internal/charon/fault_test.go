@@ -8,20 +8,19 @@ import (
 	"charonsim/internal/sim"
 )
 
-func newFaultAccel(t *testing.T, fc fault.Config) (*Accelerator, *sim.Engine) {
+func newFaultAccel(t *testing.T, fc fault.Config) *Accelerator {
 	t.Helper()
-	eng := sim.NewEngine()
 	inj := fault.New(fc)
-	sys := hmc.NewSystemFault(eng, cubeShift, hmc.Star, inj)
+	sys := hmc.NewSystem(cubeShift, hmc.Star, inj)
 	a := NewFault(DefaultConfig(), sys, inj)
 	a.Initialize(1, AddrRange{Base: 0, Bytes: 64 << 20}, AddrRange{Base: 1 << 30, Bytes: 8 << 20})
-	return a, eng
+	return a
 }
 
 func TestHealthyFaultAccelMatchesPlain(t *testing.T) {
 	// An injector with no unit faults must schedule identically to New.
-	plain, _ := newAccel(false)
-	flt, _ := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
+	plain := newAccel(false)
+	flt := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
 	for i := uint64(0); i < 8; i++ {
 		p := plain.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
 		f := flt.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
@@ -35,7 +34,7 @@ func TestHealthyFaultAccelMatchesPlain(t *testing.T) {
 }
 
 func TestFailAllUnits(t *testing.T) {
-	a, _ := newFaultAccel(t, fault.Config{FailAllUnits: true, Seed: 1})
+	a := newFaultAccel(t, fault.Config{FailAllUnits: true, Seed: 1})
 	if !a.AllUnitsFailed() {
 		t.Fatal("FailAllUnits did not fail every unit")
 	}
@@ -49,7 +48,7 @@ func TestFailAllUnits(t *testing.T) {
 }
 
 func TestCrossCubeReissue(t *testing.T) {
-	a, _ := newFaultAccel(t, fault.Config{FailAllUnits: true, Seed: 1})
+	a := newFaultAccel(t, fault.Config{FailAllUnits: true, Seed: 1})
 	// Revive one copy/search unit on cube 1 only: offloads homed on other
 	// cubes must fail over there.
 	a.copySearch[1][0].failed = false
@@ -76,8 +75,8 @@ func TestCrossCubeReissue(t *testing.T) {
 }
 
 func TestDegradedUnitIsSlower(t *testing.T) {
-	healthy, _ := newAccel(false)
-	slow, _ := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
+	healthy := newAccel(false)
+	slow := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
 	for c := range slow.copySearch {
 		for i := range slow.copySearch[c] {
 			slow.copySearch[c][i].degraded = true
@@ -93,15 +92,15 @@ func TestDegradedUnitIsSlower(t *testing.T) {
 
 func TestUnitHealthDeterministicPerSeed(t *testing.T) {
 	health := func(seed int64) [3]int {
-		a, _ := newFaultAccel(t, fault.Config{UnitFailRate: 0.3, UnitDegradeRate: 0.3, Seed: seed})
+		a := newFaultAccel(t, fault.Config{UnitFailRate: 0.3, UnitDegradeRate: 0.3, Seed: seed})
 		f, d, tot := a.UnitHealth()
 		return [3]int{f, d, tot}
 	}
 	if health(5) != health(5) {
 		t.Fatal("same seed produced different unit health")
 	}
-	a1, _ := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
-	a2, _ := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
+	a1 := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
+	a2 := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
 	for c := range a1.copySearch {
 		for i := range a1.copySearch[c] {
 			if a1.copySearch[c][i].failed != a2.copySearch[c][i].failed {

@@ -26,7 +26,7 @@ func benchRefs(n int) []RefOp {
 // coalescing, dependent header checks, pushes);
 // BenchmarkOffloadCopy covers the streaming units.
 func BenchmarkOffloadScanPush(b *testing.B) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	refs := benchRefs(64)
 	at := sim.Time(0)
 	for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkOffloadScanPush(b *testing.B) {
 // zero per offload once the accelerator's reusable scratch (write-buffer
 // entries, per-reference completion times) has warmed up.
 func TestOffloadAllocBudget(t *testing.T) {
-	a, _ := newAccel(false)
+	a := newAccel(false)
 	refs := benchRefs(64)
 	at := sim.Time(0)
 	i := 0

@@ -28,7 +28,6 @@ type SimFlags struct {
 	RunTimeout     time.Duration
 	CheckpointDir  string
 	WatchdogStalls int
-	WatchdogQueue  int
 }
 
 // Register installs the shared simulation flags on fs.
@@ -42,10 +41,9 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "master fault-injection rate in [0, 1): link CRC errors plus derived ECC/bank/unit fault rates (0 = faults off)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate or -offload-deadline)")
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
-	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the engine watchdog heartbeat (0 = unbounded)")
+	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the replay watchdog heartbeat (0 = unbounded)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
-	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "engine watchdog: consecutive zero-advance steps before a run is declared wedged (0 = default, -1 = disable)")
-	fs.IntVar(&f.WatchdogQueue, "watchdog-queue", 0, "engine watchdog: event-queue depth bound (0 = default, -1 = disable)")
+	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "replay watchdog: consecutive zero-advance steps before a run is declared wedged (0 = default, -1 = disable)")
 }
 
 // Config maps the parsed flags onto a charonsim.Config. The -workloads
@@ -58,7 +56,7 @@ func (f *SimFlags) Config() (charonsim.Config, error) {
 		FaultRate: f.FaultRate, FaultSeed: f.FaultSeed,
 		OffloadDeadline: f.Deadline, RunTimeout: f.RunTimeout,
 		CheckpointDir:  f.CheckpointDir,
-		WatchdogStalls: f.WatchdogStalls, WatchdogQueue: f.WatchdogQueue}
+		WatchdogStalls: f.WatchdogStalls}
 	if f.Workloads != "" {
 		wl, err := SplitWorkloads(f.Workloads)
 		if err != nil {

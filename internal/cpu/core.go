@@ -123,8 +123,8 @@ func (s Stats) IPC(clock sim.Time) float64 {
 
 // Core is one host core with a private L1/L2 (and a shared L3 owned by the
 // containing Host). Cores are driven by reservation: ExecOps may run ahead
-// of the engine clock; the exec layer interleaves threads at primitive
-// granularity to keep contention realistic.
+// of the other threads' clocks; the exec layer interleaves threads at
+// primitive granularity to keep contention realistic.
 type Core struct {
 	cfg  Config
 	hier *cache.Hierarchy

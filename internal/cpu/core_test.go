@@ -8,15 +8,14 @@ import (
 	"charonsim/internal/sim"
 )
 
-func newTestCore() (*Core, *dram.DDR4, *sim.Engine) {
-	eng := sim.NewEngine()
-	mem := dram.NewDDR4(eng)
+func newTestCore() (*Core, *dram.DDR4) {
+	mem := dram.NewDDR4(nil)
 	hier := cache.NewHostHierarchy()
-	return NewCore(DefaultConfig(), hier, mem), mem, eng
+	return NewCore(DefaultConfig(), hier, mem), mem
 }
 
 func TestComputeOpsIssueBandwidth(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	// 100 single-instruction compute ops at 4-wide issue = 25+ cycles... but
 	// each op takes at least ceil(1/4)=1 cycle in this model.
 	ops := make([]Op, 100)
@@ -29,7 +28,7 @@ func TestComputeOpsIssueBandwidth(t *testing.T) {
 		t.Fatalf("100 compute ops finished at %v, want %v", finish, 100*cfg.ClockPeriod)
 	}
 	// Work batching: one op with Work=100 costs 25 cycles.
-	c2, _, _ := newTestCore()
+	c2, _ := newTestCore()
 	f2 := c2.ExecOps(0, []Op{{Kind: OpCompute, Dep: NoDep, Work: 100}})
 	if f2 != 25*cfg.ClockPeriod {
 		t.Fatalf("batched compute finished at %v, want %v", f2, 25*cfg.ClockPeriod)
@@ -37,7 +36,7 @@ func TestComputeOpsIssueBandwidth(t *testing.T) {
 }
 
 func TestCacheHitFast(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	f1 := c.ExecOps(0, []Op{{Kind: OpRead, Addr: 4096, Size: 8, Dep: NoDep}})
 	miss := c.Stats.CacheMisses
 	f := c.ExecOps(f1, []Op{{Kind: OpRead, Addr: 4096, Size: 8, Dep: NoDep}})
@@ -52,7 +51,7 @@ func TestCacheHitFast(t *testing.T) {
 func TestIndependentMissesOverlap(t *testing.T) {
 	// N independent loads to distinct lines should overlap up to the MSHR
 	// limit: total time far below N * memory latency.
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	var ops []Op
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -61,7 +60,7 @@ func TestIndependentMissesOverlap(t *testing.T) {
 	parallelFinish := c.ExecOps(0, ops)
 
 	// Same loads, fully dependent: serialize at memory latency each.
-	c2, _, _ := newTestCore()
+	c2, _ := newTestCore()
 	ops2 := make([]Op, n)
 	for i := range ops2 {
 		dep := int32(i - 1)
@@ -82,7 +81,7 @@ func TestMSHRLimitCapsMLP(t *testing.T) {
 	// the misses ≈ double the time once MSHRs saturate (links are not the
 	// bottleneck on DDR4 at 10 outstanding).
 	run := func(n int) sim.Time {
-		c, _, _ := newTestCore()
+		c, _ := newTestCore()
 		var ops []Op
 		for i := 0; i < n; i++ {
 			ops = append(ops, Op{Kind: OpRead, Addr: uint64(i) * 4096, Size: 8, Dep: NoDep})
@@ -100,7 +99,7 @@ func TestWindowLimitsRunahead(t *testing.T) {
 	// A long-latency load followed by WindowSize+ independent compute ops:
 	// the window fills and the front-end stalls until the load retires.
 	cfg := DefaultConfig()
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	ops := []Op{{Kind: OpRead, Addr: 1 << 20, Size: 8, Dep: NoDep}}
 	for i := 0; i < cfg.WindowSize*2; i++ {
 		ops = append(ops, Op{Kind: OpCompute, Dep: NoDep})
@@ -108,7 +107,7 @@ func TestWindowLimitsRunahead(t *testing.T) {
 	finish := c.ExecOps(0, ops)
 
 	// Without the load, pure compute time:
-	c2, _, _ := newTestCore()
+	c2, _ := newTestCore()
 	finishNoLoad := c2.ExecOps(0, ops[1:])
 
 	if finish <= finishNoLoad {
@@ -121,7 +120,7 @@ func TestWindowLimitsRunahead(t *testing.T) {
 }
 
 func TestInOrderRetirement(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	// A slow load then a fast compute: the compute's retire time must not
 	// precede the load's.
 	f := c.ExecOps(0, []Op{
@@ -134,7 +133,7 @@ func TestInOrderRetirement(t *testing.T) {
 }
 
 func TestMultiLineAccessSplits(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	c.ExecOps(0, []Op{{Kind: OpRead, Addr: 0, Size: 256, Dep: NoDep}})
 	if c.Stats.MemAccesses != 4 {
 		t.Fatalf("256B access split into %d lines, want 4", c.Stats.MemAccesses)
@@ -142,7 +141,7 @@ func TestMultiLineAccessSplits(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	c.ExecOps(0, []Op{
 		{Kind: OpRead, Addr: 0, Size: 8, Dep: NoDep, Work: 5},
 		{Kind: OpCompute, Dep: NoDep, Work: 3},
@@ -163,7 +162,7 @@ func TestPointerChasingIPCIsLow(t *testing.T) {
 	// The paper's observation: GC-like dependent pointer chasing yields
 	// IPC < 0.5 on an OoO core. Build a long dependent chain of loads to
 	// random-ish lines.
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	var ops []Op
 	addr := uint64(0)
 	for i := 0; i < 2000; i++ {
@@ -204,9 +203,9 @@ func TestStreamingFasterThanChasing(t *testing.T) {
 		}
 		return ops
 	}
-	cs, _, _ := newTestCore()
+	cs, _ := newTestCore()
 	streamT := cs.ExecOps(0, mkStream())
-	cc, _, _ := newTestCore()
+	cc, _ := newTestCore()
 	chaseT := cc.ExecOps(0, mkChase())
 	if streamT*4 > chaseT {
 		t.Fatalf("streaming (%v) should be >4x faster than chasing (%v)", streamT, chaseT)
@@ -214,7 +213,7 @@ func TestStreamingFasterThanChasing(t *testing.T) {
 }
 
 func TestFlushCaches(t *testing.T) {
-	c, mem, _ := newTestCore()
+	c, mem := newTestCore()
 	for i := 0; i < 100; i++ {
 		c.ExecOps(c.cursor, []Op{{Kind: OpWrite, Addr: uint64(i) * 64, Size: 8, Dep: NoDep}})
 	}
@@ -236,8 +235,7 @@ func TestFlushCaches(t *testing.T) {
 }
 
 func TestHostSharedL3(t *testing.T) {
-	eng := sim.NewEngine()
-	mem := dram.NewDDR4(eng)
+	mem := dram.NewDDR4(nil)
 	h := NewHost(8, DefaultConfig(), mem)
 	if len(h.Cores) != 8 {
 		t.Fatalf("cores = %d", len(h.Cores))
@@ -264,8 +262,7 @@ func TestIPCZeroWhenIdle(t *testing.T) {
 func TestHMCBackend(t *testing.T) {
 	// The core works identically over the HMC host path; the same access
 	// pattern should complete (latency differs).
-	eng := sim.NewEngine()
-	hsys := newHMCBackend(eng)
+	hsys := newHMCBackend()
 	hier := cache.NewHostHierarchy()
 	c := NewCore(DefaultConfig(), hier, hsys)
 	f := c.ExecOps(0, []Op{{Kind: OpRead, Addr: 0, Size: 8, Dep: NoDep}})
@@ -275,7 +272,7 @@ func TestHMCBackend(t *testing.T) {
 }
 
 func BenchmarkExecOpsStreaming(b *testing.B) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	ops := make([]Op, 1024)
 	for i := range ops {
 		ops[i] = Op{Kind: OpRead, Addr: uint64(i) * 64, Size: 8, Dep: NoDep}
@@ -294,11 +291,10 @@ func TestStreamPrefetcherAcceleratesSequentialReads(t *testing.T) {
 		}
 		return ops
 	}
-	withPf, _, _ := newTestCore()
+	withPf, _ := newTestCore()
 	fPf := withPf.ExecOps(0, mk())
 
-	eng := sim.NewEngine()
-	mem := dram.NewDDR4(eng)
+	mem := dram.NewDDR4(nil)
 	cfg := DefaultConfig()
 	cfg.PrefetchLead = 0 // disabled
 	noPf := NewCore(cfg, cache.NewHostHierarchy(), mem)
@@ -313,7 +309,7 @@ func TestStreamPrefetcherAcceleratesSequentialReads(t *testing.T) {
 }
 
 func TestPrefetcherIgnoresRandomAccesses(t *testing.T) {
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	var ops []Op
 	addr := uint64(1)
 	for i := 0; i < 500; i++ {
@@ -331,7 +327,7 @@ func TestPrefetcherIgnoresRandomAccesses(t *testing.T) {
 func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 	// Copy interleaves a read stream and a write stream; both must be
 	// tracked without evicting each other.
-	c, _, _ := newTestCore()
+	c, _ := newTestCore()
 	var ops []Op
 	for i := 0; i < 500; i++ {
 		ld := int32(len(ops))

@@ -9,8 +9,8 @@ import (
 // hmcBackend adapts hmc.System's host path to the MemBackend interface.
 type hmcBackend struct{ sys *hmc.System }
 
-func newHMCBackend(eng *sim.Engine) MemBackend {
-	return hmcBackend{sys: hmc.NewSystem(eng, 22)}
+func newHMCBackend() MemBackend {
+	return hmcBackend{sys: hmc.NewSystem(22, hmc.Star, nil)}
 }
 
 func (b hmcBackend) AccessAt(start sim.Time, kind memsys.Kind, addr uint64, size uint32) sim.Time {

@@ -83,7 +83,6 @@ type bank struct {
 // slice). Requests must already be mapped: the caller provides the bank
 // index and row for each access.
 type Controller struct {
-	eng    *sim.Engine
 	timing Timing
 	banks  []bank
 
@@ -102,19 +101,15 @@ type Controller struct {
 	Stats memsys.Stats
 }
 
-// NewController returns a controller managing nbanks banks.
-func NewController(eng *sim.Engine, timing Timing, nbanks int) *Controller {
-	return NewControllerFault(eng, timing, nbanks, nil, "")
-}
-
-// NewControllerFault is NewController with fault injection: hard bank
-// faults are drawn once here (from the "<name>/banks" stream, in bank
-// order, so the faulted-bank set is a pure function of seed and name) and
-// remapped onto healthy neighbours; ECC corrections are drawn per read
-// from the "<name>" stream. A nil injector is exactly NewController.
-func NewControllerFault(eng *sim.Engine, timing Timing, nbanks int, inj *fault.Injector, name string) *Controller {
+// NewController returns a controller managing nbanks banks. A non-nil
+// inj injects faults: hard bank faults are drawn once here (from the
+// "<name>/banks" stream, in bank order, so the faulted-bank set is a pure
+// function of seed and name) and remapped onto healthy neighbours; ECC
+// corrections are drawn per read from the "<name>" stream. A nil inj
+// means no faults, and name is then unused.
+func NewController(timing Timing, nbanks int, inj *fault.Injector, name string) *Controller {
 	c := &Controller{
-		eng: eng, timing: timing, banks: make([]bank, nbanks),
+		timing: timing, banks: make([]bank, nbanks),
 		bus: sim.NewCalendar(100 * sim.Nanosecond),
 	}
 	if inj != nil {
@@ -190,14 +185,6 @@ func (c *Controller) Collect(reg *metrics.Registry, prefix string, horizon sim.T
 	}
 }
 
-// Access reserves service for one request of size bytes hitting (bankIdx,
-// row) and returns the completion time. The caller schedules its own
-// completion callback at that time. Size may exceed one burst; the extra
-// bursts occupy consecutive bus slots with the row held open.
-func (c *Controller) Access(kind memsys.Kind, bankIdx int, row uint64, size uint32) sim.Time {
-	return c.AccessAt(c.eng.Now(), kind, bankIdx, row, size)
-}
-
 // WriteDrainOverhead is the extra data-bus occupancy factor charged to
 // posted writes (numerator/denominator): the amortized cost of the
 // activates and write-recovery slots spent while the controller drains its
@@ -209,13 +196,11 @@ const (
 	writeDrainDen = 4
 )
 
-// AccessAt is Access with an explicit earliest start time, used when the
-// request reaches this controller through a modelled transport (an HMC
-// link) whose arrival time is in the future.
+// AccessAt reserves service for one request of size bytes hitting
+// (bankIdx, row), starting no earlier than now, and returns the completion
+// time. Size may exceed one burst; the extra bursts occupy consecutive bus
+// slots with the row held open.
 func (c *Controller) AccessAt(now sim.Time, kind memsys.Kind, bankIdx int, row uint64, size uint32) sim.Time {
-	if t := c.eng.Now(); t > now {
-		now = t
-	}
 	// Hard-faulted banks are served by their remap target: same row/size,
 	// different bank state machine (so the spare bank absorbs the extra
 	// pressure, which is the performance effect we want to observe).
@@ -300,24 +285,19 @@ func (c *Controller) AccessAt(now sim.Time, kind memsys.Kind, bankIdx int, row u
 // routes each line to its channel, and completes the request when the last
 // line finishes.
 type DDR4 struct {
-	eng      *sim.Engine
 	mapper   *memsys.DDR4Mapper
 	channels []*Controller
 }
 
-// NewDDR4 builds the Table 2 DDR4 system on eng.
-func NewDDR4(eng *sim.Engine) *DDR4 {
-	return NewDDR4Fault(eng, nil)
-}
-
-// NewDDR4Fault is NewDDR4 with fault injection on each channel controller
-// (streams "ddr4/ch0", "ddr4/ch1", ...). A nil injector is exactly NewDDR4.
-func NewDDR4Fault(eng *sim.Engine, inj *fault.Injector) *DDR4 {
+// NewDDR4 builds the Table 2 DDR4 system. A non-nil inj injects faults
+// into each channel controller (streams "ddr4/ch0", "ddr4/ch1", ...); nil
+// means no faults.
+func NewDDR4(inj *fault.Injector) *DDR4 {
 	m := memsys.NewDDR4Mapper()
-	d := &DDR4{eng: eng, mapper: m}
+	d := &DDR4{mapper: m}
 	for i := 0; i < m.Channels; i++ {
 		d.channels = append(d.channels,
-			NewControllerFault(eng, DDR4Timing(), m.Ranks*m.Banks, inj, fmt.Sprintf("ddr4/ch%d", i)))
+			NewController(DDR4Timing(), m.Ranks*m.Banks, inj, fmt.Sprintf("ddr4/ch%d", i)))
 	}
 	return d
 }
@@ -348,19 +328,9 @@ func (d *DDR4) Stats() memsys.Stats {
 	return s
 }
 
-// Submit implements memsys.Port: the request is split into 64 B lines that
-// are serviced by their home channels; OnDone fires when the last line
-// completes.
-func (d *DDR4) Submit(r *memsys.Request) {
-	r.IssuedAt = d.eng.Now()
-	last := d.AccessAt(d.eng.Now(), r.Kind, r.Addr, r.Size)
-	if r.OnDone != nil {
-		d.eng.At(last, r.OnDone)
-	}
-}
-
-// AccessAt reserves service for an access starting no earlier than start
-// and returns the completion time of its last line.
+// AccessAt reserves service for an access starting no earlier than start:
+// the access is split into 64 B lines that are serviced by their home
+// channels, and AccessAt returns the completion time of the last line.
 func (d *DDR4) AccessAt(start sim.Time, kind memsys.Kind, addr uint64, size uint32) sim.Time {
 	var last sim.Time
 	memsys.SplitBursts(addr, size, 64, func(a uint64, s uint32) {

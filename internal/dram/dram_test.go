@@ -8,26 +8,23 @@ import (
 )
 
 func TestRowHitFasterThanMiss(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewController(eng, DDR4Timing(), 8)
+	c := NewController(DDR4Timing(), 8, nil, "")
 
 	// First access to a closed bank: tRCD + tCAS + burst.
-	d1 := c.Access(memsys.Read, 0, 0, 64)
+	d1 := c.AccessAt(0, memsys.Read, 0, 0, 64)
 	want1 := DDR4Timing().TRCD + DDR4Timing().TCAS + DDR4Timing().BurstTime
 	if d1 != want1 {
 		t.Fatalf("closed-bank access done at %d, want %d", d1, want1)
 	}
 
 	// Re-run on fresh controllers to measure isolated latencies.
-	engHit := sim.NewEngine()
-	ch := NewController(engHit, DDR4Timing(), 8)
-	ch.Access(memsys.Read, 0, 0, 64)
-	hitDone := ch.Access(memsys.Read, 0, 0, 64) // same row: hit
+	ch := NewController(DDR4Timing(), 8, nil, "")
+	ch.AccessAt(0, memsys.Read, 0, 0, 64)
+	hitDone := ch.AccessAt(0, memsys.Read, 0, 0, 64) // same row: hit
 
-	engMiss := sim.NewEngine()
-	cm := NewController(engMiss, DDR4Timing(), 8)
-	cm.Access(memsys.Read, 0, 0, 64)
-	missDone := cm.Access(memsys.Read, 0, 5, 64) // different row: conflict
+	cm := NewController(DDR4Timing(), 8, nil, "")
+	cm.AccessAt(0, memsys.Read, 0, 0, 64)
+	missDone := cm.AccessAt(0, memsys.Read, 0, 5, 64) // different row: conflict
 
 	if hitDone >= missDone {
 		t.Fatalf("row hit (%d) not faster than row conflict (%d)", hitDone, missDone)
@@ -35,12 +32,11 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 }
 
 func TestRowConflictRespectsTRAS(t *testing.T) {
-	eng := sim.NewEngine()
 	tm := DDR4Timing()
-	c := NewController(eng, tm, 8)
-	c.Access(memsys.Read, 0, 0, 64)
+	c := NewController(tm, 8, nil, "")
+	c.AccessAt(0, memsys.Read, 0, 0, 64)
 	// Immediately conflict: precharge cannot begin before activate+tRAS.
-	done := c.Access(memsys.Read, 0, 1, 64)
+	done := c.AccessAt(0, memsys.Read, 0, 1, 64)
 	min := tm.TRAS + tm.TRP + tm.TRCD + tm.TCAS
 	if done < min {
 		t.Fatalf("conflict done at %d, violates tRAS+tRP+tRCD+tCAS = %d", done, min)
@@ -52,15 +48,14 @@ func TestPostedWritesCostBusOnly(t *testing.T) {
 	// (plus drain overhead) without paying activate/CAS latency, and they
 	// do not disturb the read stream's open rows.
 	tm := DDR4Timing()
-	eng := sim.NewEngine()
-	c := NewController(eng, tm, 8)
-	wDone := c.Access(memsys.Write, 0, 0, 64)
+	c := NewController(tm, 8, nil, "")
+	wDone := c.AccessAt(0, memsys.Write, 0, 0, 64)
 	if wDone >= tm.TRCD+tm.TCAS {
 		t.Fatalf("posted write paid full access latency: %v", wDone)
 	}
 	// A read to a different row of the same bank still sees a closed bank
 	// (no write-opened row), i.e. writes left bank state untouched.
-	rDone := c.Access(memsys.Read, 0, 1, 64)
+	rDone := c.AccessAt(0, memsys.Read, 0, 1, 64)
 	want := wDone + tm.TRCD + tm.TCAS + tm.BurstTime // queued behind write bus slot at worst
 	if rDone > want {
 		t.Fatalf("read after posted write at %v, want <= %v", rDone, want)
@@ -69,13 +64,12 @@ func TestPostedWritesCostBusOnly(t *testing.T) {
 
 func TestWriteStreamBandwidthCap(t *testing.T) {
 	// Posted writes stream at bus bandwidth divided by the drain overhead.
-	eng := sim.NewEngine()
 	tm := DDR4Timing()
-	c := NewController(eng, tm, 8)
+	c := NewController(tm, 8, nil, "")
 	const n = 1000
 	var done sim.Time
 	for i := 0; i < n; i++ {
-		done = c.Access(memsys.Write, i%8, uint64(i), 64)
+		done = c.AccessAt(0, memsys.Write, i%8, uint64(i), 64)
 	}
 	gbs := float64(n*64) / done.Seconds() / 1e9
 	if gbs > 17.5*4/5+0.5 || gbs < 12 {
@@ -87,11 +81,10 @@ func TestBankParallelism(t *testing.T) {
 	// Two accesses to different banks overlap their activates; the second
 	// finishes much sooner than 2x the serial latency (bus serializes only
 	// the burst).
-	eng := sim.NewEngine()
 	tm := DDR4Timing()
-	c := NewController(eng, tm, 8)
-	c.Access(memsys.Read, 0, 0, 64)
-	d2 := c.Access(memsys.Read, 1, 0, 64)
+	c := NewController(tm, 8, nil, "")
+	c.AccessAt(0, memsys.Read, 0, 0, 64)
+	d2 := c.AccessAt(0, memsys.Read, 1, 0, 64)
 	serial := 2 * (tm.TRCD + tm.TCAS + tm.BurstTime)
 	if d2 >= serial {
 		t.Fatalf("no bank parallelism: second done at %d, serial would be %d", d2, serial)
@@ -105,13 +98,12 @@ func TestBankParallelism(t *testing.T) {
 func TestBusSerializationCapsBandwidth(t *testing.T) {
 	// Many row-hit accesses to the same bank stream at bus bandwidth:
 	// n bursts take ~n*BurstTime.
-	eng := sim.NewEngine()
 	tm := DDR4Timing()
-	c := NewController(eng, tm, 8)
+	c := NewController(tm, 8, nil, "")
 	const n = 1000
 	var done sim.Time
 	for i := 0; i < n; i++ {
-		done = c.Access(memsys.Read, 0, 0, 64)
+		done = c.AccessAt(0, memsys.Read, 0, 0, 64)
 	}
 	lower := sim.Time(n) * tm.BurstTime
 	upper := lower + tm.TRCD + tm.TCAS + 10*tm.BurstTime
@@ -127,13 +119,12 @@ func TestBusSerializationCapsBandwidth(t *testing.T) {
 
 func TestHMCVaultBandwidth(t *testing.T) {
 	// One vault sustains ~10 GB/s on 256 B row-hit streaming.
-	eng := sim.NewEngine()
 	tm := HMCVaultTiming()
-	c := NewController(eng, tm, 8)
+	c := NewController(tm, 8, nil, "")
 	const n = 500
 	var done sim.Time
 	for i := 0; i < n; i++ {
-		done = c.Access(memsys.Read, 0, 0, 256)
+		done = c.AccessAt(0, memsys.Read, 0, 0, 256)
 	}
 	gbs := float64(n*256) / done.Seconds() / 1e9
 	if gbs < 9 || gbs > 10.5 {
@@ -142,22 +133,20 @@ func TestHMCVaultBandwidth(t *testing.T) {
 }
 
 func TestMultiBurstOccupiesProportionalBus(t *testing.T) {
-	eng := sim.NewEngine()
 	tm := DDR4Timing()
-	c := NewController(eng, tm, 8)
-	d64 := c.Access(memsys.Read, 0, 0, 64)
+	c := NewController(tm, 8, nil, "")
+	d64 := c.AccessAt(0, memsys.Read, 0, 0, 64)
 	base := d64
-	d256 := c.Access(memsys.Read, 0, 0, 256) // 4 bursts
+	d256 := c.AccessAt(0, memsys.Read, 0, 0, 256) // 4 bursts
 	if d256-base != 4*tm.BurstTime {
 		t.Fatalf("256B access occupied %d, want %d", d256-base, 4*tm.BurstTime)
 	}
 }
 
 func TestControllerStats(t *testing.T) {
-	eng := sim.NewEngine()
-	c := NewController(eng, DDR4Timing(), 8)
-	c.Access(memsys.Read, 0, 0, 64)
-	c.Access(memsys.Write, 1, 0, 128)
+	c := NewController(DDR4Timing(), 8, nil, "")
+	c.AccessAt(0, memsys.Read, 0, 0, 64)
+	c.AccessAt(0, memsys.Write, 1, 0, 128)
 	if c.Stats.Reads != 1 || c.Stats.Writes != 1 || c.Stats.Bytes() != 192 {
 		t.Fatalf("stats %+v", c.Stats)
 	}
@@ -167,11 +156,8 @@ func TestControllerStats(t *testing.T) {
 }
 
 func TestDDR4SystemCompletion(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDDR4(eng)
-	var doneAt sim.Time
-	d.Submit(&memsys.Request{Kind: memsys.Read, Addr: 0, Size: 64, OnDone: func() { doneAt = eng.Now() }})
-	eng.Run()
+	d := NewDDR4(nil)
+	doneAt := d.AccessAt(0, memsys.Read, 0, 64)
 	if doneAt == 0 {
 		t.Fatal("request never completed")
 	}
@@ -182,11 +168,9 @@ func TestDDR4SystemCompletion(t *testing.T) {
 }
 
 func TestDDR4SystemSplitsAcrossChannels(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDDR4(eng)
+	d := NewDDR4(nil)
 	// A 128B request at address 0 spans lines 0 (ch0) and 64 (ch1).
-	d.Submit(&memsys.Request{Kind: memsys.Read, Addr: 0, Size: 128})
-	eng.Run()
+	d.AccessAt(0, memsys.Read, 0, 128)
 	if d.Channels()[0].Stats.Reads != 1 || d.Channels()[1].Stats.Reads != 1 {
 		t.Fatalf("channel split wrong: %d/%d", d.Channels()[0].Stats.Reads, d.Channels()[1].Stats.Reads)
 	}
@@ -199,14 +183,12 @@ func TestDDR4SystemSplitsAcrossChannels(t *testing.T) {
 func TestDDR4AggregateBandwidthCap(t *testing.T) {
 	// Streaming sequential reads through the full system should approach
 	// but not exceed 34 GB/s (Table 2).
-	eng := sim.NewEngine()
-	d := NewDDR4(eng)
+	d := NewDDR4(nil)
 	const lines = 4000
 	var last sim.Time
 	for i := 0; i < lines; i++ {
-		d.Submit(&memsys.Request{Kind: memsys.Read, Addr: uint64(i) * 64, OnDone: nil, Size: 64})
+		d.AccessAt(0, memsys.Read, uint64(i)*64, 64)
 	}
-	eng.Run()
 	for _, c := range d.Channels() {
 		if c.BusBusy() > last {
 			last = c.BusBusy()
@@ -230,9 +212,8 @@ func TestDDR4AggregateBandwidthCap(t *testing.T) {
 }
 
 func BenchmarkControllerAccess(b *testing.B) {
-	eng := sim.NewEngine()
-	c := NewController(eng, DDR4Timing(), 64)
+	c := NewController(DDR4Timing(), 64, nil, "")
 	for i := 0; i < b.N; i++ {
-		c.Access(memsys.Read, i%64, uint64(i%128), 64)
+		c.AccessAt(0, memsys.Read, i%64, uint64(i%128), 64)
 	}
 }

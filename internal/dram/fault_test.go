@@ -14,12 +14,11 @@ import (
 // untouched.
 func TestECCFaultSlowsReads(t *testing.T) {
 	inj := fault.New(fault.Config{ECCRate: 0.999999, Seed: 1})
-	eng := sim.NewEngine()
-	c := NewControllerFault(eng, DDR4Timing(), 8, inj, "test")
+	c := NewController(DDR4Timing(), 8, inj, "test")
 
-	plain := NewController(sim.NewEngine(), DDR4Timing(), 8)
-	want := plain.Access(memsys.Read, 0, 0, 64) + inj.Config().ECCLatency
-	if got := c.Access(memsys.Read, 0, 0, 64); got != want {
+	plain := NewController(DDR4Timing(), 8, nil, "")
+	want := plain.AccessAt(0, memsys.Read, 0, 0, 64) + inj.Config().ECCLatency
+	if got := c.AccessAt(0, memsys.Read, 0, 0, 64); got != want {
 		t.Fatalf("ECC-corrected read done at %v, want fault-free + %v = %v",
 			got, inj.Config().ECCLatency, want)
 	}
@@ -28,9 +27,9 @@ func TestECCFaultSlowsReads(t *testing.T) {
 		t.Fatalf("FaultStats ecc=%d delay=%v, want 1 correction of %v", ecc, delay, inj.Config().ECCLatency)
 	}
 
-	wPlain := NewController(sim.NewEngine(), DDR4Timing(), 8)
-	wFault := NewControllerFault(sim.NewEngine(), DDR4Timing(), 8, inj, "test")
-	if wFault.Access(memsys.Write, 0, 0, 64) != wPlain.Access(memsys.Write, 0, 0, 64) {
+	wPlain := NewController(DDR4Timing(), 8, nil, "")
+	wFault := NewController(DDR4Timing(), 8, inj, "test")
+	if wFault.AccessAt(0, memsys.Write, 0, 0, 64) != wPlain.AccessAt(0, memsys.Write, 0, 0, 64) {
 		t.Fatal("ECC injection changed posted-write timing")
 	}
 }
@@ -41,14 +40,13 @@ func TestECCFaultSlowsReads(t *testing.T) {
 // bytes — faults reroute, they never lose traffic.
 func TestHardBankFaultRemapsAccesses(t *testing.T) {
 	inj := fault.New(fault.Config{HardBankRate: 0.5, Seed: 9})
-	eng := sim.NewEngine()
-	c := NewControllerFault(eng, DDR4Timing(), 8, inj, "test")
+	c := NewController(DDR4Timing(), 8, inj, "test")
 	_, _, banks, _ := c.FaultStats()
 	if banks == 0 {
 		t.Fatal("rate-0.5 construction drew zero faulted banks out of 8")
 	}
 	for b := 0; b < 8; b++ {
-		c.Access(memsys.Read, b, 0, 64)
+		c.AccessAt(0, memsys.Read, b, 0, 64)
 	}
 	_, _, _, accs := c.FaultStats()
 	if accs == 0 {
@@ -65,10 +63,10 @@ func TestHardBankFaultRemapsAccesses(t *testing.T) {
 func TestControllerFaultDeterminism(t *testing.T) {
 	run := func(seed int64) (sim.Time, uint64) {
 		inj := fault.New(fault.Config{ECCRate: 0.5, Seed: seed})
-		c := NewControllerFault(sim.NewEngine(), DDR4Timing(), 8, inj, "det")
+		c := NewController(DDR4Timing(), 8, inj, "det")
 		var last sim.Time
 		for i := 0; i < 64; i++ {
-			last = c.Access(memsys.Read, i%8, uint64(i), 64)
+			last = c.AccessAt(0, memsys.Read, i%8, uint64(i), 64)
 		}
 		ecc, _, _, _ := c.FaultStats()
 		return last, ecc
@@ -84,14 +82,15 @@ func TestControllerFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestNilInjectorIsFaultFree: the nil-injector fast path must be
-// timing-identical to the plain constructor.
+// TestNilInjectorIsFaultFree: with a nil injector the stream name is
+// unused — controllers built under different names time every access
+// identically and book no fault activity.
 func TestNilInjectorIsFaultFree(t *testing.T) {
-	a := NewController(sim.NewEngine(), DDR4Timing(), 8)
-	b := NewControllerFault(sim.NewEngine(), DDR4Timing(), 8, nil, "x")
+	a := NewController(DDR4Timing(), 8, nil, "")
+	b := NewController(DDR4Timing(), 8, nil, "x")
 	for i := 0; i < 32; i++ {
-		da := a.Access(memsys.Read, i%8, uint64(i%3), 64)
-		db := b.Access(memsys.Read, i%8, uint64(i%3), 64)
+		da := a.AccessAt(0, memsys.Read, i%8, uint64(i%3), 64)
+		db := b.AccessAt(0, memsys.Read, i%8, uint64(i%3), 64)
 		if da != db {
 			t.Fatalf("access %d: nil-injector controller diverged (%v vs %v)", i, db, da)
 		}

@@ -10,8 +10,7 @@ import (
 // BenchmarkDDR4AccessAt is the full per-request DDR4 path (mapping, row
 // state machine, bus calendar).
 func BenchmarkDDR4AccessAt(b *testing.B) {
-	eng := sim.NewEngine()
-	d := NewDDR4(eng)
+	d := NewDDR4(nil)
 	at := sim.Time(0)
 	for i := 0; i < b.N; i++ {
 		at = d.AccessAt(at, memsys.Read, uint64(i%4096)*64, 64)
@@ -22,8 +21,7 @@ func BenchmarkDDR4AccessAt(b *testing.B) {
 // zero. Bank state is preallocated, the bus calendars are ring-backed,
 // and SplitBursts' callback must not escape.
 func TestDDR4AccessAllocBudget(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDDR4(eng)
+	d := NewDDR4(nil)
 	at := sim.Time(0)
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {

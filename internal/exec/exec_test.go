@@ -56,6 +56,27 @@ func mustOpt(t testing.TB, kind Kind, env Env, threads int, opt Options) Platfor
 	return p
 }
 
+// stepFunc adapts a bare function to the stepper interface.
+type stepFunc func(thread int, t sim.Time) stepResult
+
+func (f stepFunc) step(thread int, t sim.Time) stepResult { return f(thread, t) }
+
+// oneShot wraps a whole-invocation execution as a single-step stepper.
+func oneShot(fn func(t sim.Time) sim.Time) stepper {
+	return stepFunc(func(_ int, t sim.Time) stepResult {
+		return stepResult{t: fn(t), done: true}
+	})
+}
+
+// runThreads runs one replay with throwaway scheduler scratch (platforms
+// reuse their own replaySched).
+func runThreads(start sim.Time, ev *gc.Event, nthreads int, mon *sim.Monitor,
+	begin func(thread int, inv *gc.Invocation) stepper,
+) (end sim.Time, prim [gc.NumPrims]sim.Time) {
+	var s replaySched
+	return s.run(start, ev, nthreads, mon, begin)
+}
+
 // replayAll sums durations over all events.
 func replayAll(p Platform, evs []*gc.Event, threads int) (total sim.Time, prim [gc.NumPrims]sim.Time, last Result) {
 	for _, ev := range evs {
@@ -233,7 +254,7 @@ func TestThreadPartitionCoversAllInvocations(t *testing.T) {
 	evs, env := record(t, 4<<20)
 	ev := evs[0]
 	seen := 0
-	runThreads(0, ev, 3, nil, nil, func(thread int, inv *gc.Invocation) stepper {
+	runThreads(0, ev, 3, nil, func(thread int, inv *gc.Invocation) stepper {
 		return oneShot(func(tm sim.Time) sim.Time {
 			seen++
 			return tm + 1

@@ -63,8 +63,8 @@ func TestDiagHostHMCvsDDR4(t *testing.T) {
 			streams[next] = streams[next][n:]
 		}
 	}
-	ddr := func() cpu.MemBackend { return dram.NewDDR4(sim.NewEngine()) }
-	hmcB := func() cpu.MemBackend { return hostHMCBackend{hmc.NewSystem(sim.NewEngine(), 22)} }
+	ddr := func() cpu.MemBackend { return dram.NewDDR4(nil) }
+	hmcB := func() cpu.MemBackend { return hostHMCBackend{hmc.NewSystem(CubeShift, hmc.Star, nil)} }
 
 	clamped := sim.ClampedReservations()
 	type result struct{ ddr, hmc sim.Time }

@@ -29,12 +29,14 @@ func recoverAbort(fn func()) (err error) {
 // TestRunThreadsStallGuard wedges the replay scheduler with a stepper
 // that never advances time and never completes — the exact livelock shape
 // the watchdog exists for — and asserts the abort is structured: it
-// unwraps to ErrNoProgress and its dump names the stuck thread.
+// unwraps to ErrNoProgress, and its dump names the stuck thread and
+// reports the simulated time that thread is stuck at.
 func TestRunThreadsStallGuard(t *testing.T) {
 	evs, _ := record(t, 4<<20)
 	mon := sim.NewMonitor(sim.Watchdog{StallLimit: 64})
+	const start = 7 * sim.Microsecond
 	err := recoverAbort(func() {
-		runThreads(0, evs[0], 2, mon, nil, func(thread int, inv *gc.Invocation) stepper {
+		runThreads(start, evs[0], 2, mon, func(thread int, inv *gc.Invocation) stepper {
 			return stepFunc(func(_ int, tm sim.Time) stepResult {
 				return stepResult{t: tm} // no advance, never done
 			})
@@ -55,6 +57,9 @@ func TestRunThreadsStallGuard(t *testing.T) {
 	}
 	if np.Diag.StallSteps <= 64 {
 		t.Fatalf("dump reports %d stalled steps, want > limit", np.Diag.StallSteps)
+	}
+	if np.Diag.Now != start {
+		t.Fatalf("dump reports simulated time %d ps, want the stuck thread's %d ps", np.Diag.Now, start)
 	}
 }
 
@@ -85,7 +90,7 @@ func TestWatchdogAbortThenSchedulerReuse(t *testing.T) {
 	mon := sim.NewMonitor(sim.Watchdog{StallLimit: 64})
 	var sched replaySched
 	err := recoverAbort(func() {
-		sched.run(0, ev, 2, mon, nil, func(thread int, inv *gc.Invocation) stepper {
+		sched.run(0, ev, 2, mon, func(thread int, inv *gc.Invocation) stepper {
 			return stepFunc(func(_ int, tm sim.Time) stepResult {
 				return stepResult{t: tm} // wedge: no advance, never done
 			})
@@ -95,7 +100,7 @@ func TestWatchdogAbortThenSchedulerReuse(t *testing.T) {
 		t.Fatalf("wedged run aborted with %v, want ErrNoProgress", err)
 	}
 	seen := 0
-	end, _ := sched.run(0, ev, 2, nil, nil, func(thread int, inv *gc.Invocation) stepper {
+	end, _ := sched.run(0, ev, 2, nil, func(thread int, inv *gc.Invocation) stepper {
 		return oneShot(func(tm sim.Time) sim.Time {
 			seen++
 			return tm + 1

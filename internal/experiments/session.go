@@ -57,11 +57,11 @@ type Config struct {
 	// RunTimeout, when positive, bounds each simulation unit's wall-clock
 	// time in the worker pool; a run exceeding it fails with a timeout
 	// error instead of hanging the sweep. Zero disables the budget. The
-	// same budget arms the engine watchdog's wall-clock heartbeat, which
+	// same budget arms the replay watchdog's wall-clock heartbeat, which
 	// — unlike the pool's timer — stops the wedged goroutine itself.
 	RunTimeout time.Duration
 	// Ctx, when non-nil, cancels the session's work: the worker pool stops
-	// dispatching, and in-flight replays abort at GC-event / event-loop
+	// dispatching, and in-flight replays abort at GC-event / scheduler-step
 	// granularity with an error satisfying errors.Is(err, ctx.Err()).
 	// Nil means context.Background() (never cancelled).
 	Ctx context.Context
@@ -75,14 +75,11 @@ type Config struct {
 	// trace must show every simulated span (the public Config.Validate
 	// rejects the combination).
 	Checkpoint *checkpoint.Store
-	// WatchdogStalls bounds consecutive engine/scheduler steps without
+	// WatchdogStalls bounds consecutive replay-scheduler steps without
 	// simulated-time advance before a run is declared wedged and aborted
 	// with sim.ErrNoProgress plus a diagnostic dump. 0 selects
 	// sim.DefaultStallLimit; negative disables the check.
 	WatchdogStalls int
-	// WatchdogQueue bounds the event-queue depth the same way. 0 selects
-	// sim.DefaultQueueLimit; negative disables the check.
-	WatchdogQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -108,7 +105,7 @@ func (c Config) withDefaults() Config {
 }
 
 // watchdog resolves the session's progress-monitor configuration for one
-// run unit: the stall/queue knobs, the per-run wall-clock heartbeat, and
+// run unit: the stall knob, the per-run wall-clock heartbeat, and
 // the cancellation context.
 func (c Config) watchdog() sim.Watchdog {
 	wd := sim.DefaultWatchdog()
@@ -117,12 +114,6 @@ func (c Config) watchdog() sim.Watchdog {
 		wd.StallLimit = uint64(c.WatchdogStalls)
 	case c.WatchdogStalls < 0:
 		wd.StallLimit = 0
-	}
-	switch {
-	case c.WatchdogQueue > 0:
-		wd.QueueLimit = c.WatchdogQueue
-	case c.WatchdogQueue < 0:
-		wd.QueueLimit = 0
 	}
 	wd.WallClock = c.RunTimeout
 	wd.Ctx = c.Ctx
@@ -265,7 +256,7 @@ func (s *Session) Executions() int {
 }
 
 // NewPlatform builds a platform wired with the session's trace recorder,
-// cancellation context, and engine watchdog. Experiment code must build
+// cancellation context, and replay watchdog. Experiment code must build
 // replay platforms through this (or Replay) so the observability and
 // self-protection configuration reaches every simulated component. An
 // unknown kind is returned as an error.

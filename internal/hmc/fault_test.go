@@ -14,7 +14,7 @@ func faultyLink(t *testing.T, cfg fault.Config) *Link {
 	if inj == nil {
 		t.Fatal("injector unexpectedly disabled")
 	}
-	return NewLinkFault(sim.NewEngine(), DefaultLinkConfig(), inj, "hmc/hostlink")
+	return NewLink(DefaultLinkConfig(), inj, "hmc/hostlink")
 }
 
 func TestLinkRetryAccounting(t *testing.T) {
@@ -51,7 +51,7 @@ func TestLinkRetryAccounting(t *testing.T) {
 }
 
 func TestLinkRetrySlowsDelivery(t *testing.T) {
-	healthy := NewLink(sim.NewEngine(), DefaultLinkConfig())
+	healthy := NewLink(DefaultLinkConfig(), nil, "")
 	faulty := faultyLink(t, fault.Config{LinkCRCRate: 0.9, Seed: 1})
 	var h, f sim.Time
 	for i := 0; i < 100; i++ {
@@ -101,8 +101,7 @@ func TestLinkRetryDeterminism(t *testing.T) {
 
 func TestSystemFaultStatsAggregate(t *testing.T) {
 	inj := fault.New(fault.Config{Rate: 0.2, HardBankRate: 0.2, Seed: 4})
-	eng := sim.NewEngine()
-	s := NewSystemFault(eng, testCubeShift, Star, inj)
+	s := NewSystem(testCubeShift, Star, inj)
 	for i := 0; i < 200; i++ {
 		s.HostAccessAt(0, 0, uint64(i)*64, 64) // memsys.Read == 0
 	}

@@ -72,7 +72,6 @@ func DefaultLinkConfig() LinkConfig {
 // the configured bandwidth; propagation latency is added after
 // serialization.
 type Link struct {
-	eng  *sim.Engine
 	cfg  LinkConfig
 	lane [2]*sim.Calendar // per-direction serialization occupancy
 
@@ -97,15 +96,10 @@ const (
 	DirUp   = 1 // toward host (cube→host, leaf→centre)
 )
 
-// NewLink creates a link on eng.
-func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
-	return NewLinkFault(eng, cfg, nil, "")
-}
-
-// NewLinkFault is NewLink with CRC fault injection drawing from the named
-// stream. A nil injector is exactly NewLink.
-func NewLinkFault(eng *sim.Engine, cfg LinkConfig, inj *fault.Injector, name string) *Link {
-	l := &Link{eng: eng, cfg: cfg, lane: [2]*sim.Calendar{
+// NewLink creates a link. A non-nil inj injects CRC faults drawn from the
+// named stream; nil means no faults, and name is then unused.
+func NewLink(cfg LinkConfig, inj *fault.Injector, name string) *Link {
+	l := &Link{cfg: cfg, lane: [2]*sim.Calendar{
 		sim.NewCalendar(50 * sim.Nanosecond),
 		sim.NewCalendar(50 * sim.Nanosecond),
 	}}
@@ -121,12 +115,9 @@ func (l *Link) serTime(n uint32) sim.Time {
 	return sim.Time(float64(n) / l.cfg.BytesPerSec * 1e12)
 }
 
-// TransferAt schedules a packet of n bytes in direction dir no earlier
+// TransferAt reserves a packet of n bytes in direction dir no earlier
 // than start, returning its arrival time at the far end.
 func (l *Link) TransferAt(start sim.Time, dir int, n uint32) sim.Time {
-	if t := l.eng.Now(); t > start {
-		start = t
-	}
 	ser := l.serTime(n)
 	end := l.lane[dir].Reserve(start, ser)
 	// CRC retry loop: each corrupted transmission is re-serialized on the
@@ -196,7 +187,6 @@ func (l *Link) Collect(reg *metrics.Registry, prefix string, horizon sim.Time) {
 // Cube is one HMC stack: 32 vault controllers behind the logic layer.
 type Cube struct {
 	ID     int
-	eng    *sim.Engine
 	vaults []*dram.Controller
 	mapper *memsys.HMCMapper
 
@@ -204,11 +194,11 @@ type Cube struct {
 	TSVStats memsys.Stats
 }
 
-func newCube(eng *sim.Engine, id int, m *memsys.HMCMapper, inj *fault.Injector) *Cube {
-	c := &Cube{ID: id, eng: eng, mapper: m}
+func newCube(id int, m *memsys.HMCMapper, inj *fault.Injector) *Cube {
+	c := &Cube{ID: id, mapper: m}
 	for v := 0; v < m.Vaults; v++ {
 		c.vaults = append(c.vaults,
-			dram.NewControllerFault(eng, dram.HMCVaultTiming(), m.Banks, inj,
+			dram.NewController(dram.HMCVaultTiming(), m.Banks, inj,
 				fmt.Sprintf("hmc/cube%d/vault%d", id, v)))
 	}
 	return c
@@ -277,7 +267,6 @@ func (c *Cube) Collect(reg *metrics.Registry, prefix string, horizon sim.Time) {
 // the centre attached to the host with cubes 1..3 hanging off it; in the
 // chain topology link i connects cube i-1 to cube i.
 type System struct {
-	eng    *sim.Engine
 	mapper *memsys.HMCMapper
 	cubes  []*Cube
 	topo   Topology
@@ -291,28 +280,19 @@ type System struct {
 	RemoteAccesses uint64
 }
 
-// NewSystem builds the Table 2 HMC system (star topology) with the given
-// cube-interleave shift (see memsys.NewHMCMapper).
-func NewSystem(eng *sim.Engine, cubeShift uint) *System {
-	return NewSystemTopology(eng, cubeShift, Star)
-}
-
-// NewSystemTopology builds the system with an explicit cube topology.
-func NewSystemTopology(eng *sim.Engine, cubeShift uint, topo Topology) *System {
-	return NewSystemFault(eng, cubeShift, topo, nil)
-}
-
-// NewSystemFault is NewSystemTopology with fault injection threaded into
-// every link ("hmc/hostlink", "hmc/link<i>") and vault controller
-// ("hmc/cube<c>/vault<v>"). A nil injector is exactly NewSystemTopology.
-func NewSystemFault(eng *sim.Engine, cubeShift uint, topo Topology, inj *fault.Injector) *System {
+// NewSystem builds the Table 2 HMC system with the given cube-interleave
+// shift (see memsys.NewHMCMapper) and cube topology (Star is the paper's).
+// A non-nil inj injects faults into every link ("hmc/hostlink",
+// "hmc/link<i>") and vault controller ("hmc/cube<c>/vault<v>"); nil means
+// no faults.
+func NewSystem(cubeShift uint, topo Topology, inj *fault.Injector) *System {
 	m := memsys.NewHMCMapper(cubeShift)
-	s := &System{eng: eng, mapper: m, topo: topo,
-		hostLink: NewLinkFault(eng, DefaultLinkConfig(), inj, "hmc/hostlink")}
+	s := &System{mapper: m, topo: topo,
+		hostLink: NewLink(DefaultLinkConfig(), inj, "hmc/hostlink")}
 	for i := 0; i < m.Cubes; i++ {
-		s.cubes = append(s.cubes, newCube(eng, i, m, inj))
+		s.cubes = append(s.cubes, newCube(i, m, inj))
 		s.cubeLinks = append(s.cubeLinks,
-			NewLinkFault(eng, DefaultLinkConfig(), inj, fmt.Sprintf("hmc/link%d", i)))
+			NewLink(DefaultLinkConfig(), inj, fmt.Sprintf("hmc/link%d", i)))
 	}
 	return s
 }
@@ -399,23 +379,14 @@ func (s *System) HostLink() *Link { return s.hostLink }
 // CubeLink returns the cube0<->cube i link (i in 1..3).
 func (s *System) CubeLink(i int) *Link { return s.cubeLinks[i] }
 
-// Submit implements memsys.Port for host-side accesses: the request packet
-// traverses the host link into cube 0, is routed to the home cube, accesses
-// its vaults, and the response (header + data for reads) returns the same
-// way. OnDone fires at response arrival.
-func (s *System) Submit(r *memsys.Request) {
-	r.IssuedAt = s.eng.Now()
-	done := s.HostAccessAt(s.eng.Now(), r.Kind, r.Addr, r.Size)
-	if r.OnDone != nil {
-		s.eng.At(done, r.OnDone)
-	}
-}
-
-// HostAccessAt reserves a host-path access starting no earlier than start
-// and returns its completion time: for reads, the response fully received
-// by the host; for writes, the posted-write acknowledgement (the host-side
-// controller acks once the packet is buffered onto the link — the full
-// path is still reserved so the bandwidth is charged).
+// HostAccessAt reserves a host-path access starting no earlier than start:
+// the request packet traverses the host link into cube 0, is routed to the
+// home cube, accesses its vaults, and the response (header + data for
+// reads) returns the same way. It returns the completion time: for reads,
+// the response fully received by the host; for writes, the posted-write
+// acknowledgement (the host-side controller acks once the packet is
+// buffered onto the link — the full path is still reserved so the
+// bandwidth is charged).
 func (s *System) HostAccessAt(start sim.Time, kind memsys.Kind, addr uint64, size uint32) sim.Time {
 	cube := s.mapper.Cube(addr)
 	reqBytes := uint32(PacketOverhead)

@@ -11,8 +11,7 @@ import (
 const testCubeShift = 22 // 4 MB cube interleave for scaled heaps
 
 func TestLinkSerialization(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, DefaultLinkConfig())
+	l := NewLink(DefaultLinkConfig(), nil, "")
 	// 80 bytes at 80 GB/s = 1 ns serialization + 3 ns latency.
 	arrive := l.TransferAt(0, DirDown, 80)
 	if arrive != 4*sim.Nanosecond {
@@ -26,8 +25,7 @@ func TestLinkSerialization(t *testing.T) {
 }
 
 func TestLinkFullDuplex(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, DefaultLinkConfig())
+	l := NewLink(DefaultLinkConfig(), nil, "")
 	a := l.TransferAt(0, DirDown, 80)
 	b := l.TransferAt(0, DirUp, 80)
 	if a != b {
@@ -36,8 +34,7 @@ func TestLinkFullDuplex(t *testing.T) {
 }
 
 func TestLinkBandwidthCap(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, DefaultLinkConfig())
+	l := NewLink(DefaultLinkConfig(), nil, "")
 	var last sim.Time
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -51,17 +48,11 @@ func TestLinkBandwidthCap(t *testing.T) {
 
 func TestHostAccessLatencyOrdering(t *testing.T) {
 	// A host access to cube 0 must be faster than to a leaf cube (extra hop).
-	engA := sim.NewEngine()
-	sA := NewSystem(engA, testCubeShift)
-	var c0done sim.Time
-	sA.Submit(&memsys.Request{Kind: memsys.Read, Addr: 0, Size: 64, OnDone: func() { c0done = engA.Now() }})
-	engA.Run()
+	sA := NewSystem(testCubeShift, Star, nil)
+	c0done := sA.HostAccessAt(0, memsys.Read, 0, 64)
 
-	engB := sim.NewEngine()
-	sB := NewSystem(engB, testCubeShift)
-	var c1done sim.Time
-	sB.Submit(&memsys.Request{Kind: memsys.Read, Addr: 1 << testCubeShift, Size: 64, OnDone: func() { c1done = engB.Now() }})
-	engB.Run()
+	sB := NewSystem(testCubeShift, Star, nil)
+	c1done := sB.HostAccessAt(0, memsys.Read, 1<<testCubeShift, 64)
 
 	if c0done == 0 || c1done == 0 {
 		t.Fatal("requests did not complete")
@@ -78,12 +69,10 @@ func TestHostAccessLatencyOrdering(t *testing.T) {
 func TestNearLocalBeatsHostPath(t *testing.T) {
 	// The whole premise of Charon: a local near-memory access skips the
 	// host link and its packet overheads.
-	engA := sim.NewEngine()
-	sA := NewSystem(engA, testCubeShift)
+	sA := NewSystem(testCubeShift, Star, nil)
 	localDone := sA.NearAccessAt(0, 0, memsys.Read, 0, 256)
 
-	engB := sim.NewEngine()
-	sB := NewSystem(engB, testCubeShift)
+	sB := NewSystem(testCubeShift, Star, nil)
 	hostDone := sB.HostAccessAt(0, memsys.Read, 0, 256)
 
 	if localDone >= hostDone {
@@ -95,8 +84,7 @@ func TestNearLocalBeatsHostPath(t *testing.T) {
 }
 
 func TestNearRemoteRouting(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	addrCube2 := uint64(2) << testCubeShift
 
 	// From cube 1 to cube 2: traverses link1 up then link2 down.
@@ -113,13 +101,11 @@ func TestNearRemoteRouting(t *testing.T) {
 }
 
 func TestNearRemoteFromCentreOneHop(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	addrCube3 := uint64(3) << testCubeShift
 	done := s.NearAccessAt(0, 0, memsys.Read, addrCube3, 64)
 
-	eng2 := sim.NewEngine()
-	s2 := NewSystem(eng2, testCubeShift)
+	s2 := NewSystem(testCubeShift, Star, nil)
 	addrCube2 := uint64(2) << testCubeShift
 	done2 := s2.NearAccessAt(0, 1, memsys.Read, addrCube2, 64)
 
@@ -131,8 +117,7 @@ func TestNearRemoteFromCentreOneHop(t *testing.T) {
 func TestCubeInternalBandwidth(t *testing.T) {
 	// Streaming 256B reads across all vaults of one cube should approach
 	// the 320 GB/s internal bandwidth.
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	const n = 4096
 	var last sim.Time
 	for i := 0; i < n; i++ {
@@ -153,8 +138,7 @@ func TestCubeInternalBandwidth(t *testing.T) {
 func TestInternalBandwidthExceedsHostLink(t *testing.T) {
 	// Core claim of the paper: internal TSV bandwidth (320 GB/s/cube) far
 	// exceeds what the host can pull over its 80 GB/s link.
-	engNear := sim.NewEngine()
-	sn := NewSystem(engNear, testCubeShift)
+	sn := NewSystem(testCubeShift, Star, nil)
 	const n = 2048
 	var nearLast sim.Time
 	for i := 0; i < n; i++ {
@@ -163,8 +147,7 @@ func TestInternalBandwidthExceedsHostLink(t *testing.T) {
 		}
 	}
 
-	engHost := sim.NewEngine()
-	sh := NewSystem(engHost, testCubeShift)
+	sh := NewSystem(testCubeShift, Star, nil)
 	var hostLast sim.Time
 	for i := 0; i < n; i++ {
 		if d := sh.HostAccessAt(0, memsys.Read, uint64(i)*256, 256); d > hostLast {
@@ -177,8 +160,7 @@ func TestInternalBandwidthExceedsHostLink(t *testing.T) {
 }
 
 func TestVaultAndTSVStats(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	s.NearAccessAt(0, 0, memsys.Read, 0, 256)
 	s.NearAccessAt(0, 0, memsys.Write, 512, 128)
 	ts := s.TSVStats()
@@ -192,8 +174,7 @@ func TestVaultAndTSVStats(t *testing.T) {
 }
 
 func TestLocalRatio(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	if s.LocalRatio() != 0 {
 		t.Fatal("idle ratio should be 0")
 	}
@@ -219,8 +200,7 @@ func TestPacketConstants(t *testing.T) {
 // collection evicted: short and long runs both time the steady state of
 // a long replay, ring slides and spill-chunk retirement included.
 func BenchmarkNearAccess(b *testing.B) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	at := sim.Time(0)
 	access := func(i int) {
 		at = s.NearAccessAt(at, i%4, memsys.Read, uint64(i%4096)*256, 256)
@@ -239,8 +219,7 @@ func BenchmarkNearAccess(b *testing.B) {
 }
 
 func TestChainTopologyRouting(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystemTopology(eng, testCubeShift, Chain)
+	s := NewSystem(testCubeShift, Chain, nil)
 	if s.Topology() != Chain || s.Topology().String() != "chain" {
 		t.Fatal("topology accessor")
 	}
@@ -258,8 +237,7 @@ func TestChainFartherCubesSlower(t *testing.T) {
 	// Chain latency grows with hop distance; the star reaches any leaf in
 	// at most two hops.
 	dist := func(topo Topology, cube int) sim.Time {
-		eng := sim.NewEngine()
-		s := NewSystemTopology(eng, testCubeShift, topo)
+		s := NewSystem(testCubeShift, topo, nil)
 		return s.NearAccessAt(0, 0, memsys.Read, uint64(cube)<<testCubeShift, 64)
 	}
 	if !(dist(Chain, 1) < dist(Chain, 2) && dist(Chain, 2) < dist(Chain, 3)) {
@@ -271,8 +249,7 @@ func TestChainFartherCubesSlower(t *testing.T) {
 }
 
 func TestChainHostPathCompletes(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystemTopology(eng, testCubeShift, Chain)
+	s := NewSystem(testCubeShift, Chain, nil)
 	done := s.HostAccessAt(0, memsys.Read, uint64(3)<<testCubeShift, 64)
 	if done < 12*sim.Nanosecond {
 		t.Fatalf("3-hop chain host access implausibly fast: %v", done)

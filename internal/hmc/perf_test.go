@@ -11,8 +11,7 @@ import (
 // accounting, cube routing, vault timing). The near-memory path has
 // BenchmarkNearAccess.
 func BenchmarkHostAccess(b *testing.B) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	at := sim.Time(0)
 	for i := 0; i < b.N; i++ {
 		at = s.HostAccessAt(at, memsys.Read, uint64(i%4096)*64, 64)
@@ -22,8 +21,7 @@ func BenchmarkHostAccess(b *testing.B) {
 // TestHMCAccessAllocBudget pins the request paths' allocation budget:
 // zero for both the host path and the near-memory (Charon-issued) path.
 func TestHMCAccessAllocBudget(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewSystem(eng, testCubeShift)
+	s := NewSystem(testCubeShift, Star, nil)
 	at := sim.Time(0)
 	i := 0
 	host := testing.AllocsPerRun(2000, func() {

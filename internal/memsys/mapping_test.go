@@ -209,15 +209,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestPortFunc(t *testing.T) {
-	called := false
-	var p Port = PortFunc(func(r *Request) { called = true })
-	p.Submit(&Request{})
-	if !called {
-		t.Fatal("PortFunc did not dispatch")
-	}
-}
-
 func TestBankRemap(t *testing.T) {
 	// No faults: constructor returns nil and nil is the identity.
 	if r := NewBankRemap(8, func(int) bool { return false }); r != nil {

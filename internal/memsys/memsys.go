@@ -1,6 +1,5 @@
 // Package memsys defines the types shared by all memory-system components:
-// memory requests, the port interface components expose, and the physical
-// address mappings (interleavings) used by the DDR4 and HMC main-memory
+// memory requests, traffic counters, and the physical address mappings (interleavings) used by the DDR4 and HMC main-memory
 // systems from Table 2 of the paper.
 //
 // The simulator is timing-only at this layer: requests carry no data.
@@ -36,28 +35,7 @@ type Request struct {
 	Kind Kind
 	Addr uint64
 	Size uint32
-
-	// OnDone is invoked exactly once when the access completes (data
-	// returned for reads, write committed for writes). May be nil.
-	OnDone func()
-
-	// IssuedAt is stamped by the component that first accepts the request.
-	IssuedAt sim.Time
 }
-
-// Port is anything that accepts memory requests: a cache, a DRAM channel
-// controller, an HMC cube, or the full memory system. Submit never rejects;
-// finite buffering is modelled as queueing delay, and requester-side limits
-// (CPU MSHRs, Charon's MAI entries) bound the number of requests in flight.
-type Port interface {
-	Submit(r *Request)
-}
-
-// PortFunc adapts a function to the Port interface.
-type PortFunc func(r *Request)
-
-// Submit implements Port.
-func (f PortFunc) Submit(r *Request) { f(r) }
 
 // Stats accumulates traffic counters for bandwidth accounting (Figure 13).
 type Stats struct {

@@ -17,7 +17,7 @@ import (
 // payload; bump it whenever either changes meaning, so a warm restart
 // against an old cache directory misses cleanly instead of serving stale
 // responses.
-const jobSchema = 1
+const jobSchema = 2
 
 // JobSpec is the wire format of a job submission (POST /v1/jobs). It maps
 // onto charonsim.Config plus the experiment id; durations travel as
@@ -38,7 +38,6 @@ type JobSpec struct {
 	OffloadDeadln  string   `json:"offload_deadline,omitempty"`
 	RunTimeout     string   `json:"run_timeout,omitempty"`
 	WatchdogStalls int      `json:"watchdog_stalls,omitempty"`
-	WatchdogQueue  int      `json:"watchdog_queue,omitempty"`
 }
 
 // Resolve validates the spec and returns the charonsim.Config it maps to
@@ -69,7 +68,7 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 		Parallelism: sp.Parallelism,
 		FaultRate:   sp.FaultRate, FaultSeed: sp.FaultSeed,
 		OffloadDeadline: deadline, RunTimeout: timeout,
-		WatchdogStalls: sp.WatchdogStalls, WatchdogQueue: sp.WatchdogQueue,
+		WatchdogStalls: sp.WatchdogStalls,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, "", err
@@ -113,10 +112,10 @@ func canonicalKey(experiment string, cfg charonsim.Config) string {
 		wl = charonsim.Workloads()
 	}
 	return fmt.Sprintf(
-		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|deadline=%d|timeout=%d|wstalls=%d|wqueue=%d",
+		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|deadline=%d|timeout=%d|wstalls=%d",
 		jobSchema, experiment, threads, factor, strings.Join(wl, ","), cfg.Parallelism,
 		cfg.FaultRate, cfg.FaultSeed, cfg.OffloadDeadline.Nanoseconds(), cfg.RunTimeout.Nanoseconds(),
-		cfg.WatchdogStalls, cfg.WatchdogQueue)
+		cfg.WatchdogStalls)
 }
 
 // jobID derives the externally-visible job id from the canonical key via

@@ -167,32 +167,55 @@ func TestJournalReplayCompletesFromCache(t *testing.T) {
 }
 
 // TestJournalDiscardsUnreadableRecords: garbage in the journal directory
-// is logged and collected, never replayed.
+// is logged and collected, never replayed. That covers a spec that no
+// longer resolves, and a spec that still resolves but was journaled under
+// an older canonical-key schema: its stored key no longer matches.
 func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	cacheDir := t.TempDir()
 	jdir := filepath.Join(cacheDir, "journal")
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A record with a spec that no longer resolves.
 	jst, err := checkpoint.Open(jdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := json.Marshal(journalRecord{
-		Schema: journalSchema, ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"},
-		State: StateQueued, Created: time.Now(),
-	})
-	if err := jst.Put("job/v1|bogus", raw); err != nil {
-		t.Fatal(err)
+	// The v1 key of {"experiment":"table4"}: v1 still carried the
+	// removed event-queue watchdog bound (wqueue).
+	v1Key := fmt.Sprintf("job/v1|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=0|timeout=0|wstalls=0|wqueue=0",
+		strings.Join(charonsim.Workloads(), ","))
+	for _, rec := range []journalRecord{
+		// A record with a spec that no longer resolves.
+		{ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"}},
+		// A record with a spec that resolves, under its v1 key.
+		{ID: jobID(v1Key), Key: v1Key, Spec: JobSpec{Experiment: "table4"}},
+	} {
+		rec.Schema, rec.State, rec.Created = journalSchema, StateQueued, time.Now()
+		raw, _ := json.Marshal(rec)
+		if err := jst.Put(rec.Key, raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	s, _ := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir})
+	g := newGate("re-ran a stale record\n")
+	close(g.open)
+	s, base := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: g.runner})
 	if n := len(journalFiles(t, cacheDir)); n != 0 {
 		t.Fatalf("unresolvable record survived boot: %d entries", n)
 	}
 	if n := s.Metrics().Counter("server/journal_recovered"); n != 0 {
 		t.Fatalf("journal_recovered = %v, want 0", n)
+	}
+	resp, err := http.Get(base + "/v1/jobs/" + jobID(v1Key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("v1-keyed job answers %d after boot, want 404", resp.StatusCode)
+	}
+	if g.runs.Load() != 0 {
+		t.Fatal("boot re-ran a stale journal record")
 	}
 }
 

@@ -121,7 +121,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, OffloadDeadln: "1ms", FaultSeed: 1},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, RunTimeout: "5m"},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, WatchdogStalls: 100},
-		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, WatchdogQueue: 100},
 	}
 	seen := map[string]int{baseKey: -1}
 	for i, sp := range different {

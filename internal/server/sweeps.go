@@ -61,7 +61,6 @@ type SweepSpec struct {
 	OffloadDeadln  string  `json:"offload_deadline,omitempty"`
 	RunTimeout     string  `json:"run_timeout,omitempty"`
 	WatchdogStalls int     `json:"watchdog_stalls,omitempty"`
-	WatchdogQueue  int     `json:"watchdog_queue,omitempty"`
 }
 
 // sweepChild is one expanded grid point: the child's job descriptor plus
@@ -135,7 +134,6 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 						OffloadDeadln:  sp.OffloadDeadln,
 						RunTimeout:     sp.RunTimeout,
 						WatchdogStalls: sp.WatchdogStalls,
-						WatchdogQueue:  sp.WatchdogQueue,
 					}
 					if err := add(child); err != nil {
 						return nil, "", err

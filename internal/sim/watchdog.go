@@ -9,30 +9,22 @@ import (
 )
 
 // ErrNoProgress is the sentinel all watchdog aborts unwrap to: the
-// simulation was still executing events (or scheduler steps) but simulated
-// time stopped advancing, the event queue grew without bound, or the
-// wall-clock budget ran out. errors.Is(err, ErrNoProgress) identifies a
+// replay scheduler was still executing steps but simulated time stopped
+// advancing, or the wall-clock budget ran out. errors.Is(err, ErrNoProgress) identifies a
 // wedged run regardless of which monitor tripped.
 var ErrNoProgress = errors.New("sim: no progress")
 
 // Diagnostics is the state dump attached to a watchdog abort, so a wedged
 // run reports where it was stuck instead of hanging silently.
 type Diagnostics struct {
-	// Now is the simulated time at the abort.
+	// Now is the simulated time at the abort: the clock of the thread
+	// the replay scheduler was executing.
 	Now Time
-	// Steps is the number of events (or scheduler steps) executed.
+	// Steps is the number of scheduler steps executed.
 	Steps uint64
 	// StallSteps is the consecutive-steps-without-time-advance count that
 	// tripped (or preceded) the abort.
 	StallSteps uint64
-	// QueueDepth / MaxQueueDepth describe the event queue at the abort.
-	QueueDepth    int
-	MaxQueueDepth int
-	// OldestEvent is the timestamp of the queue head (valid when
-	// HasOldest); a head far in the past of wall progress marks the stuck
-	// component.
-	OldestEvent Time
-	HasOldest   bool
 	// Detail carries component-specific state: the exec replay scheduler
 	// fills it with per-thread inflight invocation counts.
 	Detail string
@@ -44,10 +36,6 @@ func (d Diagnostics) String() string {
 	fmt.Fprintf(&b, "simulated time:     %d ps\n", uint64(d.Now))
 	fmt.Fprintf(&b, "steps executed:     %d\n", d.Steps)
 	fmt.Fprintf(&b, "stalled steps:      %d\n", d.StallSteps)
-	fmt.Fprintf(&b, "queue depth:        %d (max %d)\n", d.QueueDepth, d.MaxQueueDepth)
-	if d.HasOldest {
-		fmt.Fprintf(&b, "oldest event at:    %d ps\n", uint64(d.OldestEvent))
-	}
 	if d.Detail != "" {
 		fmt.Fprintf(&b, "component state:\n%s", d.Detail)
 	}
@@ -75,52 +63,47 @@ func (e *NoProgressError) Unwrap() error { return ErrNoProgress }
 // failure.
 type Aborted struct{ Err error }
 
-// Watchdog configures the engine/scheduler progress monitor. The zero
+// Watchdog configures the replay scheduler's progress monitor. The zero
 // value disables every check.
 type Watchdog struct {
 	// StallLimit aborts after this many consecutive steps without
-	// simulated-time advance (a zero-delay event livelock). 0 disables.
+	// simulated-time advance (a stepper spinning in place). 0 disables.
 	StallLimit uint64
-	// QueueLimit aborts when the event queue exceeds this depth (a
-	// scheduling loop growing the queue monotonically). 0 disables.
-	QueueLimit int
 	// WallClock aborts when a run exceeds this wall-clock budget, measured
 	// from Monitor creation (per-run heartbeat: unlike a harness-side
 	// timer, this stops the stuck goroutine itself). 0 disables.
 	WallClock time.Duration
 	// Ctx, when non-nil, aborts the run as soon as the context is
 	// cancelled, checked every CheckEvery steps — this is what gives
-	// SIGINT event-loop-granularity cancellation of in-flight runs.
+	// SIGINT scheduler-step-granularity cancellation of in-flight runs.
 	Ctx context.Context
 	// CheckEvery is the step interval for the wall-clock and context
-	// checks (default 16384; stall/queue checks are per-step and free).
+	// checks (default 16384; the stall check is per-step and free).
 	CheckEvery uint64
 }
 
 // Enabled reports whether any check is armed.
 func (w Watchdog) Enabled() bool {
-	return w.StallLimit > 0 || w.QueueLimit > 0 || w.WallClock > 0 || w.Ctx != nil
+	return w.StallLimit > 0 || w.WallClock > 0 || w.Ctx != nil
 }
 
 // Default watchdog bounds: far above anything a healthy replay produces
-// (the deepest measured queue is ~10^3 and zero-delay cascades are
-// bounded by opBatch-scale fan-out), so the default-on watchdog never
-// perturbs a sane run and still converts a livelock into a structured
-// failure within seconds.
+// (every healthy scheduler step advances its thread or completes an
+// invocation), so the default-on watchdog never perturbs a sane run and
+// still converts a livelock into a structured failure within seconds.
 const (
 	DefaultStallLimit uint64 = 8 << 20
-	DefaultQueueLimit int    = 1 << 24
 	defaultCheckEvery uint64 = 1 << 14
 )
 
 // DefaultWatchdog returns the default-on monitor configuration.
 func DefaultWatchdog() Watchdog {
-	return Watchdog{StallLimit: DefaultStallLimit, QueueLimit: DefaultQueueLimit}
+	return Watchdog{StallLimit: DefaultStallLimit}
 }
 
 // Monitor is the runtime state of an armed watchdog. A nil *Monitor is
 // valid and disables every check, so hot paths need no branches beyond
-// the nil test. Monitors are not goroutine-safe: each engine or replay
+// the nil test. Monitors are not goroutine-safe: each platform's replay
 // scheduler owns its own.
 type Monitor struct {
 	cfg      Watchdog
@@ -200,14 +183,6 @@ func (m *Monitor) Tick(advanced bool, diag func() Diagnostics) {
 	if !m.deadline.IsZero() && time.Now().After(m.deadline) {
 		m.abort(fmt.Sprintf("run exceeded its %v wall-clock budget", m.cfg.WallClock), diag)
 	}
-}
-
-// CheckQueue aborts when the event queue exceeds the configured bound.
-func (m *Monitor) CheckQueue(depth int, diag func() Diagnostics) {
-	if m == nil || m.cfg.QueueLimit <= 0 || depth <= m.cfg.QueueLimit {
-		return
-	}
-	m.abort(fmt.Sprintf("event queue depth %d exceeds the %d bound", depth, m.cfg.QueueLimit), diag)
 }
 
 // CheckCtx aborts immediately if the monitored context is cancelled,

@@ -27,14 +27,19 @@ func abortOf(t *testing.T, fn func()) (err error) {
 	return nil
 }
 
+// spin ticks m until it aborts. A monitor that never trips makes the
+// loop spin forever, so each caller arms a check that must fire.
+func spin(m *Monitor, advanced bool, diag func() Diagnostics) {
+	for {
+		m.Tick(advanced, diag)
+	}
+}
+
 func TestWatchdogStallLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetWatchdog(Watchdog{StallLimit: 100})
-	// A zero-delay self-rescheduling event: simulated time never advances.
-	var loop func()
-	loop = func() { e.Schedule(0, loop) }
-	e.Schedule(0, loop)
-	err := abortOf(t, func() { e.Run() })
+	m := NewMonitor(Watchdog{StallLimit: 100})
+	// A stepper spinning in place: simulated time never advances.
+	diag := func() Diagnostics { return Diagnostics{Now: 42 * Nanosecond} }
+	err := abortOf(t, func() { spin(m, false, diag) })
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("err = %v, want ErrNoProgress", err)
 	}
@@ -45,62 +50,33 @@ func TestWatchdogStallLimit(t *testing.T) {
 	if np.Diag.StallSteps <= 100 {
 		t.Errorf("diagnostic stall count %d, want > limit 100", np.Diag.StallSteps)
 	}
-	if !strings.Contains(np.Error(), "queue depth") {
-		t.Errorf("dump missing queue depth:\n%s", np.Error())
+	if np.Diag.Now != 42*Nanosecond || !strings.Contains(np.Error(), "simulated time:     42000 ps") {
+		t.Errorf("dump does not carry the supplied simulated time:\n%s", np.Error())
 	}
 }
 
 func TestWatchdogAllowsAdvancingRuns(t *testing.T) {
-	e := NewEngine()
-	e.SetWatchdog(Watchdog{StallLimit: 4, QueueLimit: 16})
-	// Many events, but each advances time: the stall counter must reset.
-	n := 0
-	var tick func()
-	tick = func() {
-		if n++; n < 1000 {
-			e.Schedule(Nanosecond, tick)
+	m := NewMonitor(Watchdog{StallLimit: 4})
+	// Many steps, runs of up to 4 of them without advance, but time moves
+	// on often enough: the stall counter must reset on every advance.
+	err := abortOf(t, func() {
+		for i := 0; i < 1000; i++ {
+			m.Tick(i%5 == 4, nil)
 		}
-	}
-	e.Schedule(Nanosecond, tick)
-	if err := abortOf(t, func() { e.Run() }); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("healthy run aborted: %v", err)
 	}
-	if n != 1000 {
-		t.Fatalf("ran %d events, want 1000", n)
-	}
-}
-
-func TestWatchdogQueueLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetWatchdog(Watchdog{QueueLimit: 50})
-	// Each event schedules two more: monotonic queue growth.
-	var fork func()
-	fork = func() {
-		e.Schedule(Nanosecond, fork)
-		e.Schedule(Nanosecond, fork)
-	}
-	err := abortOf(t, func() {
-		e.Schedule(0, fork)
-		e.Run()
-	})
-	if !errors.Is(err, ErrNoProgress) {
-		t.Fatalf("err = %v, want ErrNoProgress", err)
-	}
-	var np *NoProgressError
-	if !errors.As(err, &np) || np.Diag.QueueDepth <= 50 {
-		t.Fatalf("want queue-depth diagnostic above the bound, got %v", err)
+	if m.Steps() != 1000 {
+		t.Fatalf("monitor saw %d steps, want 1000", m.Steps())
 	}
 }
 
 func TestWatchdogWallClock(t *testing.T) {
-	e := NewEngine()
-	e.SetWatchdog(Watchdog{WallClock: 30 * time.Millisecond, CheckEvery: 64})
+	m := NewMonitor(Watchdog{WallClock: 30 * time.Millisecond, CheckEvery: 64})
 	// Time advances forever, so only the wall-clock heartbeat can stop it.
-	var tick func()
-	tick = func() { e.Schedule(Nanosecond, tick) }
-	e.Schedule(0, tick)
 	start := time.Now()
-	err := abortOf(t, func() { e.Run() })
+	err := abortOf(t, func() { spin(m, true, nil) })
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("err = %v, want ErrNoProgress", err)
 	}
@@ -111,16 +87,12 @@ func TestWatchdogWallClock(t *testing.T) {
 
 func TestWatchdogContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	e := NewEngine()
-	e.SetWatchdog(Watchdog{Ctx: ctx, CheckEvery: 64})
-	var tick func()
-	tick = func() { e.Schedule(Nanosecond, tick) }
-	e.Schedule(0, tick)
+	m := NewMonitor(Watchdog{Ctx: ctx, CheckEvery: 64})
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	err := abortOf(t, func() { e.Run() })
+	err := abortOf(t, func() { spin(m, true, nil) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -129,7 +101,6 @@ func TestWatchdogContextCancel(t *testing.T) {
 func TestNilMonitorIsInert(t *testing.T) {
 	var m *Monitor
 	m.Tick(false, nil)
-	m.CheckQueue(1<<30, nil)
 	m.CheckCtx()
 	if m.Steps() != 0 || m.Stalls() != 0 {
 		t.Fatal("nil monitor reported state")
@@ -144,7 +115,7 @@ func TestDefaultWatchdogBoundsAreGenerous(t *testing.T) {
 	if !cfg.Enabled() {
 		t.Fatal("default watchdog disabled")
 	}
-	if cfg.StallLimit < 1<<20 || cfg.QueueLimit < 1<<20 {
-		t.Fatalf("default bounds %d/%d too tight for healthy replays", cfg.StallLimit, cfg.QueueLimit)
+	if cfg.StallLimit < 1<<20 {
+		t.Fatalf("default stall bound %d too tight for healthy replays", cfg.StallLimit)
 	}
 }
