@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench benchmark parbench audit faults fuzz e2e lint ci
+.PHONY: build vet test short race golden bench benchmark benchsmoke parbench audit faults fuzz e2e lint ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,11 @@ bench:
 # and per-layer metrics plus the output oracle.
 benchmark:
 	bash bench/run.sh --workload all --seed 1
+
+# Self-test of the repository benchmark: its oracle, metric declarations
+# and report plumbing (bench/ is its own module).
+benchsmoke:
+	cd bench && $(GO) test .
 
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM
@@ -102,4 +107,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
 
-ci: lint build test race audit faults e2e
+ci: lint build test race audit faults benchsmoke e2e

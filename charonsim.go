@@ -130,20 +130,13 @@ type Config struct {
 	// uninterrupted one. Incompatible with TracePath: a trace must show
 	// every simulated span, and a cached replay simulates nothing.
 	CheckpointDir string
-	// WatchdogStalls overrides the replay watchdog's stall budget — the
-	// number of consecutive replay-scheduler steps executed without
-	// simulated time advancing before the run is declared wedged. 0
-	// selects the default (generous enough for every legitimate workload);
-	// -1 disables the stall check.
-	WatchdogStalls int
 }
 
 func (c Config) toInternal() experiments.Config {
 	return experiments.Config{Threads: c.Threads, Factor: c.HeapFactor,
 		Workloads: c.Workloads, Parallelism: c.Parallelism,
-		Fault:          c.faultConfig(),
-		RunTimeout:     c.RunTimeout,
-		WatchdogStalls: c.WatchdogStalls}
+		Fault:      c.faultConfig(),
+		RunTimeout: c.RunTimeout}
 }
 
 // faultConfig maps the public fault knobs onto the injector configuration.
@@ -196,9 +189,6 @@ func (c Config) Validate() error {
 	}
 	if c.RunTimeout < 0 {
 		return fmt.Errorf("charonsim: RunTimeout must be >= 0 (0 disables the budget), got %v", c.RunTimeout)
-	}
-	if c.WatchdogStalls < -1 {
-		return fmt.Errorf("charonsim: WatchdogStalls must be >= -1 (-1 disables, 0 = default), got %d", c.WatchdogStalls)
 	}
 	if c.CheckpointDir != "" && c.TracePath != "" {
 		return fmt.Errorf("charonsim: CheckpointDir is incompatible with TracePath (a cached replay simulates nothing, so the trace would silently miss its spans)")

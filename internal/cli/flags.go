@@ -16,18 +16,17 @@ import (
 // defines the flag names, defaults, and help strings, and one place maps
 // them onto a charonsim.Config, so the two commands cannot drift.
 type SimFlags struct {
-	Threads        int
-	Factor         float64
-	Workloads      string
-	Parallel       int
-	MetricsPath    string
-	TracePath      string
-	FaultRate      float64
-	FaultSeed      int64
-	Deadline       time.Duration
-	RunTimeout     time.Duration
-	CheckpointDir  string
-	WatchdogStalls int
+	Threads       int
+	Factor        float64
+	Workloads     string
+	Parallel      int
+	MetricsPath   string
+	TracePath     string
+	FaultRate     float64
+	FaultSeed     int64
+	Deadline      time.Duration
+	RunTimeout    time.Duration
+	CheckpointDir string
 }
 
 // Register installs the shared simulation flags on fs.
@@ -43,7 +42,6 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the replay watchdog heartbeat (0 = unbounded)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
-	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "replay watchdog: consecutive zero-advance steps before a run is declared wedged (0 = default, -1 = disable)")
 }
 
 // Config maps the parsed flags onto a charonsim.Config. The -workloads
@@ -55,8 +53,7 @@ func (f *SimFlags) Config() (charonsim.Config, error) {
 		MetricsPath: f.MetricsPath, TracePath: f.TracePath,
 		FaultRate: f.FaultRate, FaultSeed: f.FaultSeed,
 		OffloadDeadline: f.Deadline, RunTimeout: f.RunTimeout,
-		CheckpointDir:  f.CheckpointDir,
-		WatchdogStalls: f.WatchdogStalls}
+		CheckpointDir: f.CheckpointDir}
 	if f.Workloads != "" {
 		wl, err := SplitWorkloads(f.Workloads)
 		if err != nil {

@@ -65,8 +65,8 @@ type Config struct {
 	// the first complete answer wins. Only idempotent GETs hedge;
 	// submissions rely on retries plus server-side dedup instead.
 	HedgeDelay time.Duration
-	// PollInterval paces Wait's status polling when the server sends no
-	// Retry-After hint (default 250ms).
+	// PollInterval paces Wait's and SweepWait's status polling (default
+	// 250ms); a status document's Retry-After is not read.
 	PollInterval time.Duration
 	// RetryAfterMax caps how long a server Retry-After hint is honored
 	// (default 30s; negative disables the cap). A server quoting an hour
@@ -486,11 +486,11 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
 	return status[Sweep](ctx, c, id)
 }
 
-// SweepWait polls the sweep until every child reaches a terminal state
-// or ctx expires. One aggregate poll covers the whole grid — the server
-// folds all child states into a single answer with a position-aware
-// Retry-After — and each poll rides the usual retry/hedging machinery.
-// Transient polling failures do not abort the wait.
+// SweepWait polls the sweep every PollInterval until every child reaches
+// a terminal state or ctx expires. One aggregate poll covers the whole
+// grid — the server folds all child states into a single answer — and
+// each poll rides the usual retry/hedging machinery. Transient polling
+// failures do not abort the wait.
 func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
 	return wait[Sweep](ctx, c, id)
 }

@@ -75,11 +75,6 @@ type Config struct {
 	// trace must show every simulated span (the public Config.Validate
 	// rejects the combination).
 	Checkpoint *checkpoint.Store
-	// WatchdogStalls bounds consecutive replay-scheduler steps without
-	// simulated-time advance before a run is declared wedged and aborted
-	// with sim.ErrNoProgress plus a diagnostic dump. 0 selects
-	// sim.DefaultStallLimit; negative disables the check.
-	WatchdogStalls int
 }
 
 func (c Config) withDefaults() Config {
@@ -105,16 +100,10 @@ func (c Config) withDefaults() Config {
 }
 
 // watchdog resolves the session's progress-monitor configuration for one
-// run unit: the stall knob, the per-run wall-clock heartbeat, and
+// run unit: the default stall limit, the per-run wall-clock heartbeat, and
 // the cancellation context.
 func (c Config) watchdog() sim.Watchdog {
 	wd := sim.DefaultWatchdog()
-	switch {
-	case c.WatchdogStalls > 0:
-		wd.StallLimit = uint64(c.WatchdogStalls)
-	case c.WatchdogStalls < 0:
-		wd.StallLimit = 0
-	}
 	wd.WallClock = c.RunTimeout
 	wd.Ctx = c.Ctx
 	return wd

@@ -17,7 +17,7 @@ import (
 // payload; bump it whenever either changes meaning, so a warm restart
 // against an old cache directory misses cleanly instead of serving stale
 // responses.
-const jobSchema = 2
+const jobSchema = 3
 
 // JobSpec is the wire format of a job submission (POST /v1/jobs). It maps
 // onto charonsim.Config plus the experiment id; durations travel as
@@ -29,15 +29,14 @@ type JobSpec struct {
 	// "all" for the full suite.
 	Experiment string `json:"experiment"`
 
-	Threads        int      `json:"threads,omitempty"`
-	HeapFactor     float64  `json:"heap_factor,omitempty"`
-	Workloads      []string `json:"workloads,omitempty"`
-	Parallelism    int      `json:"parallelism,omitempty"`
-	FaultRate      float64  `json:"fault_rate,omitempty"`
-	FaultSeed      int64    `json:"fault_seed,omitempty"`
-	OffloadDeadln  string   `json:"offload_deadline,omitempty"`
-	RunTimeout     string   `json:"run_timeout,omitempty"`
-	WatchdogStalls int      `json:"watchdog_stalls,omitempty"`
+	Threads       int      `json:"threads,omitempty"`
+	HeapFactor    float64  `json:"heap_factor,omitempty"`
+	Workloads     []string `json:"workloads,omitempty"`
+	Parallelism   int      `json:"parallelism,omitempty"`
+	FaultRate     float64  `json:"fault_rate,omitempty"`
+	FaultSeed     int64    `json:"fault_seed,omitempty"`
+	OffloadDeadln string   `json:"offload_deadline,omitempty"`
+	RunTimeout    string   `json:"run_timeout,omitempty"`
 }
 
 // Resolve validates the spec and returns the charonsim.Config it maps to
@@ -68,7 +67,6 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 		Parallelism: sp.Parallelism,
 		FaultRate:   sp.FaultRate, FaultSeed: sp.FaultSeed,
 		OffloadDeadline: deadline, RunTimeout: timeout,
-		WatchdogStalls: sp.WatchdogStalls,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, "", err
@@ -112,10 +110,9 @@ func canonicalKey(experiment string, cfg charonsim.Config) string {
 		wl = charonsim.Workloads()
 	}
 	return fmt.Sprintf(
-		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|deadline=%d|timeout=%d|wstalls=%d",
+		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|deadline=%d|timeout=%d",
 		jobSchema, experiment, threads, factor, strings.Join(wl, ","), cfg.Parallelism,
-		cfg.FaultRate, cfg.FaultSeed, cfg.OffloadDeadline.Nanoseconds(), cfg.RunTimeout.Nanoseconds(),
-		cfg.WatchdogStalls)
+		cfg.FaultRate, cfg.FaultSeed, cfg.OffloadDeadline.Nanoseconds(), cfg.RunTimeout.Nanoseconds())
 }
 
 // jobID derives the externally-visible job id from the canonical key via
@@ -170,6 +167,8 @@ func (j *job) retention() (terminal, fetched bool, created time.Time) {
 	defer j.mu.Unlock()
 	return terminalState(j.state), j.fetched, j.created
 }
+
+func (j *job) members() []*job { return []*job{j} }
 
 // view is the JSON representation of a job.
 type view struct {

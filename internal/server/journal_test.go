@@ -169,7 +169,8 @@ func TestJournalReplayCompletesFromCache(t *testing.T) {
 // TestJournalDiscardsUnreadableRecords: garbage in the journal directory
 // is logged and collected, never replayed. That covers a spec that no
 // longer resolves, and a spec that still resolves but was journaled under
-// an older canonical-key schema: its stored key no longer matches.
+// an older canonical-key schema (v1 or v2): its stored key no longer
+// matches.
 func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	cacheDir := t.TempDir()
 	jdir := filepath.Join(cacheDir, "journal")
@@ -184,11 +185,17 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	// removed event-queue watchdog bound (wqueue).
 	v1Key := fmt.Sprintf("job/v1|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=0|timeout=0|wstalls=0|wqueue=0",
 		strings.Join(charonsim.Workloads(), ","))
+	// The v2 key of the same spec: v2 still carried the removed stall
+	// budget knob (wstalls).
+	v2Key := fmt.Sprintf("job/v2|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=0|timeout=0|wstalls=0",
+		strings.Join(charonsim.Workloads(), ","))
 	for _, rec := range []journalRecord{
 		// A record with a spec that no longer resolves.
 		{ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"}},
 		// A record with a spec that resolves, under its v1 key.
 		{ID: jobID(v1Key), Key: v1Key, Spec: JobSpec{Experiment: "table4"}},
+		// The same spec under its v2 key.
+		{ID: jobID(v2Key), Key: v2Key, Spec: JobSpec{Experiment: "table4"}},
 	} {
 		rec.Schema, rec.State, rec.Created = journalSchema, StateQueued, time.Now()
 		raw, _ := json.Marshal(rec)
@@ -206,13 +213,15 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	if n := s.Metrics().Counter("server/journal_recovered"); n != 0 {
 		t.Fatalf("journal_recovered = %v, want 0", n)
 	}
-	resp, err := http.Get(base + "/v1/jobs/" + jobID(v1Key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("v1-keyed job answers %d after boot, want 404", resp.StatusCode)
+	for _, key := range []string{v1Key, v2Key} {
+		resp, err := http.Get(base + "/v1/jobs/" + jobID(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s-keyed job answers %d after boot, want 404", key[:6], resp.StatusCode)
+		}
 	}
 	if g.runs.Load() != 0 {
 		t.Fatal("boot re-ran a stale journal record")

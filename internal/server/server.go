@@ -11,15 +11,18 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs             submit (202; 200 on dedup/cache hit; 429 full; 503 draining)
-//	POST   /v1/sweeps           submit a parameter grid as one batch (see SweepSpec)
-//	GET    /v1/jobs             list tracked jobs
-//	GET    /v1/jobs/{id}        job status
-//	GET    /v1/jobs/{id}/result rendered report (CLI byte-identical)
-//	DELETE /v1/jobs/{id}        cancel (context-propagated, event-loop granularity)
-//	GET    /healthz             liveness
-//	GET    /readyz              readiness (503 while draining)
-//	GET    /v1/metrics          server + cache counters (internal/metrics snapshot)
+//	POST   /v1/jobs               submit (202; 200 on dedup/cache hit; 429 full; 503 draining)
+//	GET    /v1/jobs               list tracked jobs
+//	GET    /v1/jobs/{id}          job status (Retry-After while pending)
+//	GET    /v1/jobs/{id}/result   rendered report (CLI byte-identical; 202 while pending)
+//	DELETE /v1/jobs/{id}          cancel (context-propagated, event-loop granularity)
+//	POST   /v1/sweeps             submit a parameter grid as one batch (see SweepSpec)
+//	GET    /v1/sweeps             list tracked sweeps
+//	GET    /v1/sweeps/{id}        aggregate status over the children (Retry-After while pending)
+//	GET    /v1/sweeps/{id}/result the children's reports concatenated in grid order
+//	GET    /healthz               liveness
+//	GET    /readyz                readiness (503 while draining)
+//	GET    /v1/metrics            server + cache counters (internal/metrics snapshot)
 //
 // Graceful drain: Drain stops admission, lets queued/running jobs finish,
 // and on deadline expiry cancels in-flight jobs — whose completed replay
@@ -37,7 +40,6 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -330,16 +332,23 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Handler returns the HTTP API with request logging applied.
 func (s *Server) Handler() http.Handler {
+	jobs := resource[*job, view]{s: s, noun: "job", table: s.jobs}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	jobs.register(mux)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		j, ok := jobs.lookup(w, r)
+		if !ok {
+			return
+		}
+		status := http.StatusOK // already terminal
+		if s.cancelJob(j, "canceled by client") {
+			status = http.StatusAccepted
+		}
+		writeJSON(w, status, j.view())
+	})
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
+	resource[*sweep, sweepView]{s: s, noun: "sweep", table: s.sweeps}.register(mux)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -609,32 +618,6 @@ func (s *Server) drainRetryAfterLocked() int {
 	return retryAfterSeconds(s.estimatedWait(s.queue.len()))
 }
 
-// pollRetryAfter hints when a result poller should come back. A queued
-// job's hint is position-aware: only the jobs actually ahead of it (plus
-// its own expected run) feed the estimate, so a job at the head of a
-// deep queue is never told to back off behind the whole queue. A running
-// job polls at the 1-second floor.
-func (s *Server) pollRetryAfter(j *job) int {
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if !queued {
-		return 1
-	}
-	ahead := s.queue.position(j.id)
-	if ahead < 0 {
-		// Popped but not yet transitioned: it is next.
-		ahead = 0
-	}
-	return retryAfterSeconds(s.estimatedWait(ahead + 1))
-}
-
-// retained is what the retention policy reads from a tracked job or
-// sweep.
-type retained interface {
-	retention() (terminal, fetched bool, created time.Time)
-}
-
 // insertLocked adds v to a job or sweep table under id and evicts
 // terminal entries past the retention bound. Eviction prefers terminal
 // entries whose result has already been fetched (oldest first) and only
@@ -642,7 +625,7 @@ type retained interface {
 // yet still owes its submitter an answer, so it must never be displaced
 // by older ones that already delivered theirs. Live entries are never
 // evicted; with nothing terminal the table grows. Callers hold s.mu.
-func insertLocked[T retained](table map[string]T, id string, v T, bound int) {
+func insertLocked[T tracked[V], V any](table map[string]T, id string, v T, bound int) {
 	table[id] = v
 	for len(table) > bound {
 		victim, found := "", false
@@ -702,91 +685,6 @@ func (s *Server) persistResult(key, experiment, text string) {
 		return
 	}
 	s.cacheHealth.observe(s.results.Put(key, payload))
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	views := make([]view, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		views = append(views, j.view())
-	}
-	s.mu.Unlock()
-	sortNewestFirst(views)
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
-}
-
-// listed is a job or sweep status document in a list response.
-type listed interface {
-	listKey() (created, id string)
-}
-
-func (v view) listKey() (string, string)      { return v.Created, v.ID }
-func (v sweepView) listKey() (string, string) { return v.Created, v.ID }
-
-// sortNewestFirst gives list responses their stable order: newest first,
-// id as tie-break.
-func sortNewestFirst[T listed](vs []T) {
-	slices.SortFunc(vs, func(a, b T) int {
-		ca, ia := a.listKey()
-		cb, ib := b.listKey()
-		if c := strings.Compare(cb, ca); c != 0 {
-			return c
-		}
-		return strings.Compare(ia, ib)
-	})
-}
-
-func (s *Server) jobFor(r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[r.PathValue("id")]
-	return j, ok
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	state, text, errMsg := j.snapshot()
-	switch state {
-	case StateDone:
-		j.markFetched()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, text)
-	case StateFailed:
-		j.markFetched()
-		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
-	case StateCanceled:
-		j.markFetched()
-		writeError(w, http.StatusGone, "job was canceled: %s", errMsg)
-	default: // queued, running
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.pollRetryAfter(j)))
-		writeJSON(w, http.StatusAccepted, j.view())
-	}
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if s.cancelJob(j, "canceled by client") {
-		writeJSON(w, http.StatusAccepted, j.view())
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view()) // already terminal
 }
 
 // cancelJob requests cancellation; returns false when the job was already

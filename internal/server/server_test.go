@@ -120,7 +120,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, FaultRate: 0.01, FaultSeed: 7},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, OffloadDeadln: "1ms", FaultSeed: 1},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, RunTimeout: "5m"},
-		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, WatchdogStalls: 100},
 	}
 	seen := map[string]int{baseKey: -1}
 	for i, sp := range different {
@@ -561,8 +560,14 @@ func TestFailedJobSurfacesError(t *testing.T) {
 	if !strings.Contains(got.Error, "synthetic failure") {
 		t.Fatalf("failure not surfaced: %q", got.Error)
 	}
-	resp := getJSON(t, base+"/v1/jobs/"+v.ID+"/result", nil)
+	var body struct {
+		Error string `json:"error"`
+	}
+	resp := getJSON(t, base+"/v1/jobs/"+v.ID+"/result", &body)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("result of failed job = %d, want 500", resp.StatusCode)
+	}
+	if want := "job " + v.ID + " (fig12) failed: synthetic failure"; body.Error != want {
+		t.Fatalf("failure body = %q, want %q", body.Error, want)
 	}
 }

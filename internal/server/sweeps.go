@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -55,12 +54,11 @@ type SweepSpec struct {
 	Threads []int `json:"threads,omitempty"`
 
 	// Shared knobs, copied verbatim into every child descriptor.
-	Parallelism    int     `json:"parallelism,omitempty"`
-	FaultRate      float64 `json:"fault_rate,omitempty"`
-	FaultSeed      int64   `json:"fault_seed,omitempty"`
-	OffloadDeadln  string  `json:"offload_deadline,omitempty"`
-	RunTimeout     string  `json:"run_timeout,omitempty"`
-	WatchdogStalls int     `json:"watchdog_stalls,omitempty"`
+	Parallelism   int     `json:"parallelism,omitempty"`
+	FaultRate     float64 `json:"fault_rate,omitempty"`
+	FaultSeed     int64   `json:"fault_seed,omitempty"`
+	OffloadDeadln string  `json:"offload_deadline,omitempty"`
+	RunTimeout    string  `json:"run_timeout,omitempty"`
 }
 
 // sweepChild is one expanded grid point: the child's job descriptor plus
@@ -128,12 +126,11 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 					child := JobSpec{
 						Experiment: exp, Workloads: wl,
 						HeapFactor: f, Threads: t,
-						Parallelism:    sp.Parallelism,
-						FaultRate:      sp.FaultRate,
-						FaultSeed:      sp.FaultSeed,
-						OffloadDeadln:  sp.OffloadDeadln,
-						RunTimeout:     sp.RunTimeout,
-						WatchdogStalls: sp.WatchdogStalls,
+						Parallelism:   sp.Parallelism,
+						FaultRate:     sp.FaultRate,
+						FaultSeed:     sp.FaultSeed,
+						OffloadDeadln: sp.OffloadDeadln,
+						RunTimeout:    sp.RunTimeout,
 					}
 					if err := add(child); err != nil {
 						return nil, "", err
@@ -183,6 +180,17 @@ func (sw *sweep) retention() (terminal, fetched bool, created time.Time) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return terminal, sw.fetched, sw.created
+}
+
+func (sw *sweep) members() []*job { return sw.children }
+
+func (sw *sweep) markFetched() {
+	sw.mu.Lock()
+	sw.fetched = true
+	sw.mu.Unlock()
+	for _, j := range sw.children {
+		j.markFetched()
+	}
 }
 
 // sweepCounts is the per-state census of a sweep's children.
@@ -483,100 +491,4 @@ func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
 		s.maybeFinishSweep(sw)
 	}
 	return gcKeys
-}
-
-func (s *Server) sweepFor(r *http.Request) (*sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	return sw, ok
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sweeps := make([]*sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	s.mu.Unlock()
-	views := make([]sweepView, 0, len(sweeps))
-	for _, sw := range sweeps {
-		views = append(views, sw.view())
-	}
-	sortNewestFirst(views)
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": views})
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
-		return
-	}
-	v := sw.view()
-	if !terminalState(v.State) {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.sweepRetryAfter(sw)))
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// sweepRetryAfter hints when a sweep poller should come back: the sweep
-// finishes with its deepest queued child, so that child's queue position
-// governs — position-aware, like single-job polling. With nothing queued
-// (children running or terminal) the hint is the 1-second floor.
-func (s *Server) sweepRetryAfter(sw *sweep) int {
-	deepest := -1
-	for _, j := range sw.children {
-		if pos := s.queue.position(j.id); pos > deepest {
-			deepest = pos
-		}
-	}
-	if deepest < 0 {
-		return 1
-	}
-	return retryAfterSeconds(s.estimatedWait(deepest + 1))
-}
-
-// handleSweepResult serves the combined report: every child's rendered
-// text concatenated in grid order. Each child's bytes came through
-// cli.RenderReports (the same formatter the CLI uses), so the combined
-// document is byte-identical to running the equivalent charonsim
-// invocations locally and concatenating their reports.
-func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
-		return
-	}
-	c := sw.counts()
-	if c.pending() {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.sweepRetryAfter(sw)))
-		writeJSON(w, http.StatusAccepted, sw.view())
-		return
-	}
-	sw.mu.Lock()
-	sw.fetched = true
-	sw.mu.Unlock()
-	if c.failed > 0 || c.canceled > 0 {
-		for _, j := range sw.children {
-			state, _, errMsg := j.snapshot()
-			j.markFetched()
-			if state == StateFailed {
-				writeError(w, http.StatusInternalServerError,
-					"sweep failed: child %s (%s): %s", j.id, j.spec.Experiment, errMsg)
-				return
-			}
-			if state == StateCanceled {
-				writeError(w, http.StatusGone,
-					"sweep child %s (%s) was canceled: %s", j.id, j.spec.Experiment, errMsg)
-				return
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, j := range sw.children {
-		_, text, _ := j.snapshot()
-		j.markFetched()
-		io.WriteString(w, text)
-	}
 }

@@ -125,9 +125,9 @@ func TestSweepExpansion(t *testing.T) {
 	}
 
 	bad := []SweepSpec{
-		{},                                       // no experiments
-		{Experiments: []string{"no-such"}},       // unknown experiment
-		{Experiments: []string{"fig12", "fig12"}}, // duplicate grid point
+		{},                                 // no experiments
+		{Experiments: []string{"no-such"}}, // unknown experiment
+		{Experiments: []string{"fig12", "fig12"}},                      // duplicate grid point
 		{Experiments: []string{"fig12"}, Workloads: []string{" ", ""}}, // vacuous workloads
 		{Experiments: []string{"fig12"}, HeapFactors: []float64{-3}},   // invalid knob
 	}
@@ -339,35 +339,49 @@ func TestSweepRecoveryAfterCrash(t *testing.T) {
 	}
 }
 
-// TestPollRetryAfterPositionAware pins satellite fix 2: a queued job's
-// Retry-After reflects its own queue position, not the full queue.
+// TestPollRetryAfterPositionAware: a queued job's Retry-After reflects its
+// own queue position, not the full queue, and a sweep's follows its
+// deepest queued child.
 func TestPollRetryAfterPositionAware(t *testing.T) {
 	g := newGate("slow\n")
 	s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 8, runner: g.runner})
 	s.avgRunNanos.Store(int64(10 * time.Second)) // 10s per job, 1 worker
 
-	_, _ = postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
+	_, a := postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
 	<-g.started // running; the queue is empty again
 	_, b := postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
 	_, c := postJob(t, base, `{"experiment":"fig12","workloads":["LR"]}`)
 	_, d := postJob(t, base, `{"experiment":"fig12","workloads":["PR"]}`)
+	_, sw := postSweep(t, base, `{"experiments":["fig13"],"workloads":["BS","KM"]}`) // queue positions 3 and 4
 
-	ra := func(v view) int {
-		s.mu.Lock()
-		j := s.jobs[v.ID]
-		s.mu.Unlock()
-		return s.pollRetryAfter(j)
+	s.mu.Lock()
+	jobOf := func(v view) *job { return s.jobs[v.ID] }
+	popped := newJob(JobSpec{Experiment: "fig14"}, charonsim.Config{}, "popped", time.Time{}) // queued, not in the queue
+	rows := []struct {
+		name    string
+		members []*job
+		want    int
+	}{
+		{"running", []*job{jobOf(a)}, 1},
+		{"head of queue", []*job{jobOf(b)}, 10},
+		{"mid-queue", []*job{jobOf(c)}, 20},
+		{"tail", []*job{jobOf(d)}, 30},
+		{"popped but not yet running", []*job{popped}, 10},
+		{"running and queued", []*job{jobOf(a), jobOf(c)}, 20},
+		{"sweep", s.sweeps[sw.ID].members(), 50},
 	}
-	if got := ra(b); got != 10 {
-		t.Fatalf("head-of-queue Retry-After = %d, want 10 (one job ahead of completion)", got)
-	}
-	if got := ra(c); got != 20 {
-		t.Fatalf("mid-queue Retry-After = %d, want 20", got)
-	}
-	if got := ra(d); got != 30 {
-		t.Fatalf("tail Retry-After = %d, want 30", got)
+	settled := s.sweeps[sw.ID].members()
+	s.mu.Unlock()
+	for _, row := range rows {
+		if got := s.pollHint(row.members); got != row.want {
+			t.Errorf("%s: pollHint = %d, want %d", row.name, got, row.want)
+		}
 	}
 	close(g.open)
+	waitSweepState(t, base, sw.ID, StateDone)
+	if got := s.pollHint(settled); got != 0 {
+		t.Errorf("terminal sweep: pollHint = %d, want 0", got)
+	}
 }
 
 // TestEvictionPrefersFetchedResults pins satellite fix 3: retention
