@@ -74,6 +74,9 @@ func DefaultLinkConfig() LinkConfig {
 type Link struct {
 	cfg  LinkConfig
 	lane [2]*sim.Calendar // per-direction serialization occupancy
+	// ser[n] is the serialization time of an n-byte packet, precomputed
+	// for every size up to serMemoBytes.
+	ser [serMemoBytes + 1]sim.Time
 
 	// flt drives per-packet CRC-error draws; nil with faults off.
 	flt  *fault.Source
@@ -90,6 +93,10 @@ type Link struct {
 	Stats memsys.Stats
 }
 
+// serMemoBytes is the largest packet whose serialization time a Link
+// precomputes: a 256 B payload plus framing.
+const serMemoBytes = 256 + PacketOverhead
+
 // Directions for Link.Transfer.
 const (
 	DirDown = 0 // toward memory (host→cube, centre→leaf)
@@ -103,6 +110,9 @@ func NewLink(cfg LinkConfig, inj *fault.Injector, name string) *Link {
 		sim.NewCalendar(50 * sim.Nanosecond),
 		sim.NewCalendar(50 * sim.Nanosecond),
 	}}
+	for n := range l.ser {
+		l.ser[n] = serialization(cfg, uint32(n))
+	}
 	if inj != nil {
 		l.fcfg = inj.Config()
 		l.flt = inj.Source(name)
@@ -110,9 +120,18 @@ func NewLink(cfg LinkConfig, inj *fault.Injector, name string) *Link {
 	return l
 }
 
-// serTime returns the serialization time for n bytes.
+// serialization computes the time to serialize n bytes on a link.
+func serialization(cfg LinkConfig, n uint32) sim.Time {
+	return sim.Time(float64(n) / cfg.BytesPerSec * 1e12)
+}
+
+// serTime returns the serialization time for n bytes: a table lookup for
+// packets up to serMemoBytes, computed per packet above that.
 func (l *Link) serTime(n uint32) sim.Time {
-	return sim.Time(float64(n) / l.cfg.BytesPerSec * 1e12)
+	if n <= serMemoBytes {
+		return l.ser[n]
+	}
+	return serialization(l.cfg, n)
 }
 
 // TransferAt reserves a packet of n bytes in direction dir no earlier

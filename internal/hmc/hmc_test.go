@@ -24,6 +24,19 @@ func TestLinkSerialization(t *testing.T) {
 	}
 }
 
+// TestLinkSerTimeMemo: the precomputed serialization times equal the
+// per-packet computation bit for bit, on both sides of the table's end.
+func TestLinkSerTimeMemo(t *testing.T) {
+	for _, cfg := range []LinkConfig{DefaultLinkConfig(), {BytesPerSec: 3e9}, {BytesPerSec: 123.4e9}} {
+		l := NewLink(cfg, nil, "")
+		for n := uint32(0); n <= serMemoBytes+64; n++ {
+			if got, want := l.serTime(n), sim.Time(float64(n)/cfg.BytesPerSec*1e12); got != want {
+				t.Fatalf("%g B/s: serTime(%d) = %d, want %d", cfg.BytesPerSec, n, got, want)
+			}
+		}
+	}
+}
+
 func TestLinkFullDuplex(t *testing.T) {
 	l := NewLink(DefaultLinkConfig(), nil, "")
 	a := l.TransferAt(0, DirDown, 80)

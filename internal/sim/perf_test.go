@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // This file pins the simulation kernel's hot-path performance contract:
 // per-subsystem benchmarks (run with `go test -bench .`), plus
@@ -21,6 +24,33 @@ func BenchmarkCalendarReserve(b *testing.B) {
 		at = c.Reserve(at, 30*Nanosecond)
 	}
 	sinkTime = at
+}
+
+// BenchmarkCalendarReserveBacklog is a saturated resource: every request
+// arrives a fixed lag behind the booked frontier, so all buckets between
+// its start and the frontier are full. A per-bucket walk costs O(lag) per
+// reservation; the skip search keeps ns/op flat across lags.
+func BenchmarkCalendarReserveBacklog(b *testing.B) {
+	for _, lag := range []int64{16, 256, 2048} {
+		b.Run(fmt.Sprintf("lag=%d", lag), func(b *testing.B) {
+			c, back := backloggedCalendar(lag)
+			end := back
+			for i := 0; i < b.N; i++ {
+				end = c.Reserve(end-back, 30*Nanosecond)
+			}
+			sinkTime = end
+		})
+	}
+}
+
+// backloggedCalendar returns a calendar of 100 ns buckets booked solid
+// for lag buckets from time 0, and the lag as a time.
+func backloggedCalendar(lag int64) (*Calendar, Time) {
+	const width = 100 * Nanosecond
+	c := NewCalendar(width)
+	back := Time(lag) * width
+	c.Reserve(0, back)
+	return c, back
 }
 
 // BenchmarkCalendarBusyWithin queries utilization at a horizon at/beyond
@@ -51,6 +81,20 @@ func TestCalendarReserveAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Calendar.Reserve steady state allocates %.1f allocs/op, budget 0", allocs)
+	}
+}
+
+// TestCalendarReserveAllocsBacklog: reservations behind a saturated
+// frontier, which search and compress skip distances, must not allocate
+// either.
+func TestCalendarReserveAllocsBacklog(t *testing.T) {
+	c, back := backloggedCalendar(256)
+	end := back
+	allocs := testing.AllocsPerRun(2000, func() {
+		end = c.Reserve(end-back, 30*Nanosecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("Calendar.Reserve behind a backlog allocates %.1f allocs/op, budget 0", allocs)
 	}
 }
 
