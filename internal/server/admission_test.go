@@ -233,7 +233,7 @@ func TestRefusedResubmissionKeepsFailedEntry(t *testing.T) {
 			{"/v1/sweeps", subjectSweep},
 		} {
 			t.Run(ref.name+ep.path, func(t *testing.T) {
-				s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryBudget: -1, runner: failingOnce()})
+				s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1, runner: failingOnce()})
 				resp, err := http.Post(base+ep.path, "application/json", strings.NewReader(ep.body))
 				if err != nil {
 					t.Fatal(err)
@@ -303,7 +303,7 @@ func TestResubmissionIsJournaled(t *testing.T) {
 	} {
 		t.Run(ep.path, func(t *testing.T) {
 			dir := t.TempDir()
-			_, base := newTestServer(t, Config{Workers: 1, CacheDir: dir, RetryBudget: -1, runner: failingOnce()})
+			_, base := newTestServer(t, Config{Workers: 1, CacheDir: dir, runner: failingOnce()})
 			post := func() int {
 				resp, err := http.Post(base+ep.path, "application/json", strings.NewReader(ep.body))
 				if err != nil {

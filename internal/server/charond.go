@@ -51,7 +51,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		cacheDir     = fs.String("cache-dir", "", "result-cache + per-unit checkpoint root; identical resubmissions (including across restarts) are served from it without simulating")
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-unit run timeout applied to jobs that do not set run_timeout (0 = unbounded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before aborting them (completed units stay checkpointed)")
-		retryBudget  = fs.Int("retry-budget", 2, "max automatic retries per job for transient failures (injected I/O faults, recovered panics); 0 disables retries")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -60,20 +59,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *retryBudget < 0 {
-		fmt.Fprintln(stderr, "charond: -retry-budget must be >= 0")
-		return 2
-	}
-	budget := *retryBudget
-	if budget == 0 {
-		budget = -1 // Config: 0 means "use default", negative disables
-	}
-
 	logger := slog.New(slog.NewJSONHandler(stderr, nil))
 	srv, err := New(Config{
 		Workers: *workers, QueueDepth: *queueDepth,
-		CacheDir: *cacheDir, JobTimeout: *jobTimeout,
-		RetryBudget: budget, Log: logger,
+		CacheDir: *cacheDir, JobTimeout: *jobTimeout, Log: logger,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)

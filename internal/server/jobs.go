@@ -151,9 +151,8 @@ type job struct {
 	canceled bool               // cancellation requested (DELETE or drain)
 	done     chan struct{}      // closed on any terminal state
 
-	seq       uint64          // bumped on every state mutation; orders journal writes
-	attempts  []attemptRecord // execution attempts (retry policy history)
-	recovered int             // journal crash-replay generations (0 = never crashed)
+	seq       uint64 // bumped on every state mutation; orders journal writes
+	recovered int    // journal crash-replay generations (0 = never crashed)
 }
 
 // newJob builds a queued job for admitLocked from a resolved descriptor.
@@ -172,27 +171,18 @@ func (j *job) members() []*job { return []*job{j} }
 
 // view is the JSON representation of a job.
 type view struct {
-	ID         string        `json:"id"`
-	State      string        `json:"state"`
-	Experiment string        `json:"experiment"`
-	Cached     bool          `json:"cached"`
-	Created    string        `json:"created,omitempty"`
-	Started    string        `json:"started,omitempty"`
-	Finished   string        `json:"finished,omitempty"`
-	Deadline   string        `json:"deadline,omitempty"`
-	Error      string        `json:"error,omitempty"`
-	Attempts   []attemptView `json:"attempts,omitempty"`
-	Recovered  int           `json:"recovered,omitempty"`
-	Self       string        `json:"self"`
-	Result     string        `json:"result"`
-}
-
-// attemptView is one execution attempt in a job's status: terminally
-// failed jobs carry their full retry history here.
-type attemptView struct {
-	Started  string `json:"started"`
-	Finished string `json:"finished,omitempty"`
-	Error    string `json:"error,omitempty"`
+	ID         string `json:"id"`
+	State      string `json:"state"`
+	Experiment string `json:"experiment"`
+	Cached     bool   `json:"cached"`
+	Created    string `json:"created,omitempty"`
+	Started    string `json:"started,omitempty"`
+	Finished   string `json:"finished,omitempty"`
+	Deadline   string `json:"deadline,omitempty"`
+	Error      string `json:"error,omitempty"`
+	Recovered  int    `json:"recovered,omitempty"`
+	Self       string `json:"self"`
+	Result     string `json:"result"`
 }
 
 func (j *job) view() view {
@@ -216,13 +206,6 @@ func (j *job) view() view {
 	}
 	if !j.deadline.IsZero() {
 		v.Deadline = j.deadline.UTC().Format(time.RFC3339Nano)
-	}
-	for _, a := range j.attempts {
-		av := attemptView{Started: a.Started.UTC().Format(time.RFC3339Nano), Error: a.Error}
-		if !a.Finished.IsZero() {
-			av.Finished = a.Finished.UTC().Format(time.RFC3339Nano)
-		}
-		v.Attempts = append(v.Attempts, av)
 	}
 	return v
 }

@@ -24,25 +24,16 @@ const journalSchema = 1
 // rewrite an append in effect: a crash leaves either the previous
 // complete record or the new one, never a blend.
 type journalRecord struct {
-	Schema    int             `json:"schema"`
-	Kind      string          `json:"kind,omitempty"` // "" = job (see sweepRecord for "sweep")
-	ID        string          `json:"id"`
-	Key       string          `json:"key"`
-	Spec      JobSpec         `json:"spec"`
-	State     string          `json:"state"`
-	Error     string          `json:"error,omitempty"`
-	Created   time.Time       `json:"created"`
-	Updated   time.Time       `json:"updated"`
-	Attempts  []attemptRecord `json:"attempts,omitempty"`
-	Recovered int             `json:"recovered,omitempty"` // crash-replay generations
-}
-
-// attemptRecord is one execution attempt of a job, kept so a terminally
-// failed job's status shows the full retry history.
-type attemptRecord struct {
-	Started  time.Time `json:"started"`
-	Finished time.Time `json:"finished,omitempty"`
-	Error    string    `json:"error,omitempty"`
+	Schema    int       `json:"schema"`
+	Kind      string    `json:"kind,omitempty"` // "" = job (see sweepRecord for "sweep")
+	ID        string    `json:"id"`
+	Key       string    `json:"key"`
+	Spec      JobSpec   `json:"spec"`
+	State     string    `json:"state"`
+	Error     string    `json:"error,omitempty"`
+	Created   time.Time `json:"created"`
+	Updated   time.Time `json:"updated"`
+	Recovered int       `json:"recovered,omitempty"` // crash-replay generations
 }
 
 // unfinished reports whether a replayed record represents work the server
@@ -96,7 +87,6 @@ func (jl *journal) record(j *job) {
 		Schema: journalSchema, ID: j.id, Key: j.key, Spec: j.spec,
 		State: j.state, Error: j.errMsg,
 		Created: j.created, Updated: time.Now(),
-		Attempts:  append([]attemptRecord(nil), j.attempts...),
 		Recovered: j.recovered,
 	}
 	seq := j.seq

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -59,20 +60,46 @@ func TestJournalReplayResumesUnfinishedJobs(t *testing.T) {
 	<-gA.started
 	waitState(t, baseA, v.ID, StateRunning)
 
-	// Server B boots over the same cache directory and must recover the
-	// job from the journal without a client resubmission.
+	// A second running record in the format of a server that still kept
+	// a retry history: its "attempts" array is an unknown field now, so
+	// the record replays like any other.
+	legacy := JobSpec{Experiment: "fig12", Workloads: []string{"KM"}}
+	_, legacyKey, err := legacy.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jst, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"fig12","workloads":["KM"]},`+
+		`"state":"running","created":"2026-01-02T03:04:05Z","updated":"2026-01-02T03:04:07Z",`+
+		`"attempts":[{"started":"2026-01-02T03:04:05Z","finished":"2026-01-02T03:04:06Z","error":"attempt doomed: injected fault"},`+
+		`{"started":"2026-01-02T03:04:07Z"}]}`, journalSchema, jobID(legacyKey), legacyKey)
+	if err := jst.Put(legacyKey, json.RawMessage(raw)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Server B boots over the same cache directory and must recover both
+	// jobs from the journal without a client resubmission, running each
+	// once.
 	gB := newGate("recovered result\n")
 	close(gB.open)
 	sB, baseB := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: gB.runner})
-	got := waitState(t, baseB, v.ID, StateDone)
-	if got.Recovered != 1 {
-		t.Fatalf("recovered generation = %d, want 1", got.Recovered)
+	for _, id := range []string{v.ID, jobID(legacyKey)} {
+		got := waitState(t, baseB, id, StateDone)
+		if got.Recovered != 1 {
+			t.Fatalf("job %s: recovered generation = %d, want 1", id, got.Recovered)
+		}
+		if body := fetchResult(t, baseB, id); body != "recovered result\n" {
+			t.Fatalf("job %s: recovered result = %q", id, body)
+		}
 	}
-	if body := fetchResult(t, baseB, v.ID); body != "recovered result\n" {
-		t.Fatalf("recovered result = %q", body)
+	if n := gB.runs.Load(); n != 2 {
+		t.Fatalf("runner invoked %d times for two recovered jobs, want 2", n)
 	}
-	if n := sB.Metrics().Counter("server/journal_recovered"); n != 1 {
-		t.Fatalf("journal_recovered = %v, want 1", n)
+	if n := sB.Metrics().Counter("server/journal_recovered"); n != 2 {
+		t.Fatalf("journal_recovered = %v, want 2", n)
 	}
 }
 
@@ -228,109 +255,43 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	}
 }
 
-// transientRunner fails the first n invocations with a retryable error.
-func transientRunner(n int64, sentinel error, result string) (func(context.Context, string, charonsim.Config) (string, error), *atomic.Int64) {
-	var calls atomic.Int64
-	return func(ctx context.Context, exp string, _ charonsim.Config) (string, error) {
-		if calls.Add(1) <= n {
-			return "", fmt.Errorf("attempt doomed: %w", sentinel)
-		}
-		return result, nil
-	}, &calls
-}
-
-func TestRetryRecoversTransientFaults(t *testing.T) {
-	runner, calls := transientRunner(2, fault.ErrInjected, "third time lucky\n")
-	s, base := newTestServer(t, Config{
-		Workers: 1, RetryBudget: 2, RetryBackoff: time.Millisecond, runner: runner,
-	})
-	_, v := postJob(t, base, `{"experiment":"fig12"}`)
-	got := waitState(t, base, v.ID, StateDone)
-	if calls.Load() != 3 {
-		t.Fatalf("runner invoked %d times, want 3", calls.Load())
-	}
-	if len(got.Attempts) != 3 {
-		t.Fatalf("attempt history = %d entries, want 3: %+v", len(got.Attempts), got.Attempts)
-	}
-	if got.Attempts[0].Error == "" || got.Attempts[2].Error != "" {
-		t.Fatalf("attempt errors malformed: %+v", got.Attempts)
-	}
-	if n := s.Metrics().Counter("server/jobs_retried"); n != 2 {
-		t.Fatalf("jobs_retried = %v, want 2", n)
-	}
-	if body := fetchResult(t, base, v.ID); body != "third time lucky\n" {
-		t.Fatalf("result = %q", body)
-	}
-}
-
-func TestRetryBudgetExhaustedReportsHistory(t *testing.T) {
-	runner, calls := transientRunner(1<<30, charonsim.ErrInternal, "")
-	_, base := newTestServer(t, Config{
-		Workers: 1, RetryBudget: 1, RetryBackoff: time.Millisecond, runner: runner,
-	})
-	_, v := postJob(t, base, `{"experiment":"fig12"}`)
-	got := waitState(t, base, v.ID, StateFailed)
-	if calls.Load() != 2 {
-		t.Fatalf("runner invoked %d times, want 2 (1 + 1 retry)", calls.Load())
-	}
-	if !strings.Contains(got.Error, "failed after 2 attempts") {
-		t.Fatalf("terminal error lacks attempt count: %q", got.Error)
-	}
-	if len(got.Attempts) != 2 {
-		t.Fatalf("attempt history = %d entries, want 2", len(got.Attempts))
-	}
-}
-
+// TestTerminalFailureDoesNotRetry: every failure is terminal on the first
+// run — a plain error, a recovered internal panic and an injected I/O fault
+// alike, since a deterministic simulator fails the same way on a re-run.
+// The runner's message reaches the status verbatim, with no attempt history.
 func TestTerminalFailureDoesNotRetry(t *testing.T) {
-	var calls atomic.Int64
-	runner := func(ctx context.Context, exp string, _ charonsim.Config) (string, error) {
-		calls.Add(1)
-		return "", fmt.Errorf("validation exploded") // not transient
-	}
-	s, base := newTestServer(t, Config{
-		Workers: 1, RetryBudget: 5, RetryBackoff: time.Millisecond, runner: runner,
-	})
-	_, v := postJob(t, base, `{"experiment":"fig12"}`)
-	waitState(t, base, v.ID, StateFailed)
-	if calls.Load() != 1 {
-		t.Fatalf("non-transient failure ran %d times, want 1", calls.Load())
-	}
-	if n := s.Metrics().Counter("server/jobs_retried"); n != 0 {
-		t.Fatalf("jobs_retried = %v, want 0", n)
-	}
-}
-
-func TestRetryDisabledByNegativeBudget(t *testing.T) {
-	runner, calls := transientRunner(1<<30, fault.ErrInjected, "")
-	_, base := newTestServer(t, Config{
-		Workers: 1, RetryBudget: -1, RetryBackoff: time.Millisecond, runner: runner,
-	})
-	_, v := postJob(t, base, `{"experiment":"fig12"}`)
-	waitState(t, base, v.ID, StateFailed)
-	if calls.Load() != 1 {
-		t.Fatalf("disabled retries still ran %d times, want 1", calls.Load())
-	}
-}
-
-func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
-	base := 100 * time.Millisecond
-	for attempt := 0; attempt < 10; attempt++ {
-		a := backoffDelay(base, attempt, "job-a")
-		if b := backoffDelay(base, attempt, "job-a"); a != b {
-			t.Fatalf("attempt %d: nondeterministic delay %s vs %s", attempt, a, b)
-		}
-		shift := attempt
-		if shift > 6 {
-			shift = 6
-		}
-		lo := base << uint(shift)
-		hi := lo + lo/2
-		if a < lo || a > hi {
-			t.Fatalf("attempt %d: delay %s outside [%s, %s]", attempt, a, lo, hi)
-		}
-	}
-	if backoffDelay(base, 1, "job-a") == backoffDelay(base, 1, "job-b") {
-		t.Fatal("different jobs share a jitter schedule")
+	for _, row := range []struct {
+		name string
+		err  error
+	}{
+		{"plain", errors.New("validation exploded")},
+		{"internal", fmt.Errorf("replay panicked: %w", charonsim.ErrInternal)},
+		{"injected", fmt.Errorf("checkpoint write: %w", fault.ErrInjected)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var calls atomic.Int64
+			runner := func(ctx context.Context, exp string, _ charonsim.Config) (string, error) {
+				calls.Add(1)
+				return "", row.err
+			}
+			s, base := newTestServer(t, Config{Workers: 1, runner: runner})
+			_, v := postJob(t, base, `{"experiment":"fig12"}`)
+			got := waitState(t, base, v.ID, StateFailed)
+			if calls.Load() != 1 {
+				t.Fatalf("runner invoked %d times, want 1", calls.Load())
+			}
+			if got.Error != row.err.Error() {
+				t.Fatalf("error = %q, want the runner's %q verbatim", got.Error, row.err.Error())
+			}
+			var raw map[string]any
+			getJSON(t, base+"/v1/jobs/"+v.ID, &raw)
+			if _, ok := raw["attempts"]; ok {
+				t.Fatalf("status carries an attempts history: %v", raw)
+			}
+			if n := s.Metrics().Counter("server/jobs_failed"); n != 1 {
+				t.Fatalf("jobs_failed = %v, want 1", n)
+			}
+		})
 	}
 }
 

@@ -173,7 +173,7 @@ func TestReadSurface(t *testing.T) {
 	for _, row := range rows {
 		for _, k := range readKinds {
 			t.Run(row.name+"/"+k.noun, func(t *testing.T) {
-				s, base := newTestServer(t, Config{Workers: 1, RetryBudget: -1, runner: row.runner})
+				s, base := newTestServer(t, Config{Workers: 1, runner: row.runner})
 				id := submitID(t, base, k.path, k.body)
 				row.settle(t, base, jobID(subjectKey(t)))
 

@@ -50,11 +50,12 @@ import (
 	"charonsim/internal/atomicio"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/cli"
-	"charonsim/internal/fault"
 	"charonsim/internal/metrics"
 )
 
-// Config configures a Server.
+// Config configures a Server. There is no retry knob: the simulator is
+// deterministic, so a job that fails once fails the same way on every
+// re-run, and each job runs its runner exactly once.
 type Config struct {
 	// Workers is the number of concurrent job executors (default 2). Each
 	// job additionally fans its simulation units out per its own
@@ -81,16 +82,6 @@ type Config struct {
 	// entries are evicted. Their results stay servable from the disk
 	// cache.
 	MaxJobs int
-	// RetryBudget bounds automatic re-executions of transiently-failed
-	// jobs — injected I/O faults and recovered internal panics
-	// (charonsim.ErrInternal) retry with exponential backoff plus
-	// deterministic jitter; anything else fails immediately. 0 selects
-	// the default (2 retries); negative disables retries entirely.
-	RetryBudget int
-	// RetryBackoff is the initial retry delay (default 250ms); it doubles
-	// per attempt up to 64x, plus up to +50% deterministic jitter derived
-	// from the job id. Tests shrink it.
-	RetryBackoff time.Duration
 	// Log receives structured request and lifecycle logs (nil = discard).
 	Log *slog.Logger
 
@@ -112,15 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 2
-	}
-	if c.RetryBudget < 0 {
-		c.RetryBudget = 0 // explicit "no retries"
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -309,7 +291,7 @@ func (s *Server) recoverJournal() {
 			continue
 		}
 		j := newJob(rec.Spec, cfg, key, time.Time{})
-		j.created, j.attempts, j.recovered = rec.Created, rec.Attempts, rec.Recovered+1
+		j.created, j.recovered = rec.Created, rec.Recovered+1
 		if _, queued, _ := s.admitLocked(j, false); !queued {
 			gcKeys = append(gcKeys, rec.Key)
 			continue
@@ -688,37 +670,76 @@ func (s *Server) persistResult(key, experiment, text string) {
 }
 
 // cancelJob requests cancellation; returns false when the job was already
-// terminal. A queued job transitions immediately; a running one has its
-// context canceled and transitions when the harness unwinds (event-loop
-// granularity).
+// terminal. A queued job settles as canceled at once; a running one has its
+// context canceled and settles when the harness unwinds (event-loop
+// granularity). The first recorded reason — a DELETE's or a drain's — is
+// the one a canceled job keeps.
 func (s *Server) cancelJob(j *job, reason string) bool {
+	if s.settle(j, StateQueued, StateCanceled, "", reason) {
+		return true
+	}
 	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCanceled
-		j.canceled = true
-		j.errMsg = reason
-		j.finished = time.Now()
-		j.seq++
-		close(j.done)
-		j.mu.Unlock()
-		s.journal.record(j)
-		s.reg.AddUint("server/jobs_canceled", 1)
-		s.noteChildTerminal(j)
-		return true
-	case StateRunning:
-		j.canceled = true
-		j.errMsg = reason
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return true
-	default:
+	if j.state != StateRunning {
 		j.mu.Unlock()
 		return false
 	}
+	j.canceled = true
+	if j.errMsg == "" {
+		j.errMsg = reason
+	}
+	cancel := j.cancel
+	j.mu.Unlock()
+	cancel()
+	return true
+}
+
+// settledCounters names the counter each terminal state bumps.
+var settledCounters = map[string]string{
+	StateDone:     "server/jobs_completed",
+	StateFailed:   "server/jobs_failed",
+	StateCanceled: "server/jobs_canceled",
+}
+
+// settle is every terminal transition of an admitted job — run to
+// completion, failed, canceled while queued or running, or expired in the
+// queue. It moves j to the terminal state `to` only while j is still in
+// state `from`, and reports whether it did, so of two racing transitions
+// exactly one lands. A done job gets text and an empty error (a
+// cancellation that lost the race to completion leaves no reason behind);
+// a failed job gets msg; a canceled job keeps the reason recorded first
+// by DELETE or drain, else msg. The transition is then journaled,
+// counted, fed to the run-time estimator when the job had started, and
+// reported to the job's sweeps.
+func (s *Server) settle(j *job, from, to, text, msg string) bool {
+	j.mu.Lock()
+	if j.state != from {
+		j.mu.Unlock()
+		return false
+	}
+	j.state, j.finished = to, time.Now()
+	switch {
+	case to == StateDone:
+		j.text, j.errMsg = text, ""
+	case to == StateFailed, j.errMsg == "":
+		j.errMsg = msg
+	}
+	j.seq++
+	s.reg.AddUint(settledCounters[to], 1) // before done closes, so a waiter sees the count
+	close(j.done)
+	ran, errMsg := !j.started.IsZero(), j.errMsg
+	var dur time.Duration
+	if ran {
+		dur = j.finished.Sub(j.started)
+	}
+	j.mu.Unlock()
+
+	s.journal.record(j)
+	if ran {
+		s.observeRunDuration(dur)
+	}
+	s.noteChildTerminal(j)
+	s.log.Info("job finish", "job", j.id, "state", to, "dur_s", dur.Seconds(), "err", errMsg)
+	return true
 }
 
 // metricsResponse is the /v1/metrics body: the numeric snapshot plus an
@@ -809,18 +830,13 @@ func (s *Server) runJob(j *job) {
 	if !j.deadline.IsZero() && !j.deadline.After(now) {
 		// The client's deadline lapsed while the job sat in the queue:
 		// running it now burns a worker on an answer nobody is waiting
-		// for. Fail without executing.
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("client deadline %s expired while queued",
+		// for. Fail without executing, unless a DELETE settles it first.
+		msg := fmt.Sprintf("client deadline %s expired while queued",
 			j.deadline.UTC().Format(time.RFC3339Nano))
-		j.finished = now
-		j.seq++
-		close(j.done)
 		j.mu.Unlock()
-		s.journal.record(j)
-		s.reg.AddUint("server/deadline_expired_queued", 1)
-		s.reg.AddUint("server/jobs_failed", 1)
-		s.noteChildTerminal(j)
+		if s.settle(j, StateQueued, StateFailed, "", msg) {
+			s.reg.AddUint("server/deadline_expired_queued", 1)
+		}
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -868,7 +884,7 @@ func (s *Server) runJob(j *job) {
 	s.journal.record(j)
 
 	s.log.Info("job start", "job", j.id, "experiment", j.spec.Experiment)
-	text, err := s.runWithRetries(ctx, j, cfg)
+	text, err := s.cfg.runner(ctx, j.spec.Experiment, cfg)
 
 	// Persist before publishing the terminal state: a client (or a
 	// restarted server) that observes "done" must find the cached bytes.
@@ -877,106 +893,21 @@ func (s *Server) runJob(j *job) {
 	}
 
 	j.mu.Lock()
-	j.finished = time.Now()
-	attempts := len(j.attempts)
+	canceled := j.canceled
+	j.mu.Unlock()
+	to, msg := StateDone, ""
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.text = text
-		s.reg.AddUint("server/jobs_completed", 1)
-	case j.canceled || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		if j.errMsg == "" {
-			j.errMsg = err.Error()
-		}
-		s.reg.AddUint("server/jobs_canceled", 1)
+	case canceled || errors.Is(err, context.Canceled):
+		to, msg = StateCanceled, err.Error()
+	case errors.Is(err, context.DeadlineExceeded) && !deadline.IsZero():
+		to, msg = StateFailed, fmt.Sprintf("client deadline %s exceeded mid-run: %v",
+			deadline.UTC().Format(time.RFC3339Nano), err)
+		s.reg.AddUint("server/deadline_expired_running", 1)
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		if attempts > 1 {
-			j.errMsg = fmt.Sprintf("failed after %d attempts (see attempts history): %v", attempts, err)
-		}
-		if errors.Is(err, context.DeadlineExceeded) && !j.deadline.IsZero() {
-			j.errMsg = fmt.Sprintf("client deadline %s exceeded mid-run: %v",
-				j.deadline.UTC().Format(time.RFC3339Nano), err)
-			s.reg.AddUint("server/deadline_expired_running", 1)
-		}
-		s.reg.AddUint("server/jobs_failed", 1)
+		to, msg = StateFailed, err.Error()
 	}
-	j.seq++
-	state, errMsg := j.state, j.errMsg
-	dur := j.finished.Sub(j.started)
-	close(j.done)
-	j.mu.Unlock()
-	s.journal.record(j)
-	s.observeRunDuration(dur)
-	s.noteChildTerminal(j)
-
-	s.log.Info("job finish", "job", j.id, "state", state, "attempts", attempts,
-		"dur_s", dur.Seconds(), "err", errMsg)
-}
-
-// runWithRetries executes the job's runner, retrying transient failures —
-// injected I/O faults and internal panics the harness recovered
-// (charonsim.ErrInternal) — with exponential backoff plus deterministic
-// jitter, up to the configured budget. Every attempt lands in the job's
-// (and journal's) attempt history; completed replay units persist in the
-// per-unit checkpoint store across attempts, so a retry only re-executes
-// what the failed attempt left unfinished.
-func (s *Server) runWithRetries(ctx context.Context, j *job, cfg charonsim.Config) (string, error) {
-	for attempt := 0; ; attempt++ {
-		started := time.Now()
-		text, err := s.cfg.runner(ctx, j.spec.Experiment, cfg)
-
-		j.mu.Lock()
-		j.attempts = append(j.attempts, attemptRecord{
-			Started: started, Finished: time.Now(), Error: errString(err),
-		})
-		j.seq++
-		canceled := j.canceled
-		j.mu.Unlock()
-
-		if err == nil || canceled || errors.Is(err, context.Canceled) || ctx.Err() != nil {
-			return text, err
-		}
-		if !transientErr(err) || attempt >= s.cfg.RetryBudget {
-			return text, err
-		}
-
-		delay := backoffDelay(s.cfg.RetryBackoff, attempt, j.id)
-		s.reg.AddUint("server/jobs_retried", 1)
-		s.log.Warn("job retry", "job", j.id, "attempt", attempt+1,
-			"budget", s.cfg.RetryBudget, "backoff", delay.String(), "err", err.Error())
-		s.journal.record(j) // attempt history survives a crash mid-backoff
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return "", ctx.Err()
-		}
-	}
-}
-
-// transientErr classifies failures worth retrying: injected I/O faults
-// (fault.ErrInjected) and internal panics the harness recovered into
-// charonsim.ErrInternal. Validation errors, watchdog aborts, and
-// cancellations are terminal.
-func transientErr(err error) bool {
-	return errors.Is(err, charonsim.ErrInternal) || errors.Is(err, fault.ErrInjected)
-}
-
-// backoffDelay is the wait before retry `attempt`: fault.Backoff with its
-// jitter drawn deterministically from the job id and attempt number — the
-// same job retries on the same schedule in every process, keeping chaos
-// runs reproducible, while different jobs desynchronize.
-func backoffDelay(base time.Duration, attempt int, id string) time.Duration {
-	return fault.Backoff(base, attempt, fault.NewSource(id, int64(attempt)+1).Frac())
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
+	s.settle(j, StateRunning, to, text, msg)
 }
 
 // observeRunDuration feeds the Retry-After estimator's EWMA (weight 1/4 on the

@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"charonsim"
+	"charonsim/internal/checkpoint"
 	"charonsim/internal/cli"
 )
 
@@ -287,6 +289,55 @@ func TestCancelMidRun(t *testing.T) {
 	<-g.started
 	close(g.open)
 	waitState(t, base, v2.ID, StateDone)
+}
+
+// TestCancelLosingToCompletionKeepsNoError: a DELETE on a running job
+// whose runner ignores its context and then succeeds leaves a done job
+// with no error — neither in its status nor in its journal record.
+func TestCancelLosingToCompletionKeepsNoError(t *testing.T) {
+	cacheDir := t.TempDir()
+	started, release := make(chan struct{}), make(chan struct{})
+	runner := func(context.Context, string, charonsim.Config) (string, error) {
+		close(started)
+		<-release
+		return "finished anyway\n", nil
+	}
+	_, base := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: runner})
+	_, v := postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
+	<-started
+	waitState(t, base, v.ID, StateRunning)
+
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+v.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE = %d, want 202", resp.StatusCode)
+	}
+	close(release)
+	if got := waitState(t, base, v.ID, StateDone); got.Error != "" {
+		t.Fatalf("done job carries error %q, want none", got.Error)
+	}
+
+	jst, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, key, _ := JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}.Resolve()
+	var rec journalRecord
+	for deadline := time.Now().Add(10 * time.Second); rec.State != StateDone; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal record state %q, want %q", rec.State, StateDone)
+		}
+		if payload, ok := jst.Get(key); ok {
+			_ = json.Unmarshal(payload, &rec)
+		}
+	}
+	if rec.Error != "" {
+		t.Fatalf("done journal record carries error %q, want none", rec.Error)
+	}
 }
 
 func TestCancelQueuedJob(t *testing.T) {

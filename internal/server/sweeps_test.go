@@ -240,7 +240,7 @@ func TestSweepFailureAggregation(t *testing.T) {
 		}
 		return "ok\n", nil
 	}
-	_, base := newTestServer(t, Config{Workers: 1, RetryBudget: -1, runner: failing})
+	_, base := newTestServer(t, Config{Workers: 1, runner: failing})
 
 	_, sw := postSweep(t, base, `{"experiments":["fig12","fig13"],"workloads":["BS"]}`)
 	v := waitSweepState(t, base, sw.ID, StateFailed)
@@ -407,23 +407,5 @@ func TestEvictionPrefersFetchedResults(t *testing.T) {
 	}
 	if resp := getJSON(t, base+"/v1/jobs/"+unread.ID, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("unread job was evicted (GET = %d, want 200)", resp.StatusCode)
-	}
-}
-
-// TestServerBackoffDelayShiftCap: the retry backoff exponent saturates,
-// so absurd attempt counts cannot overflow into negative or huge waits.
-func TestServerBackoffDelayShiftCap(t *testing.T) {
-	base := 100 * time.Millisecond
-	capped := backoffDelay(base, 6, "job-x")
-	for _, attempt := range []int{7, 20, 63, 1000} {
-		d := backoffDelay(base, attempt, "job-x")
-		if d <= 0 {
-			t.Fatalf("attempt %d: delay %v <= 0", attempt, d)
-		}
-		// Same shift cap, same id ⇒ only the jitter term (derived from
-		// attempt) differs; the doubling must have stopped at 64x.
-		if d > 2*capped {
-			t.Fatalf("attempt %d: delay %v escaped the 64x cap (%v at attempt 6)", attempt, d, capped)
-		}
 	}
 }
