@@ -18,11 +18,11 @@ test:
 short:
 	$(GO) test -short -timeout 10m ./...
 
-# Race coverage of the parallel harness and the serving stack. -short
-# keeps the simulation-heavy shape tests out; the concurrency tests never
-# skip.
+# Race coverage of the parallel harness, the host replay's walk-ahead
+# producers and the serving stack. -short keeps the simulation-heavy
+# shape tests out; the concurrency tests never skip.
 race:
-	$(GO) test -race -short -timeout 30m ./internal/experiments ./internal/sim ./internal/gc
+	$(GO) test -race -short -timeout 30m ./internal/experiments ./internal/sim ./internal/gc ./internal/exec ./internal/cpu
 	$(GO) test -race -timeout 30m -run 'Deterministic|Session|Parallel|Concurrent|KindTable' .
 	$(GO) test -race -timeout 30m ./internal/server ./internal/client ./internal/fault/netfault
 
@@ -46,15 +46,17 @@ benchsmoke:
 # Invariant audit: vet plus the cross-component conservation and
 # utilization-range checks (byte conservation between requesters and DRAM
 # banks, utilization gauges in [0,1], unit-busy double accounting), the
-# cache's equivalence to its stamp-based LRU reference, the calendar
+# cache's equivalence to its stamp-based LRU reference, the split
+# hierarchy walk's equivalence to the single-pass one, the calendar
 # ring's and slot heap's equivalence to their retired references, plus
-# short fuzz passes over the public Config boundary, that cache
-# equivalence and the calendar ring.
+# short fuzz passes over the public Config boundary, both cache
+# equivalences and the calendar ring.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|CalendarRing|SlotsMatchReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
@@ -63,7 +65,9 @@ audit:
 # inside the window; behind it, reservations clamp to the window base and
 # are counted), the host cache (results, stats, flushes and dirty-line
 # order must match the retired stamp-based LRU reference on any geometry
-# up to 16 ways), charond's job and sweep body decoders (no panic or
+# up to 16 ways), the split hierarchy walk (latency, memory flag,
+# writebacks and per-level stats must match the single-pass walk on any
+# three geometries up to 16 ways), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
 # fuzzed record is recovered or collected, never fatal) and checkpoint
 # entry decoding (a hit is a verified envelope; a rejected file is
@@ -73,6 +77,7 @@ fuzz:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSubmitJob -fuzz=FuzzSubmitJob -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzSubmitSweep -fuzz=FuzzSubmitSweep -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server

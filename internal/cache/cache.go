@@ -91,8 +91,9 @@ type Result struct {
 	WritebackAddr uint64
 }
 
-// Cache is a single cache level. Not safe for concurrent use; the
-// simulator is single-threaded.
+// Cache is a single cache level. Not safe for concurrent use: host replay
+// may walk a core's private levels on another goroutine, but never lets
+// two goroutines touch one Cache at once.
 //
 // Replacement is exact true LRU in constant work per access. Each way is
 // one packed key, and each set keeps a valid mask and a recency word, so
@@ -257,8 +258,8 @@ func find(keys []uint64, tag uint64) int {
 
 // Access looks up addr, allocating on miss (write-allocate) and marking
 // dirty on writes. It touches exactly one block; callers split larger
-// accesses with memsys.SplitBursts at the block size. The victim is the
-// first invalid way, else the least recently used one.
+// accesses at the block size. The victim is the first invalid way, else
+// the least recently used one.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.index(addr)
 	keys := c.setKeys(set)
@@ -356,6 +357,11 @@ func (c *Cache) AppendDirtyLines(dst []uint64) []uint64 {
 // Hierarchy chains cache levels in front of a memory latency model. It
 // answers the question the CPU timing model asks: "how long until this
 // load's data arrives, and how many memory requests does it generate?".
+//
+// Levels is L1, L2 and L3, in that order. L1 and L2 belong to one core;
+// the L3 may be shared with other cores' hierarchies. An access is walked
+// in two halves, WalkPrivate over L1/L2 and WalkShared over the L3, so a
+// core's private half can run ahead of (and apart from) the shared one.
 type Hierarchy struct {
 	Levels []*Cache
 
@@ -382,43 +388,120 @@ type LookupResult struct {
 	Writebacks []uint64
 }
 
-// Access walks the hierarchy for one block access. Stores dirty the line
-// only in the first level; dirty victims cascade one level down, and only
-// last-level victims become memory writebacks.
+// Private is the outcome of an access's walk through L1 and L2. It has
+// four word-sized fields so the compiler keeps it in registers: passed
+// through memory, its fields are stored and reloaded at mismatched
+// widths, which stalls store forwarding on every access.
+type Private struct {
+	// Latency is the summed hit latency of the private levels walked.
+	Latency sim.Time
+	// Victim0 and Victim1 are the dirty lines that fell out of L2, the
+	// first Victims() of them in the order they fell. Each still has to
+	// be installed in the L3.
+	Victim0, Victim1 uint64
+	// walk is the private level that hit (2: both missed) plus the victim
+	// count times 4.
+	walk uint8
+}
+
+// Level returns the private level that hit, or 2 when both missed.
+func (p Private) Level() int { return int(p.walk & 3) }
+
+// Miss reports whether every private level missed, so the access goes on
+// to the L3 demand lookup.
+func (p Private) Miss() bool { return p.walk&3 == 2 }
+
+// Victims returns how many dirty lines fell out of L2.
+func (p Private) Victims() int { return int(p.walk >> 2) }
+
+// victim records a dirty line that fell out of L2.
+func (p *Private) victim(addr uint64) {
+	if p.Victims() == 0 {
+		p.Victim0 = addr
+	} else {
+		p.Victim1 = addr
+	}
+	p.walk += 4
+}
+
+// WalkPrivate walks one block access through L1 and L2. Stores dirty the
+// line only in L1; a dirty L1 victim is installed in L2. It touches L1
+// and L2 only, never the L3 or the hierarchy's own scratch.
+func (h *Hierarchy) WalkPrivate(addr uint64, write bool) Private {
+	l1, l2 := h.Levels[0], h.Levels[1]
+	p := Private{Latency: l1.cfg.HitLatency}
+	r := l1.Access(addr, write)
+	if r.Writeback {
+		if v := l2.Access(r.WritebackAddr, true); v.Writeback {
+			p.victim(v.WritebackAddr)
+		}
+	}
+	if r.Hit {
+		return p
+	}
+	p.Latency += l2.cfg.HitLatency
+	p.walk++
+	r = l2.Access(addr, false)
+	if r.Writeback {
+		p.victim(r.WritebackAddr)
+	}
+	if !r.Hit {
+		p.walk++
+	}
+	return p
+}
+
+// WalkShared finishes the access p began: it installs p's L2 victims in
+// the L3, then, when both private levels missed, looks addr up in the L3.
+// It returns the access's total latency, whether it goes on to memory,
+// and the memory writebacks of dirty L3 victims.
+//
+// The returned writebacks alias hierarchy-owned scratch and are valid
+// until the next WalkShared call.
+func (h *Hierarchy) WalkShared(addr uint64, p Private) (latency sim.Time, memory bool, writebacks []uint64) {
+	l3 := h.Levels[2]
+	latency, writebacks = p.Latency, h.wb[:0]
+	if n := p.Victims(); n > 0 {
+		if r := l3.Access(p.Victim0, true); r.Writeback {
+			writebacks = append(writebacks, r.WritebackAddr)
+		}
+		if n > 1 {
+			if r := l3.Access(p.Victim1, true); r.Writeback {
+				writebacks = append(writebacks, r.WritebackAddr)
+			}
+		}
+	}
+	if p.Miss() {
+		latency += l3.cfg.HitLatency
+		r := l3.Access(addr, false)
+		if r.Writeback {
+			writebacks = append(writebacks, r.WritebackAddr)
+		}
+		memory = !r.Hit
+	}
+	// Store the scratch back only when an append grew it: the Hierarchy's
+	// other fields are read by the core's private walk, which may run on
+	// another goroutine, and any store would steal their cache line.
+	if cap(writebacks) != cap(h.wb) {
+		h.wb = writebacks[:0]
+	}
+	return latency, memory, writebacks
+}
+
+// Access walks the hierarchy for one block access: WalkPrivate, then
+// WalkShared. Dirty victims cascade one level down, and only L3 victims
+// become memory writebacks.
 //
 // The returned Writebacks slice aliases hierarchy-owned scratch and is
 // valid until the next Access call.
 func (h *Hierarchy) Access(addr uint64, write bool) LookupResult {
-	res := LookupResult{Writebacks: h.wb[:0]}
-	for i, c := range h.Levels {
-		res.Latency += c.cfg.HitLatency
-		r := c.Access(addr, write && i == 0)
-		if r.Writeback {
-			h.writeback(i+1, r.WritebackAddr, &res)
-		}
-		if r.Hit {
-			res.Level = i
-			h.wb = res.Writebacks[:0]
-			return res
-		}
+	p := h.WalkPrivate(addr, write)
+	latency, memory, wbs := h.WalkShared(addr, p)
+	level := p.Level()
+	if memory {
+		level = len(h.Levels)
 	}
-	res.Level = len(h.Levels)
-	res.MemoryAccess = true
-	h.wb = res.Writebacks[:0]
-	return res
-}
-
-// writeback installs a dirty victim into level i (cascading further
-// victims), or records a memory writeback past the last level.
-func (h *Hierarchy) writeback(i int, addr uint64, res *LookupResult) {
-	for ; i < len(h.Levels); i++ {
-		r := h.Levels[i].Access(addr, true)
-		if !r.Writeback {
-			return
-		}
-		addr = r.WritebackAddr
-	}
-	res.Writebacks = append(res.Writebacks, addr)
+	return LookupResult{Level: level, Latency: latency, MemoryAccess: memory, Writebacks: wbs}
 }
 
 // FlushAll flushes every level, returning total dirty lines.

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"charonsim/internal/sim"
 )
 
 // driveBoth replays one seeded operation stream on the Cache and the
@@ -126,5 +128,96 @@ func FuzzCacheEquivalence(f *testing.F) {
 			nops = 4000
 		}
 		driveBoth(t, seed, Config{Name: "fuzz", SizeBytes: w * n * b, Ways: int(w), BlockSize: b}, int(nops))
+	})
+}
+
+// driveSplitWalk replays one seeded access stream through a Hierarchy,
+// one access as WalkPrivate then WalkShared, and through the retained
+// single-pass reference over the same geometries, failing on the first
+// divergence in level, latency, memory flag, writeback list or any
+// level's Stats.
+func driveSplitWalk(t *testing.T, seed int64, cfgs [3]Config, nops int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	got := &Hierarchy{Levels: []*Cache{New(cfgs[0]), New(cfgs[1]), New(cfgs[2])}}
+	ref := &referenceHierarchy{Levels: []*Cache{New(cfgs[0]), New(cfgs[1]), New(cfgs[2])}}
+	span := func(c Config) uint64 { return c.SizeBytes/c.BlockSize + 1 }
+	block := cfgs[0].BlockSize
+	var stream uint64
+	for i := 0; i < nops; i++ {
+		var blk uint64
+		switch rng.Intn(10) {
+		case 0, 1, 2: // L1-sized pool: mostly L1 hits
+			blk = rng.Uint64() % span(cfgs[0])
+		case 3, 4: // L2-sized pool: L1 victims land in L2
+			blk = rng.Uint64() % (2 * span(cfgs[1]))
+		case 5, 6: // twice the L3: L3 hits, L3 victims, memory writebacks
+			blk = rng.Uint64() % (2 * span(cfgs[2]))
+		case 7, 8: // streaming
+			stream++
+			blk = stream
+		default: // anywhere: full-width tags
+			blk = rng.Uint64() / block
+		}
+		a, write := blk*block+rng.Uint64()%block, rng.Intn(3) == 0
+		w := ref.Access(a, write)
+		p := got.WalkPrivate(a, write)
+		lat, mem, wbs := got.WalkShared(a, p)
+		if level := p.Level(); w.Level < 2 && level != w.Level || w.Level >= 2 && !p.Miss() ||
+			lat != w.Latency || mem != w.MemoryAccess || !slices.Equal(wbs, w.Writebacks) {
+			t.Fatalf("seed %d op %d: split walk of (%#x, %v) = %+v then %v, %v, %v; reference %+v",
+				seed, i, a, write, p, lat, mem, wbs, w)
+		}
+		for l := range got.Levels {
+			if got.Levels[l].Stats != ref.Levels[l].Stats {
+				t.Fatalf("seed %d op %d: level %d Stats = %+v, reference %+v",
+					seed, i, l, got.Levels[l].Stats, ref.Levels[l].Stats)
+			}
+		}
+	}
+}
+
+// splitGeometry draws one level's geometry: 1 to 16 ways, a few sets,
+// and the given block size.
+func splitGeometry(rng *rand.Rand, name string, block uint64, hit sim.Time) Config {
+	ways := uint64(rng.Intn(maxWays)) + 1
+	sets := uint64(rng.Intn(12)) + 1
+	return Config{Name: name, SizeBytes: ways * sets * block, Ways: int(ways), BlockSize: block, HitLatency: hit}
+}
+
+// TestSplitWalkMatchesReference pins the split walk to the single-pass
+// reference on the scaled host stack and on seeded random geometries.
+func TestSplitWalkMatchesReference(t *testing.T) {
+	driveSplitWalk(t, 1, [3]Config{ScaledL1DConfig(), ScaledL2Config(), ScaledL3Config()}, 20000)
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		block := []uint64{64, 48, 32}[rng.Intn(3)]
+		driveSplitWalk(t, seed, [3]Config{
+			splitGeometry(rng, "L1", block, 1),
+			splitGeometry(rng, "L2", block, 10),
+			splitGeometry(rng, "L3", block, 100),
+		}, 3000)
+	}
+}
+
+// FuzzSplitWalkEquivalence drives the split walk and the single-pass
+// reference over fuzzed geometries and access streams. Wired into
+// `make fuzz` and `make audit`.
+func FuzzSplitWalkEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(16), uint8(64), uint16(2000))
+	f.Add(int64(7), uint8(1), uint8(16), uint8(3), uint8(48), uint16(2000))
+	f.Add(int64(42), uint8(16), uint8(2), uint8(1), uint8(8), uint16(500))
+	f.Fuzz(func(t *testing.T, seed int64, w1, w2, w3, block uint8, nops uint16) {
+		b := uint64(block%128) + 4
+		rng := rand.New(rand.NewSource(seed))
+		level := func(name string, ways uint8, hit sim.Time) Config {
+			w := uint64(ways%maxWays) + 1
+			n := uint64(rng.Intn(16)) + 1
+			return Config{Name: name, SizeBytes: w * n * b, Ways: int(w), BlockSize: b, HitLatency: hit}
+		}
+		if nops > 4000 {
+			nops = 4000
+		}
+		driveSplitWalk(t, seed, [3]Config{level("L1", w1, 1), level("L2", w2, 10), level("L3", w3, 100)}, int(nops))
 	})
 }

@@ -150,3 +150,42 @@ func (c *referenceCache) AppendDirtyLines(dst []uint64) []uint64 {
 	}
 	return dst
 }
+
+// referenceHierarchy is the original single-pass Hierarchy.Access, kept
+// verbatim (types renamed) as the executable specification the split
+// WalkPrivate/WalkShared walk must match access for access. Test-only.
+type referenceHierarchy struct {
+	Levels []*Cache
+	wb     []uint64
+}
+
+func (h *referenceHierarchy) Access(addr uint64, write bool) LookupResult {
+	res := LookupResult{Writebacks: h.wb[:0]}
+	for i, c := range h.Levels {
+		res.Latency += c.cfg.HitLatency
+		r := c.Access(addr, write && i == 0)
+		if r.Writeback {
+			h.writeback(i+1, r.WritebackAddr, &res)
+		}
+		if r.Hit {
+			res.Level = i
+			h.wb = res.Writebacks[:0]
+			return res
+		}
+	}
+	res.Level = len(h.Levels)
+	res.MemoryAccess = true
+	h.wb = res.Writebacks[:0]
+	return res
+}
+
+func (h *referenceHierarchy) writeback(i int, addr uint64, res *LookupResult) {
+	for ; i < len(h.Levels); i++ {
+		r := h.Levels[i].Access(addr, true)
+		if !r.Writeback {
+			return
+		}
+		addr = r.WritebackAddr
+	}
+	res.Writebacks = append(res.Writebacks, addr)
+}

@@ -7,7 +7,8 @@ import (
 
 // This file pins the host hierarchy's hot-path performance contract: a
 // replay-shaped benchmark over the scaled L1/L2/L3 the experiment
-// platforms use, plus an exact allocation budget for Hierarchy.Access.
+// platforms use, plus an exact allocation budget for Hierarchy.Access and
+// its two halves.
 
 var sinkLookup LookupResult
 
@@ -79,5 +80,18 @@ func TestHierarchyAccessAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Hierarchy.Access allocates %.2f allocs/op, budget 0", allocs)
+	}
+	// The two halves, run apart as a host replay does, hold the same budget.
+	var p Private
+	for _, half := range []struct {
+		name string
+		fn   func()
+	}{
+		{"WalkPrivate", func() { p = h.WalkPrivate(addrs[j%len(addrs)], writes[j%len(addrs)]) }},
+		{"WalkShared", func() { _, _, sinkLookup.Writebacks = h.WalkShared(addrs[j%len(addrs)], p); j++ }},
+	} {
+		if allocs := testing.AllocsPerRun(len(addrs), half.fn); allocs != 0 {
+			t.Fatalf("Hierarchy.%s allocates %.2f allocs/op, budget 0", half.name, allocs)
+		}
 	}
 }

@@ -203,15 +203,63 @@ func (c *Core) ExecOps(start sim.Time, ops []Op) sim.Time {
 // StreamPos returns the core's absolute instruction-stream position.
 func (c *Core) StreamPos() int { return c.pos }
 
+// span returns the byte range [addr, end) a memory op touches. Its lines
+// are walked from addr, then from each following 64 B boundary below end.
+func (op *Op) span() (addr, end uint64) {
+	size := op.Size
+	if size == 0 {
+		size = 8
+	}
+	return op.Addr, op.Addr + uint64(size)
+}
+
+// nextLine returns the 64 B boundary after a.
+func nextLine(a uint64) uint64 { return (a | 63) + 1 }
+
+// WalkPrivate walks every line of ops' memory accesses through the L1
+// and L2 of h, a core's hierarchy, in the order ExecWalked times them, and
+// appends the outcomes to dst. It touches only the private levels, and
+// not the Core, so it may run on another goroutine ahead of the
+// ExecWalked calls that consume its outcomes, provided nothing else walks
+// the core's private levels meanwhile.
+func WalkPrivate(h *cache.Hierarchy, ops []Op, dst []cache.Private) []cache.Private {
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind == OpCompute {
+			continue
+		}
+		for a, end := op.span(); a < end; a = nextLine(a) {
+			dst = append(dst, h.WalkPrivate(a, op.Kind == OpWrite))
+		}
+	}
+	return dst
+}
+
 // ExecBatch executes a batch of ops whose Dep fields are relative to
 // stream position depBase (so a long primitive can be executed in several
 // batches, interleaving with other cores' resource reservations, while
 // dependencies still resolve across batch boundaries).
 func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
+	finish, _ := c.exec(start, ops, depBase, nil, false)
+	return finish
+}
+
+// ExecWalked is ExecBatch for ops whose lines WalkPrivate already walked
+// through the core's private levels: priv holds those outcomes from the
+// batch's first line on. It returns the finish time and how many outcomes
+// the batch used.
+func (c *Core) ExecWalked(start sim.Time, ops []Op, depBase int, priv []cache.Private) (sim.Time, int) {
+	return c.exec(start, ops, depBase, priv, true)
+}
+
+// exec times a batch. Each memory op's lines take their private-level
+// outcome from priv when walked is set, and walk L1/L2 inline otherwise.
+func (c *Core) exec(start sim.Time, ops []Op, depBase int, priv []cache.Private, walked bool) (sim.Time, int) {
 	if start > c.cursor {
 		c.cursor = start
 	}
 	startBusy := c.cursor
+	used := 0
 
 	for i := range ops {
 		op := &ops[i]
@@ -241,71 +289,22 @@ func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
 			}
 		}
 
-		var done sim.Time
-		switch op.Kind {
-		case OpCompute:
-			done = ready
-		default:
+		done := ready
+		if op.Kind != OpCompute {
 			c.Stats.MemOps++
-			kind := memsys.Read
-			write := false
-			if op.Kind == OpWrite {
-				kind = memsys.Write
-				write = true
-			}
-			size := op.Size
-			if size == 0 {
-				size = 8
-			}
-			memsys.SplitBursts(op.Addr, size, 64, func(a uint64, s uint32) {
-				c.Stats.MemAccesses++
-				r := c.hier.Access(a, write)
-				var d sim.Time
-				if r.MemoryAccess {
-					c.Stats.CacheMisses++
-					line := a &^ 63
-					stream := false
-					for i := range c.streams {
-						if line == c.streams[i]+64 {
-							c.streams[i] = line
-							stream = true
-							break
-						}
-					}
-					if !stream {
-						c.streamIdx = (c.streamIdx + 1) % len(c.streams)
-						c.streams[c.streamIdx] = line
-					}
-					if stream && !write && c.cfg.PrefetchLead > 0 {
-						// Prefetched: the access was issued PrefetchLead
-						// early by the stream prefetcher (own trackers, no
-						// MSHR), so the demand load sees at most the
-						// residual latency. Bandwidth is still charged.
-						c.Stats.Prefetches++
-						c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
-						memDone := c.mem.AccessAt(ready, kind, a, 64)
-						d = ready + r.Latency
-						if memDone > c.cfg.PrefetchLead && memDone-c.cfg.PrefetchLead > d {
-							d = memDone - c.cfg.PrefetchLead
-						}
-					} else {
-						c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
-						d = c.mshrAccess(ready+r.Latency, kind, a)
-					}
+			write := op.Kind == OpWrite
+			for a, end := op.span(); a < end; a = nextLine(a) {
+				var p cache.Private
+				if walked {
+					p = priv[used]
+					used++
 				} else {
-					c.Stats.CacheHits++
-					d = ready + r.Latency
+					p = c.hier.WalkPrivate(a, write)
 				}
-				// Dirty victims write back asynchronously (no stall), but
-				// the traffic is charged to the memory system.
-				for _, wb := range r.Writebacks {
-					c.Stats.Mem.Record(&memsys.Request{Kind: memsys.Write, Size: 64})
-					c.mem.AccessAt(d, memsys.Write, wb, 64)
-				}
-				if d > done {
+				if d := c.line(ready, a, write, p); d > done {
 					done = d
 				}
-			})
+			}
 		}
 
 		c.ring[c.pos%streamRing] = done
@@ -325,7 +324,62 @@ func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
 		finish = c.lastRetire
 	}
 	c.Stats.Busy += finish - startBusy
-	return finish
+	return finish, used
+}
+
+// line times one 64 B line of a memory op issued at ready, whose walk
+// through the private levels gave p: the L3 lookup, then on a miss a
+// stream-prefetched or MSHR-bounded fill, and the writebacks of dirty
+// victims. It returns the time the line's data is available.
+func (c *Core) line(ready sim.Time, a uint64, write bool, p cache.Private) sim.Time {
+	kind := memsys.Read
+	if write {
+		kind = memsys.Write
+	}
+	c.Stats.MemAccesses++
+	latency, memory, writebacks := c.hier.WalkShared(a, p)
+	var d sim.Time
+	if memory {
+		c.Stats.CacheMisses++
+		line := a &^ 63
+		stream := false
+		for i := range c.streams {
+			if line == c.streams[i]+64 {
+				c.streams[i] = line
+				stream = true
+				break
+			}
+		}
+		if !stream {
+			c.streamIdx = (c.streamIdx + 1) % len(c.streams)
+			c.streams[c.streamIdx] = line
+		}
+		c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
+		if stream && !write && c.cfg.PrefetchLead > 0 {
+			// Prefetched: the access was issued PrefetchLead early by the
+			// stream prefetcher (own trackers, no MSHR), so the demand
+			// load sees at most the residual latency. Bandwidth is still
+			// charged.
+			c.Stats.Prefetches++
+			memDone := c.mem.AccessAt(ready, kind, a, 64)
+			d = ready + latency
+			if memDone > c.cfg.PrefetchLead && memDone-c.cfg.PrefetchLead > d {
+				d = memDone - c.cfg.PrefetchLead
+			}
+		} else {
+			d = c.mshrAccess(ready+latency, kind, a)
+		}
+	} else {
+		c.Stats.CacheHits++
+		d = ready + latency
+	}
+	// Dirty victims write back asynchronously (no stall), but the traffic
+	// is charged to the memory system.
+	for _, wb := range writebacks {
+		c.Stats.Mem.Record(&memsys.Request{Kind: memsys.Write, Size: 64})
+		c.mem.AccessAt(d, memsys.Write, wb, 64)
+	}
+	return d
 }
 
 // FlushCaches models the GC-start bulk cache flush (Section 4.6): all

@@ -55,40 +55,37 @@ func TestByteConservationWithDeadlineFallback(t *testing.T) {
 
 // TestAllUnitsFailedMatchesHostBaseline is the failover acceptance
 // criterion: with every Charon unit failed the platform must degenerate
-// to the host-only collector path — per-event GC durations equal to
-// KindHMC exactly (same cores, same memory system, same schedule) and one
-// degradation event per offloadable invocation.
+// to the host-only collector path — per-event GC durations, per-core
+// statistics and per-level cache statistics equal to KindHMC exactly
+// (same cores, same memory system, same schedule) and one degradation
+// event per offloadable invocation. It also pins the two software paths
+// to each other: the HMC host walks each core's L1/L2 ahead of the timing
+// pass, the Charon platform walks them inline. The second recording adds
+// an invocation larger than a walk chunk and runs of empty invocations.
 func TestAllUnitsFailedMatchesHostBaseline(t *testing.T) {
 	evs, env := record(t, 4<<20)
-	for _, nthreads := range []int{1, 8} {
-		host := New(KindHMC, env, nthreads)
-		dead := mustOpt(t, KindCharon, env, nthreads,
-			Options{Fault: &fault.Config{FailAllUnits: true, Seed: 1}})
-
-		var offloadable uint64
-		for _, ev := range evs {
-			for i := range ev.Invocations {
-				if ev.Invocations[i].Prim.Offloadable() {
-					offloadable++
+	for _, rec := range []struct {
+		name string
+		evs  []*gc.Event
+	}{{"recorded", evs}, {"chunk edges", withChunkEdges(evs, env)}} {
+		for _, nthreads := range []int{1, 8} {
+			dead := assertHostPathsAgree(t, rec.evs, env, nthreads)
+			var offloadable uint64
+			for _, ev := range rec.evs {
+				for i := range ev.Invocations {
+					if ev.Invocations[i].Prim.Offloadable() {
+						offloadable++
+					}
 				}
 			}
-		}
-		for i, ev := range evs {
-			h := host.Replay(ev, nthreads)
-			d := dead.Replay(ev, nthreads)
-			if h.Duration != d.Duration {
-				t.Fatalf("threads=%d event %d (%v): all-failed Charon %v != host baseline %v",
-					nthreads, i, ev.Kind, d.Duration, h.Duration)
+			noUnit, deadline := dead.DegradationEvents()
+			if noUnit != offloadable {
+				t.Fatalf("%s threads=%d: degradation events %d, want one per offloadable invocation (%d)",
+					rec.name, nthreads, noUnit, offloadable)
 			}
-		}
-		cp := dead.(*charonPlatform)
-		noUnit, deadline := cp.DegradationEvents()
-		if noUnit != offloadable {
-			t.Fatalf("threads=%d: degradation events %d, want one per offloadable invocation (%d)",
-				nthreads, noUnit, offloadable)
-		}
-		if deadline != 0 {
-			t.Fatalf("threads=%d: unexpected watchdog firings %d", nthreads, deadline)
+			if deadline != 0 {
+				t.Fatalf("%s threads=%d: unexpected watchdog firings %d", rec.name, nthreads, deadline)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"charonsim/internal/cache"
 	"charonsim/internal/charon"
@@ -509,31 +510,46 @@ func (s *replaySched) run(start sim.Time, ev *gc.Event, nthreads int, mon *sim.M
 // quanta, resolving dependencies across batches via the core's stream
 // ring. One reusable instance lives per thread on each platform;
 // beginning an invocation rebinds it instead of allocating a closure.
+//
+// Inline, ops is the whole invocation and each batch walks its lines
+// through L1/L2 as it executes. Fed by a walkFeed, ops is one span of the
+// invocation at a time, with its lines' private-level outcomes in priv.
 type softwareStep struct {
 	core *cpu.Core
 	ops  []cpu.Op
+	priv []cache.Private
+	feed *walkFeed // nil: inline
+	last bool      // ops is the invocation's last span
 	// base is the stream position where this invocation began: recorded
 	// deps are relative to the invocation start.
 	base int
-	idx  int
 }
 
-func (s *softwareStep) start(core *cpu.Core, ops []cpu.Op) *softwareStep {
-	s.core, s.ops, s.base, s.idx = core, ops, core.StreamPos(), 0
+// start binds the stepper to one invocation: its ops when feed is nil,
+// else the feed's next spans.
+func (s *softwareStep) start(core *cpu.Core, ops []cpu.Op, feed *walkFeed) *softwareStep {
+	s.core, s.ops, s.priv, s.feed, s.last, s.base = core, ops, nil, feed, feed == nil, core.StreamPos()
 	return s
 }
 
 func (s *softwareStep) step(_ int, t sim.Time) stepResult {
-	if s.idx >= len(s.ops) {
+	for len(s.ops) == 0 && !s.last {
+		s.ops, s.priv, s.last = s.feed.next()
+	}
+	if len(s.ops) == 0 {
 		return stepResult{t: t, done: true}
 	}
-	end := s.idx + opBatch
-	if end > len(s.ops) {
-		end = len(s.ops)
+	b := s.ops[:min(opBatch, len(s.ops))]
+	var finish sim.Time
+	if s.feed == nil {
+		finish = s.core.ExecBatch(t, b, s.base)
+	} else {
+		var used int
+		finish, used = s.core.ExecWalked(t, b, s.base, s.priv)
+		s.priv = s.priv[used:]
 	}
-	finish := s.core.ExecBatch(t, s.ops[s.idx:end], s.base)
-	s.idx = end
-	return stepResult{t: finish, done: s.idx >= len(s.ops)}
+	s.ops = s.ops[len(b):]
+	return stepResult{t: finish, done: len(s.ops) == 0 && s.last}
 }
 
 // --- host platform ----------------------------------------------------------------
@@ -551,6 +567,11 @@ type hostPlatform struct {
 	events  uint64
 	sched   replaySched
 	swSteps []softwareStep // one reusable software-path stepper per thread
+
+	// Private-level walk ahead of the timing pass (walk.go): one feed per
+	// thread, and the running event's producers.
+	feeds     []walkFeed
+	producers sync.WaitGroup
 }
 
 func (p *hostPlatform) Name() string { return p.name }
@@ -597,12 +618,20 @@ func (p *hostPlatform) Replay(ev *gc.Event, nthreads int) Result {
 	if len(p.swSteps) < nthreads {
 		p.swSteps = make([]softwareStep, nthreads)
 	}
-	end, prim := p.sched.run(start, ev, nthreads, p.mon,
-		func(thread int, inv *gc.Invocation) stepper {
-			core := p.host.Cores[thread%len(p.host.Cores)]
-			x := p.xs[thread%len(p.xs)]
-			return p.swSteps[thread].start(core, x.expandCopy(inv, ev, major))
-		})
+	begin := func(thread int, inv *gc.Invocation) stepper {
+		core := p.host.Cores[thread%len(p.host.Cores)]
+		x := p.xs[thread%len(p.xs)]
+		return p.swSteps[thread].start(core, x.expandCopy(inv, ev, major), nil)
+	}
+	// When every thread has a core and an expander of its own, its L1/L2
+	// walk runs ahead on a goroutine of its own.
+	if nthreads <= len(p.host.Cores) && nthreads <= len(p.xs) {
+		defer p.stopWalk(p.walkAhead(ev, max(nthreads, 1), major))
+		begin = func(thread int, _ *gc.Invocation) stepper {
+			return p.swSteps[thread].start(p.host.Cores[thread], nil, &p.feeds[thread])
+		}
+	}
+	end, prim := p.sched.run(start, ev, nthreads, p.mon, begin)
 
 	p.events++
 	p.rec.Span(ev.Kind.String(), "gc", charon.TracePidHost, 0, start, end)
@@ -619,6 +648,38 @@ func (p *hostPlatform) Replay(ev *gc.Event, nthreads int) Result {
 		PrimTime: prim,
 		Traffic:  tr,
 		HostBusy: p.host.Stats().Busy - busyBefore,
+	}
+}
+
+// walkAhead starts one producer per thread that has invocations in ev,
+// each walking its thread's stream through its own core's L1/L2 into the
+// thread's feed. Closing the returned channel stops them.
+func (p *hostPlatform) walkAhead(ev *gc.Event, nthreads int, major bool) chan struct{} {
+	if len(p.feeds) < nthreads {
+		p.feeds = make([]walkFeed, nthreads)
+		for i := range p.feeds {
+			p.feeds[i].ch = make(chan *walkChunk, feedDepth)
+		}
+	}
+	quit := make(chan struct{})
+	for t := 0; t < nthreads && t < len(ev.Invocations); t++ {
+		p.producers.Add(1)
+		go func() {
+			defer p.producers.Done()
+			produce(p.host.Cores[t].Hierarchy(), p.xs[t], ev, major, t, nthreads, p.feeds[t].ch, quit)
+		}()
+	}
+	return quit
+}
+
+// stopWalk stops and joins the producers and returns every chunk to the
+// pool. Deferred by Replay, it also runs when a cancelled or wedged replay
+// aborts mid-event, so no producer outlives the Replay call.
+func (p *hostPlatform) stopWalk(quit chan struct{}) {
+	close(quit)
+	p.producers.Wait()
+	for i := range p.feeds {
+		p.feeds[i].release()
 	}
 }
 
@@ -838,7 +899,7 @@ func (p *charonPlatform) Replay(ev *gc.Event, nthreads int) Result {
 	software := func(thread int, inv *gc.Invocation) stepper {
 		core := p.host.Cores[thread%len(p.host.Cores)]
 		x := p.xs[thread%len(p.xs)]
-		return p.swSteps[thread].start(core, x.expandCopy(inv, ev, major))
+		return p.swSteps[thread].start(core, x.expandCopy(inv, ev, major), nil)
 	}
 	end, prim := p.sched.run(flushEnd, ev, nthreads, p.mon,
 		func(thread int, inv *gc.Invocation) stepper {
