@@ -50,7 +50,10 @@ benchsmoke:
 # hierarchy walk's equivalence to the single-pass one, the calendar
 # ring's and slot heap's equivalence to their retired references, plus
 # short fuzz passes over the public Config boundary, both cache
-# equivalences and the calendar ring.
+# equivalences, the calendar ring and charond's journal replay. Every
+# journal exec boots a server over fsync'd files, so its minimization is
+# capped at 10 execs: the default 60 s budget would spend the whole short
+# pass minimizing the first new input.
 audit:
 	$(GO) vet ./...
 	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
@@ -58,6 +61,7 @@ audit:
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/server
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
 # configs must run cleanly), the calendar ring (exact against the
@@ -69,7 +73,8 @@ audit:
 # writebacks and per-level stats must match the single-pass walk on any
 # three geometries up to 16 ways), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
-# fuzzed record is recovered or collected, never fatal) and checkpoint
+# fuzzed record, or a sweep manifest beside a fuzzed child record, is
+# recovered or collected, never fatal) and checkpoint
 # entry decoding (a hit is a verified envelope; a rejected file is
 # deleted). FUZZTIME=10m fuzz for a longer soak.
 FUZZTIME ?= 15s

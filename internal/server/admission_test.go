@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -289,53 +290,98 @@ func TestSweepTableBounded(t *testing.T) {
 	}
 }
 
-// TestResubmissionIsJournaled: a job or sweep that replaces a failed one
-// under the same key journals its fresh state, so a crash right after the
-// 202 recovers it rather than the failure it replaced.
-func TestResubmissionIsJournaled(t *testing.T) {
-	_, sweepKey, err := SweepSpec{Experiments: []string{"fig12"}, Workloads: []string{"BS"}}.Expand()
+// waitJournaled polls the journal record stored under key until its state
+// is one of want, or fails the test with the last state seen.
+func waitJournaled(t *testing.T, dir, key string, want ...string) {
+	t.Helper()
+	st, err := checkpoint.Open(filepath.Join(dir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ep := range []struct{ path, body, key, want string }{
-		{"/v1/jobs", subjectJob, subjectKey(t), StateRunning},
-		{"/v1/sweeps", subjectSweep, sweepKey, SweepStateActive},
+	// A transition is journaled just after it shows in the status view,
+	// so poll briefly.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var rec struct {
+			State string `json:"state"`
+		}
+		if payload, ok := st.Get(key); ok {
+			_ = json.Unmarshal(payload, &rec)
+		}
+		if slices.Contains(want, rec.State) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journaled state for %s = %q, want one of %v", key, rec.State, want)
+		}
+	}
+}
+
+// TestResubmissionIsJournaled: a job or sweep that replaces a failed one
+// under the same key is journaled afresh, so a crash right after the 202
+// recovers it rather than the failure it replaced — the job's record
+// holds its new state, and a reboot recovers the sweep under its id.
+func TestResubmissionIsJournaled(t *testing.T) {
+	for _, ep := range []struct {
+		path, body string
+		check      func(t *testing.T, dir, id string)
+	}{
+		{"/v1/jobs", subjectJob, func(t *testing.T, dir, _ string) {
+			waitJournaled(t, dir, subjectKey(t), StateRunning)
+		}},
+		{"/v1/sweeps", subjectSweep, func(t *testing.T, dir, id string) {
+			_, baseB := newTestServer(t, Config{Workers: 1, CacheDir: dir, runner: blockRunner})
+			var sw sweepView
+			if resp := getJSON(t, baseB+"/v1/sweeps/"+id, &sw); resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET sweep after reboot = %d, want 200", resp.StatusCode)
+			}
+			if sw.Recovered < 1 {
+				t.Fatalf("sweep after reboot: recovered = %d, want >= 1", sw.Recovered)
+			}
+		}},
 	} {
 		t.Run(ep.path, func(t *testing.T) {
 			dir := t.TempDir()
 			_, base := newTestServer(t, Config{Workers: 1, CacheDir: dir, runner: failingOnce()})
-			post := func() int {
+			post := func() (int, string) {
 				resp, err := http.Post(base+ep.path, "application/json", strings.NewReader(ep.body))
 				if err != nil {
 					t.Fatal(err)
 				}
-				resp.Body.Close()
-				return resp.StatusCode
+				defer resp.Body.Close()
+				var v struct {
+					ID string `json:"id"`
+				}
+				_ = jsonDecode(resp.Body, &v)
+				return resp.StatusCode, v.ID
 			}
 			post()
 			waitState(t, base, jobID(subjectKey(t)), StateFailed)
-			if code := post(); code != http.StatusAccepted {
+			code, id := post()
+			if code != http.StatusAccepted {
 				t.Fatalf("resubmission = %d, want 202", code)
 			}
 			waitState(t, base, jobID(subjectKey(t)), StateRunning)
-
-			st, err := checkpoint.Open(filepath.Join(dir, "journal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The running transition is journaled just after it shows in
-			// the status view, so poll briefly.
-			var rec struct {
-				State string `json:"state"`
-			}
-			for deadline := time.Now().Add(5 * time.Second); rec.State != ep.want; time.Sleep(5 * time.Millisecond) {
-				if payload, ok := st.Get(ep.key); ok {
-					_ = json.Unmarshal(payload, &rec)
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("journaled state after resubmission = %q, want %q", rec.State, ep.want)
-				}
-			}
+			ep.check(t, dir, id)
 		})
 	}
+}
+
+// TestEvictedResubmissionIsJournaled: a failed job evicted from the job
+// table and then resubmitted is journaled in its new state. The journal
+// remembers the evicted job's last write, so the replacement's writes
+// must order after it even though no table entry is left to carry it.
+func TestEvictedResubmissionIsJournaled(t *testing.T) {
+	dir := t.TempDir()
+	_, base := newTestServer(t, Config{Workers: 1, MaxJobs: 1, CacheDir: dir, runner: failingOnce()})
+	_, failed := postJob(t, base, subjectJob)
+	waitState(t, base, failed.ID, StateFailed)
+	_, evictor := postJob(t, base, `{"experiment":"table3","workloads":["BS"]}`)
+	waitState(t, base, evictor.ID, StateRunning)
+	if resp := getJSON(t, base+"/v1/jobs/"+failed.ID, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("failed job GET = %d, want 404 (evicted)", resp.StatusCode)
+	}
+	if resp, _ := postJob(t, base, subjectJob); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmission = %d, want 202", resp.StatusCode)
+	}
+	waitJournaled(t, dir, subjectKey(t), StateQueued, StateRunning)
 }

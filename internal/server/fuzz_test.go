@@ -94,58 +94,77 @@ func FuzzSubmitSweep(f *testing.F) {
 	)
 }
 
-// FuzzJournalReplay stores an arbitrary payload under an arbitrary key as
-// a valid journal envelope and boots a server over it. New must neither
-// panic nor fail, and afterwards the record is either recovered (a job or
-// sweep with the key's id is tracked) or garbage-collected.
+// FuzzJournalReplay stores up to two arbitrary payloads under arbitrary
+// keys as valid journal envelopes (an empty second payload stores one
+// record) and boots a server over them. New must neither panic nor fail,
+// and afterwards each record is either recovered (a job or sweep with the
+// key's id is tracked) or garbage-collected. Two records let a sweep
+// manifest meet an unfinished child, the one case that recovers a sweep.
 func FuzzJournalReplay(f *testing.F) {
 	job := JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}
 	_, jobKey, _ := job.Resolve()
 	batch := SweepSpec{Experiments: []string{"table3", "table4"}, Workloads: []string{"BS"}}
-	_, sweepKey, _ := batch.Expand()
+	children, sweepKey, _ := batch.Expand()
 	created := time.Unix(0, 0).UTC()
-	seeds := []struct {
+	manifest := sweepRecord{Schema: journalSchema, Kind: journalKindSweep, ID: jobID(sweepKey), Key: sweepKey, Spec: batch, Created: created}
+	child := children[0]
+	type record struct {
 		key string
 		rec any
-	}{
-		{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateRunning, Created: created}},
-		{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Created: created}},
-		{jobKey, journalRecord{Schema: journalSchema, Key: jobKey, Spec: JobSpec{Experiment: "no-such"}, State: StateQueued}},
-		{"job/v1|stale", journalRecord{Schema: journalSchema, Key: "job/v1|stale", Spec: job, State: StateQueued}},
-		{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, ID: jobID(sweepKey), Key: sweepKey, Spec: batch, State: SweepStateActive, Created: created}},
-		{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, Key: sweepKey, Spec: batch, State: StateFailed}},
-		{jobKey, "not a record"},
 	}
-	for _, sd := range seeds {
-		raw, err := json.Marshal(sd.rec)
-		if err != nil {
-			f.Fatal(err)
+	seeds := [][]record{
+		{{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateRunning, Created: created}}},
+		{{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Created: created}}},
+		{{jobKey, journalRecord{Schema: journalSchema, Key: jobKey, Spec: JobSpec{Experiment: "no-such"}, State: StateQueued}}},
+		{{"job/v1|stale", journalRecord{Schema: journalSchema, Key: "job/v1|stale", Spec: job, State: StateQueued}}},
+		{{sweepKey, manifest}},
+		{{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, Key: sweepKey, Spec: SweepSpec{Experiments: []string{"table3"}}}}},
+		{{jobKey, "not a record"}},
+		{{sweepKey, manifest}, {child.key, journalRecord{Schema: journalSchema, ID: jobID(child.key), Key: child.key, Spec: child.spec, State: StateQueued, Created: created}}},
+	}
+	for _, seed := range seeds {
+		var keys [2]string
+		var payloads [2][]byte
+		for i, r := range seed {
+			raw, err := json.Marshal(r.rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			keys[i], payloads[i] = r.key, raw
 		}
-		f.Add(sd.key, raw)
+		f.Add(keys[0], payloads[0], keys[1], payloads[1])
 	}
-	f.Fuzz(func(t *testing.T, key string, payload []byte) {
+	f.Fuzz(func(t *testing.T, key string, payload []byte, key2 string, payload2 []byte) {
 		dir := t.TempDir()
 		st, err := checkpoint.Open(filepath.Join(dir, "journal"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !json.Valid(payload) {
-			payload, _ = json.Marshal(string(payload)) // the envelope carries JSON
+		keys := []string{key}
+		if len(payload2) > 0 {
+			keys = append(keys, key2)
 		}
-		if err := st.Put(key, payload); err != nil {
-			t.Fatal(err)
+		for i, p := range [][]byte{payload, payload2}[:len(keys)] {
+			if !json.Valid(p) {
+				p, _ = json.Marshal(string(p)) // the envelope carries JSON
+			}
+			if err := st.Put(keys[i], p); err != nil {
+				t.Fatal(err)
+			}
 		}
 		s, err := New(Config{Workers: 1, CacheDir: dir, runner: instantRunner})
 		if err != nil {
 			t.Fatalf("New over a fuzzed journal: %v", err)
 		}
 		defer s.Close()
-		s.mu.Lock()
-		_, isJob := s.jobs[jobID(key)]
-		_, isSweep := s.sweeps[jobID(key)]
-		s.mu.Unlock()
-		if _, ok := st.Get(key); ok && !isJob && !isSweep {
-			t.Fatalf("record %q under %q was neither recovered nor collected", payload, key)
+		for _, k := range keys {
+			s.mu.Lock()
+			_, isJob := s.jobs[jobID(k)]
+			_, isSweep := s.sweeps[jobID(k)]
+			s.mu.Unlock()
+			if _, ok := st.Get(k); ok && !isJob && !isSweep {
+				t.Fatalf("record under %q was neither recovered nor collected", k)
+			}
 		}
 	})
 }

@@ -151,7 +151,7 @@ type job struct {
 	canceled bool               // cancellation requested (DELETE or drain)
 	done     chan struct{}      // closed on any terminal state
 
-	seq       uint64 // bumped on every state mutation; orders journal writes
+	seq       uint64 // Server.seq draw of the latest state mutation; orders journal writes
 	recovered int    // journal crash-replay generations (0 = never crashed)
 }
 

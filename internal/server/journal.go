@@ -56,7 +56,7 @@ type journal struct {
 	health *degrader
 
 	mu  sync.Mutex
-	seq map[string]uint64 // highest seq written per job id; stale writers skip
+	seq map[string]uint64 // highest seq written per id; stale writers skip
 }
 
 // openJournal opens (creating if needed) the journal directory.
@@ -70,9 +70,10 @@ func openJournal(dir string, fsys atomicio.FS, health *degrader) (*journal, erro
 
 // record durably persists j's current state. Safe under concurrent
 // transitions of the same job: each caller snapshots the job (with its
-// monotonically increasing seq) under j.mu, and the journal drops
-// snapshots older than the newest it has written, so a late writer can
-// never roll a job's durable state backwards.
+// seq, drawn from the server-wide counter at every transition) under
+// j.mu, and the journal drops snapshots older than the newest it has
+// written, so a late writer — this job's, or one of an earlier job under
+// the same id — can never roll the id's durable state backwards.
 //
 // A write failure degrades the journal (gauge + one-shot log via the
 // shared degrader) rather than failing the job — availability over
@@ -118,12 +119,12 @@ func (jl *journal) put(id, key string, seq uint64, rec any) {
 	jl.health.observe(nil)
 }
 
-// replay loads every journal record, splitting it into unfinished work to
-// resubmit — jobs and sweep manifests, by the record's kind tag — and
-// terminal keys to garbage-collect. Records from a different schema, or
-// that do not decode under the key they are stored at, are treated as
-// terminal: logged and collected, never replayed wrong. Whether an
-// unfinished record's spec still resolves is recovery's check.
+// replay loads every journal record, splitting it into unfinished jobs to
+// resubmit, sweep manifests, and terminal keys to garbage-collect.
+// Records from a different schema, or that do not decode under the key
+// they are stored at, are treated as terminal: logged and collected,
+// never replayed wrong. Whether a record's spec still resolves, and
+// whether a manifest still has a child to recover, is recovery's check.
 func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []sweepRecord, terminalKeys []string, err error) {
 	if jl == nil {
 		return nil, nil, nil, nil
@@ -142,10 +143,6 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 			var rec sweepRecord
 			if json.Unmarshal(payload, &rec) != nil || rec.Key != key {
 				log.Warn("journal: discarding unreadable sweep manifest", "key", key)
-				terminalKeys = append(terminalKeys, key)
-				return true
-			}
-			if rec.State != SweepStateActive {
 				terminalKeys = append(terminalKeys, key)
 				return true
 			}

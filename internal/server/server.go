@@ -129,6 +129,11 @@ type Server struct {
 
 	avgRunNanos atomic.Int64 // EWMA of completed job durations (Retry-After estimator)
 
+	// seq orders journal writes: every job transition and sweep manifest
+	// draws a fresh value, so no stale write for an id — not even one of
+	// an entry the table has since evicted — can shadow a newer one.
+	seq atomic.Uint64
+
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
@@ -271,9 +276,10 @@ func New(cfg Config) (*Server, error) {
 // the admission path, without the gate: crash-recovered work is never
 // dropped for lack of a queue slot. A job whose report meanwhile landed in
 // the response cache (a crash between persist and the journal's terminal
-// transition) completes in place instead of re-running. Active sweep
-// manifests are rebuilt over the recovered jobs next, and terminal or
-// unusable records are garbage-collected.
+// transition) completes in place instead of re-running. A sweep manifest
+// is rebuilt next, under the same s.mu hold, exactly when one of its
+// children was just re-admitted (recoverSweepsLocked); every other
+// manifest, and every terminal or unusable record, is garbage-collected.
 func (s *Server) recoverJournal() {
 	pending, sweeps, gcKeys, err := s.journal.replay(s.log)
 	if err != nil {
@@ -300,8 +306,8 @@ func (s *Server) recoverJournal() {
 		s.log.Info("journal: recovered job", "job", j.id,
 			"experiment", j.spec.Experiment, "generation", j.recovered)
 	}
+	gcKeys = append(gcKeys, s.recoverSweepsLocked(sweeps)...)
 	s.mu.Unlock()
-	gcKeys = append(gcKeys, s.recoverSweeps(sweeps)...)
 	if n := s.journal.gc(gcKeys); n > 0 {
 		s.reg.AddUint("server/journal_gc", uint64(n))
 		s.log.Info("journal: collected terminal records", "n", n)
@@ -493,22 +499,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // whichever entry point brought them; a reused job and a refused
 // submission count nothing. Callers hold s.mu.
 func (s *Server) admitLocked(j *job, gate bool) (answer *job, queued bool, rej *rejection) {
-	j.seq = 1
 	if old, ok := s.jobs[j.id]; ok {
-		old.mu.Lock()
-		state, seq := old.state, old.seq
-		old.mu.Unlock()
-		if reusable(state) {
+		if state, _, _ := old.snapshot(); reusable(state) {
 			s.reg.AddUint("server/dedup_hits", 1)
 			if state == StateDone {
 				s.reg.AddUint("server/cache_hits", 1)
 			}
 			return old, false, nil
 		}
-		// The old job is terminal, so its seq is final: continuing past it
-		// keeps a late journal write of the old job from overwriting the
-		// replacement's record.
-		j.seq = seq + 1
 	}
 	if text, ok := s.cachedText(j.key); ok {
 		j.state, j.cached, j.text, j.finished = StateDone, true, text, time.Now()
@@ -525,6 +523,7 @@ func (s *Server) admitLocked(j *job, gate bool) (answer *job, queued bool, rej *
 		}
 	}
 	s.reg.AddUint("server/jobs_submitted", 1)
+	j.seq = s.seq.Add(1)
 	insertLocked(s.jobs, j.id, j, s.cfg.MaxJobs)
 	s.journal.record(j)
 	s.queue.push(j)
@@ -708,8 +707,8 @@ var settledCounters = map[string]string{
 // cancellation that lost the race to completion leaves no reason behind);
 // a failed job gets msg; a canceled job keeps the reason recorded first
 // by DELETE or drain, else msg. The transition is then journaled,
-// counted, fed to the run-time estimator when the job had started, and
-// reported to the job's sweeps.
+// counted and fed to the run-time estimator when the job had started. A
+// sweep needs no notice: it reads its state from its children.
 func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	j.mu.Lock()
 	if j.state != from {
@@ -723,7 +722,7 @@ func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	case to == StateFailed, j.errMsg == "":
 		j.errMsg = msg
 	}
-	j.seq++
+	j.seq = s.seq.Add(1)
 	s.reg.AddUint(settledCounters[to], 1) // before done closes, so a waiter sees the count
 	close(j.done)
 	ran, errMsg := !j.started.IsZero(), j.errMsg
@@ -737,7 +736,6 @@ func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	if ran {
 		s.observeRunDuration(dur)
 	}
-	s.noteChildTerminal(j)
 	s.log.Info("job finish", "job", j.id, "state", to, "dur_s", dur.Seconds(), "err", errMsg)
 	return true
 }
@@ -843,7 +841,7 @@ func (s *Server) runJob(j *job) {
 	j.state = StateRunning
 	j.started = now
 	j.cancel = cancel
-	j.seq++
+	j.seq = s.seq.Add(1)
 	cfg := j.cfg
 	deadline := j.deadline
 	j.mu.Unlock()
@@ -878,7 +876,7 @@ func (s *Server) runJob(j *job) {
 		defer dcancel()
 		j.mu.Lock()
 		j.deadline = deadline
-		j.seq++
+		j.seq = s.seq.Add(1)
 		j.mu.Unlock()
 	}
 	s.journal.record(j)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -24,12 +25,6 @@ const maxSweepChildren = 256
 // journalKindSweep tags sweep-manifest records in the shared journal
 // store; untagged records are plain jobs.
 const journalKindSweep = "sweep"
-
-// SweepStateActive is the journal state of a sweep that still owes a
-// combined report; terminal manifests carry the aggregate job state
-// ("done"/"failed"/"canceled") instead and are garbage-collected at the
-// next boot.
-const SweepStateActive = "active"
 
 // SweepSpec is the wire format of a batch submission (POST /v1/sweeps):
 // a parameter grid over the paper's evaluation axes plus the shared
@@ -152,28 +147,23 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 // admission (or recovery) — a later individual resubmission of a failed
 // child descriptor starts a fresh job but does not splice into an
 // existing sweep; resubmitting the sweep itself does (failed sweeps are
-// replaced whole, like failed jobs).
+// replaced whole, like failed jobs). A sweep has no state of its own:
+// status, retention and the journal all read it through its children.
 type sweep struct {
 	id      string
 	key     string
 	spec    SweepSpec
 	created time.Time
 
-	children []*job          // grid order; immutable after construction
-	childIDs map[string]bool // membership index for noteChildTerminal
+	children []*job // grid order; immutable after construction
 
-	mu         sync.Mutex
-	recovered  int    // journal crash-replay generations
-	seq        uint64 // orders journal manifest writes
-	finalState string // terminal aggregate state once journaled ("" while active)
-	fetched    bool   // terminal answer delivered to at least one result fetch
+	mu      sync.Mutex
+	fetched bool // terminal answer delivered to at least one result fetch
 }
 
 func newSweep(key string, spec SweepSpec, created time.Time) *sweep {
-	return &sweep{id: jobID(key), key: key, spec: spec, created: created, childIDs: map[string]bool{}}
+	return &sweep{id: jobID(key), key: key, spec: spec, created: created}
 }
-
-func (sw *sweep) contains(jobID string) bool { return sw.childIDs[jobID] }
 
 func (sw *sweep) retention() (terminal, fetched bool, created time.Time) {
 	terminal = terminalState(aggregateState(sw.counts()))
@@ -244,43 +234,18 @@ func aggregateState(c sweepCounts) string {
 	}
 }
 
-// sweepRecord is the journaled sweep manifest: membership (the spec
-// re-expands to the same ordered children, hence the same child ids on
-// any process) plus lifecycle state. Child jobs journal their own
-// transitions; the manifest is written at admission, at recovery, and
-// once at terminal aggregation.
+// sweepRecord is the journaled sweep manifest: membership only. The spec
+// re-expands to the same ordered children, hence the same child ids, on
+// any process; the children journal their own state. It is written once,
+// when the sweep is admitted, and a boot that finds none of its children
+// unfinished collects it.
 type sweepRecord struct {
-	Schema    int       `json:"schema"`
-	Kind      string    `json:"kind"`
-	ID        string    `json:"id"`
-	Key       string    `json:"key"`
-	Spec      SweepSpec `json:"spec"`
-	State     string    `json:"state"`
-	Created   time.Time `json:"created"`
-	Updated   time.Time `json:"updated"`
-	ChildIDs  []string  `json:"child_ids"`
-	Recovered int       `json:"recovered,omitempty"`
-}
-
-// journalSweep durably writes sw's manifest in state. The manifest is
-// membership, not progress: child jobs journal their own transitions, so
-// it is written only at admission, recovery and completion.
-func (s *Server) journalSweep(sw *sweep, state string) {
-	ids := make([]string, len(sw.children))
-	for i, j := range sw.children {
-		ids[i] = j.id
-	}
-	sw.mu.Lock()
-	sw.seq++
-	rec := sweepRecord{
-		Schema: journalSchema, Kind: journalKindSweep,
-		ID: sw.id, Key: sw.key, Spec: sw.spec, State: state,
-		Created: sw.created, Updated: time.Now(),
-		ChildIDs: ids, Recovered: sw.recovered,
-	}
-	seq := sw.seq
-	sw.mu.Unlock()
-	s.journal.put(sw.id, sw.key, seq, rec)
+	Schema  int       `json:"schema"`
+	Kind    string    `json:"kind"`
+	ID      string    `json:"id"`
+	Key     string    `json:"key"`
+	Spec    SweepSpec `json:"spec"`
+	Created time.Time `json:"created"`
 }
 
 // sweepChildView is one child's row in the sweep status document.
@@ -308,24 +273,23 @@ type sweepView struct {
 	Result    string           `json:"result"`
 }
 
+// view renders the sweep; its recovered generation is the deepest of its
+// children's.
 func (sw *sweep) view() sweepView {
 	c := sw.counts()
-	sw.mu.Lock()
-	recovered := sw.recovered
-	sw.mu.Unlock()
 	v := sweepView{
 		ID: sw.id, State: aggregateState(c), Total: c.total(),
 		Counts: map[string]int{
 			StateQueued: c.queued, StateRunning: c.running,
 			StateDone: c.done, StateFailed: c.failed, StateCanceled: c.canceled,
 		},
-		Created:   sw.created.UTC().Format(time.RFC3339Nano),
-		Recovered: recovered,
-		Self:      "/v1/sweeps/" + sw.id,
-		Result:    "/v1/sweeps/" + sw.id + "/result",
+		Created: sw.created.UTC().Format(time.RFC3339Nano),
+		Self:    "/v1/sweeps/" + sw.id,
+		Result:  "/v1/sweeps/" + sw.id + "/result",
 	}
 	for _, j := range sw.children {
 		jv := j.view()
+		v.Recovered = max(v.Recovered, jv.Recovered)
 		v.Children = append(v.Children, sweepChildView{
 			ID: jv.ID, State: jv.State, Experiment: jv.Experiment,
 			Workloads: strings.Join(j.spec.Workloads, ","),
@@ -363,22 +327,16 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // and its children then enqueue together, transiently past QueueDepth,
 // which later single submissions see as a full queue. A failed or
 // canceled sweep under the same key is replaced only once its successor
-// is admitted. The status is 200 for a reused sweep or one whose every
-// child was already answered, 202 otherwise.
+// is admitted. The manifest is journaled before the response leaves, so
+// a crash from here on replays the sweep with these exact child ids. The
+// status is 200 for a reused sweep or one whose every child was already
+// answered, 202 otherwise.
 func (s *Server) submitSweep(sw *sweep, children []sweepChild, deadline time.Time) (*sweep, int, *rejection) {
 	s.mu.Lock()
-	if old, ok := s.sweeps[sw.id]; ok {
-		if reusable(aggregateState(old.counts())) {
-			s.reg.AddUint("server/sweep_dedup_hits", 1)
-			s.mu.Unlock()
-			return old, http.StatusOK, nil
-		}
-		// The old sweep writes at most one more manifest (its terminal
-		// one, at seq+1); starting past that keeps it from overwriting
-		// the replacement's.
-		old.mu.Lock()
-		sw.seq = old.seq + 1
-		old.mu.Unlock()
+	if old, ok := s.sweeps[sw.id]; ok && reusable(aggregateState(old.counts())) {
+		s.reg.AddUint("server/sweep_dedup_hits", 1)
+		s.mu.Unlock()
+		return old, http.StatusOK, nil
 	}
 	if rej := s.gateLocked("sweeps"); rej != nil {
 		s.mu.Unlock()
@@ -390,6 +348,10 @@ func (s *Server) submitSweep(sw *sweep, children []sweepChild, deadline time.Tim
 	if reused := len(children) - queued; reused > 0 {
 		s.reg.AddUint("server/sweep_child_dedup", uint64(reused))
 	}
+	s.journal.put(sw.id, sw.key, s.seq.Add(1), sweepRecord{
+		Schema: journalSchema, Kind: journalKindSweep,
+		ID: sw.id, Key: sw.key, Spec: sw.spec, Created: sw.created,
+	})
 	s.mu.Unlock()
 
 	status := http.StatusAccepted
@@ -398,16 +360,13 @@ func (s *Server) submitSweep(sw *sweep, children []sweepChild, deadline time.Tim
 		// sweep is born terminal.
 		status = http.StatusOK
 	}
-	s.maybeFinishSweep(sw)
 	return sw, status, nil
 }
 
 // startSweepLocked admits sw's children in grid order through the job
 // admission path, without the gate — the sweep passed it as a whole, or
-// is being recovered — then tracks the sweep and journals its manifest
-// before the response leaves, so a crash from here on replays the sweep
-// with these exact child ids. It returns how many children were freshly
-// queued. Callers hold s.mu.
+// is being recovered — and tracks the sweep. It returns how many children
+// were freshly queued. Callers hold s.mu.
 func (s *Server) startSweepLocked(sw *sweep, children []sweepChild, deadline time.Time) (queued int) {
 	for _, c := range children {
 		j, fresh, _ := s.admitLocked(newJob(c.spec, c.cfg, c.key, deadline), false)
@@ -415,64 +374,21 @@ func (s *Server) startSweepLocked(sw *sweep, children []sweepChild, deadline tim
 			queued++
 		}
 		sw.children = append(sw.children, j)
-		sw.childIDs[j.id] = true
 	}
 	insertLocked(s.sweeps, sw.id, sw, s.cfg.MaxJobs)
-	s.journalSweep(sw, SweepStateActive)
 	return queued
 }
 
-// noteChildTerminal runs after any job reaches a terminal state: every
-// sweep containing it re-aggregates, and a sweep whose last child just
-// settled journals its terminal manifest.
-func (s *Server) noteChildTerminal(j *job) {
-	s.mu.Lock()
-	var owners []*sweep
-	for _, sw := range s.sweeps {
-		if sw.contains(j.id) {
-			owners = append(owners, sw)
-		}
-	}
-	s.mu.Unlock()
-	for _, sw := range owners {
-		s.maybeFinishSweep(sw)
-	}
-}
-
-// maybeFinishSweep journals the terminal manifest exactly once when
-// every child has settled.
-func (s *Server) maybeFinishSweep(sw *sweep) {
-	state := aggregateState(sw.counts())
-	if !terminalState(state) {
-		return
-	}
-	sw.mu.Lock()
-	if sw.finalState != "" {
-		sw.mu.Unlock()
-		return
-	}
-	sw.finalState = state
-	sw.mu.Unlock()
-	s.journalSweep(sw, state)
-	switch state {
-	case StateDone:
-		s.reg.AddUint("server/sweeps_completed", 1)
-	case StateFailed:
-		s.reg.AddUint("server/sweeps_failed", 1)
-	case StateCanceled:
-		s.reg.AddUint("server/sweeps_canceled", 1)
-	}
-	s.log.Info("sweep finish", "sweep", sw.id, "state", state, "children", len(sw.children))
-}
-
-// recoverSweeps rebuilds journaled sweep manifests after a crash: the
-// spec re-expands to the same ordered grid, and each child goes through
-// the admission path again — reattaching to its recovered job (replayed
-// moments earlier under its original id), completing from the result
-// cache, or, for the narrow crash window where a child's own journal
-// record never landed, re-admitted fresh under the same deterministic id.
-// A manifest that no longer expands to its own key is returned for GC.
-func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
+// recoverSweepsLocked rebuilds the sweeps a dead process still owed an
+// answer for. recoverJournal calls it once the unfinished jobs are
+// re-admitted, so a manifest is recovered exactly when one of its
+// children was just replayed. The spec re-expands to the same ordered
+// grid, and each child goes through the admission path again —
+// reattaching to its recovered job, completing from the result cache, or
+// re-admitted fresh under the same deterministic id. Any other manifest
+// belonged to a sweep that settled before the crash, or no longer expands
+// to its own key; it is returned for GC. Callers hold s.mu.
+func (s *Server) recoverSweepsLocked(recs []sweepRecord) (gcKeys []string) {
 	for _, rec := range recs {
 		children, key, err := rec.Spec.Expand()
 		if err != nil || key != rec.Key {
@@ -480,15 +396,15 @@ func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
+		if !slices.ContainsFunc(children, func(c sweepChild) bool { return s.jobs[jobID(c.key)] != nil }) {
+			gcKeys = append(gcKeys, rec.Key)
+			continue
+		}
 		sw := newSweep(key, rec.Spec, rec.Created)
-		sw.recovered = rec.Recovered + 1
-		s.mu.Lock()
 		readmitted := s.startSweepLocked(sw, children, time.Time{})
-		s.mu.Unlock()
 		s.reg.AddUint("server/sweeps_recovered", 1)
 		s.log.Info("journal: recovered sweep", "sweep", sw.id, "children", len(sw.children),
-			"readmitted", readmitted, "generation", sw.recovered)
-		s.maybeFinishSweep(sw)
+			"readmitted", readmitted)
 	}
 	return gcKeys
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +337,53 @@ func TestSweepRecoveryAfterCrash(t *testing.T) {
 	waitSweepState(t, baseB, swA.ID, StateDone)
 	if text := fetchSweepResult(t, baseB, swA.ID); text != "recovered\nrecovered\n" {
 		t.Fatalf("recovered combined result = %q", text)
+	}
+}
+
+// TestSettledSweepNotRecovered: a sweep whose children all settled before
+// its process went away — done, or with a failed child — is not
+// recovered by the next boot over the same directory: its manifest is
+// collected with its children's records, and nothing runs again.
+func TestSettledSweepNotRecovered(t *testing.T) {
+	failing := func(ctx context.Context, exp string, cfg charonsim.Config) (string, error) {
+		if exp == "fig13" {
+			return "", fmt.Errorf("synthetic child failure")
+		}
+		return "ok\n", nil
+	}
+	for _, tc := range []struct{ name, body, state string }{
+		{"done", `{"experiments":["fig12","fig14"],"workloads":["BS"]}`, StateDone},
+		{"one child failed", `{"experiments":["fig12","fig13"],"workloads":["BS"]}`, StateFailed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sA, baseA := newTestServer(t, Config{Workers: 1, CacheDir: dir, runner: failing})
+			_, sw := postSweep(t, baseA, tc.body)
+			waitSweepState(t, baseA, sw.ID, tc.state)
+			sA.Close()
+
+			var runs atomic.Int64
+			counting := func(context.Context, string, charonsim.Config) (string, error) {
+				runs.Add(1)
+				return "rerun\n", nil
+			}
+			sB, baseB := newTestServer(t, Config{Workers: 1, CacheDir: dir, runner: counting})
+			if resp := getJSON(t, baseB+"/v1/sweeps/"+sw.ID, nil); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("settled sweep GET after reboot = %d, want 404", resp.StatusCode)
+			}
+			if n := sB.Metrics().Counter("server/sweeps_recovered"); n != 0 {
+				t.Fatalf("sweeps_recovered = %v, want 0", n)
+			}
+			if n := len(journalFiles(t, dir)); n != 0 {
+				t.Fatalf("journal records after reboot = %d, want 0", n)
+			}
+			if err := drainWithin(sB, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if n := runs.Load(); n != 0 {
+				t.Fatalf("runner calls after reboot = %d, want 0", n)
+			}
+		})
 	}
 }
 
