@@ -109,12 +109,11 @@ type Config struct {
 	// completion exceeds issue+deadline is abandoned and re-executed on the
 	// host cores, counted as a degradation event. Zero disables it.
 	OffloadDeadline time.Duration
-	// RunTimeout, when positive, bounds each simulation unit's wall-clock
-	// time in the harness worker pool; a run exceeding it fails with a
-	// timeout error instead of hanging the whole sweep. It also arms the
-	// replay watchdog's wall-clock heartbeat inside each run, so a wedged
-	// simulation aborts with diagnostics (ErrNoProgress) rather than
-	// silently burning its budget.
+	// RunTimeout, when positive, bounds each replay unit's wall-clock
+	// time. It arms the replay watchdog's wall-clock heartbeat inside each
+	// run, so a replay that overruns aborts with diagnostics
+	// (ErrNoProgress) instead of hanging the whole sweep. Workload
+	// recording is not watched. Zero disables the budget.
 	RunTimeout time.Duration
 	// CheckpointDir, when non-empty, makes sweeps crash-safe and
 	// resumable: every completed replay unit is persisted there (atomic

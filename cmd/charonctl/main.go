@@ -1,9 +1,8 @@
 // Command charonctl is the resilient command-line client for charond,
 // the simulation job service. It wraps every API exchange in bounded
-// retries with seeded deterministic jitter and optional hedged GET
-// polling, and it propagates the command's -timeout to the server as an
-// X-Charon-Deadline header so the caller's patience bounds job execution
-// end to end.
+// retries with seeded deterministic jitter, and it propagates the
+// command's -timeout to the server as an X-Charon-Deadline header so the
+// caller's patience bounds job execution end to end.
 //
 // Usage:
 //
@@ -19,7 +18,7 @@
 // run. internal/e2e's TestNetchaosE2E checks that through a seeded
 // netfault proxy.
 //
-// See internal/client for the retry/hedge semantics and the exit-code
+// See internal/client for the retry semantics and the exit-code
 // reference (0 ok, 1 network/runtime failure, 2 usage, 3 the job itself
 // failed).
 package main

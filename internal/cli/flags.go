@@ -40,7 +40,7 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "master fault-injection rate in [0, 1): link CRC errors plus derived ECC/bank/unit fault rates (0 = faults off)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate or -offload-deadline)")
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
-	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the replay watchdog heartbeat (0 = unbounded)")
+	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per replay unit, enforced by the replay watchdog heartbeat (0 = unbounded)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
 }
 

@@ -3,24 +3,24 @@
 // exchange in the discipline a flaky network demands:
 //
 //   - Bounded exponential-backoff retries with deterministic, seedable
-//     jitter, honoring server Retry-After hints (the 429 queue-full, 503
-//     draining, and 202 poll paths all send one).
+//     jitter, honoring the Retry-After hints of retryable answers (the
+//     429 queue-full and 503 draining paths send one).
 //   - Safe-to-retry submissions: job IDs are canonical content keys and
 //     the server deduplicates single-flight, so a duplicated POST — a
-//     retransmit after an ambiguous reset, or a hedge — lands on the
-//     same job and never double-runs work.
-//   - Optional hedged GETs: when HedgeDelay elapses without a response,
-//     a second identical request races the first; first complete answer
-//     wins, the loser is canceled.
+//     retransmit after an ambiguous reset — lands on the same job and
+//     never double-runs work.
+//   - One recovery path: a stalled GET fails on the per-attempt HTTP
+//     timeout and a torn one on its short body read; either way the
+//     retry loop issues the next attempt.
 //   - Client-side deadlines propagated over the wire: a context deadline
 //     becomes an X-Charon-Deadline header, and the server derives the
 //     job's execution deadline from it — the caller's patience bounds
 //     the work, end to end.
 //
-// Every retry and hedge lands in a metrics.Registry (Metrics()), so chaos
-// tests can reconcile client-side counters against the faults a netfault
-// proxy injected; internal/e2e's TestNetchaosE2E does exactly that against
-// a real charond process.
+// Every retry and transport error lands in a metrics.Registry
+// (Metrics()), so chaos tests can reconcile client-side counters against
+// the faults a netfault proxy injected; internal/e2e's TestNetchaosE2E
+// does exactly that against a real charond process.
 package client
 
 import (
@@ -60,11 +60,6 @@ type Config struct {
 	// per attempt up to 64x, plus up to +50% deterministic jitter drawn
 	// from Seed. A server Retry-After hint overrides the computed delay.
 	RetryBackoff time.Duration
-	// HedgeDelay, when positive, arms hedged GETs: if a response has not
-	// arrived after this long, a second identical request is issued and
-	// the first complete answer wins. Only idempotent GETs hedge;
-	// submissions rely on retries plus server-side dedup instead.
-	HedgeDelay time.Duration
 	// PollInterval paces Wait's and SweepWait's status polling (default
 	// 250ms); a status document's Retry-After is not read.
 	PollInterval time.Duration
@@ -189,8 +184,8 @@ func New(cfg Config) (*Client, error) {
 	}, nil
 }
 
-// Metrics exposes the client's counter registry: retries, hedges,
-// Retry-After hints honored. Chaos tests reconcile it against the
+// Metrics exposes the client's counter registry: retries, transport
+// errors, Retry-After hints honored. Chaos tests reconcile it against the
 // proxy's injected-fault log.
 func (c *Client) Metrics() *metrics.Registry { return c.reg }
 
@@ -225,10 +220,9 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// do runs one logical request through the retry/hedge stack.
-// body is resent verbatim on every attempt; hedge must only be true for
-// idempotent requests.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
+// do runs one logical request through the retry loop. body is resent
+// verbatim on every attempt.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*response, error) {
 	c.reg.AddUint("client/requests", 1)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -239,7 +233,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge
 			return nil, err
 		}
 
-		resp, err := c.exchange(ctx, method, path, body, hedge)
+		resp, err := c.attempt(ctx, method, path, body)
 		if err == nil {
 			if rerr := resp.asError(); rerr != nil && retryableStatus(resp.status) && attempt < c.cfg.RetryBudget {
 				lastErr = rerr
@@ -341,63 +335,9 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 	return req, nil
 }
 
-// exchange performs one (possibly hedged) HTTP exchange and reads the
-// complete body — a truncated body is a transport failure here, so the
-// retry layer sees through torn responses.
-func (c *Client) exchange(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
-	if !hedge || c.cfg.HedgeDelay <= 0 || method != http.MethodGet {
-		return c.attempt(ctx, method, path, body)
-	}
-
-	type result struct {
-		resp *response
-		err  error
-		idx  int
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	launch := func(idx int) {
-		resp, err := c.attempt(hctx, method, path, body)
-		ch <- result{resp, err, idx}
-	}
-	go launch(0)
-
-	inFlight := 1
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	var firstFail *result
-	for {
-		select {
-		case <-timer.C:
-			if inFlight == 1 { // first request is slow: hedge it
-				c.reg.AddUint("client/hedges", 1)
-				inFlight++
-				go launch(1)
-			}
-		case r := <-ch:
-			if r.err == nil {
-				if r.idx == 1 {
-					c.reg.AddUint("client/hedge_wins", 1)
-				}
-				return r.resp, nil
-			}
-			inFlight--
-			if firstFail == nil {
-				firstFail = &r
-			}
-			if inFlight == 0 {
-				// Both (or the only) attempt failed. If the hedge timer
-				// never fired, fail with the sole error.
-				return nil, firstFail.err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// attempt is one raw HTTP round trip with a fully-read body.
+// attempt is one raw HTTP round trip with a fully-read body — a
+// truncated body is a transport failure here, so the retry loop sees
+// through torn responses.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (*response, error) {
 	req, err := c.newRequest(ctx, method, path, body)
 	if err != nil {
@@ -489,8 +429,8 @@ func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
 // SweepWait polls the sweep every PollInterval until every child reaches
 // a terminal state or ctx expires. One aggregate poll covers the whole
 // grid — the server folds all child states into a single answer — and
-// each poll rides the usual retry/hedging machinery. Transient polling
-// failures do not abort the wait.
+// each poll rides the usual retry loop. Transient polling failures do
+// not abort the wait.
 func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
 	return wait[Sweep](ctx, c, id)
 }
@@ -550,11 +490,11 @@ func status[T document](ctx context.Context, c *Client, id string) (T, error) {
 	return fetch[T](ctx, c, http.MethodGet, docPath[T](id), nil)
 }
 
-// fetch runs one request through the retry stack (GETs may hedge) and
-// decodes the job or sweep document it answers with.
+// fetch runs one request through the retry loop and decodes the job or
+// sweep document it answers with.
 func fetch[T document](ctx context.Context, c *Client, method, path string, body []byte) (T, error) {
 	var d T
-	resp, err := c.do(ctx, method, path, body, method == http.MethodGet)
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return d, err
 	}
@@ -596,7 +536,7 @@ func wait[T document](ctx context.Context, c *Client, id string) (T, error) {
 }
 
 func result[T document](ctx context.Context, c *Client, id string) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, docPath[T](id)+"/result", nil, true)
+	resp, err := c.do(ctx, http.MethodGet, docPath[T](id)+"/result", nil)
 	if err != nil {
 		return "", err
 	}
@@ -637,7 +577,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
 
 // ServerMetrics fetches the server's /v1/metrics document verbatim.
 func (c *Client) ServerMetrics(ctx context.Context) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, true)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +589,7 @@ func (c *Client) ServerMetrics(ctx context.Context) ([]byte, error) {
 
 // Healthy probes /healthz.
 func (c *Client) Healthy(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil, true)
+	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ import (
 //
 // charonctl is the network-edge counterpart of the charonsim CLI: it
 // talks to a charond instance through the resilient client (retries,
-// hedged polling, deadline propagation) and prints the server-rendered
+// polling, deadline propagation) and prints the server-rendered
 // report verbatim, so bytes fetched over a faulty network are identical
 // to a local charonsim run.
 func Main(args []string, stdout, stderr io.Writer) int {
@@ -39,11 +39,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		timeout   = fs.Duration("timeout", 0, "overall deadline for the command; propagated to the server as "+server.DeadlineHeader+" so it bounds job execution too (0 = none)")
 		retries   = fs.Int("retries", 4, "retry budget per request beyond the first attempt (0 disables)")
 		backoff   = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, plus seeded jitter; server Retry-After hints override it)")
-		hedge     = fs.Duration("hedge", 0, "hedged-GET delay: issue a racing duplicate of an idempotent GET that has not answered after this long (0 disables)")
 		seed      = fs.Int64("seed", 0, "seed for the deterministic backoff jitter stream")
-		poll      = fs.Duration("poll", 250*time.Millisecond, "status poll interval while waiting (server Retry-After hints override it)")
+		poll      = fs.Duration("poll", 250*time.Millisecond, "status poll interval while waiting (a status answer's Retry-After is not read)")
 		raMax     = fs.Duration("retry-after-max", 30*time.Second, "cap on honored server Retry-After hints, either RFC form (0 = no cap)")
-		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, hedges) as JSON to this path (\"-\" = stderr)")
+		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, transport errors) as JSON to this path (\"-\" = stderr)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `usage: charonctl [flags] <command> [command flags]
@@ -84,7 +83,6 @@ Flags:
 		BaseURL:       *serverURL,
 		RetryBudget:   retryBudget,
 		RetryBackoff:  *backoff,
-		HedgeDelay:    *hedge,
 		PollInterval:  *poll,
 		RetryAfterMax: retryAfterMax,
 		Seed:          *seed,

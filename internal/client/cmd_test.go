@@ -45,6 +45,7 @@ func TestCtlUsageErrorsExitTwo(t *testing.T) {
 		{"result", "a", "b"},                // too many args
 		{"metrics", "extra"},                // metrics takes none
 		{"proxy"},                           // removed command
+		{"-hedge", "1s", "wait", "x"},       // removed flag
 		{"-server", "::bad::", "wait", "x"}, // unusable base URL
 	} {
 		code, _, _ := runCtl(t, args...)

@@ -17,8 +17,9 @@ import (
 // latency, truncated bodies and slowloris reads. A client that opens a
 // fresh connection per request (so every request redraws the proxy's
 // per-connection fault plan) must still fetch a report byte-identical to
-// the CLI's. Whenever a hard fault was injected, the client's ledger must
-// show the retries, transport errors or hedges that absorbed it.
+// the CLI's. With one connection per attempt, every blackholed or reset
+// connection kills exactly the attempt that opened it, so the client's
+// transport-error count must cover at least those two classes.
 func TestNetchaosE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots charond as a subprocess")
@@ -42,7 +43,6 @@ func TestNetchaosE2E(t *testing.T) {
 				},
 				RetryBudget:  10,
 				RetryBackoff: 50 * time.Millisecond,
-				HedgeDelay:   300 * time.Millisecond,
 				Seed:         seed,
 			})
 			j, err := c.Submit(ctx, server.JobSpec{Experiment: "fig2", Workloads: []string{"BS"}})
@@ -59,12 +59,13 @@ func TestNetchaosE2E(t *testing.T) {
 
 			counts := px.Counts()
 			injected += px.Injected()
-			hard := counts[netfault.ClassBlackhole] + counts[netfault.ClassReset] + counts[netfault.ClassTruncate]
+			killed := counts[netfault.ClassBlackhole] + counts[netfault.ClassReset]
 			m := c.Metrics()
-			recovery := m.Counter("client/retries") + m.Counter("client/net_errors") + m.Counter("client/hedges")
-			t.Logf("injected %v; client: %v requests, %v recovery actions", counts, m.Counter("client/requests"), recovery)
-			if hard > 0 && recovery == 0 {
-				t.Fatalf("proxy injected %d hard fault(s) but the client ledger shows no recovery work", hard)
+			netErrors := m.Counter("client/net_errors")
+			t.Logf("injected %v; client: %v requests, %v transport errors, %v retries",
+				counts, m.Counter("client/requests"), netErrors, m.Counter("client/retries"))
+			if netErrors < float64(killed) {
+				t.Fatalf("proxy killed %d connection(s) (blackhole+reset) but the client saw only %v transport error(s)", killed, netErrors)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"charonsim/internal/sim"
 )
@@ -26,19 +25,19 @@ import (
 // tripping an invariant, say) becomes that index's error instead of
 // killing the whole sweep.
 func forEach(par, n int, fn func(i int) error) error {
-	return forEachCtx(context.Background(), par, 0, n, fn)
+	return ForEachCtx(context.Background(), par, n, fn)
 }
 
-// forEachCtx is the full-featured pool: a per-run wall-clock budget
-// (zero disables it) and cooperative cancellation. When ctx is cancelled
-// no new index is dispatched; indexes never dispatched report ctx.Err()
-// so the sweep's error reflects the interruption, while already-running
-// indexes finish (or hit their own watchdog) and keep their results —
-// that is what makes an interrupted sweep's completed prefix flushable.
-// A timed-out run's goroutine cannot be cancelled (the simulation is
-// pure CPU); it is abandoned to finish in the background and its late
-// result discarded.
-func forEachCtx(ctx context.Context, par int, timeout time.Duration, n int, fn func(i int) error) error {
+// ForEachCtx is forEach with cooperative cancellation; charonsim.RunAll
+// fans the experiment list out through it so the whole suite shares one
+// concurrency discipline. When ctx is cancelled no new index is
+// dispatched; indexes never dispatched report ctx.Err() so the sweep's
+// error reflects the interruption, while already-running indexes finish
+// (or hit their own watchdog) and keep their results — that is what
+// makes an interrupted sweep's completed prefix flushable. A run's
+// wall-clock budget is not the pool's business: Config.RunTimeout arms
+// each replay's watchdog, which stops the run itself.
+func ForEachCtx(ctx context.Context, par, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -48,7 +47,7 @@ func forEachCtx(ctx context.Context, par int, timeout time.Duration, n int, fn f
 	if par > n {
 		par = n
 	}
-	run := func(i int) error { return runGuarded(ctx, i, timeout, fn) }
+	run := func(i int) error { return runGuarded(i, fn) }
 	if par <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -95,57 +94,27 @@ dispatch:
 	return nil
 }
 
-// runGuarded invokes fn(i) with panic recovery and an optional wall-clock
-// budget. A sim.Aborted panic (the watchdog's structured escape) keeps its
-// wrapped error, so errors.Is against sim.ErrNoProgress or
-// context.Canceled works on the sweep's error; any other panic is
-// formatted with its stack.
-func runGuarded(ctx context.Context, i int, timeout time.Duration, fn func(i int) error) (err error) {
-	guarded := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ab, ok := r.(sim.Aborted); ok {
-					err = fmt.Errorf("experiments: run %d aborted: %w", i, ab.Err)
-					return
-				}
-				err = fmt.Errorf("experiments: run %d panicked: %v\n%s", i, r, debug.Stack())
+// runGuarded invokes fn(i) with panic recovery. A sim.Aborted panic (the
+// watchdog's structured escape) keeps its wrapped error, so errors.Is
+// against sim.ErrNoProgress or context.Canceled works on the sweep's
+// error; any other panic is formatted with its stack.
+func runGuarded(i int, fn func(i int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if ab, ok := r.(sim.Aborted); ok {
+				err = fmt.Errorf("experiments: run %d aborted: %w", i, ab.Err)
+				return
 			}
-		}()
-		return fn(i)
-	}
-	if timeout <= 0 {
-		return guarded()
-	}
-	done := make(chan error, 1) // buffered: a late finisher must not block
-	go func() { done <- guarded() }()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case err = <-done:
-		return err
-	case <-timer.C:
-		return fmt.Errorf("experiments: run %d exceeded the %v run timeout", i, timeout)
-	case <-ctx.Done():
-		return fmt.Errorf("experiments: run %d interrupted: %w", i, ctx.Err())
-	}
-}
-
-// ForEach exposes the bounded worker pool: charonsim.RunAll fans the
-// experiment list out through it so the whole suite shares one concurrency
-// discipline.
-func ForEach(par, n int, fn func(i int) error) error { return forEach(par, n, fn) }
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is
-// cancelled no further index is dispatched and the undispatched indexes
-// report ctx.Err().
-func ForEachCtx(ctx context.Context, par, n int, fn func(i int) error) error {
-	return forEachCtx(ctx, par, 0, n, fn)
+			err = fmt.Errorf("experiments: run %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	return fn(i)
 }
 
 // forEach binds the pool to the session configuration: Parallelism bounds
-// the workers, RunTimeout budgets each run, and Ctx cancels dispatch.
+// the workers and Ctx cancels dispatch.
 func (c Config) forEach(n int, fn func(i int) error) error {
-	return forEachCtx(c.Ctx, c.Parallelism, c.RunTimeout, n, fn)
+	return ForEachCtx(c.Ctx, c.Parallelism, n, fn)
 }
 
 // forEachGrid is forEach over an n-by-m index grid, flattened row-major so

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
@@ -39,46 +37,6 @@ func TestForEachPanicRecovery(t *testing.T) {
 		if par > 1 && len(ran) != 8 {
 			t.Fatalf("par=%d: a panic stopped other runs (%d/8 ran)", par, len(ran))
 		}
-	}
-}
-
-// TestForEachTimeout: a run exceeding the budget fails with a timeout
-// error naming the index; fast runs are untouched; zero disables.
-func TestForEachTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block) // release the abandoned goroutine
-	err := forEachCtx(context.Background(), 4, 20*time.Millisecond, 3, func(i int) error {
-		if i == 1 {
-			<-block
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "run 1 exceeded the 20ms run timeout") {
-		t.Fatalf("got %v, want index-1 timeout error", err)
-	}
-
-	if err := forEachCtx(context.Background(), 2, 0, 4, func(i int) error { return nil }); err != nil {
-		t.Fatalf("zero timeout must disable the budget: %v", err)
-	}
-	if err := forEachCtx(context.Background(), 2, time.Minute, 4, func(i int) error { return nil }); err != nil {
-		t.Fatalf("fast runs must beat a generous budget: %v", err)
-	}
-}
-
-// TestConfigForEachBindsKnobs: the Config-bound pool honors RunTimeout and
-// Parallelism together.
-func TestConfigForEachBindsKnobs(t *testing.T) {
-	cfg := Config{Parallelism: 2, RunTimeout: 15 * time.Millisecond}
-	block := make(chan struct{})
-	defer close(block)
-	err := cfg.forEach(2, func(i int) error {
-		if i == 0 {
-			<-block
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "exceeded the 15ms run timeout") {
-		t.Fatalf("got %v, want timeout from Config.RunTimeout", err)
 	}
 }
 

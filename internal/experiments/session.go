@@ -54,11 +54,11 @@ type Config struct {
 	// degrades. The zero value keeps every report byte-identical to a
 	// fault-free harness.
 	Fault fault.Config
-	// RunTimeout, when positive, bounds each simulation unit's wall-clock
-	// time in the worker pool; a run exceeding it fails with a timeout
-	// error instead of hanging the sweep. Zero disables the budget. The
-	// same budget arms the replay watchdog's wall-clock heartbeat, which
-	// — unlike the pool's timer — stops the wedged goroutine itself.
+	// RunTimeout, when positive, bounds each replay unit's wall-clock
+	// time: it arms the replay watchdog's wall-clock heartbeat, which
+	// stops an overrunning run itself with ErrNoProgress and a diagnostic
+	// dump instead of hanging the sweep. Workload recording is not
+	// watched. Zero disables the budget.
 	RunTimeout time.Duration
 	// Ctx, when non-nil, cancels the session's work: the worker pool stops
 	// dispatching, and in-flight replays abort at GC-event / scheduler-step

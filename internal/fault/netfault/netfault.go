@@ -23,7 +23,8 @@
 //     recovery phase of chaos tests); Close tears everything down.
 //   - Accountable. Every injected fault bumps a per-class counter and
 //     lands in the fault log, so a chaos gate can reconcile client-side
-//     retry/hedge counters against what was actually injected.
+//     retry and transport-error counters against what was actually
+//     injected.
 package netfault
 
 import (

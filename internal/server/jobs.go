@@ -61,9 +61,13 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 	if err != nil {
 		return cfg, "", err
 	}
+	workloads, err := cleanWorkloads(sp.Workloads)
+	if err != nil {
+		return cfg, "", err
+	}
 	cfg = charonsim.Config{
 		Threads: sp.Threads, HeapFactor: sp.HeapFactor,
-		Workloads:   cli.CleanWorkloads(sp.Workloads),
+		Workloads:   workloads,
 		Parallelism: sp.Parallelism,
 		FaultRate:   sp.FaultRate, FaultSeed: sp.FaultSeed,
 		OffloadDeadline: deadline, RunTimeout: timeout,
@@ -72,6 +76,17 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 		return cfg, "", err
 	}
 	return cfg, canonicalKey(sp.Experiment, cfg), nil
+}
+
+// cleanWorkloads trims a spec's workload names and drops empty ones. A
+// non-empty list that names nothing is an error rather than an empty
+// list, which would silently mean all six workloads.
+func cleanWorkloads(raw []string) ([]string, error) {
+	names := cli.CleanWorkloads(raw)
+	if len(raw) > 0 && len(names) == 0 {
+		return nil, fmt.Errorf("workloads %q contains no workload names", raw)
+	}
+	return names, nil
 }
 
 func knownExperiment(id string) bool {

@@ -74,8 +74,7 @@ type Config struct {
 	CacheDir string
 	// JobTimeout, when positive, is the default per-unit RunTimeout
 	// applied to jobs that do not set run_timeout themselves. It reuses
-	// the existing RunTimeout plumbing: the harness worker pool budget
-	// plus the replay watchdog heartbeat.
+	// the existing RunTimeout plumbing: the replay watchdog heartbeat.
 	JobTimeout time.Duration
 	// MaxJobs bounds the in-memory job table and, separately, the sweep
 	// table (default 1024 each); when exceeded, the oldest terminal

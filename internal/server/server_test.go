@@ -151,6 +151,7 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{Experiment: "fig12", RunTimeout: "not-a-duration"},
 		{Experiment: "fig12", OffloadDeadln: "5 parsecs"},
 		{Experiment: "fig12", FaultRate: 1.5},
+		{Experiment: "fig12", Workloads: []string{" ", ""}}, // names nothing
 	}
 	for i, sp := range bad {
 		if _, _, err := sp.Resolve(); err == nil {
@@ -172,6 +173,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"experiment":"fig12","bogus_knob":1}`, http.StatusBadRequest}, // unknown fields rejected
 		{`{"experiment":"fig12","threads":-2}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","run_timeout":"banana"}`, http.StatusBadRequest},
+		{`{"experiment":"fig12","workloads":[""]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, _ := postJob(t, base, c.body)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"charonsim"
-	"charonsim/internal/cli"
 )
 
 // sweepSchema versions the sweep grid grammar; it feeds the canonical
@@ -76,9 +75,9 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 	if len(sp.Experiments) == 0 {
 		return nil, "", fmt.Errorf("missing experiments list (each one of %v, or \"all\")", charonsim.Experiments())
 	}
-	workloads := cli.CleanWorkloads(sp.Workloads)
-	if len(sp.Workloads) > 0 && len(workloads) == 0 {
-		return nil, "", fmt.Errorf("workloads %v contains no workload names", sp.Workloads)
+	workloads, err := cleanWorkloads(sp.Workloads)
+	if err != nil {
+		return nil, "", err
 	}
 	factors := sp.HeapFactors
 	if len(factors) == 0 {

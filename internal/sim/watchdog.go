@@ -70,8 +70,8 @@ type Watchdog struct {
 	// simulated-time advance (a stepper spinning in place). 0 disables.
 	StallLimit uint64
 	// WallClock aborts when a run exceeds this wall-clock budget, measured
-	// from Monitor creation (per-run heartbeat: unlike a harness-side
-	// timer, this stops the stuck goroutine itself). 0 disables.
+	// from Monitor creation (per-run heartbeat: it stops the stuck
+	// goroutine itself). 0 disables.
 	WallClock time.Duration
 	// Ctx, when non-nil, aborts the run as soon as the context is
 	// cancelled, checked every CheckEvery steps — this is what gives
