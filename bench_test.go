@@ -24,10 +24,22 @@ import (
 	"charonsim/internal/stats"
 )
 
-// benchSession memoizes recorded workload runs across iterations of one
-// benchmark (recording is functional work; replay is what we measure).
-func benchSession() *experiments.Session {
-	return experiments.NewSession(experiments.Config{})
+// benchSession builds a fresh session for one benchmark iteration and
+// records its workloads at the session's heap factor with the timer
+// stopped (recording is functional work; replay is what we measure). A
+// session memoizes replays, so reusing one across iterations would time
+// memo hits after the first. Recordings an experiment needs at other
+// factors or collector modes (Fig 2, the collector study) stay timed.
+func benchSession(b *testing.B, cfg experiments.Config) *experiments.Session {
+	b.StopTimer()
+	defer b.StartTimer()
+	s := experiments.NewSession(cfg)
+	for _, w := range s.Config().Workloads {
+		if _, err := s.Record(w, s.Config().Factor); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
 }
 
 func printOnce(b *testing.B, i int, s string) {
@@ -38,8 +50,8 @@ func printOnce(b *testing.B, i int, s string) {
 }
 
 func BenchmarkFig02GCOverhead(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig2(s)
 		if err != nil {
 			b.Fatal(err)
@@ -56,8 +68,8 @@ func BenchmarkFig02GCOverhead(b *testing.B) {
 }
 
 func BenchmarkFig04MinorBreakdown(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig4(s, gc.Minor)
 		if err != nil {
 			b.Fatal(err)
@@ -72,8 +84,8 @@ func BenchmarkFig04MinorBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig04MajorBreakdown(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig4(s, gc.Major)
 		if err != nil {
 			b.Fatal(err)
@@ -88,8 +100,8 @@ func BenchmarkFig04MajorBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig12Speedup(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig12(s)
 		if err != nil {
 			b.Fatal(err)
@@ -102,8 +114,8 @@ func BenchmarkFig12Speedup(b *testing.B) {
 }
 
 func BenchmarkFig13Bandwidth(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig13(s)
 		if err != nil {
 			b.Fatal(err)
@@ -120,8 +132,8 @@ func BenchmarkFig13Bandwidth(b *testing.B) {
 }
 
 func BenchmarkFig14PerPrimitive(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig14(s)
 		if err != nil {
 			b.Fatal(err)
@@ -138,8 +150,8 @@ func BenchmarkFig14PerPrimitive(b *testing.B) {
 func BenchmarkFig15Scalability(b *testing.B) {
 	// The full 5-point thread sweep over 3 designs is the most expensive
 	// experiment; run it over the framework-representative subset.
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 		r, err := experiments.Fig15(s)
 		if err != nil {
 			b.Fatal(err)
@@ -156,8 +168,8 @@ func BenchmarkFig15Scalability(b *testing.B) {
 }
 
 func BenchmarkFig16CPUSide(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig16(s)
 		if err != nil {
 			b.Fatal(err)
@@ -168,8 +180,8 @@ func BenchmarkFig16CPUSide(b *testing.B) {
 }
 
 func BenchmarkFig17Energy(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig17(s)
 		if err != nil {
 			b.Fatal(err)
@@ -209,8 +221,8 @@ func BenchmarkTable4Area(b *testing.B) {
 }
 
 func BenchmarkThermal(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Thermal(s)
 		if err != nil {
 			b.Fatal(err)
@@ -222,8 +234,8 @@ func BenchmarkThermal(b *testing.B) {
 }
 
 func BenchmarkTable1CollectorStudy(b *testing.B) {
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 		r, err := experiments.CollectorStudy(s)
 		if err != nil {
 			b.Fatal(err)
@@ -236,8 +248,8 @@ func BenchmarkTable1CollectorStudy(b *testing.B) {
 }
 
 func BenchmarkAblations(b *testing.B) {
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "ALS"}})
 		rs, err := experiments.Ablations(s)
 		if err != nil {
 			b.Fatal(err)

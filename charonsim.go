@@ -122,7 +122,8 @@ type Config struct {
 	// an interrupted sweep with the same directory replays cached units
 	// byte-identically and executes only the missing ones. Corrupt,
 	// truncated or version-mismatched entries are detected and discarded.
-	// The key includes the fault and parallelism knobs, so changing any
+	// Every replay unit resumes, ablation points included. The key
+	// includes the fault and parallelism knobs, so changing any
 	// Config field that could affect results invalidates the cache
 	// naturally. With MetricsPath set, each entry also stores the unit's
 	// metrics snapshot, so a resumed run writes the same snapshot as an

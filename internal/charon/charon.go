@@ -70,6 +70,35 @@ func DefaultConfig() Config {
 	}
 }
 
+// WithDefaults completes a partially specified configuration: every
+// zero-valued unit count, depth, period, grain and size takes its Table 2
+// value. The placement flags (Distributed, CPUSide) are kept as given.
+func (c Config) WithDefaults() Config {
+	d := DefaultConfig()
+	if c.CopySearchPerCube == 0 {
+		c.CopySearchPerCube = d.CopySearchPerCube
+	}
+	if c.BitmapCountPerCube == 0 {
+		c.BitmapCountPerCube = d.BitmapCountPerCube
+	}
+	if c.ScanPushUnits == 0 {
+		c.ScanPushUnits = d.ScanPushUnits
+	}
+	if c.MAIEntries == 0 {
+		c.MAIEntries = d.MAIEntries
+	}
+	if c.LogicPeriod == 0 {
+		c.LogicPeriod = d.LogicPeriod
+	}
+	if c.StreamGrain == 0 {
+		c.StreamGrain = d.StreamGrain
+	}
+	if c.BitmapCacheBytes == 0 {
+		c.BitmapCacheBytes = d.BitmapCacheBytes
+	}
+	return c
+}
+
 // RefOp is the per-reference work of one Scan&Push invocation, in
 // accelerator-neutral form (the exec layer converts the collector's
 // recorded RefVisits).

@@ -41,7 +41,7 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate or -offload-deadline)")
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per replay unit, enforced by the replay watchdog heartbeat (0 = unbounded)")
-	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
+	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here, ablation points included; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
 }
 
 // Config maps the parsed flags onto a charonsim.Config. The -workloads

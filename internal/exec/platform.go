@@ -233,7 +233,7 @@ func NewWithOptions(kind Kind, env Env, nthreads int, opt Options) (Platform, er
 		sys := hmc.NewSystem(CubeShift, opt.Topology, inj)
 		cfg := charon.DefaultConfig()
 		if opt.CharonConfig != nil {
-			cfg = fillCharonDefaults(*opt.CharonConfig)
+			cfg = opt.CharonConfig.WithDefaults()
 		}
 		cfg.Distributed = cfg.Distributed || kind == KindCharonDistributed
 		cfg.CPUSide = cfg.CPUSide || kind == KindCharonCPUSide
@@ -265,33 +265,6 @@ func NewWithOptions(kind Kind, env Env, nthreads int, opt Options) (Platform, er
 	}
 	// Unreachable: kind.Validate covers the full set above.
 	return nil, kind.Validate()
-}
-
-// fillCharonDefaults completes a partially specified accelerator config.
-func fillCharonDefaults(c charon.Config) charon.Config {
-	d := charon.DefaultConfig()
-	if c.CopySearchPerCube == 0 {
-		c.CopySearchPerCube = d.CopySearchPerCube
-	}
-	if c.BitmapCountPerCube == 0 {
-		c.BitmapCountPerCube = d.BitmapCountPerCube
-	}
-	if c.ScanPushUnits == 0 {
-		c.ScanPushUnits = d.ScanPushUnits
-	}
-	if c.MAIEntries == 0 {
-		c.MAIEntries = d.MAIEntries
-	}
-	if c.LogicPeriod == 0 {
-		c.LogicPeriod = d.LogicPeriod
-	}
-	if c.StreamGrain == 0 {
-		c.StreamGrain = d.StreamGrain
-	}
-	if c.BitmapCacheBytes == 0 {
-		c.BitmapCacheBytes = d.BitmapCacheBytes
-	}
-	return c
 }
 
 // newScaledHost builds the host with capacity-scaled caches (see

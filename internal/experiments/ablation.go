@@ -45,8 +45,10 @@ func ablationWorkloads(cfg Config) []string {
 
 // runAblation replays the representative workloads on Charon at every
 // sweep point. The (point, workload) grid fans out across the session's
-// parallelism: each cell builds its own Charon platform from the point's
-// options, so no sweep point shares simulator state with another.
+// parallelism. Each cell is an ordinary session replay unit keyed by the
+// point's options, so it runs under the session's fault configuration, is
+// memoized and checkpointed, and a sweep's Table 2 point is the same unit
+// as every other sweep's and as Fig 12's Charon replay.
 func runAblation(s *Session, name string, points []AblationPoint, def int) (*AblationResult, error) {
 	cfg := s.Config()
 	res := &AblationResult{Name: name, Points: points, Default: def}
@@ -65,15 +67,11 @@ func runAblation(s *Session, name string, points []AblationPoint, def int) (*Abl
 		if err != nil {
 			return err
 		}
-		p, err := s.NewPlatform(exec.KindCharon, run.Env, cfg.Threads, points[pi].Opt)
+		results, err := s.replay(replayUnit{r: run, kind: exec.KindCharon,
+			threads: cfg.Threads, fc: cfg.Fault, opt: points[pi].Opt})
 		if err != nil {
 			return err
 		}
-		var results []exec.Result
-		for _, ev := range run.Col.Log {
-			results = append(results, p.Replay(ev, cfg.Threads))
-		}
-		s.Observe(p)
 		t := Sum(exec.KindCharon, results, cfg.Threads)
 		grid[pi][wi] = base.Duration.Seconds() / t.Duration.Seconds()
 		return nil

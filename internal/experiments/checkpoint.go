@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"charonsim/internal/charon"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
+	"charonsim/internal/hmc"
 	"charonsim/internal/metrics"
 )
 
@@ -27,14 +29,37 @@ type unitResult struct {
 
 // runKey canonicalizes the fully-resolved configuration of one replay
 // unit. Everything that can change the result is in the key — recording
-// identity (workload, factor, collector mode), platform kind, GC thread
-// count — plus, per the documented conservative-invalidation rule, the
-// knobs that *shouldn't* change results but guard against drift: the
-// complete fault configuration and the session parallelism.
-func (s *Session) runKey(r *Run, kind exec.Kind, threads int, fc fault.Config) string {
+// identity (workload, exact factor, collector mode), platform kind, GC
+// thread count and the platform options (optionsKey) — plus, per the
+// documented conservative-invalidation rule, the knobs that *shouldn't*
+// change results but guard against drift: the complete fault
+// configuration and the session parallelism.
+func (s *Session) runKey(u replayUnit) string {
 	return fmt.Sprintf(
-		"replay/v%d|wl=%s|factor=%.6g|mode=%v|platform=%s|threads=%d|par=%d|%s",
-		resultSchema, r.Name, r.Factor, r.Mode, kind, threads, s.cfg.Parallelism, faultKey(fc))
+		"replay/v%d|wl=%s|factor=%v|mode=%v|platform=%s|threads=%d|par=%d|%s%s",
+		resultSchema, u.r.Name, u.r.Factor, u.r.Mode, u.kind, u.threads, s.cfg.Parallelism,
+		faultKey(u.fc), optionsKey(u.opt))
+}
+
+// optionsKey canonicalizes a unit's platform options: the accelerator
+// configuration once its zero fields take their defaults, and the cube
+// topology. Table 2's accelerator and the star topology add nothing, so
+// a default-option unit keys exactly as a unit with no options does.
+// Field-by-field, like faultKey.
+func optionsKey(opt exec.Options) string {
+	k := ""
+	if opt.CharonConfig != nil {
+		if c := opt.CharonConfig.WithDefaults(); c != charon.DefaultConfig() {
+			k += fmt.Sprintf(
+				"|charon:copy=%d,count=%d,scanpush=%d,mai=%d,period=%d,grain=%d,bmcache=%d,dist=%t,cpuside=%t",
+				c.CopySearchPerCube, c.BitmapCountPerCube, c.ScanPushUnits, c.MAIEntries,
+				c.LogicPeriod, c.StreamGrain, c.BitmapCacheBytes, c.Distributed, c.CPUSide)
+		}
+	}
+	if opt.Topology != hmc.Star {
+		k += "|topology=" + opt.Topology.String()
+	}
+	return k
 }
 
 // faultKey canonicalizes every fault knob. Field-by-field (not %+v) so a

@@ -3,13 +3,17 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"charonsim/internal/charon"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
+	"charonsim/internal/gc"
+	"charonsim/internal/hmc"
 	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
 )
@@ -88,23 +92,118 @@ func TestCheckpointReplayByteIdentity(t *testing.T) {
 }
 
 // TestCheckpointKeySeparatesConfigurations: different platform kinds,
-// thread counts and fault configs must land on different keys.
+// thread counts, fault configs, factors, accelerator knobs and cube
+// topologies must land on different keys, while an option that resolves
+// to the Table 2 platform keys exactly as no option does.
 func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 	s := NewSession(Config{})
 	r := &Run{Name: "BS", Factor: 1.5}
-	base := s.runKey(r, exec.KindCharon, 8, fault.Config{})
+	charonKey := func(opt exec.Options) string {
+		return s.runKey(replayUnit{r: r, kind: exec.KindCharon, threads: 8, opt: opt})
+	}
+	base := charonKey(exec.Options{})
 	seen := map[string]string{base: "base"}
 	for label, key := range map[string]string{
-		"platform": s.runKey(r, exec.KindDDR4, 8, fault.Config{}),
-		"threads":  s.runKey(r, exec.KindCharon, 4, fault.Config{}),
-		"fault":    s.runKey(r, exec.KindCharon, 8, fault.Config{Rate: 0.01, Seed: 1}),
-		"factor":   s.runKey(&Run{Name: "BS", Factor: 2.0}, exec.KindCharon, 8, fault.Config{}),
-		"workload": s.runKey(&Run{Name: "ALS", Factor: 1.5}, exec.KindCharon, 8, fault.Config{}),
+		"platform":   s.runKey(replayUnit{r: r, kind: exec.KindDDR4, threads: 8}),
+		"threads":    s.runKey(replayUnit{r: r, kind: exec.KindCharon, threads: 4}),
+		"fault":      s.runKey(replayUnit{r: r, kind: exec.KindCharon, threads: 8, fc: fault.Config{Rate: 0.01, Seed: 1}}),
+		"factor":     s.runKey(replayUnit{r: &Run{Name: "BS", Factor: 2.0}, kind: exec.KindCharon, threads: 8}),
+		"factor 7sd": s.runKey(replayUnit{r: &Run{Name: "BS", Factor: 1.5000001}, kind: exec.KindCharon, threads: 8}),
+		"workload":   s.runKey(replayUnit{r: &Run{Name: "ALS", Factor: 1.5}, kind: exec.KindCharon, threads: 8}),
+		"MAI":        charonKey(charonOpt(func(c *charon.Config) { c.MAIEntries = 16 })),
+		"grain":      charonKey(charonOpt(func(c *charon.Config) { c.StreamGrain = 128 })),
+		"bmcache":    charonKey(charonOpt(func(c *charon.Config) { c.BitmapCacheBytes = 4 << 10 })),
+		"units":      charonKey(charonOpt(func(c *charon.Config) { c.CopySearchPerCube = 4 })),
+		"count":      charonKey(charonOpt(func(c *charon.Config) { c.BitmapCountPerCube = 1 })),
+		"scanpush":   charonKey(charonOpt(func(c *charon.Config) { c.ScanPushUnits = 4 })),
+		"period":     charonKey(charonOpt(func(c *charon.Config) { c.LogicPeriod *= 2 })),
+		"dist":       charonKey(charonOpt(func(c *charon.Config) { c.Distributed = true })),
+		"cpuside":    charonKey(charonOpt(func(c *charon.Config) { c.CPUSide = true })),
+		"chain":      charonKey(exec.Options{Topology: hmc.Chain}),
 	} {
 		if prev, dup := seen[key]; dup {
 			t.Fatalf("key for %q collides with %q: %s", label, prev, key)
 		}
 		seen[key] = label
+	}
+	for label, opt := range map[string]exec.Options{
+		"Table 2 config":  charonOpt(func(*charon.Config) {}),
+		"all-zero config": {CharonConfig: &charon.Config{}},
+		"zero MAI":        charonOpt(func(c *charon.Config) { c.MAIEntries = 0 }),
+		"zero grain":      charonOpt(func(c *charon.Config) { c.StreamGrain = 0 }),
+		"star":            {Topology: hmc.Star},
+		// Fields the key does not read: the session supplies them.
+		"trace and fault": {Trace: metrics.NewRecorder(0), Fault: &fault.Config{Rate: 0.5}},
+	} {
+		if key := charonKey(opt); key != base {
+			t.Errorf("%s keys %s, want the default key %s", label, key, base)
+		}
+	}
+	// optionsKey lists charon.Config field by field: a new field must join
+	// it and the rows above.
+	if n := reflect.TypeOf(charon.Config{}).NumField(); n != 9 {
+		t.Fatalf("charon.Config has %d fields; optionsKey and this test cover 9", n)
+	}
+}
+
+// TestDefaultUnitKeyPinned pins a default-option unit's key byte for
+// byte: checkpoint stores and charond's units dir are addressed by it, so
+// a change here orphans every stored unit.
+func TestDefaultUnitKeyPinned(t *testing.T) {
+	s := NewSession(Config{Parallelism: 4})
+	def := charon.DefaultConfig()
+	for _, tc := range []struct {
+		u    replayUnit
+		want string
+	}{
+		{replayUnit{r: &Run{Name: "ALS", Factor: 1.5, Mode: gc.ModePS}, kind: exec.KindCharon, threads: 8,
+			opt: exec.Options{CharonConfig: &def, Topology: hmc.Star}},
+			"replay/v2|wl=ALS|factor=1.5|mode=ParallelScavenge|platform=Charon|threads=8|par=4|" +
+				"fault:rate=0,seed=0,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false,deadline=0"},
+		{replayUnit{r: &Run{Name: "BS", Factor: 1.25, Mode: gc.ModePS}, kind: exec.KindDDR4, threads: 8,
+			fc: fault.Config{Rate: 0.01, Seed: 7}},
+			"replay/v2|wl=BS|factor=1.25|mode=ParallelScavenge|platform=DDR4|threads=8|par=4|" +
+				"fault:rate=0.01,seed=7,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false,deadline=0"},
+	} {
+		if got := s.runKey(tc.u); got != tc.want {
+			t.Errorf("runKey = %s\nwant     %s", got, tc.want)
+		}
+	}
+}
+
+// TestAblationsResumeFromCheckpoint: every ablation point is a
+// checkpointed unit, so a fresh session over a filled store simulates
+// nothing and renders the same bytes.
+func TestAblationsResumeFromCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every ablation sweep")
+	}
+	dir := t.TempDir()
+	render := func() (string, int) {
+		t.Helper()
+		st, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(Config{Workloads: []string{"ALS"}, Checkpoint: st})
+		c := countReplays(s)
+		rs, err := Ablations(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderAblations(rs), c.total()
+	}
+	first, sims := render()
+	// 12 non-default points, the shared Table 2 point and the DDR4 baseline.
+	if sims != 14 {
+		t.Fatalf("first run simulated %d units, want 14", sims)
+	}
+	second, sims := render()
+	if sims != 0 {
+		t.Fatalf("resumed run simulated %d units, want 0", sims)
+	}
+	if second != first {
+		t.Fatalf("resumed render differs:\n--- first ---\n%s\n--- resumed ---\n%s", first, second)
 	}
 }
 

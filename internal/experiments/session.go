@@ -122,16 +122,16 @@ type Run struct {
 
 // Session caches recorded workload runs and platform replays so that the
 // full experiment suite records each workload once and simulates each
-// distinct replay unit once.
+// distinct replay unit once: every figure, the collector study, the fault
+// sweep and every ablation point replay through one memoized entry point.
 //
-// Session is safe for concurrent use: Record/RecordMode and Replay/
-// ReplayFault have single-flight semantics — concurrent calls for the same
-// recording key (workload, factor, mode) or replay key (runKey) execute
-// the unit exactly once while the other callers block, off the lock, on
-// the in-flight result. A replay simulates on a fresh platform and only
-// reads the (immutable after recording) Run, so distinct units proceed
-// concurrently; callers share the memoized result slice and must not
-// modify it.
+// Session is safe for concurrent use: recordings and replays have
+// single-flight semantics — concurrent calls for the same recording key
+// (RecordKey) or replay key (runKey) execute the unit exactly once while
+// the other callers block, off the lock, on the in-flight result. A
+// replay simulates on a fresh platform and only reads the (immutable
+// after recording) Run, so distinct units proceed concurrently; callers
+// share the memoized result slice and must not modify it.
 type Session struct {
 	cfg Config
 
@@ -186,9 +186,11 @@ func (s *Session) SetRecordHook(fn func(key string)) { s.onRecord = fn }
 // Must be set before the session is shared across goroutines.
 func (s *Session) SetReplayHook(fn func(key string)) { s.onReplay = fn }
 
-// RecordKey is the memoization key for (name, factor, mode).
+// RecordKey is the memoization key for (name, factor, mode). The factor
+// is written exactly (shortest round-trip form): any two factors that
+// size the heap differently record separately.
 func RecordKey(name string, factor float64, mode gc.Mode) string {
-	return fmt.Sprintf("%s@%.3f@%v", name, factor, mode)
+	return fmt.Sprintf("%s@%v@%v", name, factor, mode)
 }
 
 // Record returns the recorded run for a workload at a heap factor,
@@ -244,37 +246,6 @@ func (s *Session) Executions() int {
 	return len(s.runs)
 }
 
-// NewPlatform builds a platform wired with the session's trace recorder,
-// cancellation context, and replay watchdog. Experiment code must build
-// replay platforms through this (or Replay) so the observability and
-// self-protection configuration reaches every simulated component. An
-// unknown kind is returned as an error.
-func (s *Session) NewPlatform(kind exec.Kind, env exec.Env, threads int, opt exec.Options) (exec.Platform, error) {
-	opt.Trace = s.cfg.Trace
-	if opt.Ctx == nil {
-		opt.Ctx = s.cfg.Ctx
-	}
-	if opt.Watchdog == nil {
-		wd := s.cfg.watchdog()
-		opt.Watchdog = &wd
-	}
-	return exec.NewWithOptions(kind, env, threads, opt)
-}
-
-// Observe publishes a finished platform's component counters into the
-// session's metrics registry. No-op when metrics are disabled.
-func (s *Session) Observe(p exec.Platform) { collect(p, s.cfg.Metrics) }
-
-// collect publishes a finished platform's component counters into reg.
-// No-op when reg is nil.
-func collect(p exec.Platform, reg *metrics.Registry) {
-	if reg.Enabled() {
-		if ms, ok := p.(exec.MetricsSource); ok {
-			ms.CollectMetrics(reg)
-		}
-	}
-}
-
 // Replay plays a run's full GC log on a fresh platform of the given kind,
 // returning per-event results. The session's fault configuration (if any)
 // applies.
@@ -285,20 +256,36 @@ func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, er
 // ReplayFault is Replay with an explicit fault configuration, overriding
 // the session's — the fault-sweep experiment uses it to replay the same
 // recording at several fault rates within one session.
-//
-// A unit is resolved memo first, then checkpoint store, then simulation.
-// Concurrent and repeated calls for one runKey share a single result, and
-// every call re-publishes the unit's metrics snapshot, so the registry
-// ends up exactly as if each call had simulated. A checkpoint hit returns
-// the stored results byte-identically, and a live result is persisted on
-// completion; store I/O failures never fail the replay — a lost Put just
-// means that unit re-executes on the next resume. A traced session
-// bypasses memo and store: a trace must show every simulated span.
 func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
-	key := s.runKey(r, kind, threads, fc)
+	return s.replay(replayUnit{r: r, kind: kind, threads: threads, fc: fc})
+}
+
+// replayUnit is one replay: a recording played on a fresh platform of a
+// kind with threads GC threads, under fault configuration fc. Of opt only
+// the platform knobs CharonConfig and Topology are read (the ablation
+// sweeps vary them); the session supplies trace, context and watchdog.
+type replayUnit struct {
+	r       *Run
+	kind    exec.Kind
+	threads int
+	fc      fault.Config
+	opt     exec.Options
+}
+
+// replay is the session's one replay path. A unit is resolved memo
+// first, then checkpoint store, then simulation. Concurrent and repeated
+// calls for one runKey share a single result, and every call re-publishes
+// the unit's metrics snapshot, so the registry ends up exactly as if each
+// call had simulated. A checkpoint hit returns the stored results
+// byte-identically, and a live result is persisted on completion; store
+// I/O failures never fail the replay — a lost Put just means that unit
+// re-executes on the next resume. A traced session bypasses memo and
+// store: a trace must show every simulated span.
+func (s *Session) replay(u replayUnit) ([]exec.Result, error) {
+	key := s.runKey(u)
 	if s.cfg.Trace != nil {
-		u, err := s.simulate(key, r, kind, threads, fc)
-		return s.publish(u), err
+		res, err := s.simulate(key, u)
+		return s.publish(res), err
 	}
 	s.mu.Lock()
 	f, waiting := s.replays[key]
@@ -310,7 +297,7 @@ func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Conf
 	if waiting {
 		<-f.done // block on the in-flight (or completed) replay
 	} else {
-		s.resolve(f, key, r, kind, threads, fc)
+		s.resolve(f, key, u)
 	}
 	if f.err != nil {
 		return nil, f.err
@@ -333,7 +320,7 @@ func (s *Session) publish(u unitResult) []exec.Result {
 // raises — is removed from the memo before done closes, so its waiters
 // return the owner's failure instead of hanging and a later call replays
 // the unit afresh. The panic itself still propagates to the owner.
-func (s *Session) resolve(f *flight, key string, r *Run, kind exec.Kind, threads int, fc fault.Config) {
+func (s *Session) resolve(f *flight, key string, u replayUnit) {
 	completed := false
 	defer func() {
 		if completed {
@@ -342,9 +329,9 @@ func (s *Session) resolve(f *flight, key string, r *Run, kind exec.Kind, threads
 		}
 		p := recover()
 		if ab, ok := p.(sim.Aborted); ok {
-			f.err = fmt.Errorf("experiments: replay of %s on %s aborted: %w", r.Name, kind, ab.Err)
+			f.err = fmt.Errorf("experiments: replay of %s on %s aborted: %w", u.r.Name, u.kind, ab.Err)
 		} else if p != nil || f.err == nil {
-			f.err = fmt.Errorf("experiments: replay of %s on %s did not complete: %v", r.Name, kind, p)
+			f.err = fmt.Errorf("experiments: replay of %s on %s did not complete: %v", u.r.Name, u.kind, p)
 		}
 		s.mu.Lock()
 		delete(s.replays, key)
@@ -361,7 +348,7 @@ func (s *Session) resolve(f *flight, key string, r *Run, kind exec.Kind, threads
 			return
 		}
 	}
-	if f.unit, f.err = s.simulate(key, r, kind, threads, fc); f.err != nil {
+	if f.unit, f.err = s.simulate(key, u); f.err != nil {
 		return
 	}
 	if st != nil {
@@ -370,32 +357,37 @@ func (s *Session) resolve(f *flight, key string, r *Run, kind exec.Kind, threads
 	completed = true
 }
 
-// simulate replays a run's full GC log on a fresh platform. When the
-// session collects metrics, the platform's counters come back as a
-// snapshot of the unit's own.
-func (s *Session) simulate(key string, r *Run, kind exec.Kind, threads int, fc fault.Config) (unitResult, error) {
+// simulate replays a run's full GC log on a fresh platform wired with the
+// session's trace recorder, cancellation context and replay watchdog.
+// When the session collects metrics, the platform's counters come back as
+// a snapshot of the unit's own.
+func (s *Session) simulate(key string, u replayUnit) (unitResult, error) {
 	if s.onReplay != nil {
 		s.onReplay(key)
 	}
-	opt := exec.Options{}
-	if fc.Enabled() {
-		opt.Fault = &fc
+	wd := s.cfg.watchdog()
+	opt := exec.Options{CharonConfig: u.opt.CharonConfig, Topology: u.opt.Topology,
+		Trace: s.cfg.Trace, Ctx: s.cfg.Ctx, Watchdog: &wd}
+	if u.fc.Enabled() {
+		opt.Fault = &u.fc
 	}
-	p, err := s.NewPlatform(kind, r.Env, threads, opt)
+	p, err := exec.NewWithOptions(u.kind, u.r.Env, u.threads, opt)
 	if err != nil {
 		return unitResult{}, err
 	}
-	u := unitResult{Results: make([]exec.Result, 0, len(r.Col.Log))}
-	for _, ev := range r.Col.Log {
-		u.Results = append(u.Results, p.Replay(ev, threads))
+	res := unitResult{Results: make([]exec.Result, 0, len(u.r.Col.Log))}
+	for _, ev := range u.r.Col.Log {
+		res.Results = append(res.Results, p.Replay(ev, u.threads))
 	}
 	if s.cfg.Metrics.Enabled() {
 		reg := metrics.NewRegistry()
-		collect(p, reg)
+		if ms, ok := p.(exec.MetricsSource); ok {
+			ms.CollectMetrics(reg)
+		}
 		snap := reg.Snapshot()
-		u.Metrics = &snap
+		res.Metrics = &snap
 	}
-	return u, nil
+	return res, nil
 }
 
 // Totals aggregates replay results.

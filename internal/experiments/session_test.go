@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -196,10 +197,109 @@ func TestSessionReplayOncePerUnit(t *testing.T) {
 	}
 	// Fig2's four heap factors, Fig12's HMC/Charon/Ideal, Fig15's
 	// 1/2/4/16-thread DDR4 and Charon points plus five distributed ones,
-	// Fig16's CPU-side Charon, the collector study's G1 and CMS pairs, and
-	// the fault sweep's four faulted Charon columns.
-	if len(c.n) != 29 {
-		t.Fatalf("simulated %d distinct units, want 29", len(c.n))
+	// Fig16's CPU-side Charon, the collector study's G1 and CMS pairs, the
+	// fault sweep's four faulted Charon columns, and the ablations' twelve
+	// non-default points (their Table 2 point is Fig12's Charon unit).
+	if len(c.n) != 41 {
+		t.Fatalf("simulated %d distinct units, want 41", len(c.n))
+	}
+}
+
+// TestRecordKeyExactFactor: recordings are keyed on the exact heap
+// factor, so two factors that size the heap differently record twice.
+func TestRecordKeyExactFactor(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"BS"}})
+	a, err := s.Record("BS", 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Record("BS", 1.25049)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || s.Executions() != 2 {
+		t.Fatalf("factors 1.25 and 1.25049 share a recording (%d executions)", s.Executions())
+	}
+	if a.Env.HeapBytes == b.Env.HeapBytes {
+		t.Fatalf("both recordings have a %d B heap; the factors no longer size it differently", a.Env.HeapBytes)
+	}
+}
+
+// TestAblationDefaultIsFig12Unit: in a faulted session the Table 2
+// ablation point is Fig12's Charon unit — a memo hit with the session's
+// fault configuration — and every other point replays under that
+// configuration too, so the sweep divides faulted by faulted.
+func TestAblationDefaultIsFig12Unit(t *testing.T) {
+	fc := fault.Config{Rate: 0.01, Seed: 3}
+	s := NewSession(Config{Workloads: []string{"ALS"}, Fault: fc})
+	c := countReplays(s)
+	fig12, err := Fig12(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.total()
+	topo, err := AblateTopology(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.total() - before; n != 1 {
+		t.Fatalf("topology sweep simulated %d units after Fig12, want 1 (chain)", n)
+	}
+	for key := range c.n {
+		if !strings.Contains(key, faultKey(fc)) {
+			t.Fatalf("unit %s replayed without the session's fault config", key)
+		}
+	}
+	want := fig12.Speedup["ALS"][exec.KindCharon]
+	if got := topo.Speedup[topo.Default]; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("default ablation point speedup %v, Fig12 Charon speedup %v", got, want)
+	}
+}
+
+// TestSharedDefaultPointSimulatedOnce: two sweeps that share the Table 2
+// point, run concurrently at parallelism 4, simulate it once. Not skipped
+// under -short, so the race detector covers the single-flight path
+// between sweeps.
+func TestSharedDefaultPointSimulatedOnce(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"ALS"}, Parallelism: 4})
+	c := countReplays(s)
+	r, err := s.Record("ALS", s.Config().Factor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defKey := s.runKey(replayUnit{r: r, kind: exec.KindCharon, threads: s.Config().Threads})
+	sweeps := []func(*Session) (*AblationResult, error){AblateMAI, AblateUnits}
+	res := make([]*AblationResult, len(sweeps))
+	errs := make([]error, len(sweeps))
+	var wg sync.WaitGroup
+	for i, sweep := range sweeps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = sweep(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.n[defKey]; n != 1 {
+		t.Fatalf("shared Table 2 point simulated %d times, want 1", n)
+	}
+	for key, n := range c.n {
+		if n != 1 {
+			t.Errorf("unit %s simulated %d times, want 1", key, n)
+		}
+	}
+	// Five MAI points and three unit counts share one: seven Charon
+	// units, plus the DDR4 baseline.
+	if len(c.n) != 8 {
+		t.Fatalf("simulated %d distinct units, want 8", len(c.n))
+	}
+	if a, b := res[0].Speedup[res[0].Default], res[1].Speedup[res[1].Default]; a != b {
+		t.Fatalf("the sweeps disagree on the Table 2 point: %v vs %v", a, b)
 	}
 }
 
@@ -366,7 +466,7 @@ func TestSessionAbortedReplayNotMemoized(t *testing.T) {
 			_, err := replayRecovered(s, r, exec.KindDDR4)
 			waiter <- err
 		}()
-		waitParkedIn(t, "(*Session).ReplayFault")
+		waitParkedIn(t, "(*Session).replay(")
 		ctx.cancelled.Store(true)
 	})
 
@@ -384,7 +484,7 @@ func TestSessionAbortedReplayNotMemoized(t *testing.T) {
 	if n := sims.Load(); n != 1 {
 		t.Fatalf("aborted key simulated %d times, want 1 (the waiter should have waited)", n)
 	}
-	key := s.runKey(r, exec.KindDDR4, 8, fault.Config{})
+	key := s.runKey(replayUnit{r: r, kind: exec.KindDDR4, threads: 8})
 	s.mu.Lock()
 	_, memoized := s.replays[key]
 	s.mu.Unlock()
