@@ -48,7 +48,9 @@ benchsmoke:
 # banks, utilization gauges in [0,1], unit-busy double accounting), the
 # cache's equivalence to its stamp-based LRU reference, the split
 # hierarchy walk's equivalence to the single-pass one, the calendar
-# ring's and slot heap's equivalence to their retired references, plus
+# ring's and slot heap's equivalence to their retired references, the GC
+# log's footprint (32 B invocations, events closed at exact size, no
+# functional heap kept by a recorded Run), plus
 # short fuzz passes over the public Config boundary, both cache
 # equivalences, the calendar ring and charond's journal replay. Every
 # journal exec boots a server over fsync'd files, so its minimization is
@@ -56,7 +58,7 @@ benchsmoke:
 # pass minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference' ./internal/exec ./internal/charon ./internal/sim ./internal/cache .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogEventsExactSize|RunRetainsNoFunctionalHeap' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache

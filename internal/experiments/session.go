@@ -109,13 +109,14 @@ func (c Config) watchdog() sim.Watchdog {
 	return wd
 }
 
-// Run is one recorded workload execution.
+// Run is one recorded workload execution, reduced to what replay reads
+// (see newRun).
 type Run struct {
 	Name    string
 	Factor  float64 // heap overprovisioning the recording ran at
 	Mode    gc.Mode // collector mode the recording ran under
 	Spec    workload.Spec
-	Col     *gc.Collector
+	Col     gc.EventLog
 	Env     exec.Env
 	MutTime sim.Time
 }
@@ -231,11 +232,19 @@ func record(name string, factor float64, mode gc.Mode) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s at %.2fx: %w", name, factor, err)
 	}
+	return newRun(name, factor, mode, w.Spec(), col), nil
+}
+
+// newRun keeps of a finished recording only what replay reads: the event
+// log, the replay environment and the mutator time. Nothing in the Run
+// reaches col, so the collector and its heap die with the caller's
+// reference.
+func newRun(name string, factor float64, mode gc.Mode, spec workload.Spec, col *gc.Collector) *Run {
 	return &Run{
-		Name: name, Factor: factor, Mode: mode, Spec: w.Spec(), Col: col,
+		Name: name, Factor: factor, Mode: mode, Spec: spec, Col: col.EventLog(),
 		Env:     exec.EnvFor(col),
-		MutTime: workload.MutatorTime(w.Spec(), col.H),
-	}, nil
+		MutTime: workload.MutatorTime(spec, col.H),
+	}
 }
 
 // Executions reports how many distinct recordings the session has actually

@@ -15,8 +15,10 @@ import (
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
 	"charonsim/internal/gc"
+	"charonsim/internal/heap"
 	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
+	"charonsim/internal/workload"
 )
 
 // TestSessionConcurrentRecord hammers Record/RecordMode from 32 goroutines
@@ -70,7 +72,7 @@ func TestSessionConcurrentRecord(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		if runs[g] == nil || runs[g].Col == nil || len(runs[g].Col.Log) == 0 {
+		if runs[g] == nil || len(runs[g].Col.Log) == 0 {
 			t.Fatalf("goroutine %d: incomplete run %+v", g, runs[g])
 		}
 		key := RecordKey("BS", calls[g%len(calls)].factor, gc.ModePS)
@@ -223,6 +225,40 @@ func TestRecordKeyExactFactor(t *testing.T) {
 	if a.Env.HeapBytes == b.Env.HeapBytes {
 		t.Fatalf("both recordings have a %d B heap; the factors no longer size it differently", a.Env.HeapBytes)
 	}
+}
+
+// TestRunRetainsNoFunctionalHeap: a kept Run does not keep its
+// recording's simulated heap alive. Once newRun returns, the collector
+// and its heap are garbage while the Run is still in use.
+func TestRunRetainsNoFunctionalHeap(t *testing.T) {
+	freed := make(chan struct{})
+	r := func() *Run { // the collector goes out of scope on return
+		w, err := workload.New("BS")
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := workload.RunRecordedMode(w, 1.5, gc.ModePS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The write barrier closes a cycle heap -> barrier -> collector ->
+		// heap, and the runtime never finalizes an object that a cycle
+		// leads back to. Recording has ended: nothing stores into the
+		// heap again.
+		col.H.Barrier = nil
+		runtime.SetFinalizer(col.H, func(*heap.Heap) { close(freed) })
+		return newRun("BS", 1.5, gc.ModePS, w.Spec(), col)
+	}()
+	defer runtime.KeepAlive(r)
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	t.Fatal("the recording's heap is still reachable from its Run")
 }
 
 // TestAblationDefaultIsFig12Unit: in a faulted session the Table 2

@@ -152,11 +152,28 @@ func (c *Collector) begin(kind Kind, reason string) *Event {
 	return ev
 }
 
+// end closes ev and appends it to the log. Its invocation and reference
+// slices move to arrays of exactly their length: the append slack of a
+// finished event would otherwise live as long as the log.
 func (c *Collector) end(ev *Event) *Event {
 	c.ev = nil
+	ev.Invocations = exact(ev.Invocations)
+	ev.Refs = exact(ev.Refs)
 	c.Log = append(c.Log, ev)
 	return ev
 }
+
+// exact returns s in an array of exactly len(s) elements.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// EventLog returns the recorded events without the collector's
+// functional state.
+func (c *Collector) EventLog() EventLog { return EventLog{Log: c.Log} }
 
 // --- MinorGC -------------------------------------------------------------------
 

@@ -21,9 +21,7 @@ func (c *Collector) MajorGC(reason string) *Event {
 		// OutOfMemoryError. Latch OOM and leave the heap unchanged (marks
 		// remain but are cleared on the next mark phase).
 		c.OOM = true
-		c.ev = nil
-		c.Log = append(c.Log, ev)
-		return ev
+		return c.end(ev)
 	}
 
 	c.adjustPointers(ev, newAddrs, liveOrder)

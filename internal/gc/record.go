@@ -86,11 +86,14 @@ type RefVisit struct {
 //	BitmapCount: A=beg-map byte address, N=map bytes scanned (per map)
 //	Adjust:      A=object, N=#slots rewritten
 //	Other:       A=optional address, N=instruction estimate
+//
+// Prim comes last so that it shares the final word with the three uint32
+// operands: 32 bytes per invocation instead of 40.
 type Invocation struct {
-	Prim           Prim
 	A, B           heap.Addr
 	N              uint32
 	RefOff, RefLen uint32
+	Prim           Prim
 }
 
 // Kind distinguishes GC event types.
@@ -167,6 +170,13 @@ type Event struct {
 	CopiedBytes    uint64
 	PromotedBytes  uint64
 	ReclaimedBytes uint64
+}
+
+// EventLog is what replay reads of a finished recording: its events, in
+// order. It holds no functional state (heap, card table, mark bitmaps or
+// object stack), so a kept log does not keep the simulated heap alive.
+type EventLog struct {
+	Log []*Event
 }
 
 // CountByPrim tallies invocations per primitive.
