@@ -106,7 +106,7 @@ parbench:
 # layer, then a real fault-sweep run that exports its metrics snapshot
 # (CI uploads fault-metrics.json as a build artifact).
 faults:
-	$(GO) test -race -timeout 30m -run 'Fault|Failover|AllUnitsFailed|Degrad|Retry|BankRemap|Watchdog|Deadline' \
+	$(GO) test -race -timeout 30m -run 'Fault|Failover|AllUnitsFailed|Degrad|Retry|BankRemap|Watchdog' \
 		./internal/fault ./internal/memsys ./internal/dram ./internal/hmc ./internal/charon ./internal/exec ./internal/experiments
 	$(GO) run ./cmd/charonsim -exp faults -workloads BS -fault-seed 42 -fault-rate 0.01 -metrics fault-metrics.json
 

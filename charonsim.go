@@ -87,11 +87,10 @@ type Config struct {
 	// byte-identical at every Parallelism setting.
 	MetricsPath string
 	// TracePath, when non-empty, writes a chrome://tracing-loadable JSON
-	// event trace (GC pauses, cache flushes, per-unit Charon offloads,
-	// fault spans like "deadline-fallback"). Requires MetricsPath: the
-	// trace's companion counters (span totals, drop counts) land in the
-	// metrics snapshot. The trace format is JSON only — the path must not
-	// carry a ".csv" extension.
+	// event trace (GC pauses, cache flushes, per-unit Charon offloads).
+	// Requires MetricsPath: the trace's companion counters (span totals,
+	// drop counts) land in the metrics snapshot. The trace format is JSON
+	// only — the path must not carry a ".csv" extension.
 	TracePath string
 	// FaultRate is the master fault-injection rate in [0, 1): link CRC
 	// errors at this per-packet probability, plus derived DRAM ECC, hard
@@ -102,13 +101,9 @@ type Config struct {
 	FaultRate float64
 	// FaultSeed selects the deterministic fault pattern; the same seed and
 	// Parallelism-independent draw order make faulted reports reproducible.
-	// Setting a seed without a nonzero FaultRate (or OffloadDeadline) is a
-	// configuration error — there would be no faults to seed.
+	// Setting a seed without a nonzero FaultRate is a configuration error —
+	// there would be no faults to seed.
 	FaultSeed int64
-	// OffloadDeadline arms the Charon offload watchdog: an offload whose
-	// completion exceeds issue+deadline is abandoned and re-executed on the
-	// host cores, counted as a degradation event. Zero disables it.
-	OffloadDeadline time.Duration
 	// RunTimeout, when positive, bounds each replay unit's wall-clock
 	// time. It arms the replay watchdog's wall-clock heartbeat inside each
 	// run, so a replay that overruns aborts with diagnostics
@@ -141,15 +136,14 @@ func (c Config) toInternal() experiments.Config {
 
 // faultConfig maps the public fault knobs onto the injector configuration.
 func (c Config) faultConfig() fault.Config {
-	return fault.Config{Rate: c.FaultRate, Seed: c.FaultSeed,
-		OffloadDeadline: sim.Time(c.OffloadDeadline.Nanoseconds()) * sim.Nanosecond}
+	return fault.Config{Rate: c.FaultRate, Seed: c.FaultSeed}
 }
 
 // Validate rejects configurations that withDefaults would otherwise paper
 // over: negative thread counts, non-finite or negative heap factors,
 // parallelism below the documented -1 serial sentinel, unknown workload
 // names, out-of-range fault rates, a fault seed with no fault to apply it
-// to, negative deadlines/timeouts, a trace request without a metrics
+// to, a negative run timeout, a trace request without a metrics
 // snapshot to accompany it, a trace path with a ".csv" extension (the
 // trace format is JSON only), and a trace combined with a checkpoint
 // directory.
@@ -183,9 +177,6 @@ func (c Config) Validate() error {
 	}
 	if c.FaultSeed < 0 {
 		return fmt.Errorf("charonsim: FaultSeed must be >= 0, got %d", c.FaultSeed)
-	}
-	if c.OffloadDeadline < 0 {
-		return fmt.Errorf("charonsim: OffloadDeadline must be >= 0 (0 disables the watchdog), got %v", c.OffloadDeadline)
 	}
 	if c.RunTimeout < 0 {
 		return fmt.Errorf("charonsim: RunTimeout must be >= 0 (0 disables the budget), got %v", c.RunTimeout)

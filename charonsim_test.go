@@ -258,9 +258,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative fault seed", Config{FaultSeed: -1}, "FaultSeed"},
 		{"seed without faults", Config{FaultSeed: 7}, "zero"},
 		{"seed with rate", Config{FaultRate: 0.01, FaultSeed: 7}, ""},
-		{"seed with deadline", Config{FaultSeed: 7, OffloadDeadline: time.Microsecond}, ""},
 		{"valid fault rate", Config{FaultRate: 0.05}, ""},
-		{"negative offload deadline", Config{OffloadDeadline: -time.Millisecond}, "OffloadDeadline"},
 		{"negative run timeout", Config{RunTimeout: -time.Second}, "RunTimeout"},
 		{"run timeout alone", Config{RunTimeout: time.Minute}, ""},
 		{"checkpoint with metrics", Config{CheckpointDir: "c", MetricsPath: "m.json"}, ""},

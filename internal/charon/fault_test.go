@@ -5,7 +5,6 @@ import (
 
 	"charonsim/internal/fault"
 	"charonsim/internal/hmc"
-	"charonsim/internal/sim"
 )
 
 func newFaultAccel(t *testing.T, fc fault.Config) *Accelerator {
@@ -18,9 +17,10 @@ func newFaultAccel(t *testing.T, fc fault.Config) *Accelerator {
 }
 
 func TestHealthyFaultAccelMatchesPlain(t *testing.T) {
-	// An injector with no unit faults must schedule identically to New.
+	// An armed injector that draws no fault for its seed must schedule
+	// identically to New.
 	plain := newAccel(false)
-	flt := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
+	flt := newFaultAccel(t, fault.Config{HardBankRate: 1e-12, Seed: 1})
 	for i := uint64(0); i < 8; i++ {
 		p := plain.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
 		f := flt.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
@@ -76,9 +76,12 @@ func TestCrossCubeReissue(t *testing.T) {
 
 func TestDegradedUnitIsSlower(t *testing.T) {
 	healthy := newAccel(false)
-	slow := newFaultAccel(t, fault.Config{OffloadDeadline: sim.Microsecond})
+	// Build with every unit failed, then revive the copy/search units as
+	// degraded ones.
+	slow := newFaultAccel(t, fault.Config{FailAllUnits: true, Seed: 1})
 	for c := range slow.copySearch {
 		for i := range slow.copySearch[c] {
+			slow.copySearch[c][i].failed = false
 			slow.copySearch[c][i].degraded = true
 		}
 	}

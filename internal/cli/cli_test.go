@@ -53,6 +53,12 @@ func TestExitCodes(t *testing.T) {
 
 	out.Reset()
 	errb.Reset()
+	if code := Run([]string{"-offload-deadline", "2us", "-exp", "table4"}, &out, &errb); code != 2 {
+		t.Fatalf("removed -offload-deadline flag exited %d, want 2", code)
+	}
+
+	out.Reset()
+	errb.Reset()
 	if code := Run([]string{"-exp", "table4"}, &out, &errb); code != 0 {
 		t.Fatalf("table4 exited %d: %s", code, errb.String())
 	}

@@ -57,13 +57,13 @@ func mustOpt(t testing.TB, kind Kind, env Env, threads int, opt Options) Platfor
 }
 
 // stepFunc adapts a bare function to the stepper interface.
-type stepFunc func(thread int, t sim.Time) stepResult
+type stepFunc func(t sim.Time) stepResult
 
-func (f stepFunc) step(thread int, t sim.Time) stepResult { return f(thread, t) }
+func (f stepFunc) step(t sim.Time) stepResult { return f(t) }
 
 // oneShot wraps a whole-invocation execution as a single-step stepper.
 func oneShot(fn func(t sim.Time) sim.Time) stepper {
-	return stepFunc(func(_ int, t sim.Time) stepResult {
+	return stepFunc(func(t sim.Time) stepResult {
 		return stepResult{t: fn(t), done: true}
 	})
 }

@@ -13,7 +13,7 @@ import (
 // but must not double-count payload, ECC corrections delay but do not
 // re-read, and bank remaps redirect rather than duplicate.
 func TestByteConservationWithFaults(t *testing.T) {
-	fc := &fault.Config{Rate: 0.1, HardBankRate: 0.05, Seed: 3}
+	fc := fault.Config{Rate: 0.1, HardBankRate: 0.05, Seed: 3}
 	kinds := []Kind{KindDDR4, KindHMC, KindCharon, KindCharonDistributed, KindCharonCPUSide}
 	for _, k := range kinds {
 		s := collectAfterReplay(t, k, 4<<20, Options{Fault: fc})
@@ -35,21 +35,6 @@ func TestByteConservationWithFaults(t *testing.T) {
 		if k != KindDDR4 && retries == 0 {
 			t.Errorf("%v: 10%% CRC rate produced no link retries", k)
 		}
-	}
-}
-
-// TestByteConservationWithDeadlineFallback covers the watchdog's
-// double-charged path: the abandoned offload's traffic and the host
-// re-execution's traffic both appear on both sides of the ledger.
-func TestByteConservationWithDeadlineFallback(t *testing.T) {
-	fc := &fault.Config{OffloadDeadline: 100 * sim.Nanosecond}
-	s := collectAfterReplay(t, KindCharon, 4<<20, Options{Fault: fc})
-	req, srv := requestedBytes(s), servedBytes(s)
-	if req == 0 || req != srv {
-		t.Fatalf("conservation violated with watchdog: requested %.0f B, served %.0f B", req, srv)
-	}
-	if s.Counters["charon/degradation/deadline"] == 0 {
-		t.Fatal("a 100ns deadline fired no watchdog fallbacks")
 	}
 }
 
@@ -78,52 +63,11 @@ func TestAllUnitsFailedMatchesHostBaseline(t *testing.T) {
 					}
 				}
 			}
-			noUnit, deadline := dead.DegradationEvents()
-			if noUnit != offloadable {
+			if noUnit := dead.DegradationEvents(); noUnit != offloadable {
 				t.Fatalf("%s threads=%d: degradation events %d, want one per offloadable invocation (%d)",
 					rec.name, nthreads, noUnit, offloadable)
 			}
-			if deadline != 0 {
-				t.Fatalf("%s threads=%d: unexpected watchdog firings %d", rec.name, nthreads, deadline)
-			}
 		}
-	}
-}
-
-// TestHealthyFaultConfigIsByteIdentical asserts the zero-knob guarantee at
-// the platform level: an Options.Fault carrying only a deadline that never
-// fires replays bit-identically to no fault config at all.
-func TestHealthyFaultConfigIsByteIdentical(t *testing.T) {
-	evs, env := record(t, 4<<20)
-	plain := New(KindCharon, env, 8)
-	armed := mustOpt(t, KindCharon, env, 8,
-		Options{Fault: &fault.Config{OffloadDeadline: sim.Second}})
-	for i, ev := range evs {
-		a := plain.Replay(ev, 8)
-		b := armed.Replay(ev, 8)
-		if a != b {
-			t.Fatalf("event %d: armed-but-idle watchdog changed the result:\n%+v\nvs\n%+v", i, a, b)
-		}
-	}
-}
-
-// TestDeadlineFallbackBoundsOffloads verifies the watchdog semantics: with
-// a deadline armed, every offloadable invocation completes by
-// issue+deadline+host-fallback time, and degradation events are recorded.
-func TestDeadlineFallbackBoundsOffloads(t *testing.T) {
-	evs, env := record(t, 4<<20)
-	p := mustOpt(t, KindCharon, env, 8,
-		Options{Fault: &fault.Config{OffloadDeadline: 50 * sim.Nanosecond}})
-	for _, ev := range evs {
-		p.Replay(ev, 8)
-	}
-	cp := p.(*charonPlatform)
-	_, deadline := cp.DegradationEvents()
-	if deadline == 0 {
-		t.Fatal("50ns deadline never fired on this workload")
-	}
-	if len(cp.degPerEvent) != len(evs) {
-		t.Fatalf("per-event degradation samples %d, want %d", len(cp.degPerEvent), len(evs))
 	}
 }
 
@@ -133,7 +77,7 @@ func TestFaultRatesSlowGC(t *testing.T) {
 	evs, env := record(t, 4<<20)
 	healthy := New(KindCharon, env, 8)
 	faulty := mustOpt(t, KindCharon, env, 8,
-		Options{Fault: &fault.Config{Rate: 0.2, Seed: 7}})
+		Options{Fault: fault.Config{Rate: 0.2, Seed: 7}})
 	var h, f sim.Time
 	for _, ev := range evs {
 		h += healthy.Replay(ev, 8).Duration
@@ -148,7 +92,7 @@ func TestFaultRatesSlowGC(t *testing.T) {
 // degradation counters and per-event distribution appear in the registry.
 func TestDegradationMetricsPublished(t *testing.T) {
 	s := collectAfterReplay(t, KindCharon, 4<<20,
-		Options{Fault: &fault.Config{FailAllUnits: true, Seed: 1}})
+		Options{Fault: fault.Config{FailAllUnits: true, Seed: 1}})
 	if s.Counters["charon/degradation/no_unit"] == 0 {
 		t.Fatal("no_unit degradation counter missing or zero")
 	}

@@ -22,7 +22,7 @@ func assertHostPathsAgree(t *testing.T, evs []*gc.Event, env Env, nthreads int) 
 	t.Helper()
 	host := New(KindHMC, env, nthreads).(*hostPlatform)
 	dead := mustOpt(t, KindCharon, env, nthreads,
-		Options{Fault: &fault.Config{FailAllUnits: true, Seed: 1}}).(*charonPlatform)
+		Options{Fault: fault.Config{FailAllUnits: true, Seed: 1}}).(*charonPlatform)
 	for i, ev := range evs {
 		h, d := host.Replay(ev, nthreads), dead.Replay(ev, nthreads)
 		if h.Duration != d.Duration {

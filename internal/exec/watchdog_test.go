@@ -37,7 +37,7 @@ func TestRunThreadsStallGuard(t *testing.T) {
 	const start = 7 * sim.Microsecond
 	err := recoverAbort(func() {
 		runThreads(start, evs[0], 2, mon, func(thread int, inv *gc.Invocation) stepper {
-			return stepFunc(func(_ int, tm sim.Time) stepResult {
+			return stepFunc(func(tm sim.Time) stepResult {
 				return stepResult{t: tm} // no advance, never done
 			})
 		})
@@ -91,7 +91,7 @@ func TestWatchdogAbortThenSchedulerReuse(t *testing.T) {
 	var sched replaySched
 	err := recoverAbort(func() {
 		sched.run(0, ev, 2, mon, func(thread int, inv *gc.Invocation) stepper {
-			return stepFunc(func(_ int, tm sim.Time) stepResult {
+			return stepFunc(func(tm sim.Time) stepResult {
 				return stepResult{t: tm} // wedge: no advance, never done
 			})
 		})

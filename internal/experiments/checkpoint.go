@@ -66,10 +66,10 @@ func optionsKey(opt exec.Options) string {
 // fault.Config field addition forces a conscious decision here.
 func faultKey(fc fault.Config) string {
 	return fmt.Sprintf(
-		"fault:rate=%.6g,seed=%d,crc=%.6g,budget=%d,backoff=%d,ecc=%.6g,ecclat=%d,bank=%.6g,ufail=%.6g,udeg=%.6g,dfac=%.6g,failall=%t,deadline=%d",
+		"fault:rate=%.6g,seed=%d,crc=%.6g,budget=%d,backoff=%d,ecc=%.6g,ecclat=%d,bank=%.6g,ufail=%.6g,udeg=%.6g,dfac=%.6g,failall=%t",
 		fc.Rate, fc.Seed, fc.LinkCRCRate, fc.RetryBudget, uint64(fc.RetryBackoff),
 		fc.ECCRate, uint64(fc.ECCLatency), fc.HardBankRate, fc.UnitFailRate,
-		fc.UnitDegradeRate, fc.DegradeFactor, fc.FailAllUnits, uint64(fc.OffloadDeadline))
+		fc.UnitDegradeRate, fc.DegradeFactor, fc.FailAllUnits)
 }
 
 // getCachedUnit decodes a stored replay. Decode failures are treated as

@@ -133,7 +133,7 @@ func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 		"zero grain":      charonOpt(func(c *charon.Config) { c.StreamGrain = 0 }),
 		"star":            {Topology: hmc.Star},
 		// Fields the key does not read: the session supplies them.
-		"trace and fault": {Trace: metrics.NewRecorder(0), Fault: &fault.Config{Rate: 0.5}},
+		"trace and fault": {Trace: metrics.NewRecorder(0), Fault: fault.Config{Rate: 0.5}},
 	} {
 		if key := charonKey(opt); key != base {
 			t.Errorf("%s keys %s, want the default key %s", label, key, base)
@@ -159,11 +159,11 @@ func TestDefaultUnitKeyPinned(t *testing.T) {
 		{replayUnit{r: &Run{Name: "ALS", Factor: 1.5, Mode: gc.ModePS}, kind: exec.KindCharon, threads: 8,
 			opt: exec.Options{CharonConfig: &def, Topology: hmc.Star}},
 			"replay/v2|wl=ALS|factor=1.5|mode=ParallelScavenge|platform=Charon|threads=8|par=4|" +
-				"fault:rate=0,seed=0,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false,deadline=0"},
+				"fault:rate=0,seed=0,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false"},
 		{replayUnit{r: &Run{Name: "BS", Factor: 1.25, Mode: gc.ModePS}, kind: exec.KindDDR4, threads: 8,
 			fc: fault.Config{Rate: 0.01, Seed: 7}},
 			"replay/v2|wl=BS|factor=1.25|mode=ParallelScavenge|platform=DDR4|threads=8|par=4|" +
-				"fault:rate=0.01,seed=7,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false,deadline=0"},
+				"fault:rate=0.01,seed=7,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false"},
 	} {
 		if got := s.runKey(tc.u); got != tc.want {
 			t.Errorf("runKey = %s\nwant     %s", got, tc.want)

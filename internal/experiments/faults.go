@@ -32,15 +32,14 @@ type FaultSweepResult struct {
 }
 
 // faultSweepColumns derives the per-column fault configurations from the
-// session's, preserving its seed and watchdog deadline.
-func faultSweepColumns(base fault.Config) []fault.Config {
-	seed := base.Seed
+// session's seed.
+func faultSweepColumns(seed int64) []fault.Config {
 	if seed == 0 {
 		seed = FaultSweepSeed
 	}
 	cols := []fault.Config{{}} // healthy: all knobs zero
 	for _, r := range FaultSweepRates {
-		cols = append(cols, fault.Config{Rate: r, Seed: seed, OffloadDeadline: base.OffloadDeadline})
+		cols = append(cols, fault.Config{Rate: r, Seed: seed})
 	}
 	cols = append(cols, fault.Config{FailAllUnits: true, Seed: seed})
 	return cols
@@ -54,7 +53,7 @@ func faultSweepColumns(base fault.Config) []fault.Config {
 // host baseline.
 func FigFaultSweep(s *Session) (*FaultSweepResult, error) {
 	cfg := s.Config()
-	cols := faultSweepColumns(cfg.Fault)
+	cols := faultSweepColumns(cfg.Fault.Seed)
 	res := &FaultSweepResult{Workload: cfg.Workloads, Rates: FaultSweepRates,
 		Norm: map[string][]float64{}}
 	rows := make([][]float64, len(cfg.Workloads))

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"charonsim/internal/fault"
-)
+import "testing"
 
 // TestFaultSweepShape runs the sweep on a two-workload subset and checks
 // the degradation curve: healthy Charon beats the host baseline, columns
@@ -43,7 +39,7 @@ func TestFaultSweepShape(t *testing.T) {
 
 // TestFaultSweepColumnsInheritSessionKnobs pins the column derivation.
 func TestFaultSweepColumnsInheritSessionKnobs(t *testing.T) {
-	cols := faultSweepColumns(fault.Config{})
+	cols := faultSweepColumns(0)
 	if len(cols) != len(FaultSweepRates)+2 {
 		t.Fatalf("columns = %d, want %d", len(cols), len(FaultSweepRates)+2)
 	}
@@ -56,8 +52,8 @@ func TestFaultSweepColumnsInheritSessionKnobs(t *testing.T) {
 	if !cols[len(cols)-1].FailAllUnits {
 		t.Fatal("last column must fail all units")
 	}
-	cols = faultSweepColumns(fault.Config{Seed: 7, OffloadDeadline: 123})
-	if cols[1].Seed != 7 || cols[1].OffloadDeadline != 123 {
-		t.Fatalf("session seed/deadline not inherited: %+v", cols[1])
+	cols = faultSweepColumns(7)
+	if cols[1].Seed != 7 {
+		t.Fatalf("session seed not inherited: %+v", cols[1])
 	}
 }

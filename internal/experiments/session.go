@@ -376,10 +376,7 @@ func (s *Session) simulate(key string, u replayUnit) (unitResult, error) {
 	}
 	wd := s.cfg.watchdog()
 	opt := exec.Options{CharonConfig: u.opt.CharonConfig, Topology: u.opt.Topology,
-		Trace: s.cfg.Trace, Ctx: s.cfg.Ctx, Watchdog: &wd}
-	if u.fc.Enabled() {
-		opt.Fault = &u.fc
-	}
+		Trace: s.cfg.Trace, Fault: u.fc, Ctx: s.cfg.Ctx, Watchdog: &wd}
 	p, err := exec.NewWithOptions(u.kind, u.r.Env, u.threads, opt)
 	if err != nil {
 		return unitResult{}, err

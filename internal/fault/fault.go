@@ -84,19 +84,13 @@ type Config struct {
 	// the accelerator is present but dead, and every offload must fall
 	// back to the host collector path.
 	FailAllUnits bool
-
-	// OffloadDeadline arms the exec layer's watchdog: an offload whose
-	// modelled completion exceeds issue+deadline is abandoned and re-run
-	// on the host cores from the deadline expiry. Zero disables it.
-	OffloadDeadline sim.Time
 }
 
-// Enabled reports whether any fault machinery is active. Note the
-// watchdog deadline alone enables the injector: it needs no randomness but
-// it is degradation machinery all the same.
+// Enabled reports whether any fault machinery is active. The zero Config
+// is the "no faults" configuration.
 func (c Config) Enabled() bool {
 	return c.Rate > 0 || c.LinkCRCRate > 0 || c.ECCRate > 0 || c.HardBankRate > 0 ||
-		c.UnitFailRate > 0 || c.UnitDegradeRate > 0 || c.FailAllUnits || c.OffloadDeadline > 0
+		c.UnitFailRate > 0 || c.UnitDegradeRate > 0 || c.FailAllUnits
 }
 
 // Validate rejects configurations the derivations below would silently

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"charonsim/internal/sim"
 )
 
 func TestDisabledInjectorIsNil(t *testing.T) {
@@ -44,7 +42,6 @@ func TestEnabledVariants(t *testing.T) {
 		{Config{UnitFailRate: 0.1}, true},
 		{Config{UnitDegradeRate: 0.1}, true},
 		{Config{FailAllUnits: true}, true},
-		{Config{OffloadDeadline: sim.Microsecond}, true},
 		{Config{Seed: 9}, false},
 	}
 	for _, c := range cases {
@@ -59,7 +56,6 @@ func TestValidate(t *testing.T) {
 		{},
 		{Rate: 0.5, Seed: 3},
 		{FailAllUnits: true, Seed: 1},
-		{OffloadDeadline: sim.Microsecond},
 		{Rate: 0.1, DegradeFactor: 3, RetryBudget: 2},
 	}
 	for _, c := range ok {

@@ -17,7 +17,7 @@ import (
 // payload; bump it whenever either changes meaning, so a warm restart
 // against an old cache directory misses cleanly instead of serving stale
 // responses.
-const jobSchema = 3
+const jobSchema = 4
 
 // JobSpec is the wire format of a job submission (POST /v1/jobs). It maps
 // onto charonsim.Config plus the experiment id; durations travel as
@@ -29,14 +29,13 @@ type JobSpec struct {
 	// "all" for the full suite.
 	Experiment string `json:"experiment"`
 
-	Threads       int      `json:"threads,omitempty"`
-	HeapFactor    float64  `json:"heap_factor,omitempty"`
-	Workloads     []string `json:"workloads,omitempty"`
-	Parallelism   int      `json:"parallelism,omitempty"`
-	FaultRate     float64  `json:"fault_rate,omitempty"`
-	FaultSeed     int64    `json:"fault_seed,omitempty"`
-	OffloadDeadln string   `json:"offload_deadline,omitempty"`
-	RunTimeout    string   `json:"run_timeout,omitempty"`
+	Threads     int      `json:"threads,omitempty"`
+	HeapFactor  float64  `json:"heap_factor,omitempty"`
+	Workloads   []string `json:"workloads,omitempty"`
+	Parallelism int      `json:"parallelism,omitempty"`
+	FaultRate   float64  `json:"fault_rate,omitempty"`
+	FaultSeed   int64    `json:"fault_seed,omitempty"`
+	RunTimeout  string   `json:"run_timeout,omitempty"`
 }
 
 // Resolve validates the spec and returns the charonsim.Config it maps to
@@ -53,10 +52,6 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 	if sp.Experiment != "all" && !knownExperiment(sp.Experiment) {
 		return cfg, "", fmt.Errorf("unknown experiment %q (have %v, or \"all\")", sp.Experiment, charonsim.Experiments())
 	}
-	deadline, err := parseDuration("offload_deadline", sp.OffloadDeadln)
-	if err != nil {
-		return cfg, "", err
-	}
 	timeout, err := parseDuration("run_timeout", sp.RunTimeout)
 	if err != nil {
 		return cfg, "", err
@@ -70,7 +65,7 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 		Workloads:   workloads,
 		Parallelism: sp.Parallelism,
 		FaultRate:   sp.FaultRate, FaultSeed: sp.FaultSeed,
-		OffloadDeadline: deadline, RunTimeout: timeout,
+		RunTimeout: timeout,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, "", err
@@ -125,9 +120,9 @@ func canonicalKey(experiment string, cfg charonsim.Config) string {
 		wl = charonsim.Workloads()
 	}
 	return fmt.Sprintf(
-		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|deadline=%d|timeout=%d",
+		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|timeout=%d",
 		jobSchema, experiment, threads, factor, strings.Join(wl, ","), cfg.Parallelism,
-		cfg.FaultRate, cfg.FaultSeed, cfg.OffloadDeadline.Nanoseconds(), cfg.RunTimeout.Nanoseconds())
+		cfg.FaultRate, cfg.FaultSeed, cfg.RunTimeout.Nanoseconds())
 }
 
 // jobID derives the externally-visible job id from the canonical key via

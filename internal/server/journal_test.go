@@ -196,8 +196,9 @@ func TestJournalReplayCompletesFromCache(t *testing.T) {
 // TestJournalDiscardsUnreadableRecords: garbage in the journal directory
 // is logged and collected, never replayed. That covers a spec that no
 // longer resolves, and a spec that still resolves but was journaled under
-// an older canonical-key schema (v1 or v2): its stored key no longer
-// matches.
+// an older canonical-key schema (v1, v2 or v3): its stored key no longer
+// matches. A v3 record whose spec set the removed offload deadline is
+// collected rather than re-run with the deadline silently dropped.
 func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	cacheDir := t.TempDir()
 	jdir := filepath.Join(cacheDir, "journal")
@@ -216,6 +217,15 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	// budget knob (wstalls).
 	v2Key := fmt.Sprintf("job/v2|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=0|timeout=0|wstalls=0",
 		strings.Join(charonsim.Workloads(), ","))
+	// The v3 key of {"experiment":"table4","offload_deadline":"1ms"}: v3
+	// still carried the removed offload watchdog (deadline).
+	v3Key := fmt.Sprintf("job/v3|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=1000000|timeout=0",
+		strings.Join(charonsim.Workloads(), ","))
+	v3Raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"table4","offload_deadline":"1ms"},`+
+		`"state":"queued","created":"2026-01-02T03:04:05Z"}`, journalSchema, jobID(v3Key), v3Key)
+	if err := jst.Put(v3Key, json.RawMessage(v3Raw)); err != nil {
+		t.Fatal(err)
+	}
 	for _, rec := range []journalRecord{
 		// A record with a spec that no longer resolves.
 		{ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"}},
@@ -240,7 +250,7 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	if n := s.Metrics().Counter("server/journal_recovered"); n != 0 {
 		t.Fatalf("journal_recovered = %v, want 0", n)
 	}
-	for _, key := range []string{v1Key, v2Key} {
+	for _, key := range []string{v1Key, v2Key, v3Key} {
 		resp, err := http.Get(base + "/v1/jobs/" + jobID(key))
 		if err != nil {
 			t.Fatal(err)

@@ -120,7 +120,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, Parallelism: 1},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, FaultRate: 0.01},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, FaultRate: 0.01, FaultSeed: 7},
-		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, OffloadDeadln: "1ms", FaultSeed: 1},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, RunTimeout: "5m"},
 	}
 	seen := map[string]int{baseKey: -1}
@@ -149,7 +148,6 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{Experiment: "fig12", Threads: -1}, // Config.Validate
 		{Experiment: "fig12", Workloads: []string{"XX"}},
 		{Experiment: "fig12", RunTimeout: "not-a-duration"},
-		{Experiment: "fig12", OffloadDeadln: "5 parsecs"},
 		{Experiment: "fig12", FaultRate: 1.5},
 		{Experiment: "fig12", Workloads: []string{" ", ""}}, // names nothing
 	}
@@ -174,12 +172,18 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"experiment":"fig12","threads":-2}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","run_timeout":"banana"}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","workloads":[""]}`, http.StatusBadRequest},
+		{`{"experiment":"fig12","offload_deadline":"1ms"}`, http.StatusBadRequest}, // removed knob
 	}
 	for _, c := range cases {
 		resp, _ := postJob(t, base, c.body)
 		if resp.StatusCode != c.want {
 			t.Errorf("POST %s = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
+	}
+	// A sweep spec rejects the removed knob the same way.
+	body := `{"experiments":["fig12"],"offload_deadline":"1ms"}`
+	if resp, _ := postSweep(t, base, body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST sweep %s = %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
 	}
 }
 

@@ -48,11 +48,10 @@ type SweepSpec struct {
 	Threads []int `json:"threads,omitempty"`
 
 	// Shared knobs, copied verbatim into every child descriptor.
-	Parallelism   int     `json:"parallelism,omitempty"`
-	FaultRate     float64 `json:"fault_rate,omitempty"`
-	FaultSeed     int64   `json:"fault_seed,omitempty"`
-	OffloadDeadln string  `json:"offload_deadline,omitempty"`
-	RunTimeout    string  `json:"run_timeout,omitempty"`
+	Parallelism int     `json:"parallelism,omitempty"`
+	FaultRate   float64 `json:"fault_rate,omitempty"`
+	FaultSeed   int64   `json:"fault_seed,omitempty"`
+	RunTimeout  string  `json:"run_timeout,omitempty"`
 }
 
 // sweepChild is one expanded grid point: the child's job descriptor plus
@@ -120,11 +119,10 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 					child := JobSpec{
 						Experiment: exp, Workloads: wl,
 						HeapFactor: f, Threads: t,
-						Parallelism:   sp.Parallelism,
-						FaultRate:     sp.FaultRate,
-						FaultSeed:     sp.FaultSeed,
-						OffloadDeadln: sp.OffloadDeadln,
-						RunTimeout:    sp.RunTimeout,
+						Parallelism: sp.Parallelism,
+						FaultRate:   sp.FaultRate,
+						FaultSeed:   sp.FaultSeed,
+						RunTimeout:  sp.RunTimeout,
 					}
 					if err := add(child); err != nil {
 						return nil, "", err
