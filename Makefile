@@ -49,20 +49,24 @@ benchsmoke:
 # cache's equivalence to its stamp-based LRU reference, the split
 # hierarchy walk's equivalence to the single-pass one, the calendar
 # ring's and slot heap's equivalence to their retired references, the GC
-# log's footprint (32 B invocations, events closed at exact size, no
-# functional heap kept by a recorded Run), plus
-# short fuzz passes over the public Config boundary, both cache
-# equivalences, the calendar ring and charond's journal replay. Every
+# log's footprint and packing (24 B invocations and 16 B reference visits
+# that read back every operand, Scan&Push ranges that tile the visits,
+# oversize layouts rejected, events closed at exact size, no functional
+# heap kept by a recorded Run), the streamed op expansion's equivalence
+# to the whole one and its allocation-free buffer, plus short fuzz passes
+# over the public Config boundary, both cache equivalences, the calendar
+# ring, the GC log's record packing and charond's journal replay. Every
 # journal exec boots a server over fsync'd files, so its minimization is
 # capped at 10 execs: the default 60 s budget would spend the whole short
 # pass minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogEventsExactSize|RunRetainsNoFunctionalHeap' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run FuzzLogRecordPacking -fuzz=FuzzLogRecordPacking -fuzztime=$(FUZZTIME) ./internal/gc
 	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/server
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
@@ -73,7 +77,8 @@ audit:
 # order must match the retired stamp-based LRU reference on any geometry
 # up to 16 ways), the split hierarchy walk (latency, memory flag,
 # writebacks and per-level stats must match the single-pass walk on any
-# three geometries up to 16 ways), charond's job and sweep body decoders (no panic or
+# three geometries up to 16 ways), the GC log's record packing (every
+# operand below the address limit reads back), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
 # fuzzed record, or a sweep manifest beside a fuzzed child record, is
 # recovered or collected, never fatal) and checkpoint
@@ -85,6 +90,7 @@ fuzz:
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
+	$(GO) test -run FuzzLogRecordPacking -fuzz=FuzzLogRecordPacking -fuzztime=$(FUZZTIME) ./internal/gc
 	$(GO) test -run FuzzSubmitJob -fuzz=FuzzSubmitJob -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzSubmitSweep -fuzz=FuzzSubmitSweep -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server

@@ -88,7 +88,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, ev := range col.Log {
 		for _, inv := range ev.Invocations {
-			switch inv.Prim {
+			switch inv.Prim() {
 			case gc.PrimCopy:
 				copyCount++
 				copyBytes += uint64(inv.N)

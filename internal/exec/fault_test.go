@@ -5,6 +5,7 @@ import (
 
 	"charonsim/internal/fault"
 	"charonsim/internal/gc"
+	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func TestAllUnitsFailedMatchesHostBaseline(t *testing.T) {
 			var offloadable uint64
 			for _, ev := range rec.evs {
 				for i := range ev.Invocations {
-					if ev.Invocations[i].Prim.Offloadable() {
+					if ev.Invocations[i].Prim().Offloadable() {
 						offloadable++
 					}
 				}
@@ -105,4 +106,48 @@ func TestDegradationMetricsPublished(t *testing.T) {
 	}
 }
 
-var _ = gc.Minor // keep the gc import when build tags trim tests
+// TestDegradationSamplesOnlyNonzero checks that a Charon platform keeps
+// a per-event degradation sample only for an event that degraded: a
+// fault-free platform keeps none and publishes no distribution, and an
+// all-failed one publishes zeros for the events that had nothing to
+// offload, the same distribution as one sample per event.
+func TestDegradationSamplesOnlyNonzero(t *testing.T) {
+	evs, env := record(t, 4<<20)
+	healthy := New(KindCharon, env, 8).(*charonPlatform)
+	for _, ev := range evs {
+		healthy.Replay(ev, 8)
+	}
+	if n := len(healthy.degPerEvent); n != 0 {
+		t.Fatalf("fault-free platform kept %d degradation samples, want 0", n)
+	}
+	reg := metrics.NewRegistry()
+	healthy.CollectMetrics(reg)
+	if d, ok := reg.Snapshot().Dists["charon/degradation/per_gc_event"]; ok {
+		t.Fatalf("fault-free platform published a degradation distribution %+v", d)
+	}
+
+	// Between the recorded events, one with no offloadable invocation.
+	idle := &gc.Event{Kind: gc.Minor, Invocations: []gc.Invocation{gc.Call{Prim: gc.PrimOther, N: 4}.Pack()}}
+	dead := mustOpt(t, KindCharon, env, 8, Options{Fault: fault.Config{FailAllUnits: true, Seed: 1}}).(*charonPlatform)
+	want := metrics.Dist{Count: 2 * uint64(len(evs))}
+	degraded := 0
+	for _, ev := range evs {
+		dead.Replay(ev, 8)
+		dead.Replay(idle, 8)
+		c := ev.CountByPrim()
+		n := float64(c[gc.PrimCopy] + c[gc.PrimSearch] + c[gc.PrimScanPush] + c[gc.PrimBitmapCount])
+		if n > 0 {
+			degraded++
+		}
+		want.Sum += n
+		want.Max = max(want.Max, n)
+	}
+	if n := len(dead.degPerEvent); n != degraded {
+		t.Fatalf("all-failed platform kept %d samples, want one per degraded event (%d)", n, degraded)
+	}
+	reg = metrics.NewRegistry()
+	dead.CollectMetrics(reg)
+	if got := reg.Snapshot().Dists["charon/degradation/per_gc_event"]; got != want {
+		t.Fatalf("per_gc_event = %+v, want %+v", got, want)
+	}
+}

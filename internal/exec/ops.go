@@ -32,12 +32,40 @@ const (
 
 // expander turns invocations into cpu.Op streams for the software path.
 // It needs the metadata layout to synthesize bitmap/card addresses.
+//
+// An invocation streams out one scheduling batch at a time: start binds
+// it, and each next expands just enough of its units (a Copy or Search
+// line, a Bitmap Count map word, a Scan&Push reference, an Adjust slot)
+// to hand out the next opBatch ops. The buffer is fixed, so a 2 MB Copy
+// costs no more memory than an 8-byte one, and a fresh platform's
+// expanders allocate nothing while they replay.
 type expander struct {
-	lay     gc.Layout
-	heapLo  heap.Addr
-	endOff  uint64 // end-map base = beg-map base + endOff
-	scratch []cpu.Op
+	lay    gc.Layout
+	heapLo heap.Addr
+	endOff uint64 // end-map base = beg-map base + endOff
+
+	// The invocation being expanded and the expansion's cursor.
+	inv    *gc.Invocation
+	refs   []gc.RefVisit // a Scan&Push's reference visits
+	major  bool
+	unit   int // next unit to expand
+	units  int // the invocation's unit count
+	pushes int // referents a Scan&Push has pushed so far
+
+	// buf holds expanded ops not yet handed out, after the out ops that
+	// the last call to next handed out; base is the stream index of
+	// buf[0] (recorded deps are relative to the invocation start).
+	buf   []cpu.Op
+	out   int
+	base  int32
+	store [opBatch - 1 + maxUnitOps]cpu.Op // backs buf
 }
+
+// maxUnitOps bounds the ops one unit expands to: a Scan&Push reference
+// with every flag set (slot load, check, two mark writes, push, slot
+// update, card dirtying). A unit is expanded only while buf holds fewer
+// than opBatch ops, so buf never outgrows store.
+const maxUnitOps = 7
 
 func newExpander(lay gc.Layout, heapLo heap.Addr, heapBytes uint64) *expander {
 	n := (heapBytes/heap.WordBytes + 63) / 64
@@ -61,115 +89,127 @@ func (x *expander) cardByte(a heap.Addr) uint64 {
 	return uint64(x.lay.CardBase) + uint64(a-x.heapLo)/gcmeta.CardBytes
 }
 
-// expandCopy expands an invocation for a stepper. Each thread owns its
-// expander, and a thread finishes an invocation before expanding the next,
-// so returning the reused scratch slice is safe.
-func (x *expander) expandCopy(inv *gc.Invocation, ev *gc.Event, major bool) []cpu.Op {
-	return x.expand(inv, ev, major)
+// start binds inv for expansion. Each thread owns its expander and
+// finishes an invocation before starting the next.
+func (x *expander) start(inv *gc.Invocation, ev *gc.Event, major bool) {
+	x.inv, x.refs, x.major = inv, nil, major
+	x.unit, x.pushes, x.buf, x.out, x.base = 0, 0, x.store[:0], 0, 0
+	n := int(inv.N)
+	switch inv.Prim() {
+	case gc.PrimCopy, gc.PrimSearch:
+		x.units = (n + 63) / 64 // one unit per line
+	case gc.PrimScanPush:
+		x.refs = ev.Refs[inv.RefOff : inv.RefOff+inv.N]
+		x.units = n
+	case gc.PrimBitmapCount:
+		x.units = (n + 7) / 8 // one unit per map word
+	case gc.PrimAdjust:
+		x.units = max(n, 1) // an empty adjust is one compute op
+	case gc.PrimOther:
+		x.units = 1
+	default:
+		x.units = 0
+	}
 }
 
-// expand appends the op stream for inv to x.scratch and returns it. The
-// slice is reused across calls.
-func (x *expander) expand(inv *gc.Invocation, ev *gc.Event, major bool) []cpu.Op {
-	ops := x.scratch[:0]
-	switch inv.Prim {
+// next returns the bound invocation's next batch of at most opBatch ops
+// and whether it is the last: every batch but the last holds exactly
+// opBatch ops, and an invocation without ops yields one empty last
+// batch. The batch is valid until the next call.
+func (x *expander) next() ([]cpu.Op, bool) {
+	x.base += int32(x.out)
+	x.buf = x.store[:copy(x.store[:], x.buf[x.out:])]
+	for len(x.buf) < opBatch && x.unit < x.units {
+		x.expandUnit()
+	}
+	x.out = min(opBatch, len(x.buf))
+	// Every unit expands to at least one op, so none follows the batch
+	// only when every unit is expanded and buf holds nothing past it.
+	return x.buf[:x.out], x.unit == x.units && len(x.buf) == x.out
+}
+
+// expandUnit appends the ops of the invocation's next unit to buf.
+func (x *expander) expandUnit() {
+	inv, u := x.inv, x.unit
+	x.unit++
+	idx := x.base + int32(len(x.buf)) // stream index of the unit's first op
+	switch inv.Prim() {
 	case gc.PrimCopy:
 		// Word-copy loop at cache-line granularity: the store depends on
 		// its load; successive lines are independent (the OoO window
 		// overlaps them up to the MSHR limit).
-		src, dst := uint64(inv.A), uint64(inv.B)
-		for off := uint32(0); off < inv.N; off += 64 {
-			n := inv.N - off
-			if n > 64 {
-				n = 64
-			}
-			ld := int32(len(ops))
-			ops = append(ops,
-				cpu.Op{Kind: cpu.OpRead, Addr: src + uint64(off), Size: n, Dep: cpu.NoDep, Work: workCopyLoad},
-				cpu.Op{Kind: cpu.OpWrite, Addr: dst + uint64(off), Size: n, Dep: ld, Work: workCopyStore},
-			)
-		}
+		off := uint32(u) * 64
+		n := min(inv.N-off, 64)
+		x.buf = append(x.buf,
+			cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A) + uint64(off), Size: n, Dep: cpu.NoDep, Work: workCopyLoad},
+			cpu.Op{Kind: cpu.OpWrite, Addr: uint64(inv.B()) + uint64(off), Size: n, Dep: idx, Work: workCopyStore},
+		)
 
 	case gc.PrimSearch:
 		// Sequential card-byte scan, line by line.
-		a := uint64(inv.A)
-		for off := uint32(0); off < inv.N; off += 64 {
-			n := inv.N - off
-			if n > 64 {
-				n = 64
-			}
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: a + uint64(off), Size: n, Dep: cpu.NoDep, Work: workSearchLine})
-		}
+		off := uint32(u) * 64
+		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A) + uint64(off), Size: min(inv.N-off, 64),
+			Dep: cpu.NoDep, Work: workSearchLine})
 
 	case gc.PrimScanPush:
-		refs := ev.Refs[inv.RefOff : inv.RefOff+inv.RefLen]
-		pushes := 0
-		for i := range refs {
-			r := &refs[i]
-			slotLd := int32(len(ops))
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
-			if r.Target == 0 || r.Flags == gc.RefNull {
-				continue
-			}
-			// is_unmarked: header load (minor) or bitmap probe (major),
-			// dependent on the slot value.
-			chk := int32(len(ops))
-			if major {
-				ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: x.begByte(r.Target), Size: 8, Dep: slotLd, Work: workHeaderChk})
-			} else {
-				ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Target), Size: 8, Dep: slotLd, Work: workHeaderChk})
-			}
-			if r.Flags&gc.RefNewlyMarked != 0 {
-				ops = append(ops,
-					cpu.Op{Kind: cpu.OpWrite, Addr: x.begByte(r.Target), Size: 8, Dep: chk, Work: workMarkRMW},
-					cpu.Op{Kind: cpu.OpWrite, Addr: x.endByte(r.Target), Size: 8, Dep: chk, Work: 2},
-				)
-			}
-			if r.Flags&gc.RefPushed != 0 {
-				addr := uint64(inv.B) + uint64(pushes)*8
-				pushes++
-				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: chk, Work: workPushStore})
-			}
-			if r.Flags&gc.RefForwardUpdate != 0 {
-				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot), Size: 8, Dep: chk, Work: workSlotStore})
-			}
-			if r.Flags&gc.RefCardDirty != 0 {
-				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot), Size: 1, Dep: chk, Work: 2})
-			}
+		r := &x.refs[u]
+		target, flags := r.Target(), r.Flags()
+		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
+		if target == 0 || flags == gc.RefNull {
+			return
+		}
+		// is_unmarked: header load (minor) or bitmap probe (major),
+		// dependent on the slot value.
+		chk := idx + 1
+		if x.major {
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: x.begByte(target), Size: 8, Dep: idx, Work: workHeaderChk})
+		} else {
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(target), Size: 8, Dep: idx, Work: workHeaderChk})
+		}
+		if flags&gc.RefNewlyMarked != 0 {
+			x.buf = append(x.buf,
+				cpu.Op{Kind: cpu.OpWrite, Addr: x.begByte(target), Size: 8, Dep: chk, Work: workMarkRMW},
+				cpu.Op{Kind: cpu.OpWrite, Addr: x.endByte(target), Size: 8, Dep: chk, Work: 2},
+			)
+		}
+		if flags&gc.RefPushed != 0 {
+			addr := uint64(inv.B()) + uint64(x.pushes)*8
+			x.pushes++
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: chk, Work: workPushStore})
+		}
+		if flags&gc.RefForwardUpdate != 0 {
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot), Size: 8, Dep: chk, Work: workSlotStore})
+		}
+		if flags&gc.RefCardDirty != 0 {
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot), Size: 1, Dep: chk, Work: 2})
 		}
 
 	case gc.PrimBitmapCount:
 		// Figure 8 verbatim: iterate both maps bit by bit. Reads are
 		// sequential; the per-word bit loop dominates.
-		a := uint64(inv.A)
-		for off := uint32(0); off < inv.N; off += 8 {
-			ops = append(ops,
-				cpu.Op{Kind: cpu.OpRead, Addr: a + uint64(off), Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
-				cpu.Op{Kind: cpu.OpRead, Addr: a + x.endOff + uint64(off), Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
-			)
-		}
+		a := uint64(inv.A) + uint64(u)*8
+		x.buf = append(x.buf,
+			cpu.Op{Kind: cpu.OpRead, Addr: a, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
+			cpu.Op{Kind: cpu.OpRead, Addr: a + x.endOff, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
+		)
 
 	case gc.PrimAdjust:
 		// N slot rewrites within the object at A.
-		for i := uint32(0); i < inv.N; i++ {
-			addr := uint64(inv.A) + 16 + uint64(i)*8
-			ld := int32(len(ops))
-			ops = append(ops,
-				cpu.Op{Kind: cpu.OpRead, Addr: addr, Size: 8, Dep: cpu.NoDep, Work: workAdjustSlot},
-				cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: ld, Work: 2},
-			)
-		}
 		if inv.N == 0 {
-			ops = append(ops, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: 4})
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: 4})
+			return
 		}
+		addr := uint64(inv.A) + 16 + uint64(u)*8
+		x.buf = append(x.buf,
+			cpu.Op{Kind: cpu.OpRead, Addr: addr, Size: 8, Dep: cpu.NoDep, Work: workAdjustSlot},
+			cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: idx, Work: 2},
+		)
 
 	case gc.PrimOther:
 		if inv.A != 0 {
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A), Size: 8, Dep: cpu.NoDep, Work: inv.N})
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A), Size: 8, Dep: cpu.NoDep, Work: inv.N})
 		} else {
-			ops = append(ops, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: inv.N})
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: inv.N})
 		}
 	}
-	x.scratch = ops
-	return ops
 }

@@ -119,10 +119,11 @@ func produce(hier *cache.Hierarchy, x *expander, ev *gc.Event, major bool, t, n 
 ) {
 	c := getChunk()
 	for i := t; i < len(ev.Invocations); i += n {
-		ops := x.expand(&ev.Invocations[i], ev, major)
+		x.start(&ev.Invocations[i], ev, major)
 		var sp walkSpan
-		for k := 0; k < len(ops); k += opBatch {
-			b := ops[k:min(k+opBatch, len(ops))]
+		for last := false; !last; {
+			var b []cpu.Op
+			b, last = x.next()
 			lines := len(c.priv)
 			c.ops = append(c.ops, b...)
 			c.priv = cpu.WalkPrivate(hier, b, c.priv)
@@ -130,7 +131,7 @@ func produce(hier *cache.Hierarchy, x *expander, ev *gc.Event, major bool, t, n 
 			sp.lines += int32(len(c.priv) - lines)
 			// Cut inside an invocation only on an opBatch boundary: each
 			// batch is one scheduling step, as on the inline path.
-			if k+opBatch < len(ops) && c.full() {
+			if !last && c.full() {
 				c.spans = append(c.spans, sp)
 				if !send(ch, quit, c) {
 					return

@@ -35,3 +35,25 @@ func TestHostReplayAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestExpanderAllocatesNothing: an expander streams any invocation, the
+// largest Copy and the longest single-reference expansion included,
+// through its fixed buffer without allocating.
+func TestExpanderAllocatesNothing(t *testing.T) {
+	evs, env := record(t, 4<<20)
+	edge := withChunkEdges(evs, env)
+	x := newExpander(env.Lay, env.HeapLo, env.HeapBytes)
+	for _, ev := range []*gc.Event{edge[len(edge)-1], allFlagsEvent(env)} {
+		drain := func() {
+			for i := range ev.Invocations {
+				x.start(&ev.Invocations[i], ev, ev.Kind != gc.Minor)
+				for last := false; !last; {
+					_, last = x.next()
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(3, drain); allocs != 0 {
+			t.Fatalf("expanding %d invocations allocates %.1f times", len(ev.Invocations), allocs)
+		}
+	}
+}

@@ -53,13 +53,13 @@ func assertHostPathsAgree(t *testing.T, evs []*gc.Event, env Env, nthreads int) 
 func withChunkEdges(evs []*gc.Event, env Env) []*gc.Event {
 	edge := *evs[0]
 	inv := slices.Clone(edge.Invocations[:1])
-	inv = append(inv, gc.Invocation{Prim: gc.PrimCopy, A: env.HeapLo + 8,
-		B: env.HeapLo + 8 + 1<<20, N: 8 * chunkOps * 64})
+	inv = append(inv, gc.Call{Prim: gc.PrimCopy, A: env.HeapLo + 8,
+		B: env.HeapLo + 8 + 1<<20, N: 8 * chunkOps * 64}.Pack())
 	for i := 0; i < 8*(chunkSpans+40); i++ {
-		inv = append(inv, gc.Invocation{Prim: gc.PrimSearch, A: env.HeapLo, N: 0})
+		inv = append(inv, gc.Call{Prim: gc.PrimSearch, A: env.HeapLo, N: 0}.Pack())
 	}
 	inv = append(inv, edge.Invocations[1:]...)
-	inv = append(inv, gc.Invocation{Prim: gc.PrimCopy, A: env.HeapLo, N: 0})
+	inv = append(inv, gc.Call{Prim: gc.PrimCopy, A: env.HeapLo, N: 0}.Pack())
 	edge.Invocations = inv
 	return append(slices.Clone(evs), &edge)
 }

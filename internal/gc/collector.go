@@ -90,9 +90,15 @@ type Collector struct {
 }
 
 // New wires a collector to h, installing the card-table write barrier.
+// It panics when the layout reaches past AddrLimit: every address the log
+// packs (heap, card table, bitmaps, mark stack) lies below the root
+// region, so its base must not exceed the limit.
 func New(h *heap.Heap) *Collector {
 	lay := DefaultLayout(h)
 	lo, hi := h.Bounds()
+	if lay.RootBase > AddrLimit || lay.RootBase < hi {
+		panic(fmt.Sprintf("gc: layout reaches %#x, past the GC log's address limit %#x", uint64(lay.RootBase), uint64(AddrLimit)))
+	}
 	c := &Collector{
 		H:     h,
 		Cards: gcmeta.NewCardTable(lo, hi, lay.CardBase),
@@ -228,7 +234,7 @@ func (c *Collector) MinorGC(reason string) *Event {
 			nroots++
 		}
 	}
-	c.record(Invocation{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*c.H.NumRoots())})
+	c.record(Call{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*c.H.NumRoots())})
 
 	// Drain: pop slot, copy/promote its referent, scan the new copy.
 	c.drainMinor(ev)
@@ -275,7 +281,7 @@ func (c *Collector) scanCards(ev *Event) {
 		if chunkEnd > hiCard {
 			chunkEnd = hiCard
 		}
-		c.record(Invocation{Prim: PrimSearch, A: c.Cards.CardAddr(pos), N: uint32(chunkEnd - pos)})
+		c.record(Call{Prim: PrimSearch, A: c.Cards.CardAddr(pos), N: uint32(chunkEnd - pos)})
 		dirty := c.Cards.DirtyCards(pos, chunkEnd, nil)
 		for _, idx := range dirty {
 			c.Cards.Clean(idx)
@@ -327,9 +333,9 @@ func (c *Collector) processCard(ev *Event, idx, loCard int) {
 			c.visitMinorSlot(ev, slot)
 		})
 		if nrefs > 0 {
-			c.record(Invocation{
+			c.record(Call{
 				Prim: PrimScanPush, A: obj, B: c.Stack.TopAddr(),
-				N: uint32(nrefs), RefOff: refOff, RefLen: uint32(len(ev.Refs)) - refOff,
+				N: uint32(nrefs), RefOff: refOff,
 			})
 		}
 		obj += heap.Addr(c.H.SizeWords(obj) * heap.WordBytes)
@@ -348,22 +354,22 @@ func (c *Collector) needsScavenge(t heap.Addr) bool {
 // processing.
 func (c *Collector) visitMinorSlot(ev *Event, slot heap.Addr) {
 	t := c.loadSlot(slot)
-	v := RefVisit{Slot: slot, Target: t}
+	var flags uint8
 	switch {
 	case t == 0:
-		v.Flags = RefNull
+		flags = RefNull
 	case !c.needsScavenge(t):
 		// old-to-old, or already-evacuated to-space copy: nothing to do
 	case c.H.IsForwarded(t):
-		v.Flags = RefForwardUpdate
+		flags = RefForwardUpdate
 		if c.storeSlot(slot, c.H.Forwardee(t)) {
-			v.Flags |= RefCardDirty
+			flags |= RefCardDirty
 		}
 	default:
-		v.Flags = RefPushed
+		flags = RefPushed
 		c.Stack.Push(slot)
 	}
-	c.recordRef(v)
+	c.recordRef(slot, t, flags)
 }
 
 // drainMinor empties the slot stack, evacuating and scanning objects.
@@ -374,7 +380,7 @@ func (c *Collector) drainMinor(ev *Event) {
 			return
 		}
 		// Pop + processed check: small, non-offloaded (Section 3.3).
-		c.record(Invocation{Prim: PrimOther, A: c.Stack.TopAddr(), N: 12})
+		c.record(Call{Prim: PrimOther, A: c.Stack.TopAddr(), N: 12})
 
 		t := c.loadSlot(slot)
 		if t == 0 || !c.needsScavenge(t) {
@@ -423,7 +429,7 @@ func (c *Collector) evacuate(ev *Event, obj heap.Addr) heap.Addr {
 	}
 
 	c.H.CopyWords(dst, obj, size)
-	c.record(Invocation{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
+	c.record(Call{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
 	c.H.SetAge(dst, age+1)
 	c.H.Forward(obj, dst)
 
@@ -473,9 +479,9 @@ func (c *Collector) scanMinorObject(ev *Event, obj heap.Addr) {
 		nrefs++
 		c.visitMinorSlot(ev, slot)
 	})
-	c.record(Invocation{
+	c.record(Call{
 		Prim: PrimScanPush, A: obj, B: c.Stack.TopAddr(),
-		N: uint32(nrefs), RefOff: refOff, RefLen: uint32(len(ev.Refs)) - refOff,
+		N: uint32(nrefs), RefOff: refOff,
 	})
 }
 

@@ -94,7 +94,7 @@ func (c *Collector) g1RegionLiveness(ev *Event) []g1Region {
 	for i := range regions {
 		regions[i] = g1Region{index: i, base: c.H.Old.Base + heap.Addr(i*G1RegionBytes)}
 		// Bitmap Count over this region's begin/end maps.
-		c.record(Invocation{
+		c.record(Call{
 			Prim: PrimBitmapCount,
 			A:    c.Maps.BegByteAddr(c.Maps.WordIndex(regions[i].base)),
 			N:    uint32(G1RegionBytes / 64),
@@ -208,7 +208,7 @@ func (c *Collector) g1Evacuate(ev *Event, regions []g1Region, cset []int) uint64
 				break
 			}
 			c.H.CopyWords(dst, obj, size)
-			c.record(Invocation{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
+			c.record(Call{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
 			// Bitmap maintenance: the husk is dead, the copy is live.
 			c.Maps.ClearObject(obj, size)
 			c.Maps.MarkObject(dst, size)
@@ -248,7 +248,7 @@ func (c *Collector) g1FixupReferences(ev *Event, regions []g1Region, cset []int)
 			if end > hiCard {
 				end = hiCard
 			}
-			c.record(Invocation{Prim: PrimSearch, A: c.Cards.CardAddr(pos), N: uint32(end - pos)})
+			c.record(Call{Prim: PrimSearch, A: c.Cards.CardAddr(pos), N: uint32(end - pos)})
 		}
 	}
 
@@ -284,10 +284,10 @@ func (c *Collector) g1FixupReferences(ev *Event, regions []g1Region, cset []int)
 			}
 		})
 		if updated > 0 {
-			c.record(Invocation{Prim: PrimAdjust, A: cur, N: uint32(updated)})
+			c.record(Call{Prim: PrimAdjust, A: cur, N: uint32(updated)})
 		}
 		idx = b + size
 	}
 	// Residual remembered-set maintenance (non-offloaded bookkeeping).
-	c.record(Invocation{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(16 + 2*ev.LiveObjects)})
+	c.record(Call{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(16 + 2*ev.LiveObjects)})
 }

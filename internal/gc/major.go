@@ -40,7 +40,7 @@ func (c *Collector) MajorGC(reason string) *Event {
 func (c *Collector) markPhase(ev *Event) {
 	c.Maps.ClearAll()
 	// Bitmap clearing is bulk memset work on the host.
-	c.record(Invocation{Prim: PrimOther, A: c.Maps.BegBase, N: uint32(c.Maps.SizeBytes() * 2 / 64)})
+	c.record(Call{Prim: PrimOther, A: c.Maps.BegBase, N: uint32(c.Maps.SizeBytes() * 2 / 64)})
 
 	c.Stack.Reset()
 	for _, r := range c.H.Roots() {
@@ -48,14 +48,14 @@ func (c *Collector) markPhase(ev *Event) {
 			c.Stack.Push(r)
 		}
 	}
-	c.record(Invocation{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*c.H.NumRoots())})
+	c.record(Call{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*c.H.NumRoots())})
 
 	for {
 		obj, ok := c.Stack.Pop()
 		if !ok {
 			break
 		}
-		c.record(Invocation{Prim: PrimOther, A: c.Stack.TopAddr(), N: 10})
+		c.record(Call{Prim: PrimOther, A: c.Stack.TopAddr(), N: 10})
 		c.scanMajorObject(ev, obj)
 
 		size := uint64(c.H.SizeWords(obj) * heap.WordBytes)
@@ -73,22 +73,22 @@ func (c *Collector) scanMajorObject(ev *Event, obj heap.Addr) {
 	c.H.IterateRefSlots(obj, func(slot heap.Addr) {
 		nrefs++
 		t := heap.Addr(c.H.Word(slot))
-		v := RefVisit{Slot: slot, Target: t}
+		var flags uint8
 		switch {
 		case t == 0:
-			v.Flags = RefNull
+			flags = RefNull
 		case c.Maps.IsMarked(t):
 			// already traversed
 		default:
 			c.Maps.MarkObject(t, c.H.SizeWords(t))
 			c.Stack.Push(t)
-			v.Flags = RefNewlyMarked | RefPushed
+			flags = RefNewlyMarked | RefPushed
 		}
-		c.recordRef(v)
+		c.recordRef(slot, t, flags)
 	})
-	c.record(Invocation{
+	c.record(Call{
 		Prim: PrimScanPush, A: obj, B: c.Stack.TopAddr(),
-		N: uint32(nrefs), RefOff: refOff, RefLen: uint32(len(ev.Refs)) - refOff,
+		N: uint32(nrefs), RefOff: refOff,
 	})
 }
 
@@ -134,7 +134,7 @@ func (c *Collector) summarize(ev *Event) (map[heap.Addr]heap.Addr, []heap.Addr, 
 		rlo := b / regionWords * regionWords
 		c.Maps.LiveWordsInRange(rlo, b)
 		// One Bitmap Count invocation: both maps read over [rlo, b).
-		c.record(Invocation{
+		c.record(Call{
 			Prim: PrimBitmapCount,
 			A:    c.Maps.BegByteAddr(rlo),
 			N:    uint32((b-rlo)/8 + 1),
@@ -167,7 +167,7 @@ func (c *Collector) adjustPointers(ev *Event, newAddrs map[heap.Addr]heap.Addr, 
 			c.H.SetWord(slot, uint64(na))
 			n++
 		})
-		c.record(Invocation{Prim: PrimAdjust, A: obj, N: uint32(n)})
+		c.record(Call{Prim: PrimAdjust, A: obj, N: uint32(n)})
 	}
 	roots := c.H.Roots()
 	for i, r := range roots {
@@ -176,7 +176,7 @@ func (c *Collector) adjustPointers(ev *Event, newAddrs map[heap.Addr]heap.Addr, 
 		}
 		roots[i] = newAddrs[r]
 	}
-	c.record(Invocation{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*len(roots))})
+	c.record(Call{Prim: PrimOther, A: c.Lay.RootBase, N: uint32(8 + 4*len(roots))})
 }
 
 // compact moves every live object to its destination in ascending address
@@ -191,11 +191,11 @@ func (c *Collector) compact(ev *Event, newAddrs map[heap.Addr]heap.Addr, liveOrd
 		}
 		if dst != obj {
 			c.H.CopyWords(dst, obj, size)
-			c.record(Invocation{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
+			c.record(Call{Prim: PrimCopy, A: obj, B: dst, N: uint32(size * heap.WordBytes)})
 			ev.CopiedBytes += uint64(size * heap.WordBytes)
 		} else {
 			// Dense-prefix object: checked but not moved.
-			c.record(Invocation{Prim: PrimOther, A: obj, N: 6})
+			c.record(Call{Prim: PrimOther, A: obj, N: 6})
 		}
 	}
 

@@ -90,7 +90,7 @@ func (c *Collector) sweepOld(ev *Event) {
 	// Sweep cost: one linear pass over the old generation's bitmap plus a
 	// header write per transition. Recorded as non-offloaded work.
 	oldWords := uint64(c.H.Old.Used()) / heap.WordBytes
-	c.record(Invocation{Prim: PrimOther, A: c.Maps.BegByteAddr(c.Maps.WordIndex(c.H.Old.Base)),
+	c.record(Call{Prim: PrimOther, A: c.Maps.BegByteAddr(c.Maps.WordIndex(c.H.Old.Base)),
 		N: uint32(oldWords/8 + uint64(len(c.freeList))*12)})
 }
 

@@ -70,31 +70,72 @@ const (
 	RefCardDirty
 )
 
+// AddrLimit bounds every address the log packs: an Invocation's B operand
+// and a RefVisit's target share a word with an 8-bit field, so they must
+// lie below 2^56. New rejects a layout that reaches past it.
+const AddrLimit heap.Addr = 1 << 56
+
+const (
+	addrMask   = uint64(AddrLimit - 1)
+	fieldShift = 56
+)
+
 // RefVisit records one reference-slot visit inside a Scan&Push invocation:
 // the slot read and the (pre-GC) target loaded from it, plus what happened.
+// A recording keeps millions of visits, so the flags ride in the top byte
+// of the target word and a visit is 16 bytes.
 type RefVisit struct {
-	Slot   heap.Addr
-	Target heap.Addr
-	Flags  uint8
+	Slot heap.Addr
+	tf   uint64 // target in the low 56 bits, flags in the top byte
 }
 
-// Invocation is one primitive call, with primitive-specific operands:
+// NewRefVisit packs one visit. target must be below AddrLimit.
+func NewRefVisit(slot, target heap.Addr, flags uint8) RefVisit {
+	return RefVisit{Slot: slot, tf: uint64(target) | uint64(flags)<<fieldShift}
+}
+
+// Target is the (pre-GC) value loaded from the slot.
+func (v RefVisit) Target() heap.Addr { return heap.Addr(v.tf & addrMask) }
+
+// Flags is what the visit did (RefNull, RefPushed, ...).
+func (v RefVisit) Flags() uint8 { return uint8(v.tf >> fieldShift) }
+
+// Call is one primitive call with its operands unpacked; Pack turns it
+// into the Invocation the log keeps. Operands by primitive:
 //
 //	Copy:        A=src, B=dst, N=bytes
 //	Search:      A=first card-byte address, N=card bytes scanned
-//	ScanPush:    A=object, B=stack-top address, N=#refs; Refs[RefOff:RefOff+RefLen]
+//	ScanPush:    A=object, B=stack-top address, N=#refs; Refs[RefOff:RefOff+N]
 //	BitmapCount: A=beg-map byte address, N=map bytes scanned (per map)
 //	Adjust:      A=object, N=#slots rewritten
 //	Other:       A=optional address, N=instruction estimate
-//
-// Prim comes last so that it shares the final word with the three uint32
-// operands: 32 bytes per invocation instead of 40.
-type Invocation struct {
-	A, B           heap.Addr
-	N              uint32
-	RefOff, RefLen uint32
-	Prim           Prim
+type Call struct {
+	Prim      Prim
+	A, B      heap.Addr
+	N, RefOff uint32
 }
+
+// Pack packs c into an Invocation. c.B must be below AddrLimit.
+func (c Call) Pack() Invocation {
+	return Invocation{A: c.A, pb: uint64(c.B) | uint64(c.Prim)<<fieldShift, N: c.N, RefOff: c.RefOff}
+}
+
+// Invocation is one recorded primitive call (see Call for its operands).
+// A recording keeps millions of them, so Prim rides in the top byte of
+// the B word, and no reference count is kept beside N (a Scan&Push visits
+// exactly N references): an invocation is 24 bytes.
+type Invocation struct {
+	A      heap.Addr
+	pb     uint64 // B in the low 56 bits, Prim in the top byte
+	N      uint32
+	RefOff uint32
+}
+
+// Prim is the invoked primitive.
+func (v Invocation) Prim() Prim { return Prim(v.pb >> fieldShift) }
+
+// B is the second address operand (Copy destination, Scan&Push stack top).
+func (v Invocation) B() heap.Addr { return heap.Addr(v.pb & addrMask) }
 
 // Kind distinguishes GC event types.
 type Kind uint8
@@ -183,7 +224,7 @@ type EventLog struct {
 func (e *Event) CountByPrim() [NumPrims]uint64 {
 	var out [NumPrims]uint64
 	for i := range e.Invocations {
-		out[e.Invocations[i].Prim]++
+		out[e.Invocations[i].Prim()]++
 	}
 	return out
 }
@@ -193,21 +234,21 @@ func (e *Event) CountByPrim() [NumPrims]uint64 {
 func (e *Event) BytesByPrim() [NumPrims]uint64 {
 	var out [NumPrims]uint64
 	for i := range e.Invocations {
-		out[e.Invocations[i].Prim] += uint64(e.Invocations[i].N)
+		out[e.Invocations[i].Prim()] += uint64(e.Invocations[i].N)
 	}
 	return out
 }
 
-// record appends an invocation if recording is enabled.
-func (c *Collector) record(inv Invocation) {
+// record packs and appends a call if recording is enabled.
+func (c *Collector) record(call Call) {
 	if c.ev != nil {
-		c.ev.Invocations = append(c.ev.Invocations, inv)
+		c.ev.Invocations = append(c.ev.Invocations, call.Pack())
 	}
 }
 
-// recordRef appends a reference visit and returns its index.
-func (c *Collector) recordRef(v RefVisit) {
+// recordRef packs and appends a reference visit if recording is enabled.
+func (c *Collector) recordRef(slot, target heap.Addr, flags uint8) {
 	if c.ev != nil {
-		c.ev.Refs = append(c.ev.Refs, v)
+		c.ev.Refs = append(c.ev.Refs, NewRefVisit(slot, target, flags))
 	}
 }

@@ -188,7 +188,7 @@ func TestALSHugeCopies(t *testing.T) {
 		var mx uint32
 		for _, ev := range c.Log {
 			for _, inv := range ev.Invocations {
-				if inv.Prim == gc.PrimCopy && inv.N > mx {
+				if inv.Prim() == gc.PrimCopy && inv.N > mx {
 					mx = inv.N
 				}
 			}
