@@ -114,7 +114,7 @@ parbench:
 faults:
 	$(GO) test -race -timeout 30m -run 'Fault|Failover|AllUnitsFailed|Degrad|Retry|BankRemap|Watchdog' \
 		./internal/fault ./internal/memsys ./internal/dram ./internal/hmc ./internal/charon ./internal/exec ./internal/experiments
-	$(GO) run ./cmd/charonsim -exp faults -workloads BS -fault-seed 42 -fault-rate 0.01 -metrics fault-metrics.json
+	$(GO) run ./cmd/charonsim -exp faults -workloads BS -metrics fault-metrics.json
 
 # Static analysis beyond vet. staticcheck is optional locally (the target
 # skips with a notice when the binary is absent); CI installs it.

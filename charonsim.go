@@ -45,7 +45,6 @@ import (
 	"charonsim/internal/energy"
 	"charonsim/internal/exec"
 	"charonsim/internal/experiments"
-	"charonsim/internal/fault"
 	"charonsim/internal/gc"
 	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
@@ -92,18 +91,6 @@ type Config struct {
 	// drop counts) land in the metrics snapshot. The trace format is JSON
 	// only — the path must not carry a ".csv" extension.
 	TracePath string
-	// FaultRate is the master fault-injection rate in [0, 1): link CRC
-	// errors at this per-packet probability, plus derived DRAM ECC, hard
-	// bank fault, and Charon-unit failure/degradation rates (see
-	// internal/fault for the derivations). Zero (the default) disables
-	// injection entirely and keeps every report byte-identical to a
-	// fault-free build.
-	FaultRate float64
-	// FaultSeed selects the deterministic fault pattern; the same seed and
-	// Parallelism-independent draw order make faulted reports reproducible.
-	// Setting a seed without a nonzero FaultRate is a configuration error —
-	// there would be no faults to seed.
-	FaultSeed int64
 	// RunTimeout, when positive, bounds each replay unit's wall-clock
 	// time. It arms the replay watchdog's wall-clock heartbeat inside each
 	// run, so a replay that overruns aborts with diagnostics
@@ -118,8 +105,8 @@ type Config struct {
 	// byte-identically and executes only the missing ones. Corrupt,
 	// truncated or version-mismatched entries are detected and discarded.
 	// Every replay unit resumes, ablation points included. The key
-	// includes the fault and parallelism knobs, so changing any
-	// Config field that could affect results invalidates the cache
+	// includes the thread, heap-factor and parallelism knobs, so changing
+	// any Config field that could affect results invalidates the cache
 	// naturally. With MetricsPath set, each entry also stores the unit's
 	// metrics snapshot, so a resumed run writes the same snapshot as an
 	// uninterrupted one. Incompatible with TracePath: a trace must show
@@ -130,20 +117,13 @@ type Config struct {
 func (c Config) toInternal() experiments.Config {
 	return experiments.Config{Threads: c.Threads, Factor: c.HeapFactor,
 		Workloads: c.Workloads, Parallelism: c.Parallelism,
-		Fault:      c.faultConfig(),
 		RunTimeout: c.RunTimeout}
-}
-
-// faultConfig maps the public fault knobs onto the injector configuration.
-func (c Config) faultConfig() fault.Config {
-	return fault.Config{Rate: c.FaultRate, Seed: c.FaultSeed}
 }
 
 // Validate rejects configurations that withDefaults would otherwise paper
 // over: negative thread counts, non-finite or negative heap factors,
 // parallelism below the documented -1 serial sentinel, unknown workload
-// names, out-of-range fault rates, a fault seed with no fault to apply it
-// to, a negative run timeout, a trace request without a metrics
+// names, a negative run timeout, a trace request without a metrics
 // snapshot to accompany it, a trace path with a ".csv" extension (the
 // trace format is JSON only), and a trace combined with a checkpoint
 // directory.
@@ -172,22 +152,11 @@ func (c Config) Validate() error {
 	if strings.HasSuffix(strings.ToLower(c.TracePath), ".csv") {
 		return fmt.Errorf("charonsim: TracePath %q has a .csv extension but the event trace is JSON only (CSV is a MetricsPath format)", c.TracePath)
 	}
-	if c.FaultRate < 0 || c.FaultRate >= 1 || math.IsNaN(c.FaultRate) {
-		return fmt.Errorf("charonsim: FaultRate must be in [0, 1), got %v", c.FaultRate)
-	}
-	if c.FaultSeed < 0 {
-		return fmt.Errorf("charonsim: FaultSeed must be >= 0, got %d", c.FaultSeed)
-	}
 	if c.RunTimeout < 0 {
 		return fmt.Errorf("charonsim: RunTimeout must be >= 0 (0 disables the budget), got %v", c.RunTimeout)
 	}
 	if c.CheckpointDir != "" && c.TracePath != "" {
 		return fmt.Errorf("charonsim: CheckpointDir is incompatible with TracePath (a cached replay simulates nothing, so the trace would silently miss its spans)")
-	}
-	if err := c.faultConfig().Validate(); err != nil {
-		// The injector's own checks catch what the public knobs can still
-		// misconfigure in combination — notably a seed with nothing to seed.
-		return fmt.Errorf("charonsim: %w", err)
 	}
 	return nil
 }
@@ -207,7 +176,8 @@ func (c Config) observability() (*metrics.Registry, *metrics.Recorder) {
 }
 
 // sessionFor validates cfg and builds the session plus its observability
-// sinks and (when configured) its checkpoint store.
+// sinks and its checkpoint store: the one ctx carries (charond's shared
+// per-unit store) or else, when configured, one opened on CheckpointDir.
 func sessionFor(ctx context.Context, cfg Config) (*experiments.Session, *metrics.Registry, *metrics.Recorder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -217,7 +187,8 @@ func sessionFor(ctx context.Context, cfg Config) (*experiments.Session, *metrics
 	icfg.Ctx = ctx
 	icfg.Metrics = reg
 	icfg.Trace = rec
-	if cfg.CheckpointDir != "" {
+	icfg.Checkpoint = checkpoint.FromContext(ctx)
+	if icfg.Checkpoint == nil && cfg.CheckpointDir != "" {
 		st, err := checkpoint.Open(cfg.CheckpointDir)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("charonsim: checkpoint: %w", err)

@@ -252,13 +252,6 @@ func TestConfigValidate(t *testing.T) {
 		{"metrics alone", Config{MetricsPath: "m.csv"}, ""},
 		{"trace csv extension", Config{MetricsPath: "m.json", TracePath: "t.csv"}, "JSON only"},
 		{"trace csv uppercase", Config{MetricsPath: "m.json", TracePath: "t.CSV"}, "JSON only"},
-		{"negative fault rate", Config{FaultRate: -0.1}, "FaultRate"},
-		{"fault rate one", Config{FaultRate: 1.0}, "FaultRate"},
-		{"NaN fault rate", Config{FaultRate: math.NaN()}, "FaultRate"},
-		{"negative fault seed", Config{FaultSeed: -1}, "FaultSeed"},
-		{"seed without faults", Config{FaultSeed: 7}, "zero"},
-		{"seed with rate", Config{FaultRate: 0.01, FaultSeed: 7}, ""},
-		{"valid fault rate", Config{FaultRate: 0.05}, ""},
 		{"negative run timeout", Config{RunTimeout: -time.Second}, "RunTimeout"},
 		{"run timeout alone", Config{RunTimeout: time.Minute}, ""},
 		{"checkpoint with metrics", Config{CheckpointDir: "c", MetricsPath: "m.json"}, ""},

@@ -8,7 +8,7 @@
 //	charonsim -exp fig14 -workloads BS,ALS
 //	charonsim -exp all -threads 8 -factor 1.5
 //	charonsim -exp all -parallel 8      # fan simulations out over 8 workers
-//	charonsim -exp faults -fault-rate 0.01 -fault-seed 7
+//	charonsim -exp faults -workloads BS  # fault sweep at its fixed seed
 //	charonsim -exp fig12 -checkpoint-dir .ckpt   # crash-safe, resumable
 //	charonsim -list
 //

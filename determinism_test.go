@@ -1,9 +1,6 @@
 package charonsim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestRunAllDeterministicAcrossParallelism is the regression gate for all
 // concurrency work in the experiment harness: the full RunAll suite —
@@ -59,44 +56,5 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 		if serial[i].Text == "" {
 			t.Errorf("%s: empty report", serial[i].ID)
 		}
-	}
-}
-
-// TestFaultedRunDeterministicAcrossParallelism extends the determinism
-// gate to fault injection: with a fixed FaultSeed the fault pattern is a
-// pure function of (seed, component name, draw order), and every platform
-// replays single-threaded, so Report.Text must stay byte-identical between
-// forced-serial and parallelism-8 — and across repeated runs — even with
-// faults rerouting and retiming the simulation. A different seed must
-// change the faulted numbers (the injector really is drawing from the
-// seed, not from shared state).
-func TestFaultedRunDeterministicAcrossParallelism(t *testing.T) {
-	base := Config{Workloads: []string{"BS"}, FaultRate: 0.05, FaultSeed: 11}
-
-	run := func(par int, seed int64) string {
-		cfg := base
-		cfg.Parallelism = par
-		cfg.FaultSeed = seed
-		r, err := Run("faults", cfg)
-		if err != nil {
-			t.Fatalf("faults par=%d seed=%d: %v", par, seed, err)
-		}
-		return r.Text
-	}
-
-	serial := run(-1, 11)
-	par := run(8, 11)
-	if serial != par {
-		t.Errorf("faulted Report.Text differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, par)
-	}
-	if again := run(8, 11); again != par {
-		t.Error("repeated faulted run with the same seed diverged")
-	}
-	if other := run(8, 12); other == serial {
-		t.Error("changing FaultSeed 11 -> 12 left the faulted report unchanged")
-	}
-	if !strings.Contains(serial, "all-failed") {
-		t.Errorf("fault sweep render missing the all-failed column:\n%s", serial)
 	}
 }

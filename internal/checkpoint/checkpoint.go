@@ -17,6 +17,7 @@
 package checkpoint
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -70,6 +71,22 @@ func OpenFS(dir string, fsys atomicio.FS) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return &Store{dir: dir, fsys: fsys}, nil
+}
+
+// storeKey is the context key WithStore files a store under.
+type storeKey struct{}
+
+// WithStore returns a copy of ctx that carries st. A long-lived owner of
+// a store (charond's per-unit store) hands it to every run this way, so
+// all of them share one handle and its counters.
+func WithStore(ctx context.Context, st *Store) context.Context {
+	return context.WithValue(ctx, storeKey{}, st)
+}
+
+// FromContext returns the store ctx carries, or nil.
+func FromContext(ctx context.Context) *Store {
+	st, _ := ctx.Value(storeKey{}).(*Store)
+	return st
 }
 
 // Dir returns the backing directory.

@@ -57,6 +57,14 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("removed -offload-deadline flag exited %d, want 2", code)
 	}
 
+	for _, removed := range [][]string{{"-fault-rate", "0.01"}, {"-fault-seed", "7"}} {
+		out.Reset()
+		errb.Reset()
+		if code := Run(append(removed, "-exp", "table4"), &out, &errb); code != 2 {
+			t.Fatalf("removed %s flag exited %d, want 2", removed[0], code)
+		}
+	}
+
 	out.Reset()
 	errb.Reset()
 	if code := Run([]string{"-exp", "table4"}, &out, &errb); code != 0 {

@@ -22,8 +22,6 @@ type SimFlags struct {
 	Parallel      int
 	MetricsPath   string
 	TracePath     string
-	FaultRate     float64
-	FaultSeed     int64
 	RunTimeout    time.Duration
 	CheckpointDir string
 }
@@ -36,8 +34,6 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, -1 = serial); output is identical at any setting")
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write a component-counter snapshot here after the run (.csv = CSV, otherwise JSON)")
 	fs.StringVar(&f.TracePath, "trace", "", "write a chrome://tracing JSON event trace here (JSON only; requires -metrics)")
-	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "master fault-injection rate in [0, 1): link CRC errors plus derived ECC/bank/unit fault rates (0 = faults off)")
-	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate)")
 	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per replay unit, enforced by the replay watchdog heartbeat (0 = unbounded)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here, ablation points included; re-running after an interruption resumes, executing only the missing units (incompatible with -trace)")
 }
@@ -49,8 +45,7 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 func (f *SimFlags) Config() (charonsim.Config, error) {
 	cfg := charonsim.Config{Threads: f.Threads, HeapFactor: f.Factor, Parallelism: f.Parallel,
 		MetricsPath: f.MetricsPath, TracePath: f.TracePath,
-		FaultRate: f.FaultRate, FaultSeed: f.FaultSeed, RunTimeout: f.RunTimeout,
-		CheckpointDir: f.CheckpointDir}
+		RunTimeout: f.RunTimeout, CheckpointDir: f.CheckpointDir}
 	if f.Workloads != "" {
 		wl, err := SplitWorkloads(f.Workloads)
 		if err != nil {

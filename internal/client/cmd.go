@@ -141,8 +141,6 @@ func cmdSubmit(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		heapFactor  = fs.Float64("heap-factor", 0, "heap size factor (0 = server default)")
 		workloads   = fs.String("workloads", "", "comma-separated workload subset (empty = all)")
 		parallelism = fs.Int("parallelism", 0, "per-job simulation parallelism (0 = server default)")
-		faultRate   = fs.Float64("fault-rate", 0, "simulated-hardware fault rate")
-		faultSeed   = fs.Int64("fault-seed", 0, "simulated-hardware fault seed")
 		runTimeout  = fs.Duration("run-timeout", 0, "per-unit run timeout (0 = server default)")
 		wait        = fs.Bool("wait", false, "block until the job finishes and print its report to stdout")
 	)
@@ -160,7 +158,6 @@ func cmdSubmit(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		Experiment: *experiment,
 		Threads:    *threads, HeapFactor: *heapFactor,
 		Parallelism: *parallelism,
-		FaultRate:   *faultRate, FaultSeed: *faultSeed,
 	}
 	if *workloads != "" {
 		spec.Workloads = strings.Split(*workloads, ",")
@@ -181,8 +178,6 @@ func cmdSweep(ctx context.Context, c *Client, args []string, stdout, stderr io.W
 		heapFactors = fs.String("heap-factors", "", "comma-separated heap factors fanned one child per value (empty = server default)")
 		threadList  = fs.String("threads", "", "comma-separated GC thread counts fanned one child per value (empty = server default)")
 		parallelism = fs.Int("parallelism", 0, "per-job simulation parallelism, shared by every child (0 = server default)")
-		faultRate   = fs.Float64("fault-rate", 0, "simulated-hardware fault rate, shared by every child")
-		faultSeed   = fs.Int64("fault-seed", 0, "simulated-hardware fault seed, shared by every child")
 		runTimeout  = fs.Duration("run-timeout", 0, "per-unit run timeout, shared by every child (0 = server default)")
 		wait        = fs.Bool("wait", false, "block until every child finishes and print the combined report to stdout")
 	)
@@ -199,7 +194,6 @@ func cmdSweep(ctx context.Context, c *Client, args []string, stdout, stderr io.W
 	spec := server.SweepSpec{
 		Experiments: cli.CleanWorkloads(strings.Split(*experiments, ",")),
 		Parallelism: *parallelism,
-		FaultRate:   *faultRate, FaultSeed: *faultSeed,
 	}
 	if *workloads != "" {
 		spec.Workloads = strings.Split(*workloads, ",")

@@ -37,16 +37,18 @@ func TestCtlHelpExitsZero(t *testing.T) {
 
 func TestCtlUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{},                                  // no command
-		{"-definitely-not-a-flag"},          // bad global flag
-		{"frobnicate"},                      // unknown command
-		{"submit"},                          // missing -experiment
-		{"wait"},                            // missing job id
-		{"result", "a", "b"},                // too many args
-		{"metrics", "extra"},                // metrics takes none
-		{"proxy"},                           // removed command
-		{"-hedge", "1s", "wait", "x"},       // removed flag
-		{"-server", "::bad::", "wait", "x"}, // unusable base URL
+		{},                            // no command
+		{"-definitely-not-a-flag"},    // bad global flag
+		{"frobnicate"},                // unknown command
+		{"submit"},                    // missing -experiment
+		{"wait"},                      // missing job id
+		{"result", "a", "b"},          // too many args
+		{"metrics", "extra"},          // metrics takes none
+		{"proxy"},                     // removed command
+		{"-hedge", "1s", "wait", "x"}, // removed flag
+		{"submit", "-experiment", "fig12", "-fault-rate", "0.01"}, // removed flag
+		{"sweep", "-experiments", "fig12", "-fault-seed", "7"},    // removed flag
+		{"-server", "::bad::", "wait", "x"},                       // unusable base URL
 	} {
 		code, _, _ := runCtl(t, args...)
 		if code != 2 {

@@ -46,8 +46,7 @@ func ablationWorkloads(cfg Config) []string {
 // runAblation replays the representative workloads on Charon at every
 // sweep point. The (point, workload) grid fans out across the session's
 // parallelism. Each cell is an ordinary session replay unit keyed by the
-// point's options, so it runs under the session's fault configuration, is
-// memoized and checkpointed, and a sweep's Table 2 point is the same unit
+// point's options, so it is memoized and checkpointed, and a sweep's Table 2 point is the same unit
 // as every other sweep's and as Fig 12's Charon replay.
 func runAblation(s *Session, name string, points []AblationPoint, def int) (*AblationResult, error) {
 	cfg := s.Config()
@@ -68,7 +67,7 @@ func runAblation(s *Session, name string, points []AblationPoint, def int) (*Abl
 			return err
 		}
 		results, err := s.replay(replayUnit{r: run, kind: exec.KindCharon,
-			threads: cfg.Threads, fc: cfg.Fault, opt: points[pi].Opt})
+			threads: cfg.Threads, opt: points[pi].Opt})
 		if err != nil {
 			return err
 		}

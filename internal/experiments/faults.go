@@ -12,8 +12,8 @@ import (
 // the healthy and all-units-failed endpoints.
 var FaultSweepRates = []float64{0.001, 0.01, 0.05}
 
-// FaultSweepSeed is the default fault seed when the session config leaves
-// it unset, so the sweep's fault patterns are reproducible out of the box.
+// FaultSweepSeed is the fault seed of every faulted column, so the sweep's
+// fault patterns are reproducible.
 const FaultSweepSeed = 42
 
 // FaultSweepResult is Charon GC time under increasing fault pressure,
@@ -31,17 +31,13 @@ type FaultSweepResult struct {
 	Geomean []float64
 }
 
-// faultSweepColumns derives the per-column fault configurations from the
-// session's seed.
-func faultSweepColumns(seed int64) []fault.Config {
-	if seed == 0 {
-		seed = FaultSweepSeed
-	}
+// faultSweepColumns returns the per-column fault configurations.
+func faultSweepColumns() []fault.Config {
 	cols := []fault.Config{{}} // healthy: all knobs zero
 	for _, r := range FaultSweepRates {
-		cols = append(cols, fault.Config{Rate: r, Seed: seed})
+		cols = append(cols, fault.Config{Rate: r, Seed: FaultSweepSeed})
 	}
-	cols = append(cols, fault.Config{FailAllUnits: true, Seed: seed})
+	cols = append(cols, fault.Config{FailAllUnits: true, Seed: FaultSweepSeed})
 	return cols
 }
 
@@ -53,7 +49,7 @@ func faultSweepColumns(seed int64) []fault.Config {
 // host baseline.
 func FigFaultSweep(s *Session) (*FaultSweepResult, error) {
 	cfg := s.Config()
-	cols := faultSweepColumns(cfg.Fault.Seed)
+	cols := faultSweepColumns()
 	res := &FaultSweepResult{Workload: cfg.Workloads, Rates: FaultSweepRates,
 		Norm: map[string][]float64{}}
 	rows := make([][]float64, len(cfg.Workloads))
@@ -63,14 +59,14 @@ func FigFaultSweep(s *Session) (*FaultSweepResult, error) {
 			return err
 		}
 		// Host-over-HMC baseline: the path every degradation converges to.
-		baseRes, err := s.ReplayFault(r, exec.KindHMC, cfg.Threads, fault.Config{})
+		baseRes, err := s.Replay(r, exec.KindHMC, cfg.Threads)
 		if err != nil {
 			return err
 		}
 		base := Sum(exec.KindHMC, baseRes, cfg.Threads)
 		row := make([]float64, len(cols))
 		for c := range cols {
-			colRes, err := s.ReplayFault(r, exec.KindCharon, cfg.Threads, cols[c])
+			colRes, err := s.replayFault(r, exec.KindCharon, cfg.Threads, cols[c])
 			if err != nil {
 				return err
 			}

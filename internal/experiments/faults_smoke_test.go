@@ -37,9 +37,9 @@ func TestFaultSweepShape(t *testing.T) {
 	t.Log("\n" + r.Render())
 }
 
-// TestFaultSweepColumnsInheritSessionKnobs pins the column derivation.
-func TestFaultSweepColumnsInheritSessionKnobs(t *testing.T) {
-	cols := faultSweepColumns(0)
+// TestFaultSweepColumns pins the column derivation.
+func TestFaultSweepColumns(t *testing.T) {
+	cols := faultSweepColumns()
 	if len(cols) != len(FaultSweepRates)+2 {
 		t.Fatalf("columns = %d, want %d", len(cols), len(FaultSweepRates)+2)
 	}
@@ -47,13 +47,9 @@ func TestFaultSweepColumnsInheritSessionKnobs(t *testing.T) {
 		t.Fatal("healthy column must be disabled")
 	}
 	if cols[1].Seed != FaultSweepSeed {
-		t.Fatalf("default seed = %d, want %d", cols[1].Seed, FaultSweepSeed)
+		t.Fatalf("seed = %d, want %d", cols[1].Seed, FaultSweepSeed)
 	}
 	if !cols[len(cols)-1].FailAllUnits {
 		t.Fatal("last column must fail all units")
-	}
-	cols = faultSweepColumns(7)
-	if cols[1].Seed != 7 {
-		t.Fatalf("session seed not inherited: %+v", cols[1])
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"charonsim/internal/exec"
-	"charonsim/internal/fault"
 	"charonsim/internal/gc"
 	"charonsim/internal/stats"
 )
@@ -92,9 +91,7 @@ func Fig4(s *Session, kind gc.Kind) (*Fig4Result, error) {
 		if err != nil {
 			return err
 		}
-		// The breakdown characterizes the healthy host, so it replays
-		// fault-free whatever the session's fault configuration.
-		rr, err := s.ReplayFault(r, exec.KindDDR4, cfg.Threads, fault.Config{})
+		rr, err := s.Replay(r, exec.KindDDR4, cfg.Threads)
 		if err != nil {
 			return err
 		}

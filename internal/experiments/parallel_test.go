@@ -53,7 +53,7 @@ func TestReplayFaultZeroConfigIsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := s.ReplayFault(r, exec.KindCharon, 8, fault.Config{})
+	zero, err := s.replayFault(r, exec.KindCharon, 8, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,6 @@ type Config struct {
 	// Trace, when non-nil, receives event spans (GC pauses, flushes,
 	// Charon offloads) from every replay.
 	Trace *metrics.Recorder
-	// Fault injects the configured reliability faults into every replayed
-	// platform (see internal/fault). Recordings are unaffected — the
-	// collector's functional log is fault-independent; only replay timing
-	// degrades. The zero value keeps every report byte-identical to a
-	// fault-free harness.
-	Fault fault.Config
 	// RunTimeout, when positive, bounds each replay unit's wall-clock
 	// time: it arms the replay watchdog's wall-clock heartbeat, which
 	// stops an overrunning run itself with ErrNoProgress and a diagnostic
@@ -255,17 +249,16 @@ func (s *Session) Executions() int {
 	return len(s.runs)
 }
 
-// Replay plays a run's full GC log on a fresh platform of the given kind,
-// returning per-event results. The session's fault configuration (if any)
-// applies.
+// Replay plays a run's full GC log on a fresh, fault-free platform of the
+// given kind, returning per-event results.
 func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, error) {
-	return s.ReplayFault(r, kind, threads, s.cfg.Fault)
+	return s.replay(replayUnit{r: r, kind: kind, threads: threads})
 }
 
-// ReplayFault is Replay with an explicit fault configuration, overriding
-// the session's — the fault-sweep experiment uses it to replay the same
-// recording at several fault rates within one session.
-func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
+// replayFault is Replay under fault configuration fc — the fault-sweep
+// experiment uses it to replay the same recording at several fault rates
+// within one session.
+func (s *Session) replayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
 	return s.replay(replayUnit{r: r, kind: kind, threads: threads, fc: fc})
 }
 

@@ -23,18 +23,16 @@
 package fault
 
 import (
-	"fmt"
 	"hash/fnv"
-	"math"
 	"time"
 
 	"charonsim/internal/sim"
 )
 
 // Config selects what faults to inject. The zero value disables injection
-// entirely. Rate is the master knob (the CLI's -fault-rate): the per-class
-// rates derive from it unless set explicitly, keeping a single scalar
-// sweepable while still letting tests pin one fault class at a time.
+// entirely. Rate is the master knob (the fault sweep's column rate): the
+// per-class rates derive from it unless set explicitly, keeping a single
+// scalar sweepable while still letting tests pin one fault class at a time.
 type Config struct {
 	// Rate is the master transient-fault rate in [0, 1): the probability a
 	// link packet takes a CRC error and the baseline for the derived
@@ -91,38 +89,6 @@ type Config struct {
 func (c Config) Enabled() bool {
 	return c.Rate > 0 || c.LinkCRCRate > 0 || c.ECCRate > 0 || c.HardBankRate > 0 ||
 		c.UnitFailRate > 0 || c.UnitDegradeRate > 0 || c.FailAllUnits
-}
-
-// Validate rejects configurations the derivations below would silently
-// misread: rates outside [0, 1), negative seeds, and a seed without any
-// fault class to apply it to.
-func (c Config) Validate() error {
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"Rate", c.Rate}, {"LinkCRCRate", c.LinkCRCRate}, {"ECCRate", c.ECCRate},
-		{"HardBankRate", c.HardBankRate}, {"UnitFailRate", c.UnitFailRate},
-		{"UnitDegradeRate", c.UnitDegradeRate},
-	}
-	for _, r := range rates {
-		if r.v < 0 || r.v >= 1 || math.IsNaN(r.v) {
-			return fmt.Errorf("fault: %s must be in [0, 1), got %v", r.name, r.v)
-		}
-	}
-	if c.Seed < 0 {
-		return fmt.Errorf("fault: Seed must be >= 0, got %d", c.Seed)
-	}
-	if c.Seed != 0 && !c.Enabled() {
-		return fmt.Errorf("fault: Seed %d is set but every fault rate is zero (set Rate, a per-class rate, or FailAllUnits)", c.Seed)
-	}
-	if c.DegradeFactor < 0 || (c.DegradeFactor > 0 && c.DegradeFactor < 1) {
-		return fmt.Errorf("fault: DegradeFactor must be >= 1 (0 selects the default), got %v", c.DegradeFactor)
-	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("fault: RetryBudget must be >= 0 (0 selects the default), got %d", c.RetryBudget)
-	}
-	return nil
 }
 
 // withDefaults fills the derived per-class knobs.

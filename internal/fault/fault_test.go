@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -47,40 +46,6 @@ func TestEnabledVariants(t *testing.T) {
 	for _, c := range cases {
 		if got := c.cfg.Enabled(); got != c.want {
 			t.Errorf("Enabled(%+v) = %v, want %v", c.cfg, got, c.want)
-		}
-	}
-}
-
-func TestValidate(t *testing.T) {
-	ok := []Config{
-		{},
-		{Rate: 0.5, Seed: 3},
-		{FailAllUnits: true, Seed: 1},
-		{Rate: 0.1, DegradeFactor: 3, RetryBudget: 2},
-	}
-	for _, c := range ok {
-		if err := c.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", c, err)
-		}
-	}
-	bad := []Config{
-		{Rate: -0.1},
-		{Rate: 1.0},
-		{Rate: math.NaN()},
-		{LinkCRCRate: 2},
-		{ECCRate: -1},
-		{HardBankRate: 1.5},
-		{UnitFailRate: -0.5},
-		{UnitDegradeRate: 7},
-		{Rate: 0.1, Seed: -1},
-		{Seed: 5}, // seed with nothing to seed
-		{Rate: 0.1, DegradeFactor: 0.5},
-		{Rate: 0.1, DegradeFactor: -1},
-		{Rate: 0.1, RetryBudget: -3},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", c)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // payload; bump it whenever either changes meaning, so a warm restart
 // against an old cache directory misses cleanly instead of serving stale
 // responses.
-const jobSchema = 4
+const jobSchema = 5
 
 // JobSpec is the wire format of a job submission (POST /v1/jobs). It maps
 // onto charonsim.Config plus the experiment id; durations travel as
@@ -33,8 +33,6 @@ type JobSpec struct {
 	HeapFactor  float64  `json:"heap_factor,omitempty"`
 	Workloads   []string `json:"workloads,omitempty"`
 	Parallelism int      `json:"parallelism,omitempty"`
-	FaultRate   float64  `json:"fault_rate,omitempty"`
-	FaultSeed   int64    `json:"fault_seed,omitempty"`
 	RunTimeout  string   `json:"run_timeout,omitempty"`
 }
 
@@ -64,8 +62,7 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 		Threads: sp.Threads, HeapFactor: sp.HeapFactor,
 		Workloads:   workloads,
 		Parallelism: sp.Parallelism,
-		FaultRate:   sp.FaultRate, FaultSeed: sp.FaultSeed,
-		RunTimeout: timeout,
+		RunTimeout:  timeout,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, "", err
@@ -120,9 +117,9 @@ func canonicalKey(experiment string, cfg charonsim.Config) string {
 		wl = charonsim.Workloads()
 	}
 	return fmt.Sprintf(
-		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|frate=%.6g|fseed=%d|timeout=%d",
+		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|timeout=%d",
 		jobSchema, experiment, threads, factor, strings.Join(wl, ","), cfg.Parallelism,
-		cfg.FaultRate, cfg.FaultSeed, cfg.RunTimeout.Nanoseconds())
+		cfg.RunTimeout.Nanoseconds())
 }
 
 // jobID derives the externally-visible job id from the canonical key via

@@ -196,9 +196,10 @@ func TestJournalReplayCompletesFromCache(t *testing.T) {
 // TestJournalDiscardsUnreadableRecords: garbage in the journal directory
 // is logged and collected, never replayed. That covers a spec that no
 // longer resolves, and a spec that still resolves but was journaled under
-// an older canonical-key schema (v1, v2 or v3): its stored key no longer
-// matches. A v3 record whose spec set the removed offload deadline is
-// collected rather than re-run with the deadline silently dropped.
+// an older canonical-key schema (v1 to v4): its stored key no longer
+// matches. A v3 record whose spec set the removed offload deadline, and a
+// v4 record whose spec set the removed fault rate, are collected rather
+// than re-run with the knob silently dropped.
 func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	cacheDir := t.TempDir()
 	jdir := filepath.Join(cacheDir, "journal")
@@ -226,6 +227,15 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	if err := jst.Put(v3Key, json.RawMessage(v3Raw)); err != nil {
 		t.Fatal(err)
 	}
+	// The v4 key of {"experiment":"table4","fault_rate":0.01}: v4 still
+	// carried the removed session-wide fault knobs (frate, fseed).
+	v4Key := fmt.Sprintf("job/v4|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0.01|fseed=0|timeout=0",
+		strings.Join(charonsim.Workloads(), ","))
+	v4Raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"table4","fault_rate":0.01},`+
+		`"state":"queued","created":"2026-01-02T03:04:05Z"}`, journalSchema, jobID(v4Key), v4Key)
+	if err := jst.Put(v4Key, json.RawMessage(v4Raw)); err != nil {
+		t.Fatal(err)
+	}
 	for _, rec := range []journalRecord{
 		// A record with a spec that no longer resolves.
 		{ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"}},
@@ -250,7 +260,7 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	if n := s.Metrics().Counter("server/journal_recovered"); n != 0 {
 		t.Fatalf("journal_recovered = %v, want 0", n)
 	}
-	for _, key := range []string{v1Key, v2Key, v3Key} {
+	for _, key := range []string{v1Key, v2Key, v3Key, v4Key} {
 		resp, err := http.Get(base + "/v1/jobs/" + jobID(key))
 		if err != nil {
 			t.Fatal(err)
@@ -382,7 +392,7 @@ func TestCancelRacesCompletion(t *testing.T) {
 		Workers: 4, QueueDepth: 64, CacheDir: t.TempDir(), runner: runner,
 	})
 	for i := 0; i < 40; i++ {
-		body := fmt.Sprintf(`{"experiment":"fig12","fault_rate":0.001,"fault_seed":%d}`, i+1)
+		body := fmt.Sprintf(`{"experiment":"fig12","threads":%d}`, i+1)
 		resp, v := postJob(t, base, body)
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %d = %d", i, resp.StatusCode)

@@ -115,12 +115,11 @@ func (c Config) withDefaults() Config {
 // Server is the charond job service. Create with New, serve Handler(),
 // stop with Drain.
 type Server struct {
-	cfg      Config
-	log      *slog.Logger
-	reg      *metrics.Registry
-	results  *checkpoint.Store // response cache; nil without CacheDir
-	units    *checkpoint.Store // handle on the per-unit store, for metrics
-	unitsDir string            // per-unit checkpoint store for jobs; "" without CacheDir
+	cfg     Config
+	log     *slog.Logger
+	reg     *metrics.Registry
+	results *checkpoint.Store // response cache; nil without CacheDir
+	units   *checkpoint.Store // per-unit store every job replays through; nil without CacheDir
 
 	journal       *journal  // write-ahead job log; nil without CacheDir
 	cacheHealth   *degrader // result-cache degraded-mode tracker
@@ -251,8 +250,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: result cache: %w", err)
 		}
 		s.results = st
-		s.unitsDir = filepath.Join(cfg.CacheDir, "units")
-		if s.units, err = checkpoint.Open(s.unitsDir); err != nil {
+		if s.units, err = checkpoint.OpenFS(filepath.Join(cfg.CacheDir, "units"), cfg.fsys); err != nil {
 			return nil, fmt.Errorf("server: unit store: %w", err)
 		}
 		if s.journal, err = openJournal(filepath.Join(cfg.CacheDir, "journal"), cfg.fsys, s.journalHealth); err != nil {
@@ -749,9 +747,12 @@ type metricsResponse struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := metricsResponse{Snapshot: s.snapshotMetrics(), Errors: map[string]string{}}
-	if s.results != nil {
-		if e := s.results.LastWriteError(); e != "" {
-			resp.Errors["server/result_store/last_write_error"] = e
+	for prefix, st := range map[string]*checkpoint.Store{"result_store": s.results, "unit_store": s.units} {
+		if st == nil {
+			continue
+		}
+		if e := st.LastWriteError(); e != "" {
+			resp.Errors["server/"+prefix+"/last_write_error"] = e
 		}
 	}
 	if e := s.journal.lastWriteError(); e != "" {
@@ -847,11 +848,13 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	// Server-side plumbing, applied after the canonical key was derived
-	// from the client-visible spec: the shared per-unit checkpoint store
-	// (so drained and crash-recovered jobs resume instead of recomputing)
-	// and the default per-unit timeout.
-	if s.unitsDir != "" {
-		cfg.CheckpointDir = s.unitsDir
+	// from the client-visible spec: the shared per-unit checkpoint store,
+	// carried on the job's context (so drained and crash-recovered jobs
+	// resume instead of recomputing, and every job's hits and write
+	// errors land in the server's counters), and the default per-unit
+	// timeout.
+	if s.units != nil {
+		ctx = checkpoint.WithStore(ctx, s.units)
 	}
 	if cfg.RunTimeout == 0 && s.cfg.JobTimeout > 0 {
 		cfg.RunTimeout = s.cfg.JobTimeout

@@ -17,6 +17,7 @@ import (
 	"charonsim"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/cli"
+	"charonsim/internal/fault"
 )
 
 // newTestServer builds a server plus an httptest front-end and registers
@@ -118,8 +119,6 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, Threads: 4},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, HeapFactor: 2},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, Parallelism: 1},
-		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, FaultRate: 0.01},
-		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, FaultRate: 0.01, FaultSeed: 7},
 		{Experiment: "fig12", Workloads: []string{"BS", "KM"}, RunTimeout: "5m"},
 	}
 	seen := map[string]int{baseKey: -1}
@@ -148,7 +147,6 @@ func TestResolveRejectsBadSpecs(t *testing.T) {
 		{Experiment: "fig12", Threads: -1}, // Config.Validate
 		{Experiment: "fig12", Workloads: []string{"XX"}},
 		{Experiment: "fig12", RunTimeout: "not-a-duration"},
-		{Experiment: "fig12", FaultRate: 1.5},
 		{Experiment: "fig12", Workloads: []string{" ", ""}}, // names nothing
 	}
 	for i, sp := range bad {
@@ -173,6 +171,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"experiment":"fig12","run_timeout":"banana"}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","workloads":[""]}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","offload_deadline":"1ms"}`, http.StatusBadRequest}, // removed knob
+		{`{"experiment":"fig12","fault_rate":0.01}`, http.StatusBadRequest},        // removed knob
 	}
 	for _, c := range cases {
 		resp, _ := postJob(t, base, c.body)
@@ -180,10 +179,14 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("POST %s = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
 	}
-	// A sweep spec rejects the removed knob the same way.
-	body := `{"experiments":["fig12"],"offload_deadline":"1ms"}`
-	if resp, _ := postSweep(t, base, body); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST sweep %s = %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+	// A sweep spec rejects the removed knobs the same way.
+	for _, body := range []string{
+		`{"experiments":["fig12"],"offload_deadline":"1ms"}`,
+		`{"experiments":["fig12"],"fault_seed":7}`,
+	} {
+		if resp, _ := postSweep(t, base, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST sweep %s = %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+		}
 	}
 }
 
@@ -405,6 +408,65 @@ func TestDedupWhileRunningAndCacheHitWhenDone(t *testing.T) {
 	getJSON(t, base+"/v1/metrics", &snap)
 	if snap.Counters["server/cache_hits"] < 1 {
 		t.Fatalf("/v1/metrics cache_hits = %v, want >= 1", snap.Counters["server/cache_hits"])
+	}
+}
+
+// unitStoreMetrics reads the unit store's counters and write-error detail
+// from /v1/metrics.
+func unitStoreMetrics(t *testing.T, base string) (map[string]float64, string) {
+	t.Helper()
+	var m struct {
+		Counters map[string]float64 `json:"counters"`
+		Errors   map[string]string  `json:"errors"`
+	}
+	getJSON(t, base+"/v1/metrics", &m)
+	return m.Counters, m.Errors["server/unit_store/last_write_error"]
+}
+
+// runReport submits one job, waits for it and returns its report.
+func runReport(t *testing.T, base, body string) string {
+	t.Helper()
+	_, v := postJob(t, base, body)
+	waitState(t, base, v.ID, StateDone)
+	return fetchResult(t, base, v.ID)
+}
+
+// TestJobsShareTheServerUnitStore: every job replays through the server's
+// one per-unit store, so /v1/metrics counts its traffic. fig12 misses and
+// persists ALS's replay units; fig13 replays the same units and hits.
+func TestJobsShareTheServerUnitStore(t *testing.T) {
+	_, base := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	runReport(t, base, `{"experiment":"fig12","workloads":["ALS"]}`)
+	runReport(t, base, `{"experiment":"fig13","workloads":["ALS"]}`)
+	c, _ := unitStoreMetrics(t, base)
+	if c["server/unit_store/misses"] == 0 || c["server/unit_store/hits"] == 0 {
+		t.Fatalf("unit_store misses = %v, hits = %v; want both > 0",
+			c["server/unit_store/misses"], c["server/unit_store/hits"])
+	}
+	if c["server/unit_store/entries"] == 0 {
+		t.Fatal("unit_store holds no entries after two simulated jobs")
+	}
+}
+
+// TestUnitStoreWritesGoThroughServerFS: unit checkpoints are written
+// through the server's filesystem, so a full disk shows in the unit
+// store's write_errors and error detail — and costs the job nothing: its
+// report equals a clean server's byte for byte.
+func TestUnitStoreWritesGoThroughServerFS(t *testing.T) {
+	const body = `{"experiment":"fig12","workloads":["ALS"]}`
+	_, clean := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	want := runReport(t, clean, body)
+
+	cfg := Config{Workers: 1, CacheDir: t.TempDir()}
+	cfg.fsys = fault.NewFS(fault.FSConfig{Seed: 7, WriteErrRate: 1}, nil)
+	_, full := newTestServer(t, cfg)
+	if got := runReport(t, full, body); got != want {
+		t.Fatalf("report under unit-store write errors differs from a clean server's:\n-- got --\n%s\n-- want --\n%s", got, want)
+	}
+	c, detail := unitStoreMetrics(t, full)
+	if c["server/unit_store/write_errors"] == 0 || detail == "" {
+		t.Fatalf("unit_store write_errors = %v, last_write_error = %q; want both set",
+			c["server/unit_store/write_errors"], detail)
 	}
 }
 

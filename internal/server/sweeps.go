@@ -48,10 +48,8 @@ type SweepSpec struct {
 	Threads []int `json:"threads,omitempty"`
 
 	// Shared knobs, copied verbatim into every child descriptor.
-	Parallelism int     `json:"parallelism,omitempty"`
-	FaultRate   float64 `json:"fault_rate,omitempty"`
-	FaultSeed   int64   `json:"fault_seed,omitempty"`
-	RunTimeout  string  `json:"run_timeout,omitempty"`
+	Parallelism int    `json:"parallelism,omitempty"`
+	RunTimeout  string `json:"run_timeout,omitempty"`
 }
 
 // sweepChild is one expanded grid point: the child's job descriptor plus
@@ -120,8 +118,6 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 						Experiment: exp, Workloads: wl,
 						HeapFactor: f, Threads: t,
 						Parallelism: sp.Parallelism,
-						FaultRate:   sp.FaultRate,
-						FaultSeed:   sp.FaultSeed,
 						RunTimeout:  sp.RunTimeout,
 					}
 					if err := add(child); err != nil {
