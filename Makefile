@@ -53,15 +53,17 @@ benchsmoke:
 # that read back every operand, Scan&Push ranges that tile the visits,
 # oversize layouts rejected, events closed at exact size, no functional
 # heap kept by a recorded Run), the streamed op expansion's equivalence
-# to the whole one and its allocation-free buffer, plus short fuzz passes
-# over the public Config boundary, both cache equivalences, the calendar
-# ring, the GC log's record packing and charond's journal replay. Every
-# journal exec boots a server over fsync'd files, so its minimization is
-# capped at 10 execs: the default 60 s budget would spend the whole short
-# pass minimizing the first new input.
+# to the whole one and its allocation-free buffer, charond's recovery
+# from a crash after every journal write of one job and of one sweep
+# (nothing accepted lost, nothing completed re-run, ids and report bytes
+# unchanged), plus short fuzz passes over the public Config boundary, both
+# cache equivalences, the calendar ring, the GC log's record packing and
+# charond's journal replay. Every journal exec boots a server over fsync'd
+# files, so its minimization is capped at 10 execs: the default 60 s
+# budget would spend the whole short pass minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"path/filepath"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -82,8 +83,9 @@ type Config struct {
 	// MetricsPath, when non-empty, writes a snapshot of every simulated
 	// component's counters (cores, caches, DRAM banks, HMC links and
 	// vaults, Charon units, conservation totals) after the run: CSV when
-	// the path ends in ".csv", indented JSON otherwise. Metric values are
-	// byte-identical at every Parallelism setting.
+	// the path ends in ".csv" (in any letter case), indented JSON
+	// otherwise. Metric values are byte-identical at every Parallelism
+	// setting.
 	MetricsPath string
 	// TracePath, when non-empty, writes a chrome://tracing-loadable JSON
 	// event trace (GC pauses, cache flushes, per-unit Charon offloads).
@@ -149,7 +151,7 @@ func (c Config) Validate() error {
 	if c.TracePath != "" && c.MetricsPath == "" {
 		return fmt.Errorf("charonsim: TracePath requires MetricsPath (the trace's summary counters are part of the metrics snapshot)")
 	}
-	if strings.HasSuffix(strings.ToLower(c.TracePath), ".csv") {
+	if isCSV(c.TracePath) {
 		return fmt.Errorf("charonsim: TracePath %q has a .csv extension but the event trace is JSON only (CSV is a MetricsPath format)", c.TracePath)
 	}
 	if c.RunTimeout < 0 {
@@ -198,6 +200,10 @@ func sessionFor(ctx context.Context, cfg Config) (*experiments.Session, *metrics
 	return experiments.NewSession(icfg), reg, rec, nil
 }
 
+// isCSV is the one rule for whether a path names a CSV file: its
+// extension is ".csv" in any letter case.
+func isCSV(path string) bool { return strings.EqualFold(filepath.Ext(path), ".csv") }
+
 // writeObservability flushes the collected metrics snapshot and trace to
 // the configured paths. Both files are written atomically (temp file in
 // the destination directory, fsync, rename), so an interrupted or failed
@@ -212,7 +218,7 @@ func writeObservability(cfg Config, reg *metrics.Registry, rec *metrics.Recorder
 		}
 		snap := reg.Snapshot()
 		write := snap.WriteJSON
-		if strings.HasSuffix(cfg.MetricsPath, ".csv") {
+		if isCSV(cfg.MetricsPath) {
 			write = snap.WriteCSV
 		}
 		if err := atomicio.WriteFile(cfg.MetricsPath, func(w io.Writer) error { return write(w) }); err != nil {

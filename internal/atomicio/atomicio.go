@@ -39,7 +39,10 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// osFS is the real filesystem.
+// OS is the real filesystem, the FS a nil FS stands for. Wrappers such
+// as fault.FS pass their surviving operations through to it.
+var OS FS = osFS{}
+
 type osFS struct{}
 
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
@@ -80,7 +83,7 @@ func WriteFileBytes(path string, data []byte) error {
 // return nil may rely on the entry being present after power loss.
 func WriteFileFS(fsys FS, path string, write func(w io.Writer) error) (err error) {
 	if fsys == nil {
-		fsys = osFS{}
+		fsys = OS
 	}
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

@@ -127,6 +127,24 @@ func TestCheckpointRejectsObservability(t *testing.T) {
 	}
 }
 
+// TestMetricsCSVExtensionAnyCase: one rule decides whether a path is CSV,
+// in any letter case. Config.Validate already refuses a "t.CSV" trace as
+// a CSV path, so "-metrics out.CSV" must write CSV, not JSON.
+func TestMetricsCSVExtensionAnyCase(t *testing.T) {
+	var out, errb bytes.Buffer
+	path := filepath.Join(t.TempDir(), "out.CSV")
+	if code := Run([]string{"-exp", "table4", "-metrics", path}, &out, &errb); code != 0 {
+		t.Fatalf("table4 -metrics out.CSV exited %d: %s", code, errb.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), "name,kind,count,sum,min,mean,max\n") {
+		t.Fatalf("-metrics out.CSV wrote no CSV header:\n%s", raw)
+	}
+}
+
 // reportText strips the trailing wall-clock line, the only
 // non-deterministic part of the CLI output.
 func reportText(s string) string {

@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 
 // TestServeE2E is the serving gate: health endpoints answer, a job's
 // served report is byte-identical to the CLI's, an identical resubmission
-// is a result-cache hit, SIGTERM drains cleanly, and the drained result
-// cache holds no torn entry.
+// is a result-cache hit, SIGTERM drains cleanly, and the drained journal
+// (the result cache is its done records) holds no torn entry and stands
+// alone: charond keeps no separate results store.
 func TestServeE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots charond as a subprocess")
@@ -55,13 +57,16 @@ func TestServeE2E(t *testing.T) {
 	}
 
 	p.sigterm(t)
-	st, err := checkpoint.Open(filepath.Join(cacheDir, "results"))
+	st, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	valid, discarded, err := st.Verify()
 	if err != nil || valid < 1 || discarded != 0 {
-		t.Fatalf("result cache after drain: %d valid, %d discarded (err %v), want >= 1 valid and none discarded",
+		t.Fatalf("journal after drain: %d valid, %d discarded (err %v), want >= 1 valid and none discarded",
 			valid, discarded, err)
+	}
+	if _, err := os.Stat(filepath.Join(cacheDir, "results")); !os.IsNotExist(err) {
+		t.Fatalf("charond created a results store beside its journal (stat err %v)", err)
 	}
 }

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -51,27 +50,6 @@ type FSConfig struct {
 func (c FSConfig) Enabled() bool {
 	return c.Rate > 0 || c.WriteErrRate > 0 || c.ShortWriteRate > 0 ||
 		c.SyncErrRate > 0 || c.TornRenameRate > 0
-}
-
-// Validate rejects rates outside [0, 1] and negative seeds.
-func (c FSConfig) Validate() error {
-	rates := []struct {
-		name string
-		v    float64
-	}{
-		{"Rate", c.Rate}, {"WriteErrRate", c.WriteErrRate},
-		{"ShortWriteRate", c.ShortWriteRate}, {"SyncErrRate", c.SyncErrRate},
-		{"TornRenameRate", c.TornRenameRate},
-	}
-	for _, r := range rates {
-		if r.v < 0 || r.v > 1 || math.IsNaN(r.v) {
-			return fmt.Errorf("fault: fs %s must be in [0, 1], got %v", r.name, r.v)
-		}
-	}
-	if c.Seed < 0 {
-		return fmt.Errorf("fault: fs Seed must be >= 0, got %d", c.Seed)
-	}
-	return nil
 }
 
 func (c FSConfig) withDefaults() FSConfig {
@@ -166,29 +144,7 @@ func (f *FS) real() atomicio.FS {
 	if f.inner != nil {
 		return f.inner
 	}
-	return realFS{}
-}
-
-// realFS duplicates atomicio's unexported osFS for the injector's
-// pass-through path.
-type realFS struct{}
-
-func (realFS) CreateTemp(dir, pattern string) (atomicio.File, error) {
-	return os.CreateTemp(dir, pattern)
-}
-func (realFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (realFS) Remove(name string) error             { return os.Remove(name) }
-func (realFS) SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return atomicio.OS
 }
 
 // injectedErr builds the error for one fired fault: it wraps both

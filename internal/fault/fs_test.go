@@ -30,27 +30,6 @@ func TestFSDisabledConfigIsNil(t *testing.T) {
 	fs.SetDisabled(true) // must not panic
 }
 
-func TestFSValidate(t *testing.T) {
-	bad := []FSConfig{
-		{Rate: -0.1},
-		{Rate: 1.1},
-		{WriteErrRate: 2},
-		{SyncErrRate: -1},
-		{Seed: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad[%d] %+v validated", i, c)
-		}
-	}
-	good := []FSConfig{{}, {Rate: 1}, {Rate: 0.5, Seed: 42}, {TornRenameRate: 1}}
-	for i, c := range good {
-		if err := c.Validate(); err != nil {
-			t.Errorf("good[%d]: %v", i, err)
-		}
-	}
-}
-
 func TestFSWriteErrorIsENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFS(FSConfig{WriteErrRate: 1}, nil)

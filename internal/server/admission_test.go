@@ -145,15 +145,9 @@ func TestAdmissionOutcomes(t *testing.T) {
 		{
 			name: "queue full with the result cached",
 			setup: func(t *testing.T) (*Server, string) {
-				dir := t.TempDir()
-				st, err := checkpoint.Open(filepath.Join(dir, "results"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload, _ := json.Marshal(cachedResult{Experiment: "fig12", Text: "cached\n"})
-				if err := st.Put(subjectKey(t), payload); err != nil {
-					t.Fatal(err)
-				}
+				dir, key := t.TempDir(), subjectKey(t)
+				putRecord(t, dir, key, journalRecord{Schema: journalSchema, ID: jobID(key), Key: key,
+					Spec: JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}, State: StateDone, Text: "cached\n"})
 				s, base := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheDir: dir, runner: blockRunner})
 				fillQueue(t, base)
 				return s, base
@@ -298,8 +292,8 @@ func waitJournaled(t *testing.T, dir, key string, want ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A transition is journaled just after it shows in the status view,
-	// so poll briefly.
+	// A transition is journaled before it shows in the status view, but
+	// the caller may not have waited for the view; poll briefly.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		var rec struct {
 			State string `json:"state"`
@@ -367,9 +361,10 @@ func TestResubmissionIsJournaled(t *testing.T) {
 }
 
 // TestEvictedResubmissionIsJournaled: a failed job evicted from the job
-// table and then resubmitted is journaled in its new state. The journal
-// remembers the evicted job's last write, so the replacement's writes
-// must order after it even though no table entry is left to carry it.
+// table and then resubmitted is journaled in its new state. The evicted
+// job's last write landed before its failure was visible, so the
+// replacement's writes order after it even though no table entry is left
+// to carry it.
 func TestEvictedResubmissionIsJournaled(t *testing.T) {
 	dir := t.TempDir()
 	_, base := newTestServer(t, Config{Workers: 1, MaxJobs: 1, CacheDir: dir, runner: failingOnce()})

@@ -97,9 +97,11 @@ func FuzzSubmitSweep(f *testing.F) {
 // FuzzJournalReplay stores up to two arbitrary payloads under arbitrary
 // keys as valid journal envelopes (an empty second payload stores one
 // record) and boots a server over them. New must neither panic nor fail,
-// and afterwards each record is either recovered (a job or sweep with the
-// key's id is tracked) or garbage-collected. Two records let a sweep
-// manifest meet an unfinished child, the one case that recovers a sweep.
+// and afterwards each record is recovered (a job or sweep with the key's
+// id is tracked), kept as the result cache (a current-schema `done` job
+// record whose spec resolves to its key) or garbage-collected. Two
+// records let a sweep manifest meet an unfinished child, the one case
+// that recovers a sweep.
 func FuzzJournalReplay(f *testing.F) {
 	job := JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}
 	_, jobKey, _ := job.Resolve()
@@ -114,13 +116,14 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	seeds := [][]record{
 		{{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateRunning, Created: created}}},
-		{{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Created: created}}},
+		{{jobKey, journalRecord{Schema: journalSchema, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Text: "r\n", Created: created}}},
 		{{jobKey, journalRecord{Schema: journalSchema, Key: jobKey, Spec: JobSpec{Experiment: "no-such"}, State: StateQueued}}},
 		{{"job/v1|stale", journalRecord{Schema: journalSchema, Key: "job/v1|stale", Spec: job, State: StateQueued}}},
 		{{sweepKey, manifest}},
 		{{sweepKey, sweepRecord{Schema: journalSchema, Kind: journalKindSweep, Key: sweepKey, Spec: SweepSpec{Experiments: []string{"table3"}}}}},
 		{{jobKey, "not a record"}},
 		{{sweepKey, manifest}, {child.key, journalRecord{Schema: journalSchema, ID: jobID(child.key), Key: child.key, Spec: child.spec, State: StateQueued, Created: created}}},
+		{{jobKey, journalRecord{Schema: 1, ID: jobID(jobKey), Key: jobKey, Spec: job, State: StateDone, Text: "r\n", Created: created}}},
 	}
 	for _, seed := range seeds {
 		var keys [2]string
@@ -162,8 +165,16 @@ func FuzzJournalReplay(f *testing.F) {
 			_, isJob := s.jobs[jobID(k)]
 			_, isSweep := s.sweeps[jobID(k)]
 			s.mu.Unlock()
-			if _, ok := st.Get(k); ok && !isJob && !isSweep {
-				t.Fatalf("record under %q was neither recovered nor collected", k)
+			payload, ok := st.Get(k)
+			if !ok || isJob || isSweep {
+				continue
+			}
+			var rec journalRecord
+			if json.Unmarshal(payload, &rec) != nil || !rec.servable(k) {
+				t.Fatalf("record under %q was neither recovered, kept as done, nor collected", k)
+			}
+			if _, key, err := rec.Spec.Resolve(); err != nil || key != k {
+				t.Fatalf("done record under %q kept though its spec resolves to %q (%v)", k, key, err)
 			}
 		}
 	})

@@ -13,10 +13,9 @@ import (
 	"charonsim/internal/cli"
 )
 
-// jobSchema versions the canonical job descriptor and the cached result
-// payload; bump it whenever either changes meaning, so a warm restart
-// against an old cache directory misses cleanly instead of serving stale
-// responses.
+// jobSchema versions the canonical job descriptor; bump it whenever it
+// changes meaning, so a warm restart against an old cache directory
+// misses cleanly instead of serving stale responses.
 const jobSchema = 5
 
 // JobSpec is the wire format of a job submission (POST /v1/jobs). It maps
@@ -99,7 +98,7 @@ func parseDuration(field, s string) (time.Duration, error) {
 }
 
 // canonicalKey renders the fully-resolved job descriptor as the canonical
-// string the result cache and job ids hash. Field-by-field, defaults
+// string the journal stores the job under and job ids hash. Field-by-field, defaults
 // resolved; any knob change — including ones like Parallelism that are
 // documented not to change bytes — misses conservatively, mirroring the
 // checkpoint layer's invalidation rule.
@@ -146,7 +145,7 @@ type job struct {
 
 	mu       sync.Mutex
 	state    string
-	cached   bool // result served from the response cache, not computed
+	cached   bool // report served from the journal's done record, not computed
 	fetched  bool // terminal answer delivered to at least one result fetch
 	created  time.Time
 	started  time.Time
@@ -158,8 +157,7 @@ type job struct {
 	canceled bool               // cancellation requested (DELETE or drain)
 	done     chan struct{}      // closed on any terminal state
 
-	seq       uint64 // Server.seq draw of the latest state mutation; orders journal writes
-	recovered int    // journal crash-replay generations (0 = never crashed)
+	recovered int // journal crash-replay generations (0 = never crashed)
 }
 
 // newJob builds a queued job for admitLocked from a resolved descriptor.

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"charonsim/internal/atomicio"
@@ -14,15 +14,19 @@ import (
 
 // journalSchema versions the journal record payload; bump it whenever the
 // record changes meaning so a restart against an old journal directory
-// discards cleanly instead of replaying misread state.
-const journalSchema = 1
+// discards cleanly instead of replaying misread state. Schema 2 added the
+// rendered report to `done` records, which made the journal the result
+// cache; a schema-1 record, `done` or not, is collected at boot.
+const journalSchema = 2
 
 // journalRecord is one job's durable state, stored under the job's
 // canonical key in a checkpoint envelope (version + key + checksum,
 // atomic rename, fsync'd file and directory). The record is rewritten
 // whole on every state transition — the envelope's atomicity makes each
 // rewrite an append in effect: a crash leaves either the previous
-// complete record or the new one, never a blend.
+// complete record or the new one, never a blend. A `done` record carries
+// the rendered report and outlives the boot that reads it: it is the
+// result cache admission consults.
 type journalRecord struct {
 	Schema    int       `json:"schema"`
 	Kind      string    `json:"kind,omitempty"` // "" = job (see sweepRecord for "sweep")
@@ -31,6 +35,7 @@ type journalRecord struct {
 	Spec      JobSpec   `json:"spec"`
 	State     string    `json:"state"`
 	Error     string    `json:"error,omitempty"`
+	Text      string    `json:"text,omitempty"` // the report, on a done record
 	Created   time.Time `json:"created"`
 	Updated   time.Time `json:"updated"`
 	Recovered int       `json:"recovered,omitempty"` // crash-replay generations
@@ -42,90 +47,120 @@ func (r journalRecord) unfinished() bool {
 	return r.State == StateQueued || r.State == StateRunning
 }
 
-// journal is charond's write-ahead job log: every accepted job descriptor
-// is durably recorded before its 202 is returned, every state transition
-// is persisted, and on boot the server replays the journal — resubmitting
-// unfinished jobs to the worker pool (which resume from their per-unit
-// checkpoints) and garbage-collecting terminal entries.
+// servable reports whether r is a current-schema `done` job record stored
+// under key — one whose report admission may serve.
+func (r journalRecord) servable(key string) bool {
+	return r.Schema == journalSchema && r.Kind == "" && r.State == StateDone && r.Key == key
+}
+
+// journal is charond's one job-level durable store: every accepted job
+// descriptor is durably recorded before its 202 is returned, every state
+// transition is persisted, and a `done` record holds the job's report.
+// On boot the server replays the journal — resubmitting unfinished jobs
+// to the worker pool (which resume from their per-unit checkpoints),
+// keeping `done` records as the result cache and garbage-collecting the
+// rest.
 //
 // Storage rides the checkpoint layer, so the journal inherits its crash
 // properties: atomic publish, checksummed envelopes, self-healing reads
 // that discard torn or truncated records.
+//
+// A write failure degrades the journal rather than failing the job —
+// availability over durability once the disk is already misbehaving. The
+// first failure flips it into an explicitly-degraded mode (one warning
+// log with the cause, a counted transition, the server/journal_degraded
+// gauge); every later write doubles as a recovery probe, and the first
+// success flips it back and re-arms the crash-recovery promise.
 type journal struct {
-	st     *checkpoint.Store
-	health *degrader
-
-	mu  sync.Mutex
-	seq map[string]uint64 // highest seq written per id; stale writers skip
+	st       *checkpoint.Store
+	log      *slog.Logger
+	reg      *metrics.Registry
+	degraded atomic.Bool
 }
 
 // openJournal opens (creating if needed) the journal directory.
-func openJournal(dir string, fsys atomicio.FS, health *degrader) (*journal, error) {
+func openJournal(dir string, fsys atomicio.FS, log *slog.Logger, reg *metrics.Registry) (*journal, error) {
 	st, err := checkpoint.OpenFS(dir, fsys)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &journal{st: st, health: health, seq: map[string]uint64{}}, nil
+	return &journal{st: st, log: log, reg: reg}, nil
 }
 
-// record durably persists j's current state. Safe under concurrent
-// transitions of the same job: each caller snapshots the job (with its
-// seq, drawn from the server-wide counter at every transition) under
-// j.mu, and the journal drops snapshots older than the newest it has
-// written, so a late writer — this job's, or one of an earlier job under
-// the same id — can never roll the id's durable state backwards.
-//
-// A write failure degrades the journal (gauge + one-shot log via the
-// shared degrader) rather than failing the job — availability over
-// durability once the disk is already misbehaving; the next successful
-// write re-arms the crash-recovery promise.
+// record durably persists j's current state, its report included once
+// it is done. Callers hold j.mu — or, at admission, still own j alone —
+// so every write for a job lands in the critical section of the
+// transition it records. That orders a job's writes, and a replacement
+// under the same key is admitted only after its predecessor's terminal
+// state (and so its terminal write) is visible: no write can roll an
+// id's durable state backwards.
 func (jl *journal) record(j *job) {
 	if jl == nil {
 		return
 	}
-	j.mu.Lock()
-	rec := journalRecord{
+	jl.put(j.key, journalRecord{
 		Schema: journalSchema, ID: j.id, Key: j.key, Spec: j.spec,
-		State: j.state, Error: j.errMsg,
+		State: j.state, Error: j.errMsg, Text: j.text,
 		Created: j.created, Updated: time.Now(),
 		Recovered: j.recovered,
-	}
-	seq := j.seq
-	j.mu.Unlock()
-	jl.put(j.id, j.key, seq, rec)
+	})
 }
 
-// put durably writes one job record or sweep manifest under key, unless a
-// write with the same or a newer seq already landed for id.
-func (jl *journal) put(id, key string, seq uint64, rec any) {
+// put durably writes one job record or sweep manifest under key.
+func (jl *journal) put(key string, rec any) {
 	if jl == nil {
 		return
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		jl.health.observe(fmt.Errorf("journal: encode %s: %w", id, err))
+		jl.observe(fmt.Errorf("journal: encode %q: %w", key, err))
 		return
 	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if last, ok := jl.seq[id]; ok && seq <= last {
-		return // a newer transition already landed
-	}
-	if err := jl.st.Put(key, payload); err != nil {
-		jl.health.observe(err)
-		return
-	}
-	jl.seq[id] = seq
-	jl.health.observe(nil)
+	jl.observe(jl.st.Put(key, payload))
 }
 
-// replay loads every journal record, splitting it into unfinished jobs to
-// resubmit, sweep manifests, and terminal keys to garbage-collect.
-// Records from a different schema, or that do not decode under the key
-// they are stored at, are treated as terminal: logged and collected,
-// never replayed wrong. Whether a record's spec still resolves, and
-// whether a manifest still has a child to recover, is recovery's check.
-func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []sweepRecord, terminalKeys []string, err error) {
+// observe folds one write outcome into the degraded-mode state.
+func (jl *journal) observe(err error) {
+	switch {
+	case err != nil && jl.degraded.CompareAndSwap(false, true):
+		jl.reg.AddUint("server/journal/degraded_transitions", 1)
+		jl.log.Warn("journal degraded; disabling until a write succeeds", "err", err.Error())
+	case err == nil && jl.degraded.CompareAndSwap(true, false):
+		jl.reg.AddUint("server/journal/recoveries", 1)
+		jl.log.Info("journal recovered; re-enabled")
+	}
+}
+
+// isDegraded reports whether the last journal write failed.
+func (jl *journal) isDegraded() bool {
+	return jl != nil && jl.degraded.Load()
+}
+
+// doneText returns the report of the `done` record stored under key:
+// admission's result cache.
+func (jl *journal) doneText(key string) (string, bool) {
+	if jl == nil {
+		return "", false
+	}
+	payload, ok := jl.st.Get(key)
+	if !ok {
+		return "", false
+	}
+	var rec journalRecord
+	if json.Unmarshal(payload, &rec) != nil || !rec.servable(key) {
+		return "", false
+	}
+	return rec.Text, true
+}
+
+// replay loads every journal record, splitting it into job records to
+// recover or keep (unfinished and `done` ones), sweep manifests, and keys
+// to garbage-collect. Records from a different schema, that do not decode
+// under the key they are stored at, or that ended failed or canceled are
+// collected: logged when unreadable, never replayed wrong. Whether a
+// record's spec still resolves, and whether a manifest still has a child
+// to recover, is recovery's check.
+func (jl *journal) replay() (jobs []journalRecord, sweeps []sweepRecord, gcKeys []string, err error) {
 	if jl == nil {
 		return nil, nil, nil, nil
 	}
@@ -135,15 +170,15 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 			Kind   string `json:"kind"`
 		}
 		if json.Unmarshal(payload, &head) != nil || head.Schema != journalSchema {
-			log.Warn("journal: discarding unreadable record", "key", key)
-			terminalKeys = append(terminalKeys, key)
+			jl.log.Warn("journal: discarding unreadable record", "key", key)
+			gcKeys = append(gcKeys, key)
 			return true
 		}
 		if head.Kind == journalKindSweep {
 			var rec sweepRecord
 			if json.Unmarshal(payload, &rec) != nil || rec.Key != key {
-				log.Warn("journal: discarding unreadable sweep manifest", "key", key)
-				terminalKeys = append(terminalKeys, key)
+				jl.log.Warn("journal: discarding unreadable sweep manifest", "key", key)
+				gcKeys = append(gcKeys, key)
 				return true
 			}
 			sweeps = append(sweeps, rec)
@@ -151,22 +186,22 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 		}
 		var rec journalRecord
 		if json.Unmarshal(payload, &rec) != nil || rec.Key != key {
-			log.Warn("journal: discarding unreadable record", "key", key)
-			terminalKeys = append(terminalKeys, key)
+			jl.log.Warn("journal: discarding unreadable record", "key", key)
+			gcKeys = append(gcKeys, key)
 			return true
 		}
-		if !rec.unfinished() {
-			terminalKeys = append(terminalKeys, key)
+		if !rec.unfinished() && rec.State != StateDone {
+			gcKeys = append(gcKeys, key)
 			return true
 		}
-		pending = append(pending, rec)
+		jobs = append(jobs, rec)
 		return true
 	})
-	return pending, sweeps, terminalKeys, err
+	return jobs, sweeps, gcKeys, err
 }
 
-// gc deletes terminal records. Best-effort: a record that refuses to die
-// is retried at the next boot.
+// gc deletes the records replay and recovery collected. Best-effort: a
+// record that refuses to die is retried at the next boot.
 func (jl *journal) gc(keys []string) int {
 	if jl == nil {
 		return 0
@@ -186,49 +221,4 @@ func (jl *journal) lastWriteError() string {
 		return ""
 	}
 	return jl.st.LastWriteError()
-}
-
-// degrader tracks the health of one persistence surface (the result
-// cache, the journal). The first write failure flips it into an
-// explicitly-degraded mode — one warning log with the cause, a counted
-// transition, a 0→1 gauge at snapshot time — instead of failures drowning
-// silently in a counter. Every later write doubles as a recovery probe:
-// the first success flips back with a recovery log.
-type degrader struct {
-	name string // metrics/log identifier, e.g. "result_cache"
-	log  *slog.Logger
-	reg  *metrics.Registry
-
-	mu       sync.Mutex
-	degraded bool
-}
-
-// observe folds one write outcome into the health state.
-func (d *degrader) observe(err error) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch {
-	case err != nil && !d.degraded:
-		d.degraded = true
-		d.reg.AddUint("server/"+d.name+"/degraded_transitions", 1)
-		d.log.Warn("persistence degraded; disabling until a write succeeds",
-			"surface", d.name, "err", err.Error())
-	case err == nil && d.degraded:
-		d.degraded = false
-		d.reg.AddUint("server/"+d.name+"/recoveries", 1)
-		d.log.Info("persistence recovered; re-enabled", "surface", d.name)
-	}
-}
-
-// isDegraded reports the current health state.
-func (d *degrader) isDegraded() bool {
-	if d == nil {
-		return false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.degraded
 }

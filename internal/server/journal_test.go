@@ -29,6 +29,23 @@ func journalFiles(t *testing.T, cacheDir string) []string {
 	return matches
 }
 
+// putRecord stores rec as the journal record under key in cacheDir's
+// journal, the way a server that wrote it and then died would leave it.
+func putRecord(t *testing.T, cacheDir, key string, rec any) {
+	t.Helper()
+	st, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestJournalRecordsBeforeAccept: the durability contract — by the time a
 // 202 is visible, the job descriptor is on disk.
 func TestJournalRecordsBeforeAccept(t *testing.T) {
@@ -103,8 +120,10 @@ func TestJournalReplayResumesUnfinishedJobs(t *testing.T) {
 	}
 }
 
-// TestJournalGCsTerminalRecords: finished jobs leave terminal records that
-// the next boot collects instead of replaying.
+// TestJournalGCsTerminalRecords: a boot keeps a `done` record — it is the
+// result cache, so the resubmission answers 200 from it without a re-run —
+// and collects failed and canceled records, and a schema-1 record even
+// when it is `done`: an old-schema report is never served.
 func TestJournalGCsTerminalRecords(t *testing.T) {
 	cacheDir := t.TempDir()
 	g := newGate("done result\n")
@@ -115,81 +134,55 @@ func TestJournalGCsTerminalRecords(t *testing.T) {
 	if err := drainWithin(s1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(journalFiles(t, cacheDir)); n != 1 {
-		t.Fatalf("terminal journal entries before restart = %d, want 1", n)
+	for i, state := range []string{StateFailed, StateCanceled, StateDone} {
+		spec := JobSpec{Experiment: "table4", Threads: i + 1}
+		_, key, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := journalRecord{Schema: journalSchema, ID: jobID(key), Key: key, Spec: spec,
+			State: state, Text: "WRONG — a collected record was served\n"}
+		if state == StateDone {
+			rec.Schema = 1
+		}
+		putRecord(t, cacheDir, key, rec)
+	}
+	if n := len(journalFiles(t, cacheDir)); n != 4 {
+		t.Fatalf("terminal journal entries before restart = %d, want 4", n)
 	}
 
-	g2 := newGate("WRONG — re-ran\n")
+	g2 := newGate("fresh run\n")
 	close(g2.open)
 	s2, base2 := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: g2.runner})
-	if n := len(journalFiles(t, cacheDir)); n != 0 {
-		t.Fatalf("journal entries after GC boot = %d, want 0", n)
+	if n := len(journalFiles(t, cacheDir)); n != 1 {
+		t.Fatalf("journal entries after the boot = %d, want the done record alone", n)
 	}
-	if n := s2.Metrics().Counter("server/journal_gc"); n != 1 {
-		t.Fatalf("journal_gc = %v, want 1", n)
+	if n := s2.Metrics().Counter("server/journal_gc"); n != 3 {
+		t.Fatalf("journal_gc = %v, want 3", n)
 	}
-	// The terminal job was not rehydrated into the table...
+	// The done job was not rehydrated into the table...
 	if resp := getJSON(t, base2+"/v1/jobs/"+v.ID, nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GC'd job GET = %d, want 404", resp.StatusCode)
+		t.Fatalf("done job GET after the boot = %d, want 404", resp.StatusCode)
 	}
-	// ...but its result still serves from the response cache, without
-	// re-running anything.
+	// ...but its record answers the resubmission, without re-running.
 	resp, v2 := postJob(t, base2, `{"experiment":"fig12","workloads":["BS"]}`)
-	if resp.StatusCode != http.StatusOK || !v2.Cached {
-		t.Fatalf("resubmit after GC = %d cached %v, want 200 cached", resp.StatusCode, v2.Cached)
+	if resp.StatusCode != http.StatusOK || !v2.Cached || v2.ID != v.ID {
+		t.Fatalf("resubmit after the boot = %d cached %v id %s, want 200 cached %s", resp.StatusCode, v2.Cached, v2.ID, v.ID)
+	}
+	if body := fetchResult(t, base2, v2.ID); body != "done result\n" {
+		t.Fatalf("cached result = %q, want the bytes of the first run", body)
 	}
 	if g2.runs.Load() != 0 {
-		t.Fatal("restart re-ran a job whose journal record was terminal")
+		t.Fatal("restart re-ran a job whose journal record was done")
 	}
-}
-
-// TestJournalReplayCompletesFromCache models a crash in the window between
-// persisting the result and journaling "done": the record still says
-// running, but the bytes are in the response cache — boot must complete
-// the job in place, not re-run it.
-func TestJournalReplayCompletesFromCache(t *testing.T) {
-	cacheDir := t.TempDir()
-	spec := JobSpec{Experiment: "fig12", Workloads: []string{"BS"}}
-	_, key, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
+	// The schema-1 done record was collected, not served: its job runs.
+	resp, v3 := postJob(t, base2, `{"experiment":"table4","threads":3}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit of the schema-1 job = %d, want 202", resp.StatusCode)
 	}
-
-	rst, err := checkpoint.Open(filepath.Join(cacheDir, "results"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := json.Marshal(cachedResult{Experiment: spec.Experiment, Text: "persisted before crash\n"})
-	if err := rst.Put(key, payload); err != nil {
-		t.Fatal(err)
-	}
-	jst, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := json.Marshal(journalRecord{
-		Schema: journalSchema, ID: jobID(key), Key: key, Spec: spec,
-		State: StateRunning, Created: time.Now(), Updated: time.Now(),
-	})
-	if err := jst.Put(key, raw); err != nil {
-		t.Fatal(err)
-	}
-
-	g := newGate("WRONG — recomputed\n")
-	close(g.open)
-	_, base := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: g.runner})
-	v := waitState(t, base, jobID(key), StateDone)
-	if !v.Cached {
-		t.Fatalf("replayed-from-cache job not marked cached: %+v", v)
-	}
-	if body := fetchResult(t, base, jobID(key)); body != "persisted before crash\n" {
-		t.Fatalf("result = %q, want the pre-crash bytes", body)
-	}
-	if g.runs.Load() != 0 {
-		t.Fatal("boot re-ran a job whose result was already persisted")
-	}
-	if n := len(journalFiles(t, cacheDir)); n != 0 {
-		t.Fatalf("stale running record not collected: %d entries", n)
+	waitState(t, base2, v3.ID, StateDone)
+	if body := fetchResult(t, base2, v3.ID); body != "fresh run\n" {
+		t.Fatalf("schema-1 job result = %q, want a fresh run", body)
 	}
 }
 
@@ -315,10 +308,12 @@ func TestTerminalFailureDoesNotRetry(t *testing.T) {
 	}
 }
 
-// TestDegradedCacheModeAndRecovery drives the persistence stack through a
-// full disk (every write fails) and back: the server flips into degraded
-// mode with gauges + error detail on /v1/metrics, keeps serving jobs from
-// memory, and re-enables itself on the first successful write.
+// TestDegradedCacheModeAndRecovery drives the journal, which is the
+// server's result cache, through a full disk (every write fails) and
+// back: the server flips into degraded mode with a gauge and error detail
+// on /v1/metrics, keeps serving jobs from memory, and re-enables itself
+// on the first successful write. The journal is the only job-level store
+// that degrades; no result-store metric exists.
 func TestDegradedCacheModeAndRecovery(t *testing.T) {
 	ffs := fault.NewFS(fault.FSConfig{Seed: 7, WriteErrRate: 1}, nil)
 	g := newGate("survives degraded mode\n")
@@ -335,21 +330,25 @@ func TestDegradedCacheModeAndRecovery(t *testing.T) {
 	}
 
 	snap := s.snapshotMetrics()
-	if snap.Gauges["server/cache_degraded"] != 1 {
-		t.Fatalf("cache_degraded gauge = %v, want 1", snap.Gauges["server/cache_degraded"])
-	}
 	if snap.Gauges["server/journal_degraded"] != 1 {
 		t.Fatalf("journal_degraded gauge = %v, want 1", snap.Gauges["server/journal_degraded"])
 	}
-	if snap.Counters["server/result_cache/degraded_transitions"] < 1 {
-		t.Fatalf("no degraded transition counted: %v", snap.Counters)
+	if snap.Counters["server/journal/degraded_transitions"] != 1 {
+		t.Fatalf("journal degraded transitions = %v, want 1", snap.Counters["server/journal/degraded_transitions"])
+	}
+	for _, names := range []map[string]float64{snap.Gauges, snap.Counters} {
+		for name := range names {
+			if name == "server/cache_degraded" || strings.HasPrefix(name, "server/result_") {
+				t.Fatalf("snapshot still carries result-store metric %s", name)
+			}
+		}
 	}
 	var mresp struct {
 		Errors map[string]string `json:"errors"`
 	}
 	getJSON(t, base+"/v1/metrics", &mresp)
-	if mresp.Errors["server/result_store/last_write_error"] == "" {
-		t.Fatalf("/v1/metrics errors missing result-store detail: %+v", mresp.Errors)
+	if mresp.Errors["server/journal/last_write_error"] == "" {
+		t.Fatalf("/v1/metrics errors missing journal detail: %+v", mresp.Errors)
 	}
 
 	// "Disk cleared": the next write succeeds and recovery is automatic.
@@ -357,11 +356,11 @@ func TestDegradedCacheModeAndRecovery(t *testing.T) {
 	_, v2 := postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
 	waitState(t, base, v2.ID, StateDone)
 	snap = s.snapshotMetrics()
-	if snap.Gauges["server/cache_degraded"] != 0 {
-		t.Fatalf("cache_degraded after recovery = %v, want 0", snap.Gauges["server/cache_degraded"])
+	if snap.Gauges["server/journal_degraded"] != 0 {
+		t.Fatalf("journal_degraded after recovery = %v, want 0", snap.Gauges["server/journal_degraded"])
 	}
-	if snap.Counters["server/result_cache/recoveries"] < 1 {
-		t.Fatalf("no recovery counted: %v", snap.Counters)
+	if snap.Counters["server/journal/recoveries"] != 1 {
+		t.Fatalf("journal recoveries = %v, want 1", snap.Counters["server/journal/recoveries"])
 	}
 }
 
@@ -382,15 +381,21 @@ func TestSubmitBodyTooLargeIs413(t *testing.T) {
 
 // TestCancelRacesCompletion hammers DELETE against natural completion:
 // whatever the interleaving, the job must land in exactly one terminal
-// state and the journal's seq ordering must keep the durable record from
-// rolling backwards (exercised under -race).
+// state, and journaling each transition under the job's lock must keep
+// the durable record from rolling backwards: it holds the state the
+// status shows (exercised under -race).
 func TestCancelRacesCompletion(t *testing.T) {
 	runner := func(ctx context.Context, exp string, _ charonsim.Config) (string, error) {
 		return "instant\n", nil
 	}
+	dir := t.TempDir()
 	_, base := newTestServer(t, Config{
-		Workers: 4, QueueDepth: 64, CacheDir: t.TempDir(), runner: runner,
+		Workers: 4, QueueDepth: 64, CacheDir: dir, runner: runner,
 	})
+	jst, err := checkpoint.Open(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 40; i++ {
 		body := fmt.Sprintf(`{"experiment":"fig12","threads":%d}`, i+1)
 		resp, v := postJob(t, base, body)
@@ -408,8 +413,8 @@ func TestCancelRacesCompletion(t *testing.T) {
 		}()
 		wg.Wait()
 		deadline := time.Now().Add(10 * time.Second)
+		var jv view
 		for {
-			var jv view
 			getJSON(t, base+"/v1/jobs/"+v.ID, &jv)
 			if jv.State == StateDone || jv.State == StateCanceled {
 				break
@@ -421,6 +426,14 @@ func TestCancelRacesCompletion(t *testing.T) {
 				t.Fatalf("iteration %d: job stuck in %q", i, jv.State)
 			}
 			time.Sleep(time.Millisecond)
+		}
+		_, key, err := JobSpec{Experiment: "fig12", Threads: i + 1}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec journalRecord
+		if payload, ok := jst.Get(key); !ok || json.Unmarshal(payload, &rec) != nil || rec.State != jv.State {
+			t.Fatalf("iteration %d: journaled state %q, status shows %q", i, rec.State, jv.State)
 		}
 	}
 }

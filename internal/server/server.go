@@ -5,8 +5,8 @@
 // Retry-After when full), executed on a fixed worker pool through the
 // public RunContext/RunAllContext entry points (which share recorded
 // workloads within a job via experiments.Session), and cached: identical
-// submissions are deduplicated single-flight in memory and served from a
-// checkpoint-backed response cache on disk, so a warm restart answers
+// submissions are deduplicated single-flight in memory and served from
+// the job journal's `done` records on disk, so a warm restart answers
 // repeat jobs without simulating.
 //
 // Endpoints:
@@ -64,13 +64,13 @@ type Config struct {
 	// QueueDepth bounds the admission queue (default 16). A full queue
 	// rejects submissions with 429 + Retry-After.
 	QueueDepth int
-	// CacheDir, when non-empty, enables the on-disk layer: completed job
-	// reports are persisted in CacheDir/results (checkpoint-backed,
-	// checksummed, atomic) and served on identical resubmission across
-	// restarts, and jobs run with CacheDir/units as their per-unit
-	// checkpoint store so partially-completed work survives a drain.
-	// Empty keeps both caches in memory only (dedup still works within
-	// the process lifetime).
+	// CacheDir, when non-empty, enables the on-disk layer: every job is
+	// journaled in CacheDir/journal (checkpoint-backed, checksummed,
+	// atomic), where a completed job's `done` record holds its report and
+	// answers identical resubmissions across restarts, and jobs run with
+	// CacheDir/units as their per-unit checkpoint store so
+	// partially-completed work survives a drain. Empty keeps everything in
+	// memory only (dedup still works within the process lifetime).
 	CacheDir string
 	// JobTimeout, when positive, is the default per-unit RunTimeout
 	// applied to jobs that do not set run_timeout themselves. It reuses
@@ -78,8 +78,8 @@ type Config struct {
 	JobTimeout time.Duration
 	// MaxJobs bounds the in-memory job table and, separately, the sweep
 	// table (default 1024 each); when exceeded, the oldest terminal
-	// entries are evicted. Their results stay servable from the disk
-	// cache.
+	// entries are evicted. A done job's report stays servable from its
+	// journal record.
 	MaxJobs int
 	// Log receives structured request and lifecycle logs (nil = discard).
 	Log *slog.Logger
@@ -88,8 +88,8 @@ type Config struct {
 	// substitute a controllable stub; nil selects the real experiment
 	// harness.
 	runner func(ctx context.Context, experiment string, cfg charonsim.Config) (string, error)
-	// fsys overrides the filesystem under the persistence stack (result
-	// cache + journal); tests inject a fault.FS here. nil = real disk.
+	// fsys overrides the filesystem under the persistence stack (journal
+	// + unit store); tests inject a fault.FS here. nil = real disk.
 	fsys atomicio.FS
 }
 
@@ -118,19 +118,10 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	reg     *metrics.Registry
-	results *checkpoint.Store // response cache; nil without CacheDir
 	units   *checkpoint.Store // per-unit store every job replays through; nil without CacheDir
-
-	journal       *journal  // write-ahead job log; nil without CacheDir
-	cacheHealth   *degrader // result-cache degraded-mode tracker
-	journalHealth *degrader // journal degraded-mode tracker
+	journal *journal          // job log and result cache; nil without CacheDir
 
 	avgRunNanos atomic.Int64 // EWMA of completed job durations (Retry-After estimator)
-
-	// seq orders journal writes: every job transition and sweep manifest
-	// draws a fresh value, so no stale write for an id — not even one of
-	// an entry the table has since evicted — can shadow a newer one.
-	seq atomic.Uint64
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
@@ -231,8 +222,9 @@ func (q *jobQueue) close() {
 // configured), and starts its worker pool. Unfinished journaled jobs —
 // work a previous process accepted with a 202 and then died holding —
 // are requeued before the first worker starts, so they resume (from
-// their per-unit checkpoints) ahead of new submissions; terminal records
-// are garbage-collected.
+// their per-unit checkpoints) ahead of new submissions; `done` records
+// stay as the result cache, and the other terminal records are
+// garbage-collected.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -242,18 +234,12 @@ func New(cfg Config) (*Server, error) {
 		jobs:   map[string]*job{},
 		sweeps: map[string]*sweep{},
 	}
-	s.cacheHealth = &degrader{name: "result_cache", log: cfg.Log, reg: s.reg}
-	s.journalHealth = &degrader{name: "journal", log: cfg.Log, reg: s.reg}
 	if cfg.CacheDir != "" {
-		st, err := checkpoint.OpenFS(filepath.Join(cfg.CacheDir, "results"), cfg.fsys)
-		if err != nil {
-			return nil, fmt.Errorf("server: result cache: %w", err)
-		}
-		s.results = st
+		var err error
 		if s.units, err = checkpoint.OpenFS(filepath.Join(cfg.CacheDir, "units"), cfg.fsys); err != nil {
 			return nil, fmt.Errorf("server: unit store: %w", err)
 		}
-		if s.journal, err = openJournal(filepath.Join(cfg.CacheDir, "journal"), cfg.fsys, s.journalHealth); err != nil {
+		if s.journal, err = openJournal(filepath.Join(cfg.CacheDir, "journal"), cfg.fsys, cfg.Log, s.reg); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
@@ -271,26 +257,30 @@ func New(cfg Config) (*Server, error) {
 // recoverJournal rebuilds the unfinished work a dead process left behind.
 // Each unfinished job record is re-admitted under its original id through
 // the admission path, without the gate: crash-recovered work is never
-// dropped for lack of a queue slot. A job whose report meanwhile landed in
-// the response cache (a crash between persist and the journal's terminal
-// transition) completes in place instead of re-running. A sweep manifest
-// is rebuilt next, under the same s.mu hold, exactly when one of its
-// children was just re-admitted (recoverSweepsLocked); every other
-// manifest, and every terminal or unusable record, is garbage-collected.
+// dropped for lack of a queue slot. A `done` record stays on disk, where
+// admission finds it, and is not rehydrated into the job table. A sweep
+// manifest is rebuilt next, under the same s.mu hold, exactly when one of
+// its children was just re-admitted (recoverSweepsLocked); every other
+// manifest, and every failed, canceled or unusable record, is
+// garbage-collected.
 func (s *Server) recoverJournal() {
-	pending, sweeps, gcKeys, err := s.journal.replay(s.log)
+	jobs, sweeps, gcKeys, err := s.journal.replay()
 	if err != nil {
 		s.log.Warn("journal: replay scan failed; continuing without recovery", "err", err)
 		return
 	}
 	s.mu.Lock()
-	for _, rec := range pending {
+	for _, rec := range jobs {
 		// A record must still resolve to the key it is stored under; one
-		// the job grammar moved under is collected, never replayed wrong.
+		// the job grammar moved under is collected, never replayed or
+		// served wrong.
 		cfg, key, rerr := rec.Spec.Resolve()
 		if rerr != nil || key != rec.Key {
 			s.log.Warn("journal: dropping unresolvable job", "job", rec.ID, "err", rerr)
 			gcKeys = append(gcKeys, rec.Key)
+			continue
+		}
+		if !rec.unfinished() {
 			continue
 		}
 		j := newJob(rec.Spec, cfg, key, time.Time{})
@@ -482,8 +472,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 //     dedup, where the first submitter's deadline governs, so a duplicate
 //     POST (a client retry after an ambiguous failure) cannot loosen or
 //     tighten work already in flight;
-//  2. otherwise completes the job from the result cache, which may hold a
-//     report persisted by an earlier process over the same directory;
+//  2. otherwise completes the job from the result cache: the journal's
+//     `done` record under the job's key, which an earlier process over the
+//     same directory may have written;
 //  3. otherwise, when gate is set, passes the admission gate (gateLocked);
 //  4. then journals the job — before any 202 leaves, so a crash at any
 //     later moment leaves a record to replay — and enqueues it.
@@ -505,7 +496,7 @@ func (s *Server) admitLocked(j *job, gate bool) (answer *job, queued bool, rej *
 			return old, false, nil
 		}
 	}
-	if text, ok := s.cachedText(j.key); ok {
+	if text, ok := s.journal.doneText(j.key); ok {
 		j.state, j.cached, j.text, j.finished = StateDone, true, text, time.Now()
 		close(j.done)
 		insertLocked(s.jobs, j.id, j, s.cfg.MaxJobs)
@@ -520,7 +511,6 @@ func (s *Server) admitLocked(j *job, gate bool) (answer *job, queued bool, rej *
 		}
 	}
 	s.reg.AddUint("server/jobs_submitted", 1)
-	j.seq = s.seq.Add(1)
 	insertLocked(s.jobs, j.id, j, s.cfg.MaxJobs)
 	s.journal.record(j)
 	s.queue.push(j)
@@ -626,45 +616,6 @@ func insertLocked[T tracked[V], V any](table map[string]T, id string, v T, bound
 	}
 }
 
-// cachedResult is the response-cache payload.
-type cachedResult struct {
-	Experiment string `json:"experiment"`
-	Text       string `json:"text"`
-}
-
-func (s *Server) cachedText(key string) (string, bool) {
-	if s.results == nil {
-		return "", false
-	}
-	payload, ok := s.results.Get(key)
-	if !ok {
-		return "", false
-	}
-	var c cachedResult
-	if err := json.Unmarshal(payload, &c); err != nil {
-		return "", false
-	}
-	return c.Text, true
-}
-
-// persistResult writes the rendered report into the response cache and
-// folds the outcome into the cache's health state: the first failure
-// flips the server into explicitly-degraded "cache-disabled" mode (gauge
-// + one-shot log), and the first subsequent success re-enables it. A
-// degraded cache never fails the job — the report is still served from
-// memory; it just recomputes after a restart.
-func (s *Server) persistResult(key, experiment, text string) {
-	if s.results == nil {
-		return
-	}
-	payload, err := json.Marshal(cachedResult{Experiment: experiment, Text: text})
-	if err != nil {
-		s.cacheHealth.observe(fmt.Errorf("encode result: %w", err))
-		return
-	}
-	s.cacheHealth.observe(s.results.Put(key, payload))
-}
-
 // cancelJob requests cancellation; returns false when the job was already
 // terminal. A queued job settles as canceled at once; a running one has its
 // context canceled and settles when the harness unwinds (event-loop
@@ -703,9 +654,15 @@ var settledCounters = map[string]string{
 // exactly one lands. A done job gets text and an empty error (a
 // cancellation that lost the race to completion leaves no reason behind);
 // a failed job gets msg; a canceled job keeps the reason recorded first
-// by DELETE or drain, else msg. The transition is then journaled,
-// counted and fed to the run-time estimator when the job had started. A
-// sweep needs no notice: it reads its state from its children.
+// by DELETE or drain, else msg.
+//
+// The transition is journaled before anyone can see it: the record, a
+// done job's report included, is written under j.mu and before done
+// closes. So a client that saw "done" finds those bytes after a crash,
+// and a crash before the write re-runs a job that nobody saw finish. The
+// transition is then counted and fed to the run-time estimator when the
+// job had started. A sweep needs no notice: it reads its state from its
+// children.
 func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	j.mu.Lock()
 	if j.state != from {
@@ -719,7 +676,7 @@ func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	case to == StateFailed, j.errMsg == "":
 		j.errMsg = msg
 	}
-	j.seq = s.seq.Add(1)
+	s.journal.record(j)
 	s.reg.AddUint(settledCounters[to], 1) // before done closes, so a waiter sees the count
 	close(j.done)
 	ran, errMsg := !j.started.IsZero(), j.errMsg
@@ -729,7 +686,6 @@ func (s *Server) settle(j *job, from, to, text, msg string) bool {
 	}
 	j.mu.Unlock()
 
-	s.journal.record(j)
 	if ran {
 		s.observeRunDuration(dur)
 	}
@@ -747,13 +703,8 @@ type metricsResponse struct {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := metricsResponse{Snapshot: s.snapshotMetrics(), Errors: map[string]string{}}
-	for prefix, st := range map[string]*checkpoint.Store{"result_store": s.results, "unit_store": s.units} {
-		if st == nil {
-			continue
-		}
-		if e := st.LastWriteError(); e != "" {
-			resp.Errors["server/"+prefix+"/last_write_error"] = e
-		}
+	if e := s.units.LastWriteError(); e != "" {
+		resp.Errors["server/unit_store/last_write_error"] = e
 	}
 	if e := s.journal.lastWriteError(); e != "" {
 		resp.Errors["server/journal/last_write_error"] = e
@@ -772,8 +723,7 @@ func (s *Server) snapshotMetrics() metrics.Snapshot {
 	reg.AddUint("server/sweeps_tracked", uint64(len(s.sweeps)))
 	s.mu.Unlock()
 	reg.AddUint("server/queue_len", uint64(s.queue.len()))
-	reg.SetMax("server/cache_degraded", bool01(s.cacheHealth.isDegraded()))
-	reg.SetMax("server/journal_degraded", bool01(s.journalHealth.isDegraded()))
+	reg.SetMax("server/journal_degraded", bool01(s.journal.isDegraded()))
 	if avg := s.avgRunNanos.Load(); avg > 0 {
 		reg.SetMax("server/job_duration_ewma_s", time.Duration(avg).Seconds())
 	}
@@ -786,9 +736,6 @@ func (s *Server) snapshotMetrics() metrics.Snapshot {
 		if n, err := st.Len(); err == nil {
 			reg.AddUint(prefix+"/entries", uint64(n))
 		}
-	}
-	if s.results != nil {
-		storeStats("server/result_store", s.results)
 	}
 	if s.units != nil {
 		storeStats("server/unit_store", s.units)
@@ -837,25 +784,18 @@ func (s *Server) runJob(j *job) {
 		}
 		return
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j.state = StateRunning
-	j.started = now
-	j.cancel = cancel
-	j.seq = s.seq.Add(1)
-	cfg := j.cfg
-	deadline := j.deadline
-	j.mu.Unlock()
-	defer cancel()
-
 	// Server-side plumbing, applied after the canonical key was derived
 	// from the client-visible spec: the shared per-unit checkpoint store,
 	// carried on the job's context (so drained and crash-recovered jobs
 	// resume instead of recomputing, and every job's hits and write
 	// errors land in the server's counters), and the default per-unit
 	// timeout.
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	defer cancel()
 	if s.units != nil {
 		ctx = checkpoint.WithStore(ctx, s.units)
 	}
+	cfg := j.cfg
 	if cfg.RunTimeout == 0 && s.cfg.JobTimeout > 0 {
 		cfg.RunTimeout = s.cfg.JobTimeout
 	}
@@ -867,6 +807,7 @@ func (s *Server) runJob(j *job) {
 	// deadline keep the unbounded context they have always had —
 	// RunTimeout alone stays a per-unit budget inside the harness, never
 	// a whole-job context bound.
+	deadline := j.deadline
 	if !deadline.IsZero() {
 		if cfg.RunTimeout > 0 {
 			if cand := now.Add(cfg.RunTimeout); cand.Before(deadline) {
@@ -876,21 +817,13 @@ func (s *Server) runJob(j *job) {
 		var dcancel context.CancelFunc
 		ctx, dcancel = context.WithDeadline(ctx, deadline)
 		defer dcancel()
-		j.mu.Lock()
-		j.deadline = deadline
-		j.seq = s.seq.Add(1)
-		j.mu.Unlock()
 	}
+	j.state, j.started, j.cancel, j.deadline = StateRunning, now, cancel, deadline
 	s.journal.record(j)
+	j.mu.Unlock()
 
 	s.log.Info("job start", "job", j.id, "experiment", j.spec.Experiment)
 	text, err := s.cfg.runner(ctx, j.spec.Experiment, cfg)
-
-	// Persist before publishing the terminal state: a client (or a
-	// restarted server) that observes "done" must find the cached bytes.
-	if err == nil {
-		s.persistResult(j.key, j.spec.Experiment, text)
-	}
 
 	j.mu.Lock()
 	canceled := j.canceled

@@ -341,7 +341,7 @@ func (s *Server) submitSweep(sw *sweep, children []sweepChild, deadline time.Tim
 	if reused := len(children) - queued; reused > 0 {
 		s.reg.AddUint("server/sweep_child_dedup", uint64(reused))
 	}
-	s.journal.put(sw.id, sw.key, s.seq.Add(1), sweepRecord{
+	s.journal.put(sw.key, sweepRecord{
 		Schema: journalSchema, Kind: journalKindSweep,
 		ID: sw.id, Key: sw.key, Spec: sw.spec, Created: sw.created,
 	})
@@ -377,7 +377,7 @@ func (s *Server) startSweepLocked(sw *sweep, children []sweepChild, deadline tim
 // re-admitted, so a manifest is recovered exactly when one of its
 // children was just replayed. The spec re-expands to the same ordered
 // grid, and each child goes through the admission path again —
-// reattaching to its recovered job, completing from the result cache, or
+// reattaching to its recovered job, completing from its `done` record, or
 // re-admitted fresh under the same deterministic id. Any other manifest
 // belonged to a sweep that settled before the crash, or no longer expands
 // to its own key; it is returned for GC. Callers hold s.mu.

@@ -343,7 +343,8 @@ func TestSweepRecoveryAfterCrash(t *testing.T) {
 // TestSettledSweepNotRecovered: a sweep whose children all settled before
 // its process went away — done, or with a failed child — is not
 // recovered by the next boot over the same directory: its manifest is
-// collected with its children's records, and nothing runs again.
+// collected with its failed child's record, its done children's records
+// stay as the result cache, and nothing runs again.
 func TestSettledSweepNotRecovered(t *testing.T) {
 	failing := func(ctx context.Context, exp string, cfg charonsim.Config) (string, error) {
 		if exp == "fig13" {
@@ -351,9 +352,12 @@ func TestSettledSweepNotRecovered(t *testing.T) {
 		}
 		return "ok\n", nil
 	}
-	for _, tc := range []struct{ name, body, state string }{
-		{"done", `{"experiments":["fig12","fig14"],"workloads":["BS"]}`, StateDone},
-		{"one child failed", `{"experiments":["fig12","fig13"],"workloads":["BS"]}`, StateFailed},
+	for _, tc := range []struct {
+		name, body, state string
+		kept              int // done children
+	}{
+		{"done", `{"experiments":["fig12","fig14"],"workloads":["BS"]}`, StateDone, 2},
+		{"one child failed", `{"experiments":["fig12","fig13"],"workloads":["BS"]}`, StateFailed, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -374,8 +378,8 @@ func TestSettledSweepNotRecovered(t *testing.T) {
 			if n := sB.Metrics().Counter("server/sweeps_recovered"); n != 0 {
 				t.Fatalf("sweeps_recovered = %v, want 0", n)
 			}
-			if n := len(journalFiles(t, dir)); n != 0 {
-				t.Fatalf("journal records after reboot = %d, want 0", n)
+			if n := len(journalFiles(t, dir)); n != tc.kept {
+				t.Fatalf("journal records after reboot = %d, want the %d done children's", n, tc.kept)
 			}
 			if err := drainWithin(sB, 5*time.Second); err != nil {
 				t.Fatal(err)
