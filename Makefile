@@ -19,12 +19,14 @@ short:
 	$(GO) test -short -timeout 10m ./...
 
 # Race coverage of the parallel harness, the host replay's walk-ahead
-# producers and the serving stack. -short keeps the simulation-heavy
-# shape tests out; the concurrency tests never skip.
+# producers, the serving stack and the persistence stack under it (the
+# checkpoint store and the failing test filesystem are shared by
+# concurrent writers). -short keeps the simulation-heavy shape tests out;
+# the concurrency tests never skip.
 race:
 	$(GO) test -race -short -timeout 30m ./internal/experiments ./internal/sim ./internal/gc ./internal/exec ./internal/cpu
 	$(GO) test -race -timeout 30m -run 'Deterministic|Session|Parallel|Concurrent|KindTable' .
-	$(GO) test -race -timeout 30m ./internal/server ./internal/client ./internal/fault/netfault
+	$(GO) test -race -timeout 30m ./internal/server ./internal/client ./internal/fault/netfault ./internal/checkpoint ./internal/atomicio
 
 # Regenerate render golden files after an intentional format change.
 golden:
@@ -56,14 +58,17 @@ benchsmoke:
 # to the whole one and its allocation-free buffer, charond's recovery
 # from a crash after every journal write of one job and of one sweep
 # (nothing accepted lost, nothing completed re-run, ids and report bytes
-# unchanged), plus short fuzz passes over the public Config boundary, both
-# cache equivalences, the calendar ring, the GC log's record packing and
-# charond's journal replay. Every journal exec boots a server over fsync'd
-# files, so its minimization is capped at 10 execs: the default 60 s
-# budget would spend the whole short pass minimizing the first new input.
+# unchanged) and after every write of one real fig12 job, unit
+# checkpoints included (the job recovered under its id, no landed unit
+# rewritten, report bytes unchanged), plus short fuzz passes over the
+# public Config boundary, both cache equivalences, the calendar ring, the
+# GC log's record packing and charond's journal replay. Every journal
+# exec boots a server over fsync'd files, so its minimization is capped at
+# 10 execs: the default 60 s budget would spend the whole short pass
+# minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite|CrashAtEveryUnitWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache

@@ -7,9 +7,9 @@
 //
 // All writes go through an FS, a small seam over the handful of syscalls
 // the protocol needs. Production code uses the real filesystem (the nil
-// default); the fault layer's fault.FS wraps it to inject ENOSPC, short
-// writes, fsync errors, and torn renames, so the persistence stack's
-// failure paths are testable without a failing disk.
+// default); tests use FailFS, which fails one chosen kind of operation the
+// way a disk does (ENOSPC, short writes, fsync errors, torn renames), so
+// the persistence stack's failure paths are testable without a failing disk.
 package atomicio
 
 import (
@@ -39,8 +39,8 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// OS is the real filesystem, the FS a nil FS stands for. Wrappers such
-// as fault.FS pass their surviving operations through to it.
+// OS is the real filesystem, the FS a nil FS stands for. FailFS passes
+// its surviving operations through to it.
 var OS FS = osFS{}
 
 type osFS struct{}
@@ -108,7 +108,6 @@ func WriteFileFS(fsys FS, path string, write func(w io.Writer) error) (err error
 		return fmt.Errorf("atomicio: close %s: %w", path, err)
 	}
 	if err = fsys.Rename(tmp.Name(), path); err != nil {
-		fsys.Remove(tmp.Name())
 		return fmt.Errorf("atomicio: publish %s: %w", path, err)
 	}
 	if err = fsys.SyncDir(dir); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -93,46 +94,13 @@ func TestWriteFileMissingDir(t *testing.T) {
 	}
 }
 
-// shortWriteFile truncates every write to one byte, modelling a disk that
-// fills mid-write.
-type shortWriteFile struct {
-	File
-}
-
-func (f shortWriteFile) Write(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return f.File.Write(p)
-}
-
-// hookFS overrides selected FS operations over the real filesystem.
-type hookFS struct {
-	shortWrites bool
-	syncDirErr  error
-}
-
-func (h *hookFS) CreateTemp(dir, pattern string) (File, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	if h.shortWrites {
-		return shortWriteFile{f}, nil
-	}
-	return f, nil
-}
-func (h *hookFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (h *hookFS) Remove(name string) error             { return os.Remove(name) }
-func (h *hookFS) SyncDir(dir string) error             { return h.syncDirErr }
-
 // TestWriteFileBytesFSDetectsShortWrite pins the ENOSPC-shaped failure
 // mode: a writer that silently lands fewer bytes than asked must fail the
 // write (io.ErrShortWrite), leave no debris, and never publish.
 func TestWriteFileBytesFSDetectsShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "entry.json")
-	err := WriteFileBytesFS(&hookFS{shortWrites: true}, path, []byte("more than one byte"))
+	err := WriteFileBytesFS(&FailFS{Fail: FailShortWrite}, path, []byte("more than one byte"))
 	if !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("err = %v, want io.ErrShortWrite", err)
 	}
@@ -151,9 +119,8 @@ func TestWriteFileBytesFSDetectsShortWrite(t *testing.T) {
 func TestWriteFileFSSyncDirFailureKeepsCompleteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "entry.json")
-	boom := errors.New("journal: dir sync lost")
-	err := WriteFileBytesFS(&hookFS{syncDirErr: boom}, path, []byte("payload"))
-	if !errors.Is(err, boom) {
+	err := WriteFileBytesFS(&FailFS{Fail: FailSyncDir}, path, []byte("payload"))
+	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("err = %v, want the injected sync-dir failure", err)
 	}
 	got, rerr := os.ReadFile(path)
@@ -172,5 +139,73 @@ func TestWriteFileNilFSIsRealFilesystem(t *testing.T) {
 	got, err := os.ReadFile(path)
 	if err != nil || string(got) != "x" {
 		t.Fatalf("read %q, %v", got, err)
+	}
+}
+
+// TestFailFS pins every failure FailFS produces: with After 1 the first
+// write of each kind lands and the second fails with its errno, leaving
+// no temp debris and the target as that failure leaves it. Off then lets
+// the next write through, and Published lists what landed, in order.
+func TestFailFS(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		fail Fault
+		err  error  // the failed write's error
+		left string // the target after the failed write; "" = a torn prefix
+	}{
+		{"create", FailCreate, syscall.EIO, "v1"},
+		{"write", FailWrite, syscall.ENOSPC, "v1"},
+		{"short_write", FailShortWrite, io.ErrShortWrite, "v1"},
+		{"sync", FailSync, syscall.EIO, "v1"},
+		{"rename", FailRename, syscall.EIO, ""},
+		{"syncdir", FailSyncDir, syscall.EIO, "v2 is the longer payload"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "f")
+			fsys := &FailFS{Fail: row.fail, After: 1}
+			if err := WriteFileBytesFS(fsys, path, []byte("v1")); err != nil {
+				t.Fatalf("write 1 of After 1 failed: %v", err)
+			}
+			const v2 = "v2 is the longer payload"
+			if err := WriteFileBytesFS(fsys, path, []byte(v2)); !errors.Is(err, row.err) {
+				t.Fatalf("write 2 = %v, want %v", err, row.err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.left == "" {
+				if len(got) == 0 || len(got) == len(v2) || !strings.HasPrefix(v2, string(got)) {
+					t.Fatalf("torn destination = %q, want a truncated prefix of %q", got, v2)
+				}
+			} else if string(got) != row.left {
+				t.Fatalf("target = %q, want %q", got, row.left)
+			}
+			for _, name := range listDir(t, dir) {
+				if strings.Contains(name, ".tmp-") {
+					t.Fatalf("temp file %s left behind", name)
+				}
+			}
+
+			fsys.Off.Store(true)
+			if err := WriteFileBytesFS(fsys, path, []byte("v3")); err != nil {
+				t.Fatalf("write with the FS off: %v", err)
+			}
+			var landed []string
+			for _, p := range fsys.Published() {
+				if p.Path != path {
+					t.Fatalf("published %s, want %s", p.Path, path)
+				}
+				landed = append(landed, string(p.Data))
+			}
+			want := "v1,v3"
+			if row.fail == FailSyncDir {
+				want = "v1," + v2 + ",v3"
+			}
+			if strings.Join(landed, ",") != want {
+				t.Fatalf("published %q, want %s", landed, want)
+			}
+		})
 	}
 }

@@ -45,7 +45,7 @@ const suffix = ".ckpt.json"
 // holds deterministic results), so rename races are benign.
 type Store struct {
 	dir  string
-	fsys atomicio.FS // nil = real filesystem; tests inject fault.FS
+	fsys atomicio.FS // nil = real filesystem; tests inject atomicio.FailFS
 
 	hits, misses, discards, writeErrs atomic.Uint64
 
@@ -60,9 +60,9 @@ type Store struct {
 func Open(dir string) (*Store, error) { return OpenFS(dir, nil) }
 
 // OpenFS is Open with an explicit filesystem for the write path (nil =
-// the real filesystem). Fault-injection tests pass a fault.FS here to
-// exercise the store's behaviour under ENOSPC, fsync errors, and torn
-// renames without a failing disk.
+// the real filesystem). Tests pass an atomicio.FailFS here to exercise
+// the store's behaviour under ENOSPC, fsync errors, and torn renames
+// without a failing disk.
 func OpenFS(dir string, fsys atomicio.FS) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"charonsim/internal/atomicio"
-	"charonsim/internal/fault"
 )
 
 func open(t *testing.T) *Store {
@@ -257,11 +256,12 @@ func openFS(t *testing.T, fsys atomicio.FS) *Store {
 }
 
 func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
-	fsys := fault.NewFS(fault.FSConfig{WriteErrRate: 1}, nil)
+	fsys := &atomicio.FailFS{Fail: atomicio.FailWrite}
 	s := openFS(t, fsys)
 	err := s.Put("k", json.RawMessage(`1`))
-	if !errors.Is(err, fault.ErrInjected) || !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Put = %v, want injected ENOSPC", err)
+	var pathErr *os.PathError
+	if !errors.As(err, &pathErr) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Put = %v, want an I/O error wrapping ENOSPC", err)
 	}
 	if _, _, _, werrs := s.Stats(); werrs != 1 {
 		t.Fatalf("writeErrs = %d, want 1", werrs)
@@ -273,9 +273,9 @@ func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("failed Put published an entry")
 	}
-	// Recovery: injection off, the same store serves writes again and the
-	// recorded error stays for diagnosis.
-	fsys.SetDisabled(true)
+	// Recovery: the disk cleared, the same store serves writes again and
+	// the recorded error stays for diagnosis.
+	fsys.Off.Store(true)
 	if err := s.Put("k", json.RawMessage(`1`)); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
 	}
@@ -291,14 +291,24 @@ func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
 // destination; Put reports the failure, and the next Get discards the
 // torn artifact as a miss instead of serving garbage.
 func TestPutTornRenameSelfHeals(t *testing.T) {
-	fsys := fault.NewFS(fault.FSConfig{TornRenameRate: 1}, nil)
+	fsys := &atomicio.FailFS{Fail: atomicio.FailRename}
 	s := openFS(t, fsys)
 	if err := s.Put("k", json.RawMessage(`{"big":"payload payload payload"}`)); err == nil {
 		t.Fatal("torn rename must fail the Put")
 	}
-	// The torn destination exists on disk...
+	// The torn destination exists on disk, and the failed publish left no
+	// temp file behind...
 	if _, err := os.Stat(s.pathFor("k")); err != nil {
 		t.Fatalf("expected a torn artifact at the entry path: %v", err)
+	}
+	ents, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Fatalf("failed rename left temp file %s", e.Name())
+		}
 	}
 	// ...but Get rejects and deletes it.
 	if _, ok := s.Get("k"); ok {
@@ -312,7 +322,7 @@ func TestPutTornRenameSelfHeals(t *testing.T) {
 		t.Fatalf("discards = %d, want 1", discards)
 	}
 	// With the disk healthy again the entry round-trips.
-	fsys.SetDisabled(true)
+	fsys.Off.Store(true)
 	if err := s.Put("k", json.RawMessage(`2`)); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +332,7 @@ func TestPutTornRenameSelfHeals(t *testing.T) {
 }
 
 func TestPutFsyncErrorDoesNotPublish(t *testing.T) {
-	fsys := fault.NewFS(fault.FSConfig{SyncErrRate: 1}, nil)
+	fsys := &atomicio.FailFS{Fail: atomicio.FailSync}
 	s := openFS(t, fsys)
 	if err := s.Put("k", json.RawMessage(`1`)); err == nil {
 		t.Fatal("fsync failure must fail the Put")

@@ -158,8 +158,8 @@ func (in *Injector) Source(name string) *Source {
 }
 
 // NewSource builds the deterministic stream for a named component: the
-// one (name, seed) derivation behind Injector.Source, NewFS, the netfault
-// TCP proxy and the service edge's retry jitter.
+// one (name, seed) derivation behind Injector.Source, the netfault TCP
+// proxy and the service edge's retry jitter.
 func NewSource(name string, seed int64) *Source {
 	h := fnv.New64a()
 	h.Write([]byte(name))

@@ -56,7 +56,7 @@ var classes = []string{ClassBlackhole, ClassReset, ClassDelay, ClassTruncate, Cl
 // Config selects which network fault classes the proxy injects and how
 // often. The zero value disables injection entirely (pure passthrough).
 // Rate is the master knob; per-class rates derive from it unless set
-// explicitly, mirroring fault.Config and fault.FSConfig.
+// explicitly, mirroring fault.Config.
 type Config struct {
 	// Rate is the master per-connection fault probability in [0, 1] and
 	// the baseline for the derived per-class rates below. 1 makes every

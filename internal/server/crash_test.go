@@ -3,13 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -21,65 +19,40 @@ import (
 	"charonsim/internal/checkpoint"
 )
 
-// crashFS is an atomicio.FS over the real disk that models a process that
-// died right after its k-th atomic write: the first k writes land, and
-// every write after them is refused at its first operation, so none of it
-// reaches the disk. Each landed write is kept, decoded, in landing order.
-type crashFS struct {
-	mu     sync.Mutex
-	left   int // writes still allowed to start
-	landed []landedWrite
-}
-
-// landedWrite is one journal record as it was published.
-type landedWrite struct {
+// journalWrite is one journal record as it was published.
+type journalWrite struct {
 	key, kind, state, text string
 }
 
-var errCrashed = errors.New("process died after its last allowed write")
-
-func (c *crashFS) CreateTemp(dir, pattern string) (atomicio.File, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.left == 0 {
-		return nil, errCrashed
+// journalWrites decodes the journal records among published, in landing
+// order.
+func journalWrites(t *testing.T, published []atomicio.Published) []journalWrite {
+	t.Helper()
+	var writes []journalWrite
+	for _, p := range published {
+		if filepath.Base(filepath.Dir(p.Path)) != "journal" {
+			continue
+		}
+		var env struct {
+			Key     string `json:"key"`
+			Payload struct {
+				Kind, State, Text string
+			} `json:"payload"`
+		}
+		if err := json.Unmarshal(p.Data, &env); err != nil {
+			t.Fatalf("journal record %s: %v", p.Path, err)
+		}
+		writes = append(writes, journalWrite{env.Key, env.Payload.Kind, env.Payload.State, env.Payload.Text})
 	}
-	c.left--
-	return atomicio.OS.CreateTemp(dir, pattern)
+	return writes
 }
 
-// Rename publishes the write and keeps what it published. A job's writes
-// are serialized by the job's lock, so nothing rewrites newpath before it
-// is read back.
-func (c *crashFS) Rename(oldpath, newpath string) error {
-	if err := atomicio.OS.Rename(oldpath, newpath); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(newpath)
-	if err != nil {
-		return err
-	}
-	var env struct {
-		Key     string `json:"key"`
-		Payload struct {
-			Kind, State, Text string
-		} `json:"payload"`
-	}
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.landed = append(c.landed, landedWrite{env.Key, env.Payload.Kind, env.Payload.State, env.Payload.Text})
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *crashFS) Remove(name string) error { return atomicio.OS.Remove(name) }
-func (c *crashFS) SyncDir(dir string) error { return atomicio.OS.SyncDir(dir) }
+// runFunc is the type of Config.runner.
+type runFunc = func(ctx context.Context, experiment string, cfg charonsim.Config) (string, error)
 
 // countingRunner returns a stub runner, whose report is a deterministic
 // function of the job, and a per-key count of its runs.
-func countingRunner() (func(context.Context, string, charonsim.Config) (string, error), func(key string) int) {
+func countingRunner() (runFunc, func(key string) int) {
 	var mu sync.Mutex
 	runs := map[string]int{}
 	run := func(_ context.Context, exp string, cfg charonsim.Config) (string, error) {
@@ -127,14 +100,15 @@ func submitAndWait(t *testing.T, base, path, body string) (id, text string) {
 	}
 }
 
-// crashRun submits body to a server whose disk dies after k journal
-// writes, waits for the answer the process computed in memory, and stops
-// the process. It returns the id, the result bytes and the writes that
-// landed.
-func crashRun(t *testing.T, dir, path, body string, k int) (id, text string, landed []landedWrite) {
+// crashRun submits body to a server over dir whose process dies right
+// after its k-th atomic write, journal records and unit checkpoints alike:
+// every later write is refused at its create, so none of it reaches the
+// disk. It waits for the answer the process computed in memory and stops
+// the process. A nil run is the real runner. It returns the id, the result
+// bytes and the filesystem, which holds the writes that landed.
+func crashRun(t *testing.T, run runFunc, dir, path, body string, k int) (id, text string, fsys *atomicio.FailFS) {
 	t.Helper()
-	run, _ := countingRunner()
-	fsys := &crashFS{left: k}
+	fsys = &atomicio.FailFS{Fail: atomicio.FailCreate, After: k}
 	s, err := New(Config{Workers: 1, CacheDir: dir, runner: run, fsys: fsys})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +117,7 @@ func crashRun(t *testing.T, dir, path, body string, k int) (id, text string, lan
 	defer hs.Close()
 	id, text = submitAndWait(t, hs.URL, path, body)
 	s.Close()
-	return id, text, fsys.landed
+	return id, text, fsys
 }
 
 // TestCrashAtEveryJournalWrite crashes charond after every journal write
@@ -162,14 +136,16 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 		{"sweep", "/v1/sweeps", `{"experiments":["table3","table4"],"workloads":["BS"]}`, 7},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			id, text, writes := crashRun(t, t.TempDir(), c.path, c.body, math.MaxInt)
+			run, _ := countingRunner()
+			id, text, fsys := crashRun(t, run, t.TempDir(), c.path, c.body, math.MaxInt)
+			writes := journalWrites(t, fsys.Published())
 			if len(writes) != c.writes {
 				t.Fatalf("%d journal writes, want %d: %+v", len(writes), c.writes, writes)
 			}
 			jobKeys := checkJournalWrites(t, writes, text)
 			for k := 0; k <= len(writes); k++ {
 				dir := t.TempDir()
-				crashRun(t, dir, c.path, c.body, k)
+				crashRun(t, run, dir, c.path, c.body, k)
 				checkRecovery(t, dir, c.path, c.body, k, id, text, jobKeys)
 			}
 		})
@@ -180,7 +156,7 @@ func TestCrashAtEveryJournalWrite(t *testing.T) {
 // whose answer was text: each job is written queued, running, then done
 // with its report, and a sweep's manifest, if any, is written once, after
 // every child's queued record. It returns the job keys.
-func checkJournalWrites(t *testing.T, writes []landedWrite, text string) (jobKeys []string) {
+func checkJournalWrites(t *testing.T, writes []journalWrite, text string) (jobKeys []string) {
 	t.Helper()
 	states := map[string][]string{}
 	keysAtManifest := -1
@@ -270,4 +246,80 @@ func checkRecovery(t *testing.T, dir, path, body string, k int, id, text string,
 		}
 	}
 	s.Close()
+}
+
+// TestCrashAtEveryUnitWrite crashes charond after every atomic write of
+// one job on the real runner: its three journal records and the unit
+// checkpoints its replay writes between running and done. Serial replay
+// fixes the landing order. For each k the first k writes land; then a
+// fresh server boots over the same directory, on the same filesystem
+// switched off, and the job comes back under its original id (recovered
+// when its queued or running record landed), it resumes from the units
+// that landed and publishes none of them again, and its report bytes are
+// the uncrashed run's.
+func TestCrashAtEveryUnitWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays fig12 on BS twice per write")
+	}
+	const body = `{"experiment":"fig12","workloads":["BS"],"parallelism":-1}`
+	dir := t.TempDir()
+	id, text, fsys := crashRun(t, nil, dir, "/v1/jobs", body, math.MaxInt)
+	writes := fsys.Published()
+	all := unitWrites(writes)
+	entries, err := filepath.Glob(filepath.Join(dir, "units", "*.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) == 0 || len(all) != len(entries) || len(writes) != 3+len(all) {
+		t.Fatalf("%d writes with %d unit checkpoints, want 3 journal records plus one per unit entry (%d)",
+			len(writes), len(all), len(entries))
+	}
+	jobKey := checkJournalWrites(t, journalWrites(t, writes), text)[0]
+	t.Logf("%d writes: 3 journal records and %d unit checkpoints", len(writes), len(all))
+
+	for k := 0; k <= len(writes); k++ {
+		dir := t.TempDir()
+		_, _, fsys := crashRun(t, nil, dir, "/v1/jobs", body, k)
+		landed := fsys.Published()
+		state := ""
+		if jw := journalWrites(t, landed); len(jw) > 0 {
+			state = jw[len(jw)-1].state
+		}
+		fsys.Off.Store(true)
+		s, base := newTestServer(t, Config{Workers: 1, CacheDir: dir, fsys: fsys})
+		if state == StateQueued || state == StateRunning {
+			var v view
+			if resp := getJSON(t, base+"/v1/jobs/"+jobID(jobKey), &v); resp.StatusCode != http.StatusOK || v.Recovered != 1 {
+				t.Fatalf("k=%d: %s job was not recovered: GET = %d, recovered %d", k, state, resp.StatusCode, v.Recovered)
+			}
+		}
+		gotID, gotText := submitAndWait(t, base, "/v1/jobs", body)
+		s.Close()
+		if gotID != id {
+			t.Fatalf("k=%d: id after the crash = %s, want %s", k, gotID, id)
+		}
+		if gotText != text {
+			t.Fatalf("k=%d: report after the crash differs from the uncrashed run's", k)
+		}
+		before, after := unitWrites(landed), unitWrites(fsys.Published()[len(landed):])
+		for path := range after {
+			if before[path] {
+				t.Fatalf("k=%d: recovery published landed unit %s again", k, filepath.Base(path))
+			}
+		}
+		if len(before)+len(after) != len(all) {
+			t.Fatalf("k=%d: %d units landed and recovery wrote %d, want %d in all", k, len(before), len(after), len(all))
+		}
+	}
+}
+
+// unitWrites returns the set of unit checkpoint paths among published.
+func unitWrites(published []atomicio.Published) map[string]bool {
+	units := map[string]bool{}
+	for _, p := range published {
+		if filepath.Base(filepath.Dir(p.Path)) == "units" {
+			units[p.Path] = true
+		}
+	}
+	return units
 }

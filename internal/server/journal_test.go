@@ -11,12 +11,13 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"charonsim"
+	"charonsim/internal/atomicio"
 	"charonsim/internal/checkpoint"
-	"charonsim/internal/fault"
 )
 
 // journalFiles lists the published journal entries under a cache dir.
@@ -269,9 +270,10 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 }
 
 // TestTerminalFailureDoesNotRetry: every failure is terminal on the first
-// run — a plain error, a recovered internal panic and an injected I/O fault
-// alike, since a deterministic simulator fails the same way on a re-run.
-// The runner's message reaches the status verbatim, with no attempt history.
+// run — a plain error, a recovered internal panic and an I/O error from a
+// full disk alike, since a deterministic simulator fails the same way on a
+// re-run. The runner's message reaches the status verbatim, with no
+// attempt history.
 func TestTerminalFailureDoesNotRetry(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -279,7 +281,7 @@ func TestTerminalFailureDoesNotRetry(t *testing.T) {
 	}{
 		{"plain", errors.New("validation exploded")},
 		{"internal", fmt.Errorf("replay panicked: %w", charonsim.ErrInternal)},
-		{"injected", fmt.Errorf("checkpoint write: %w", fault.ErrInjected)},
+		{"injected", fmt.Errorf("checkpoint write: %w", &os.PathError{Op: "write", Path: "units/x.ckpt.json", Err: syscall.ENOSPC})},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var calls atomic.Int64
@@ -315,7 +317,7 @@ func TestTerminalFailureDoesNotRetry(t *testing.T) {
 // on the first successful write. The journal is the only job-level store
 // that degrades; no result-store metric exists.
 func TestDegradedCacheModeAndRecovery(t *testing.T) {
-	ffs := fault.NewFS(fault.FSConfig{Seed: 7, WriteErrRate: 1}, nil)
+	ffs := &atomicio.FailFS{Fail: atomicio.FailWrite}
 	g := newGate("survives degraded mode\n")
 	close(g.open)
 	cfg := Config{Workers: 1, CacheDir: t.TempDir(), runner: g.runner}
@@ -352,7 +354,7 @@ func TestDegradedCacheModeAndRecovery(t *testing.T) {
 	}
 
 	// "Disk cleared": the next write succeeds and recovery is automatic.
-	ffs.SetDisabled(true)
+	ffs.Off.Store(true)
 	_, v2 := postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
 	waitState(t, base, v2.ID, StateDone)
 	snap = s.snapshotMetrics()

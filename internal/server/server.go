@@ -89,7 +89,7 @@ type Config struct {
 	// harness.
 	runner func(ctx context.Context, experiment string, cfg charonsim.Config) (string, error)
 	// fsys overrides the filesystem under the persistence stack (journal
-	// + unit store); tests inject a fault.FS here. nil = real disk.
+	// + unit store); tests inject an atomicio.FailFS here. nil = real disk.
 	fsys atomicio.FS
 }
 

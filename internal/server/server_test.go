@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"charonsim"
+	"charonsim/internal/atomicio"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/cli"
-	"charonsim/internal/fault"
 )
 
 // newTestServer builds a server plus an httptest front-end and registers
@@ -458,7 +458,7 @@ func TestUnitStoreWritesGoThroughServerFS(t *testing.T) {
 	want := runReport(t, clean, body)
 
 	cfg := Config{Workers: 1, CacheDir: t.TempDir()}
-	cfg.fsys = fault.NewFS(fault.FSConfig{Seed: 7, WriteErrRate: 1}, nil)
+	cfg.fsys = &atomicio.FailFS{Fail: atomicio.FailWrite}
 	_, full := newTestServer(t, cfg)
 	if got := runReport(t, full, body); got != want {
 		t.Fatalf("report under unit-store write errors differs from a clean server's:\n-- got --\n%s\n-- want --\n%s", got, want)
