@@ -51,9 +51,10 @@ benchsmoke:
 # cache's equivalence to its stamp-based LRU reference, the split
 # hierarchy walk's equivalence to the single-pass one, the calendar
 # ring's and slot heap's equivalence to their retired references, the GC
-# log's footprint and packing (24 B invocations and 16 B reference visits
-# that read back every operand, Scan&Push ranges that tile the visits,
-# oversize layouts rejected, events closed at exact size, no functional
+# log's footprint and packing (16 B invocations and 8 B reference visits
+# that read back every operand in the 4 GB address budget and refuse one
+# outside it, Scan&Push ranges that tile the visits, oversize layouts
+# and heap factors rejected, events closed at exact size, no functional
 # heap kept by a recorded Run), the streamed op expansion's equivalence
 # to the whole one and its allocation-free buffer, charond's recovery
 # from a crash after every journal write of one job and of one sweep
@@ -68,7 +69,7 @@ benchsmoke:
 # minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite|CrashAtEveryUnitWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|HeapFactorWithinAddressLimit|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite|CrashAtEveryUnitWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
@@ -85,7 +86,8 @@ audit:
 # up to 16 ways), the split hierarchy walk (latency, memory flag,
 # writebacks and per-level stats must match the single-pass walk on any
 # three geometries up to 16 ways), the GC log's record packing (every
-# operand below the address limit reads back), charond's job and sweep body decoders (no panic or
+# primitive and flag set, any A below the address limit and any 8-byte
+# aligned B, slot and target below it read back), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
 # fuzzed record, or a sweep manifest beside a fuzzed child record, is
 # recovered or collected, never fatal) and checkpoint

@@ -68,7 +68,9 @@ type Config struct {
 	// Threads is the GC thread count (default 8, the paper's host).
 	Threads int
 	// HeapFactor is heap overprovisioning relative to each workload's
-	// minimum heap (default 1.5; the paper uses 1.25-2x).
+	// minimum heap (default 1.5; the paper uses 1.25-2x). Every selected
+	// workload's heap must fit, with its metadata, below the GC log's
+	// 4 GB address limit (gc.CheckHeap): up to about 3.6 GB.
 	HeapFactor float64
 	// Workloads restricts the benchmark set (default: all six of Table 3).
 	Workloads []string
@@ -125,9 +127,10 @@ func (c Config) toInternal() experiments.Config {
 // Validate rejects configurations that withDefaults would otherwise paper
 // over: negative thread counts, non-finite or negative heap factors,
 // parallelism below the documented -1 serial sentinel, unknown workload
-// names, a negative run timeout, a trace request without a metrics
-// snapshot to accompany it, a trace path with a ".csv" extension (the
-// trace format is JSON only), and a trace combined with a checkpoint
+// names, a heap factor that sizes a selected workload's heap past the GC
+// log's address limit, a negative run timeout, a trace request without a
+// metrics snapshot to accompany it, a trace path with a ".csv" extension
+// (the trace format is JSON only), and a trace combined with a checkpoint
 // directory.
 func (c Config) Validate() error {
 	if c.Threads < 0 {
@@ -146,6 +149,18 @@ func (c Config) Validate() error {
 	for _, w := range c.Workloads {
 		if !known[w] {
 			return fmt.Errorf("charonsim: unknown workload %q (have %v)", w, workload.Names())
+		}
+	}
+	if c.HeapFactor > 0 {
+		names := c.Workloads
+		if len(names) == 0 {
+			names = workload.Names()
+		}
+		for _, name := range names {
+			w, _ := workload.New(name)
+			if err := gc.CheckHeap(workload.HeapFor(w.Spec(), c.HeapFactor)); err != nil {
+				return fmt.Errorf("charonsim: HeapFactor %v is too large for workload %s: %w", c.HeapFactor, name, err)
+			}
 		}
 	}
 	if c.TracePath != "" && c.MetricsPath == "" {

@@ -231,6 +231,42 @@ func TestSimulateGCEvents(t *testing.T) {
 	}
 }
 
+// TestHeapFactorWithinAddressLimit checks that Validate refuses a heap
+// factor that sizes a selected workload's heap past the GC log's address
+// limit, naming the workload and the limit, and accepts the largest
+// factors that fit: the limit comes from the log's packing, so a run
+// past it would fail an invariant, or exhaust memory, only after its
+// heap was built. Validate builds no heap, so no case allocates one.
+func TestHeapFactorWithinAddressLimit(t *testing.T) {
+	tests := []struct {
+		name    string
+		cfg     Config
+		wantErr string // substring; empty = valid
+	}{
+		{"factor 10000, every workload", Config{HeapFactor: 10000}, "address limit"},
+		{"factor 10000, BS", Config{HeapFactor: 10000, Workloads: []string{"BS"}}, "workload BS"},
+		{"huge finite factor", Config{HeapFactor: 1e300, Workloads: []string{"PR"}}, "address limit"},
+		{"150x LR fits (3600 MB)", Config{HeapFactor: 150, Workloads: []string{"LR"}}, ""},
+		{"160x LR does not (3840 MB)", Config{HeapFactor: 160, Workloads: []string{"LR"}}, "workload LR"},
+		{"160x PR fits (1280 MB)", Config{HeapFactor: 160, Workloads: []string{"PR"}}, ""},
+		{"160x, every workload", Config{HeapFactor: 160}, "workload LR"},
+	}
+	for _, tc := range tests {
+		err := tc.cfg.Validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: invalid config accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "4096 MB address limit") {
+			t.Errorf("%s: error %q does not name %q and the 4096 MB address limit", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -39,6 +39,17 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("invalid config exited %d, want 2 (stderr: %s)", code, errb.String())
 	}
 
+	// A heap factor past the GC log's address limit is a validation error
+	// that names the limit, not a fatal out-of-memory error once the
+	// heap is built (whose exit code is also 2). table4 builds no heap,
+	// so the row allocates nothing even where validation lets it through.
+	out.Reset()
+	errb.Reset()
+	if code := Run([]string{"-exp", "table4", "-workloads", "BS", "-factor", "10000"}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "4096 MB address limit") {
+		t.Fatalf("-factor 10000 exited %d, want 2 with the address limit named (stderr: %s)", code, errb.String())
+	}
+
 	out.Reset()
 	errb.Reset()
 	if code := Run([]string{"-exp", "nope"}, &out, &errb); code != 1 {

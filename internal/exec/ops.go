@@ -141,20 +141,20 @@ func (x *expander) expandUnit() {
 		off := uint32(u) * 64
 		n := min(inv.N-off, 64)
 		x.buf = append(x.buf,
-			cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A) + uint64(off), Size: n, Dep: cpu.NoDep, Work: workCopyLoad},
+			cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A()) + uint64(off), Size: n, Dep: cpu.NoDep, Work: workCopyLoad},
 			cpu.Op{Kind: cpu.OpWrite, Addr: uint64(inv.B()) + uint64(off), Size: n, Dep: idx, Work: workCopyStore},
 		)
 
 	case gc.PrimSearch:
 		// Sequential card-byte scan, line by line.
 		off := uint32(u) * 64
-		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A) + uint64(off), Size: min(inv.N-off, 64),
+		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A()) + uint64(off), Size: min(inv.N-off, 64),
 			Dep: cpu.NoDep, Work: workSearchLine})
 
 	case gc.PrimScanPush:
 		r := &x.refs[u]
 		target, flags := r.Target(), r.Flags()
-		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
+		x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot()), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
 		if target == 0 || flags == gc.RefNull {
 			return
 		}
@@ -178,16 +178,16 @@ func (x *expander) expandUnit() {
 			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: chk, Work: workPushStore})
 		}
 		if flags&gc.RefForwardUpdate != 0 {
-			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot), Size: 8, Dep: chk, Work: workSlotStore})
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot()), Size: 8, Dep: chk, Work: workSlotStore})
 		}
 		if flags&gc.RefCardDirty != 0 {
-			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot), Size: 1, Dep: chk, Work: 2})
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot()), Size: 1, Dep: chk, Work: 2})
 		}
 
 	case gc.PrimBitmapCount:
 		// Figure 8 verbatim: iterate both maps bit by bit. Reads are
 		// sequential; the per-word bit loop dominates.
-		a := uint64(inv.A) + uint64(u)*8
+		a := uint64(inv.A()) + uint64(u)*8
 		x.buf = append(x.buf,
 			cpu.Op{Kind: cpu.OpRead, Addr: a, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
 			cpu.Op{Kind: cpu.OpRead, Addr: a + x.endOff, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
@@ -199,15 +199,15 @@ func (x *expander) expandUnit() {
 			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: 4})
 			return
 		}
-		addr := uint64(inv.A) + 16 + uint64(u)*8
+		addr := uint64(inv.A()) + 16 + uint64(u)*8
 		x.buf = append(x.buf,
 			cpu.Op{Kind: cpu.OpRead, Addr: addr, Size: 8, Dep: cpu.NoDep, Work: workAdjustSlot},
 			cpu.Op{Kind: cpu.OpWrite, Addr: addr, Size: 8, Dep: idx, Work: 2},
 		)
 
 	case gc.PrimOther:
-		if inv.A != 0 {
-			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A), Size: 8, Dep: cpu.NoDep, Work: inv.N})
+		if inv.A() != 0 {
+			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A()), Size: 8, Dep: cpu.NoDep, Work: inv.N})
 		} else {
 			x.buf = append(x.buf, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: inv.N})
 		}

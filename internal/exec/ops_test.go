@@ -17,7 +17,7 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 	var ops []cpu.Op
 	switch inv.Prim() {
 	case gc.PrimCopy:
-		src, dst := uint64(inv.A), uint64(inv.B())
+		src, dst := uint64(inv.A()), uint64(inv.B())
 		for off := uint32(0); off < inv.N; off += 64 {
 			n := min(inv.N-off, 64)
 			ld := int32(len(ops))
@@ -28,7 +28,7 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 		}
 	case gc.PrimSearch:
 		for off := uint32(0); off < inv.N; off += 64 {
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A) + uint64(off), Size: min(inv.N-off, 64),
+			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A()) + uint64(off), Size: min(inv.N-off, 64),
 				Dep: cpu.NoDep, Work: workSearchLine})
 		}
 	case gc.PrimScanPush:
@@ -36,7 +36,7 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 		for _, r := range ev.Refs[inv.RefOff : inv.RefOff+inv.N] {
 			target, flags := r.Target(), r.Flags()
 			slotLd := int32(len(ops))
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
+			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(r.Slot()), Size: 8, Dep: cpu.NoDep, Work: workSlotLoad})
 			if target == 0 || flags == gc.RefNull {
 				continue
 			}
@@ -57,15 +57,15 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 				pushes++
 			}
 			if flags&gc.RefForwardUpdate != 0 {
-				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot), Size: 8, Dep: chk, Work: workSlotStore})
+				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: uint64(r.Slot()), Size: 8, Dep: chk, Work: workSlotStore})
 			}
 			if flags&gc.RefCardDirty != 0 {
-				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot), Size: 1, Dep: chk, Work: 2})
+				ops = append(ops, cpu.Op{Kind: cpu.OpWrite, Addr: x.cardByte(r.Slot()), Size: 1, Dep: chk, Work: 2})
 			}
 		}
 	case gc.PrimBitmapCount:
 		for off := uint32(0); off < inv.N; off += 8 {
-			a := uint64(inv.A) + uint64(off)
+			a := uint64(inv.A()) + uint64(off)
 			ops = append(ops,
 				cpu.Op{Kind: cpu.OpRead, Addr: a, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
 				cpu.Op{Kind: cpu.OpRead, Addr: a + x.endOff, Size: 8, Dep: cpu.NoDep, Work: workBitmapWord},
@@ -73,7 +73,7 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 		}
 	case gc.PrimAdjust:
 		for i := uint32(0); i < inv.N; i++ {
-			addr := uint64(inv.A) + 16 + uint64(i)*8
+			addr := uint64(inv.A()) + 16 + uint64(i)*8
 			ld := int32(len(ops))
 			ops = append(ops,
 				cpu.Op{Kind: cpu.OpRead, Addr: addr, Size: 8, Dep: cpu.NoDep, Work: workAdjustSlot},
@@ -84,8 +84,8 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 			ops = append(ops, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: 4})
 		}
 	case gc.PrimOther:
-		if inv.A != 0 {
-			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A), Size: 8, Dep: cpu.NoDep, Work: inv.N})
+		if inv.A() != 0 {
+			ops = append(ops, cpu.Op{Kind: cpu.OpRead, Addr: uint64(inv.A()), Size: 8, Dep: cpu.NoDep, Work: inv.N})
 		} else {
 			ops = append(ops, cpu.Op{Kind: cpu.OpCompute, Dep: cpu.NoDep, Work: inv.N})
 		}
@@ -94,7 +94,7 @@ func expandWhole(x *expander, inv *gc.Invocation, ev *gc.Event, major bool) []cp
 }
 
 // allFlagsEvent is a major event of Scan&Push invocations in which seven
-// null visits, one op each, precede a visit with every flag bit set, so
+// null visits, one op each, precede a visit with all five flags set, so
 // the most ops one reference can expand to (maxUnitOps) land on a batch
 // that is one op short of full.
 func allFlagsEvent(env Env) *gc.Event {
@@ -103,7 +103,8 @@ func allFlagsEvent(env Env) *gc.Event {
 		ev.Refs = append(ev.Refs, gc.NewRefVisit(env.HeapLo+heap.Addr(8*i), 0, gc.RefNull))
 	}
 	ev.Refs = append(ev.Refs,
-		gc.NewRefVisit(env.HeapLo+64, env.HeapLo+4096, 0xff),
+		gc.NewRefVisit(env.HeapLo+64, env.HeapLo+4096,
+			gc.RefNull|gc.RefPushed|gc.RefForwardUpdate|gc.RefNewlyMarked|gc.RefCardDirty),
 		gc.NewRefVisit(env.HeapLo+80, env.HeapLo+8192, gc.RefPushed|gc.RefForwardUpdate|gc.RefCardDirty))
 	for range 3 {
 		ev.Invocations = append(ev.Invocations,

@@ -27,17 +27,39 @@ type Layout struct {
 	RootBase   heap.Addr
 }
 
-// DefaultLayout stacks metadata regions directly above the heap.
-func DefaultLayout(h *heap.Heap) Layout {
-	_, hi := h.Bounds()
+// DefaultLayout stacks metadata regions directly above a heap of
+// heapBytes at base.
+func DefaultLayout(base heap.Addr, heapBytes uint64) Layout {
 	align := func(a heap.Addr) heap.Addr { return (a + 4095) / 4096 * 4096 }
-	cardBase := align(hi)
-	cardBytes := heap.Addr(h.Config().HeapBytes/gcmeta.CardBytes + 1)
+	cardBase := align(base + heap.Addr(heapBytes))
+	cardBytes := heap.Addr(heapBytes/gcmeta.CardBytes + 1)
 	bitmapBase := align(cardBase + cardBytes)
-	bitmapBytes := heap.Addr(h.Config().HeapBytes / 64 * 2) // beg + end maps
+	bitmapBytes := heap.Addr(heapBytes / 64 * 2) // beg + end maps
 	stackBase := align(bitmapBase + bitmapBytes + 8192)
 	rootBase := align(stackBase + 1<<22)
 	return Layout{CardBase: cardBase, BitmapBase: bitmapBase, StackBase: stackBase, RootBase: rootBase}
+}
+
+// CheckHeap reports whether a heap of heapBytes at the default base
+// (heap.DefaultConfig) lays out below AddrLimit, as New requires: an
+// error names the limit. It allocates nothing, so a configuration can be
+// refused before its heap is built.
+func CheckHeap(heapBytes uint64) error {
+	return checkLayout(heap.DefaultConfig(heapBytes).Base, heapBytes)
+}
+
+// checkLayout reports whether every address the log can hold of a heap
+// of heapBytes at base lies below AddrLimit. The log addresses the heap,
+// the card table, both mark bitmaps and the mark stack's 4 MB region, all
+// below RootBase, and RootBase itself (a root scan's A operand); root
+// slots are never logged. A mark stack deeper than its region runs on
+// past RootBase, where Pack refuses any operand at the limit.
+func checkLayout(base heap.Addr, heapBytes uint64) error {
+	if base >= AddrLimit || heapBytes >= uint64(AddrLimit) || DefaultLayout(base, heapBytes).RootBase >= AddrLimit {
+		return fmt.Errorf("gc: a %d MB heap at %#x does not fit with its metadata below the GC log's %d MB address limit",
+			heapBytes>>20, uint64(base), uint64(AddrLimit)>>20)
+	}
+	return nil
 }
 
 // Stats accumulates collector activity across events.
@@ -90,15 +112,14 @@ type Collector struct {
 }
 
 // New wires a collector to h, installing the card-table write barrier.
-// It panics when the layout reaches past AddrLimit: every address the log
-// packs (heap, card table, bitmaps, mark stack) lies below the root
-// region, so its base must not exceed the limit.
+// It panics when the layout reaches past AddrLimit (see checkLayout): a
+// log of it could hold addresses the packing cannot.
 func New(h *heap.Heap) *Collector {
-	lay := DefaultLayout(h)
 	lo, hi := h.Bounds()
-	if lay.RootBase > AddrLimit || lay.RootBase < hi {
-		panic(fmt.Sprintf("gc: layout reaches %#x, past the GC log's address limit %#x", uint64(lay.RootBase), uint64(AddrLimit)))
+	if err := checkLayout(lo, h.Config().HeapBytes); err != nil {
+		panic(err.Error())
 	}
+	lay := DefaultLayout(lo, h.Config().HeapBytes)
 	c := &Collector{
 		H:     h,
 		Cards: gcmeta.NewCardTable(lo, hi, lay.CardBase),

@@ -18,7 +18,11 @@
 // paper is regenerated from a single functional run.
 package gc
 
-import "charonsim/internal/heap"
+import (
+	"fmt"
+
+	"charonsim/internal/heap"
+)
 
 // Prim identifies one of the offloadable primitives (or the residual
 // non-offloaded work).
@@ -70,35 +74,68 @@ const (
 	RefCardDirty
 )
 
-// AddrLimit bounds every address the log packs: an Invocation's B operand
-// and a RefVisit's target share a word with an 8-bit field, so they must
-// lie below 2^56. New rejects a layout that reaches past it.
-const AddrLimit heap.Addr = 1 << 56
+// AddrLimit bounds every address the log packs. An Invocation holds A
+// in a 32-bit word and B, as a word address, beside Prim in another; a
+// RefVisit holds its slot and target as word addresses beside the flags
+// in one 64-bit word. So every operand lies below 2^32, and B, slot and
+// target are 8-byte aligned. New rejects a layout that reaches past it.
+const AddrLimit heap.Addr = 1 << 32
 
 const (
-	addrMask   = uint64(AddrLimit - 1)
-	fieldShift = 56
+	wordBits  = 29 // a word address below AddrLimit
+	wordMask  = 1<<wordBits - 1
+	flagBits  = 5 // RefNull ... RefCardDirty
+	flagShift = 2 * wordBits
 )
+
+// unpackable is the panic value for an operand the log cannot hold: an
+// address at or past AddrLimit, a misaligned B, slot or target, an
+// unknown primitive or flag set. Truncating it instead would replay a
+// different operand.
+type unpackable struct {
+	operand string
+	value   uint64
+}
+
+func (u unpackable) Error() string {
+	return fmt.Sprintf("gc: log operand %s %#x does not fit the log (addresses below the address limit %#x; B, slot and target 8-byte aligned)",
+		u.operand, u.value, uint64(AddrLimit))
+}
+
+// word returns a's word address; a must be 8-byte aligned and below
+// AddrLimit.
+func word(a heap.Addr, operand string) uint64 {
+	if a%heap.WordBytes != 0 || a >= AddrLimit {
+		panic(unpackable{operand, uint64(a)})
+	}
+	return uint64(a / heap.WordBytes)
+}
 
 // RefVisit records one reference-slot visit inside a Scan&Push invocation:
 // the slot read and the (pre-GC) target loaded from it, plus what happened.
-// A recording keeps millions of visits, so the flags ride in the top byte
-// of the target word and a visit is 16 bytes.
+// A recording keeps millions of visits, so slot and target are packed as
+// word addresses beside the flags and a visit is 8 bytes.
 type RefVisit struct {
-	Slot heap.Addr
-	tf   uint64 // target in the low 56 bits, flags in the top byte
+	w uint64 // slot word in bits 0-28, target word in bits 29-57, flags in 58-62
 }
 
-// NewRefVisit packs one visit. target must be below AddrLimit.
+// NewRefVisit packs one visit. slot and target must be 8-byte aligned and
+// below AddrLimit, and flags must be a set of the five Ref flags.
 func NewRefVisit(slot, target heap.Addr, flags uint8) RefVisit {
-	return RefVisit{Slot: slot, tf: uint64(target) | uint64(flags)<<fieldShift}
+	if flags >= 1<<flagBits {
+		panic(unpackable{"flags", uint64(flags)})
+	}
+	return RefVisit{w: word(slot, "slot") | word(target, "target")<<wordBits | uint64(flags)<<flagShift}
 }
+
+// Slot is the address of the visited reference slot.
+func (v RefVisit) Slot() heap.Addr { return heap.Addr(v.w&wordMask) * heap.WordBytes }
 
 // Target is the (pre-GC) value loaded from the slot.
-func (v RefVisit) Target() heap.Addr { return heap.Addr(v.tf & addrMask) }
+func (v RefVisit) Target() heap.Addr { return heap.Addr(v.w>>wordBits&wordMask) * heap.WordBytes }
 
 // Flags is what the visit did (RefNull, RefPushed, ...).
-func (v RefVisit) Flags() uint8 { return uint8(v.tf >> fieldShift) }
+func (v RefVisit) Flags() uint8 { return uint8(v.w >> flagShift) }
 
 // Call is one primitive call with its operands unpacked; Pack turns it
 // into the Invocation the log keeps. Operands by primitive:
@@ -108,34 +145,45 @@ func (v RefVisit) Flags() uint8 { return uint8(v.tf >> fieldShift) }
 //	ScanPush:    A=object, B=stack-top address, N=#refs; Refs[RefOff:RefOff+N]
 //	BitmapCount: A=beg-map byte address, N=map bytes scanned (per map)
 //	Adjust:      A=object, N=#slots rewritten
-//	Other:       A=optional address, N=instruction estimate
+//	Other:       A=optional address (0 = none), N=instruction estimate
 type Call struct {
 	Prim      Prim
 	A, B      heap.Addr
 	N, RefOff uint32
 }
 
-// Pack packs c into an Invocation. c.B must be below AddrLimit.
+// Pack packs c into an Invocation. c.A must lie below AddrLimit, c.B must
+// also be 8-byte aligned, and c.Prim must be one of the NumPrims.
 func (c Call) Pack() Invocation {
-	return Invocation{A: c.A, pb: uint64(c.B) | uint64(c.Prim)<<fieldShift, N: c.N, RefOff: c.RefOff}
+	if c.Prim >= NumPrims {
+		panic(unpackable{"Prim", uint64(c.Prim)})
+	}
+	if c.A >= AddrLimit {
+		panic(unpackable{"A", uint64(c.A)})
+	}
+	return Invocation{a: uint32(c.A), pb: uint32(word(c.B, "B")) | uint32(c.Prim)<<wordBits, N: c.N, RefOff: c.RefOff}
 }
 
 // Invocation is one recorded primitive call (see Call for its operands).
-// A recording keeps millions of them, so Prim rides in the top byte of
-// the B word, and no reference count is kept beside N (a Scan&Push visits
-// exactly N references): an invocation is 24 bytes.
+// A recording keeps millions of them, so A is a 32-bit byte address, B a
+// word address sharing its word with Prim, and no reference count is
+// kept beside N (a Scan&Push visits exactly N references): an invocation
+// is 16 bytes.
 type Invocation struct {
-	A      heap.Addr
-	pb     uint64 // B in the low 56 bits, Prim in the top byte
+	a      uint32 // A
+	pb     uint32 // B's word address in the low 29 bits, Prim in the top 3
 	N      uint32
 	RefOff uint32
 }
 
 // Prim is the invoked primitive.
-func (v Invocation) Prim() Prim { return Prim(v.pb >> fieldShift) }
+func (v Invocation) Prim() Prim { return Prim(v.pb >> wordBits) }
+
+// A is the first address operand (see Call); 0 means none.
+func (v Invocation) A() heap.Addr { return heap.Addr(v.a) }
 
 // B is the second address operand (Copy destination, Scan&Push stack top).
-func (v Invocation) B() heap.Addr { return heap.Addr(v.pb & addrMask) }
+func (v Invocation) B() heap.Addr { return heap.Addr(v.pb&wordMask) * heap.WordBytes }
 
 // Kind distinguishes GC event types.
 type Kind uint8

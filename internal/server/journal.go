@@ -153,48 +153,62 @@ func (jl *journal) doneText(key string) (string, bool) {
 	return rec.Text, true
 }
 
+// bootRecord is one journal record as boot decodes it, in one pass: a
+// job record's fields (a sweep manifest's are a subset of them), the
+// spec kept raw until the kind names its type, and a `done` record's
+// report checked but not kept. Boot never reads a report; doneText does,
+// on demand.
+type bootRecord struct {
+	journalRecord
+	Spec json.RawMessage `json:"spec"`
+	Text reportText      `json:"text"`
+}
+
+// reportText is a report boot skips: it accepts what decoding into a
+// string accepts and keeps nothing.
+type reportText struct{}
+
+func (*reportText) UnmarshalJSON(b []byte) error {
+	if b[0] != '"' && string(b) != "null" {
+		return fmt.Errorf("journal: report is not a string")
+	}
+	return nil
+}
+
 // replay loads every journal record, splitting it into job records to
-// recover or keep (unfinished and `done` ones), sweep manifests, and keys
-// to garbage-collect. Records from a different schema, that do not decode
-// under the key they are stored at, or that ended failed or canceled are
-// collected: logged when unreadable, never replayed wrong. Whether a
-// record's spec still resolves, and whether a manifest still has a child
-// to recover, is recovery's check.
+// recover or keep (unfinished and `done` ones, without their reports),
+// sweep manifests, and keys to garbage-collect. Records from a different
+// schema, that do not decode under the key they are stored at (a spec
+// included), or that ended failed or canceled are collected: logged when
+// unreadable, never replayed wrong. Whether a record's spec still
+// resolves, and whether a manifest still has a child to recover, is
+// recovery's check.
 func (jl *journal) replay() (jobs []journalRecord, sweeps []sweepRecord, gcKeys []string, err error) {
 	if jl == nil {
 		return nil, nil, nil, nil
 	}
 	err = jl.st.Range(func(key string, payload json.RawMessage) bool {
-		var head struct {
-			Schema int    `json:"schema"`
-			Kind   string `json:"kind"`
-		}
-		if json.Unmarshal(payload, &head) != nil || head.Schema != journalSchema {
-			jl.log.Warn("journal: discarding unreadable record", "key", key)
-			gcKeys = append(gcKeys, key)
-			return true
-		}
-		if head.Kind == journalKindSweep {
-			var rec sweepRecord
-			if json.Unmarshal(payload, &rec) != nil || rec.Key != key {
-				jl.log.Warn("journal: discarding unreadable sweep manifest", "key", key)
-				gcKeys = append(gcKeys, key)
-				return true
+		var rec bootRecord
+		ok := json.Unmarshal(payload, &rec) == nil && rec.Schema == journalSchema && rec.Key == key
+		switch {
+		case ok && rec.Kind == journalKindSweep:
+			m := sweepRecord{Schema: rec.Schema, Kind: rec.Kind, ID: rec.ID, Key: rec.Key, Created: rec.Created}
+			if ok = json.Unmarshal(rec.Spec, &m.Spec) == nil; ok {
+				sweeps = append(sweeps, m)
 			}
-			sweeps = append(sweeps, rec)
-			return true
+		case ok && json.Unmarshal(rec.Spec, &rec.journalRecord.Spec) == nil:
+			if rec.unfinished() || rec.State == StateDone {
+				jobs = append(jobs, rec.journalRecord)
+			} else {
+				gcKeys = append(gcKeys, key)
+			}
+		default:
+			ok = false
 		}
-		var rec journalRecord
-		if json.Unmarshal(payload, &rec) != nil || rec.Key != key {
+		if !ok {
 			jl.log.Warn("journal: discarding unreadable record", "key", key)
 			gcKeys = append(gcKeys, key)
-			return true
 		}
-		if !rec.unfinished() && rec.State != StateDone {
-			gcKeys = append(gcKeys, key)
-			return true
-		}
-		jobs = append(jobs, rec)
 		return true
 	})
 	return jobs, sweeps, gcKeys, err

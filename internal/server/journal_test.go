@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -184,6 +185,38 @@ func TestJournalGCsTerminalRecords(t *testing.T) {
 	waitState(t, base2, v3.ID, StateDone)
 	if body := fetchResult(t, base2, v3.ID); body != "fresh run\n" {
 		t.Fatalf("schema-1 job result = %q, want a fresh run", body)
+	}
+}
+
+// TestJournalBootKeepsNoReport: boot decodes each record once and keeps
+// no report in the records it hands to recovery. A `done` record's text
+// stays on disk, where admission reads it on demand, and a record whose
+// report is not a string is collected as unreadable.
+func TestJournalBootKeepsNoReport(t *testing.T) {
+	cacheDir := t.TempDir()
+	spec := JobSpec{Experiment: "table4"}
+	_, key, _ := spec.Resolve()
+	putRecord(t, cacheDir, key, journalRecord{Schema: journalSchema, ID: jobID(key), Key: key, Spec: spec,
+		State: StateDone, Text: "report\n"})
+	bad := JobSpec{Experiment: "table4", Threads: 2}
+	_, badKey, _ := bad.Resolve()
+	putRecord(t, cacheDir, badKey, map[string]any{"schema": journalSchema, "id": jobID(badKey), "key": badKey,
+		"spec": bad, "state": StateDone, "text": 5})
+
+	jl, err := openJournal(filepath.Join(cacheDir, "journal"), atomicio.OS, slog.New(slog.DiscardHandler), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, sweeps, gcKeys, err := jl.replay()
+	if err != nil || len(jobs) != 1 || len(sweeps) != 0 || len(gcKeys) != 1 || gcKeys[0] != badKey {
+		t.Fatalf("replay = %d jobs, %d sweeps, collect %q, err %v; want the done job, and the bad record collected",
+			len(jobs), len(sweeps), gcKeys, err)
+	}
+	if rec := jobs[0]; rec.Key != key || rec.State != StateDone || rec.Spec.Experiment != "table4" || rec.Text != "" {
+		t.Fatalf("replayed %+v, want the done table4 record without its report", rec)
+	}
+	if text, ok := jl.doneText(key); !ok || text != "report\n" {
+		t.Fatalf("doneText = %q, %v; want the stored report", text, ok)
 	}
 }
 

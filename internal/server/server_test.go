@@ -172,6 +172,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"experiment":"fig12","workloads":[""]}`, http.StatusBadRequest},
 		{`{"experiment":"fig12","offload_deadline":"1ms"}`, http.StatusBadRequest}, // removed knob
 		{`{"experiment":"fig12","fault_rate":0.01}`, http.StatusBadRequest},        // removed knob
+		{`{"experiment":"table4","heap_factor":10000}`, http.StatusBadRequest},     // heap past the log's address limit
 	}
 	for _, c := range cases {
 		resp, _ := postJob(t, base, c.body)
@@ -179,10 +180,12 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("POST %s = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
 	}
-	// A sweep spec rejects the removed knobs the same way.
+	// A sweep spec rejects the removed knobs and an out-of-budget heap
+	// factor the same way.
 	for _, body := range []string{
 		`{"experiments":["fig12"],"offload_deadline":"1ms"}`,
 		`{"experiments":["fig12"],"fault_seed":7}`,
+		`{"experiments":["table4"],"heap_factors":[1.5,10000]}`,
 	} {
 		if resp, _ := postSweep(t, base, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST sweep %s = %d, want %d", body, resp.StatusCode, http.StatusBadRequest)

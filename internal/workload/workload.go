@@ -54,9 +54,10 @@ func MutatorTime(spec Spec, h *heap.Heap) sim.Time {
 }
 
 // HeapFor returns the heap size for a workload at the given
-// overprovisioning factor (1.0 = minimum heap), rounded to 4 KB.
+// overprovisioning factor (1.0 = minimum heap), rounded to 4 KB. A size
+// past 2^63 bytes saturates there, so no factor wraps to a small heap.
 func HeapFor(spec Spec, factor float64) uint64 {
-	return uint64(float64(spec.MinHeapBytes)*factor) / 4096 * 4096
+	return uint64(min(float64(spec.MinHeapBytes)*factor, 1<<63)) / 4096 * 4096
 }
 
 // Factory builds a fresh workload instance (deterministic for a fixed
@@ -112,8 +113,13 @@ func RunRecorded(w Workload, factor float64) (*gc.Collector, error) {
 }
 
 // RunRecordedMode is RunRecorded with collector-mode selection (Table 1's
-// three collectors: ParallelScavenge, CMS, G1).
+// three collectors: ParallelScavenge, CMS, G1). A factor that sizes the
+// heap past the GC log's address limit is an error, before the heap is
+// built.
 func RunRecordedMode(w Workload, factor float64, mode gc.Mode) (*gc.Collector, error) {
+	if err := gc.CheckHeap(HeapFor(w.Spec(), factor)); err != nil {
+		return nil, err
+	}
 	c, _ := Prepare(w, factor)
 	c.Mode = mode
 	if err := w.Run(c); err != nil {

@@ -25,6 +25,22 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestRunRecordedRejectsHeapPastAddressLimit checks that a factor sizing
+// the heap past the GC log's address limit is an error before the heap is
+// built, and that HeapFor saturates rather than wrapping a huge factor to
+// a small heap.
+func TestRunRecordedRejectsHeapPastAddressLimit(t *testing.T) {
+	w, _ := New("BS")
+	for _, factor := range []float64{10000, 1e300} {
+		if col, err := RunRecordedMode(w, factor, gc.ModePS); err == nil || col != nil {
+			t.Errorf("factor %g: collector %v, error %v; want an address-limit error", factor, col, err)
+		}
+	}
+	if got := HeapFor(w.Spec(), 1e300); got < 1<<62 {
+		t.Errorf("HeapFor(BS, 1e300) = %d, want a saturated size", got)
+	}
+}
+
 func TestSpecsMatchTable3(t *testing.T) {
 	// Paper heap proportions 10:8:12:4:4:4 must be preserved in scaling.
 	get := func(n string) Spec {
