@@ -61,21 +61,26 @@ benchsmoke:
 # (nothing accepted lost, nothing completed re-run, ids and report bytes
 # unchanged) and after every write of one real fig12 job, unit
 # checkpoints included (the job recovered under its id, no landed unit
-# rewritten, report bytes unchanged), plus short fuzz passes over the
+# rewritten, report bytes unchanged), the CLI's -checkpoint-dir resume
+# after a crash at every unit write (report bytes unchanged, exactly the
+# units that did not land published), plus short fuzz passes over the
 # public Config boundary, both cache equivalences, the calendar ring, the
-# GC log's record packing and charond's journal replay. Every journal
-# exec boots a server over fsync'd files, so its minimization is capped at
-# 10 execs: the default 60 s budget would spend the whole short pass
+# GC log's record packing, charond's journal replay and the checkpoint
+# entry decoder (a hit is a head line with this version, this key and the
+# payload's checksum; a rejected file is deleted). Every journal exec
+# boots a server over fsync'd files, so its minimization is capped at 10
+# execs: the default 60 s budget would spend the whole short pass
 # minimizing the first new input.
 audit:
 	$(GO) vet ./...
-	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|HeapFactorWithinAddressLimit|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite|CrashAtEveryUnitWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
+	$(GO) test -timeout 10m -run 'Invariant|Conservation|Utilization|BusyNeverExceeds|PerUnitMetrics|RequesterBytes|ConfigValidate|CacheMatchesReference|SplitWalkMatchesReference|CalendarRing|SlotsMatchReference|LogRecordSizes|LogRecordPacking|NewRejectsOversizeLayout|HeapFactorWithinAddressLimit|ScanPushRefsTileLog|LogEventsExactSize|ExpanderStreamsReference|ExpanderAllocatesNothing|RunRetainsNoFunctionalHeap|CrashAtEveryJournalWrite|CrashAtEveryUnitWrite|CrashAtEveryCheckpointWrite' ./internal/exec ./internal/charon ./internal/sim ./internal/cache ./internal/gc ./internal/experiments ./internal/server .
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .
 	$(GO) test -run FuzzCacheEquivalence -fuzz=FuzzCacheEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzSplitWalkEquivalence -fuzz=FuzzSplitWalkEquivalence -fuzztime=$(FUZZTIME) ./internal/cache
 	$(GO) test -run FuzzCalendarRingEquivalence -fuzz=FuzzCalendarRingEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run FuzzLogRecordPacking -fuzz=FuzzLogRecordPacking -fuzztime=$(FUZZTIME) ./internal/gc
 	$(GO) test -run FuzzJournalReplay -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/server
+	$(GO) test -run FuzzCheckpointEntry -fuzz=FuzzCheckpointEntry -fuzztime=$(FUZZTIME) ./internal/checkpoint
 
 # Fuzz the public Config boundary (Validate must never panic, accepted
 # configs must run cleanly), the calendar ring (exact against the
@@ -90,9 +95,10 @@ audit:
 # aligned B, slot and target below it read back), charond's job and sweep body decoders (no panic or
 # 5xx; a malformed body is a 400 that admits nothing), journal replay (a
 # fuzzed record, or a sweep manifest beside a fuzzed child record, is
-# recovered or collected, never fatal) and checkpoint
-# entry decoding (a hit is a verified envelope; a rejected file is
-# deleted). FUZZTIME=10m fuzz for a longer soak.
+# recovered or collected, never fatal) and checkpoint entry decoding (a
+# hit is a head line with this version, this key and the checksum of the
+# payload after it; a rejected file is deleted). FUZZTIME=10m fuzz for a
+# longer soak.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run FuzzConfigValidate -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) .

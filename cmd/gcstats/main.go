@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"charonsim"
@@ -22,8 +23,9 @@ import (
 // Main executes the gcstats command with the given arguments (excluding
 // the program name) and returns the process exit code: 0 on success
 // (including -h/-help, which prints usage and exits cleanly), 1 on a
-// simulation failure, 2 on a flag parse error — the same contract as
-// the charonsim CLI and charond.
+// simulation failure, 2 on a flag parse error or a configuration the
+// charonsim CLI would refuse (charonsim.Config.Validate) or an unknown
+// platform — the same contract as the charonsim CLI and charond.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gcstats", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -39,6 +41,16 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	// The checks the charonsim CLI applies to the same settings, plus the
+	// platform name, before anything is simulated.
+	err := charonsim.Config{Workloads: []string{*name}, HeapFactor: *factor, Threads: *threads}.Validate()
+	if p := charonsim.Platform(*platform); err == nil && !slices.Contains(charonsim.Platforms(), p) {
+		err = fmt.Errorf("unknown platform %q (have %v)", p, charonsim.Platforms())
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "gcstats: %v\n", err)
 		return 2
 	}
 

@@ -65,13 +65,33 @@ func TestGcstatsBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-func TestGcstatsBadWorkloadExitsOne(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-workload", "NOPE"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown workload exited %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "gcstats:") {
-		t.Fatalf("no error line on stderr:\n%s", errb.String())
+// TestGcstatsBadWorkloadExitsTwo: a setting the charonsim CLI refuses
+// with exit 2 — an unknown workload, negative threads, a heap factor past
+// the GC log's address limit — and an unknown platform exit 2 here too,
+// with the reason on stderr, before anything is simulated.
+func TestGcstatsBadWorkloadExitsTwo(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"workload", []string{"-workload", "NOPE"}, `unknown workload "NOPE"`},
+		{"threads", []string{"-threads", "-1"}, "Threads must be >= 0"},
+		{"platform", []string{"-platform", "nope"}, `unknown platform "nope"`},
+		{"factor", []string{"-factor", "10000"}, "4096 MB"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := Main(row.args, &out, &errb); code != 2 {
+				t.Fatalf("gcstats %v exited %d, want 2 (stderr: %s)", row.args, code, errb.String())
+			}
+			if !strings.HasPrefix(errb.String(), "gcstats: ") || !strings.Contains(errb.String(), row.want) {
+				t.Fatalf("gcstats %v stderr = %q, want a gcstats: line naming %q", row.args, errb.String(), row.want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("gcstats %v printed a report:\n%s", row.args, out.String())
+			}
+		})
 	}
 }
 

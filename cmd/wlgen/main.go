@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 
+	"charonsim"
 	"charonsim/internal/gc"
 	"charonsim/internal/workload"
 )
@@ -24,8 +25,9 @@ import (
 // Main executes the wlgen command with the given arguments (excluding
 // the program name) and returns the process exit code: 0 on success
 // (including -h/-help, which prints usage and exits cleanly), 1 on a
-// workload failure, 2 on a flag parse error — the same contract as the
-// charonsim CLI and charond.
+// workload failure, 2 on a flag parse error or a workload and factor the
+// charonsim CLI would refuse (charonsim.Config.Validate) — the same
+// contract as the charonsim CLI and charond.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wlgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -40,6 +42,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	if err := (charonsim.Config{Workloads: []string{*name}, HeapFactor: *factor}).Validate(); err != nil {
+		fmt.Fprintf(stderr, "wlgen: %v\n", err)
+		return 2
+	}
+	if *factor == 0 {
+		*factor = 1.5 // 0 selects the default, as in charonsim.Config
 	}
 
 	w, err := workload.New(*name)

@@ -63,10 +63,37 @@ func TestWlgenBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-func TestWlgenBadWorkloadExitsOne(t *testing.T) {
+// TestWlgenBadWorkloadExitsTwo: a workload or heap factor the charonsim
+// CLI refuses with exit 2 exits 2 here too, with the reason on stderr,
+// before any heap is built.
+func TestWlgenBadWorkloadExitsTwo(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"workload", []string{"-workload", "NOPE"}, `unknown workload "NOPE"`},
+		{"factor", []string{"-factor", "10000"}, "4096 MB"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := Main(row.args, &out, &errb); code != 2 {
+				t.Fatalf("wlgen %v exited %d, want 2 (stderr: %s)", row.args, code, errb.String())
+			}
+			if !strings.HasPrefix(errb.String(), "wlgen: ") || !strings.Contains(errb.String(), row.want) {
+				t.Fatalf("wlgen %v stderr = %q, want a wlgen: line naming %q", row.args, errb.String(), row.want)
+			}
+		})
+	}
+}
+
+// TestWlgenFactorZeroSelectsTheDefault: -factor 0 passes the charonsim
+// checks, where it selects the default factor, so wlgen runs at 1.5
+// rather than panicking on an empty heap.
+func TestWlgenFactorZeroSelectsTheDefault(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := Main([]string{"-workload", "NOPE"}, &out, &errb); code != 1 {
-		t.Fatalf("unknown workload exited %d, want 1 (stderr: %s)", code, errb.String())
+	if code := Main([]string{"-workload", "BS", "-factor", "0"}, &out, &errb); code != 0 || !strings.Contains(out.String(), "(1.50x min)") {
+		t.Fatalf("wlgen -factor 0 exited %d (stderr: %s), output:\n%s", code, errb.String(), out.String())
 	}
 }
 

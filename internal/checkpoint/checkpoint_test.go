@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ func open(t *testing.T) *Store {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t)
-	payload := json.RawMessage(`{"duration":12345,"bytes":99}`)
+	payload := []byte(`{"duration":12345,"bytes":99}`)
 	if err := s.Put("run|wl=BS|platform=Charon", payload); err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,87 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadIsOpaqueBytes: a payload need not be JSON. Bytes no JSON
+// document holds — a bare newline, invalid UTF-8, a NUL — come back from
+// Get and Range exactly as they were put, and the entry file carries them
+// verbatim after its head line.
+func TestPayloadIsOpaqueBytes(t *testing.T) {
+	s := open(t)
+	payload := []byte("not json\n\xff\xfe\x00{\"half\":")
+	if err := s.Put("k", payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k"); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get = %q, %v; want %q", got, ok, payload)
+	}
+	n := 0
+	if err := s.Range(func(key string, got []byte) bool {
+		n++
+		if key != "k" || !bytes.Equal(got, payload) {
+			t.Fatalf("Range = %q, %q; want k, %q", key, got, payload)
+		}
+		return true
+	}); err != nil || n != 1 {
+		t.Fatalf("Range visited %d entries, err %v", n, err)
+	}
+	raw, err := os.ReadFile(s.pathFor("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(raw, append([]byte("\n"), payload...)) {
+		t.Fatalf("entry file %q does not end in the payload verbatim", raw)
+	}
+}
+
+// TestVersion1EntryIsDiscarded: an entry in the version-1 format, one
+// JSON object with the payload nested inside, has no head line. Get and
+// Range treat it as corrupt: a miss, deleted and counted, never served.
+func TestVersion1EntryIsDiscarded(t *testing.T) {
+	s := open(t)
+	for _, key := range []string{"get", "range"} {
+		if err := os.WriteFile(s.pathFor(key), v1Entry(t, key, []byte(`{"v":1}`)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get("get"); ok {
+		t.Fatal("version-1 entry served by Get")
+	}
+	if err := s.Range(func(key string, _ []byte) bool {
+		t.Fatalf("version-1 entry %q served by Range", key)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Len(); err != nil || n != 0 {
+		t.Fatalf("Len = %d, %v; want the version-1 entries deleted", n, err)
+	}
+	if _, _, discards, _ := s.Stats(); discards != 2 {
+		t.Fatalf("discards = %d, want 2", discards)
+	}
+}
+
+// v1Entry is the file a version-1 store wrote for payload under key.
+func v1Entry(t testing.TB, key string, payload []byte) []byte {
+	t.Helper()
+	raw, err := json.Marshal(struct {
+		Version  int             `json:"version"`
+		Key      string          `json:"key"`
+		Checksum string          `json:"checksum_sha256"`
+		Payload  json.RawMessage `json:"payload"`
+	}{1, key, sha256Hex(payload), payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestReopenSeesEntries(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Put("k", json.RawMessage(`[1,2,3]`)); err != nil {
+	if err := s1.Put("k", []byte(`[1,2,3]`)); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)
@@ -64,11 +139,11 @@ func TestReopenSeesEntries(t *testing.T) {
 // corrupt finds the single entry file in the store and rewrites it.
 func corrupt(t *testing.T, s *Store, mutate func([]byte) []byte) string {
 	t.Helper()
-	ents, err := os.ReadDir(s.Dir())
+	ents, err := os.ReadDir(s.dir)
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("want exactly one entry, got %d (%v)", len(ents), err)
 	}
-	path := filepath.Join(s.Dir(), ents[0].Name())
+	path := filepath.Join(s.dir, ents[0].Name())
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +156,7 @@ func corrupt(t *testing.T, s *Store, mutate func([]byte) []byte) string {
 
 func TestTruncatedEntryIsDiscarded(t *testing.T) {
 	s := open(t)
-	if err := s.Put("k", json.RawMessage(`{"v":1}`)); err != nil {
+	if err := s.Put("k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	path := corrupt(t, s, func(raw []byte) []byte { return raw[:len(raw)/2] })
@@ -98,7 +173,7 @@ func TestTruncatedEntryIsDiscarded(t *testing.T) {
 
 func TestChecksumMismatchIsDiscarded(t *testing.T) {
 	s := open(t)
-	if err := s.Put("k", json.RawMessage(`{"v":1}`)); err != nil {
+	if err := s.Put("k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	corrupt(t, s, func(raw []byte) []byte {
@@ -111,11 +186,11 @@ func TestChecksumMismatchIsDiscarded(t *testing.T) {
 
 func TestVersionMismatchIsDiscarded(t *testing.T) {
 	s := open(t)
-	if err := s.Put("k", json.RawMessage(`{"v":1}`)); err != nil {
+	if err := s.Put("k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	corrupt(t, s, func(raw []byte) []byte {
-		return []byte(strings.Replace(string(raw), `"version":1`, `"version":999`, 1))
+		return []byte(strings.Replace(string(raw), fmt.Sprintf(`"version":%d`, Version), `"version":999`, 1))
 	})
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("version-mismatched entry served")
@@ -126,12 +201,19 @@ func TestKeyCollisionFileIsDiscarded(t *testing.T) {
 	// An entry whose embedded key does not hash to its own filename (a
 	// copied/renamed file) must not be served for the probed key.
 	s := open(t)
-	if err := s.Put("orig", json.RawMessage(`1`)); err != nil {
+	if err := s.Put("orig", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	ents, _ := os.ReadDir(s.Dir())
-	raw, _ := os.ReadFile(filepath.Join(s.Dir(), ents[0].Name()))
-	// Drop the same envelope at a different key's address.
+	ents, _ := os.ReadDir(s.dir)
+	raw, _ := os.ReadFile(filepath.Join(s.dir, ents[0].Name()))
+	// Drop the same entry at a different key's address: a scan must
+	// discard it too, and a probe of that key must miss.
+	if err := os.WriteFile(s.pathFor("other"), raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if valid, discarded, err := s.Verify(); err != nil || valid != 1 || discarded != 1 {
+		t.Fatalf("Verify = %d valid, %d discarded, %v; want the misplaced copy discarded", valid, discarded, err)
+	}
 	if err := os.WriteFile(s.pathFor("other"), raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +225,16 @@ func TestKeyCollisionFileIsDiscarded(t *testing.T) {
 func TestVerifyCleansDirectory(t *testing.T) {
 	s := open(t)
 	for _, k := range []string{"a", "b", "c"} {
-		if err := s.Put(k, json.RawMessage(`{"k":"`+k+`"}`)); err != nil {
+		if err := s.Put(k, []byte(`{"k":"`+k+`"}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One truncated entry + one foreign file the store must ignore.
-	ents, _ := os.ReadDir(s.Dir())
-	path := filepath.Join(s.Dir(), ents[0].Name())
+	ents, _ := os.ReadDir(s.dir)
+	path := filepath.Join(s.dir, ents[0].Name())
 	raw, _ := os.ReadFile(path)
 	os.WriteFile(path, raw[:10], 0o666)
-	os.WriteFile(filepath.Join(s.Dir(), "README"), []byte("not an entry"), 0o666)
+	os.WriteFile(filepath.Join(s.dir, "README"), []byte("not an entry"), 0o666)
 
 	valid, discarded, err := s.Verify()
 	if err != nil {
@@ -171,7 +253,7 @@ func TestNilStoreIsInert(t *testing.T) {
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("nil store hit")
 	}
-	if err := s.Put("k", json.RawMessage(`1`)); err != nil {
+	if err := s.Put("k", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +285,7 @@ func TestOpenCreatesNonWorldWritableDir(t *testing.T) {
 
 func TestLenSkipsInflightTempFiles(t *testing.T) {
 	s := open(t)
-	if err := s.Put("a", json.RawMessage(`1`)); err != nil {
+	if err := s.Put("a", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 	// Shapes an in-flight atomicio temp file can take (dot-prefixed, with
@@ -213,7 +295,7 @@ func TestLenSkipsInflightTempFiles(t *testing.T) {
 		".0a1b.ckpt.json",
 		".hidden",
 	} {
-		if err := os.WriteFile(filepath.Join(s.Dir(), name), []byte("partial"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(s.dir, name), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,18 +310,18 @@ func TestLenSkipsInflightTempFiles(t *testing.T) {
 	if valid != 1 || discarded != 0 {
 		t.Fatalf("Verify = %d valid, %d discarded; want 1, 0", valid, discarded)
 	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), ".0a1b.ckpt.json.tmp-123456")); err != nil {
+	if _, err := os.Stat(filepath.Join(s.dir, ".0a1b.ckpt.json.tmp-123456")); err != nil {
 		t.Fatalf("in-flight temp file was removed: %v", err)
 	}
 }
 
 func TestKeyHashMatchesEntryFilename(t *testing.T) {
 	s := open(t)
-	if err := s.Put("some|canonical|key", json.RawMessage(`true`)); err != nil {
+	if err := s.Put("some|canonical|key", []byte(`true`)); err != nil {
 		t.Fatal(err)
 	}
 	want := KeyHash("some|canonical|key") + ".ckpt.json"
-	if _, err := os.Stat(filepath.Join(s.Dir(), want)); err != nil {
+	if _, err := os.Stat(filepath.Join(s.dir, want)); err != nil {
 		t.Fatalf("KeyHash-derived filename %q not found: %v", want, err)
 	}
 }
@@ -258,7 +340,7 @@ func openFS(t *testing.T, fsys atomicio.FS) *Store {
 func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
 	fsys := &atomicio.FailFS{Fail: atomicio.FailWrite}
 	s := openFS(t, fsys)
-	err := s.Put("k", json.RawMessage(`1`))
+	err := s.Put("k", []byte(`1`))
 	var pathErr *os.PathError
 	if !errors.As(err, &pathErr) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Put = %v, want an I/O error wrapping ENOSPC", err)
@@ -276,7 +358,7 @@ func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
 	// Recovery: the disk cleared, the same store serves writes again and
 	// the recorded error stays for diagnosis.
 	fsys.Off.Store(true)
-	if err := s.Put("k", json.RawMessage(`1`)); err != nil {
+	if err := s.Put("k", []byte(`1`)); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
 	}
 	if _, ok := s.Get("k"); !ok {
@@ -293,7 +375,7 @@ func TestPutUnderENOSPCReturnsAndRecordsError(t *testing.T) {
 func TestPutTornRenameSelfHeals(t *testing.T) {
 	fsys := &atomicio.FailFS{Fail: atomicio.FailRename}
 	s := openFS(t, fsys)
-	if err := s.Put("k", json.RawMessage(`{"big":"payload payload payload"}`)); err == nil {
+	if err := s.Put("k", []byte(`{"big":"payload payload payload"}`)); err == nil {
 		t.Fatal("torn rename must fail the Put")
 	}
 	// The torn destination exists on disk, and the failed publish left no
@@ -301,7 +383,7 @@ func TestPutTornRenameSelfHeals(t *testing.T) {
 	if _, err := os.Stat(s.pathFor("k")); err != nil {
 		t.Fatalf("expected a torn artifact at the entry path: %v", err)
 	}
-	ents, err := os.ReadDir(s.Dir())
+	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +405,7 @@ func TestPutTornRenameSelfHeals(t *testing.T) {
 	}
 	// With the disk healthy again the entry round-trips.
 	fsys.Off.Store(true)
-	if err := s.Put("k", json.RawMessage(`2`)); err != nil {
+	if err := s.Put("k", []byte(`2`)); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Get("k"); !ok || string(got) != "2" {
@@ -334,7 +416,7 @@ func TestPutTornRenameSelfHeals(t *testing.T) {
 func TestPutFsyncErrorDoesNotPublish(t *testing.T) {
 	fsys := &atomicio.FailFS{Fail: atomicio.FailSync}
 	s := openFS(t, fsys)
-	if err := s.Put("k", json.RawMessage(`1`)); err == nil {
+	if err := s.Put("k", []byte(`1`)); err == nil {
 		t.Fatal("fsync failure must fail the Put")
 	}
 	if n, err := s.Len(); err != nil || n != 0 {
@@ -344,7 +426,7 @@ func TestPutFsyncErrorDoesNotPublish(t *testing.T) {
 
 func TestDeleteRemovesEntry(t *testing.T) {
 	s := open(t)
-	if err := s.Put("k", json.RawMessage(`1`)); err != nil {
+	if err := s.Put("k", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("k"); err != nil {
@@ -365,18 +447,18 @@ func TestRangeVisitsValidEntriesSorted(t *testing.T) {
 	s := open(t)
 	want := map[string]string{"a": `1`, "b": `2`, "c": `3`}
 	for k, v := range want {
-		if err := s.Put(k, json.RawMessage(v)); err != nil {
+		if err := s.Put(k, []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Plant one corrupt entry; Range must delete it and visit the rest.
-	corrupt := filepath.Join(s.Dir(), KeyHash("zz")+suffix)
+	corrupt := filepath.Join(s.dir, KeyHash("zz")+suffix)
 	if err := os.WriteFile(corrupt, []byte(`{"version":1,"key":"zz"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]string{}
 	var order []string
-	if err := s.Range(func(key string, payload json.RawMessage) bool {
+	if err := s.Range(func(key string, payload []byte) bool {
 		got[key] = string(payload)
 		order = append(order, KeyHash(key))
 		return true
@@ -399,11 +481,11 @@ func TestRangeVisitsValidEntriesSorted(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	_ = s.Range(func(string, json.RawMessage) bool { n++; return false })
+	_ = s.Range(func(string, []byte) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("Range ignored the stop signal: visited %d", n)
 	}
-	if err := (*Store)(nil).Range(func(string, json.RawMessage) bool { return true }); err != nil {
+	if err := (*Store)(nil).Range(func(string, []byte) bool { return true }); err != nil {
 		t.Fatalf("nil store Range: %v", err)
 	}
 }
@@ -421,7 +503,7 @@ func TestVerifyConcurrentWithPut(t *testing.T) {
 			defer writeWG.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d/k%d", w, i)
-				if err := s.Put(key, json.RawMessage(`"v"`)); err != nil {
+				if err := s.Put(key, []byte(`"v"`)); err != nil {
 					t.Errorf("Put %s: %v", key, err)
 				}
 			}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -299,7 +298,7 @@ func waitJournaled(t *testing.T, dir, key string, want ...string) {
 			State string `json:"state"`
 		}
 		if payload, ok := st.Get(key); ok {
-			_ = json.Unmarshal(payload, &rec)
+			decodeRecord(payload, &rec)
 		}
 		if slices.Contains(want, rec.State) {
 			return

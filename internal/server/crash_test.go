@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -33,16 +32,16 @@ func journalWrites(t *testing.T, published []atomicio.Published) []journalWrite 
 		if filepath.Base(filepath.Dir(p.Path)) != "journal" {
 			continue
 		}
-		var env struct {
-			Key     string `json:"key"`
-			Payload struct {
-				Kind, State, Text string
-			} `json:"payload"`
+		key, payload, err := checkpoint.Decode(p.Path, p.Data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(p.Data, &env); err != nil {
-			t.Fatalf("journal record %s: %v", p.Path, err)
+		var rec bootRecord
+		report, ok := decodeRecord(payload, &rec)
+		if !ok {
+			t.Fatalf("journal record %s does not decode: %q", p.Path, payload)
 		}
-		writes = append(writes, journalWrite{env.Key, env.Payload.Kind, env.Payload.State, env.Payload.Text})
+		writes = append(writes, journalWrite{key, rec.Kind, rec.State, string(report)})
 	}
 	return writes
 }
@@ -198,9 +197,9 @@ func checkRecovery(t *testing.T, dir, path, body string, k int, id, text string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Range(func(key string, payload json.RawMessage) bool {
-		var rec struct{ Kind, State string }
-		_ = json.Unmarshal(payload, &rec)
+	if err := st.Range(func(key string, payload []byte) bool {
+		var rec bootRecord
+		decodeRecord(payload, &rec)
 		if rec.Kind == journalKindSweep {
 			manifest = true
 		} else {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -16,14 +17,16 @@ import (
 // record changes meaning so a restart against an old journal directory
 // discards cleanly instead of replaying misread state. Schema 2 added the
 // rendered report to `done` records, which made the journal the result
-// cache; a schema-1 record, `done` or not, is collected at boot.
-const journalSchema = 2
+// cache; schema 3 moved the report out of the JSON, after the head line
+// (encodeRecord). A record of another schema, `done` or not, is collected
+// at boot.
+const journalSchema = 3
 
 // journalRecord is one job's durable state, stored under the job's
-// canonical key in a checkpoint envelope (version + key + checksum,
-// atomic rename, fsync'd file and directory). The record is rewritten
-// whole on every state transition — the envelope's atomicity makes each
-// rewrite an append in effect: a crash leaves either the previous
+// canonical key as a checkpoint entry (atomic rename, fsync'd file and
+// directory, a head line with version, key and checksum). The record is
+// rewritten whole on every state transition — the entry's atomicity makes
+// each rewrite an append in effect: a crash leaves either the previous
 // complete record or the new one, never a blend. A `done` record carries
 // the rendered report and outlives the boot that reads it: it is the
 // result cache admission consults.
@@ -35,10 +38,27 @@ type journalRecord struct {
 	Spec      JobSpec   `json:"spec"`
 	State     string    `json:"state"`
 	Error     string    `json:"error,omitempty"`
-	Text      string    `json:"text,omitempty"` // the report, on a done record
+	Text      string    `json:"-"` // the report, on a done record: the payload after the head line
 	Created   time.Time `json:"created"`
 	Updated   time.Time `json:"updated"`
 	Recovered int       `json:"recovered,omitempty"` // crash-replay generations
+}
+
+// encodeRecord lays out the payload of a job record or sweep manifest:
+// its head, the record as one line of JSON, then a newline and a job
+// record's report verbatim (none but on a `done` record). json.Marshal
+// never emits a raw newline, so the first one ends the head.
+func encodeRecord(rec any) ([]byte, error) {
+	head, err := json.Marshal(rec)
+	r, _ := rec.(journalRecord)
+	return append(append(head, '\n'), r.Text...), err
+}
+
+// decodeRecord decodes the head of a record payload into head and returns
+// the report bytes after it, which it never reads.
+func decodeRecord(payload []byte, head any) (report []byte, ok bool) {
+	line, report, ok := bytes.Cut(payload, []byte{'\n'})
+	return report, ok && json.Unmarshal(line, head) == nil
 }
 
 // unfinished reports whether a replayed record represents work the server
@@ -62,7 +82,7 @@ func (r journalRecord) servable(key string) bool {
 // rest.
 //
 // Storage rides the checkpoint layer, so the journal inherits its crash
-// properties: atomic publish, checksummed envelopes, self-healing reads
+// properties: atomic publish, checksummed entries, self-healing reads
 // that discard torn or truncated records.
 //
 // A write failure degrades the journal rather than failing the job —
@@ -111,7 +131,7 @@ func (jl *journal) put(key string, rec any) {
 	if jl == nil {
 		return
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := encodeRecord(rec)
 	if err != nil {
 		jl.observe(fmt.Errorf("journal: encode %q: %w", key, err))
 		return
@@ -147,37 +167,24 @@ func (jl *journal) doneText(key string) (string, bool) {
 		return "", false
 	}
 	var rec journalRecord
-	if json.Unmarshal(payload, &rec) != nil || !rec.servable(key) {
+	report, ok := decodeRecord(payload, &rec)
+	if !ok || !rec.servable(key) {
 		return "", false
 	}
-	return rec.Text, true
+	return string(report), true
 }
 
-// bootRecord is one journal record as boot decodes it, in one pass: a
-// job record's fields (a sweep manifest's are a subset of them), the
-// spec kept raw until the kind names its type, and a `done` record's
-// report checked but not kept. Boot never reads a report; doneText does,
-// on demand.
+// bootRecord is one journal record's head as boot decodes it, in one
+// pass: a job record's fields (a sweep manifest's are a subset of them),
+// with the spec kept raw until the kind names its type.
 type bootRecord struct {
 	journalRecord
 	Spec json.RawMessage `json:"spec"`
-	Text reportText      `json:"text"`
 }
 
-// reportText is a report boot skips: it accepts what decoding into a
-// string accepts and keeps nothing.
-type reportText struct{}
-
-func (*reportText) UnmarshalJSON(b []byte) error {
-	if b[0] != '"' && string(b) != "null" {
-		return fmt.Errorf("journal: report is not a string")
-	}
-	return nil
-}
-
-// replay loads every journal record, splitting it into job records to
-// recover or keep (unfinished and `done` ones, without their reports),
-// sweep manifests, and keys to garbage-collect. Records from a different
+// replay loads every journal record's head — never a report — splitting
+// the records into job records to recover or keep (unfinished and `done`
+// ones), sweep manifests, and keys to garbage-collect. Records from a different
 // schema, that do not decode under the key they are stored at (a spec
 // included), or that ended failed or canceled are collected: logged when
 // unreadable, never replayed wrong. Whether a record's spec still
@@ -187,9 +194,10 @@ func (jl *journal) replay() (jobs []journalRecord, sweeps []sweepRecord, gcKeys 
 	if jl == nil {
 		return nil, nil, nil, nil
 	}
-	err = jl.st.Range(func(key string, payload json.RawMessage) bool {
+	err = jl.st.Range(func(key string, payload []byte) bool {
 		var rec bootRecord
-		ok := json.Unmarshal(payload, &rec) == nil && rec.Schema == journalSchema && rec.Key == key
+		_, ok := decodeRecord(payload, &rec)
+		ok = ok && rec.Schema == journalSchema && rec.Key == key
 		switch {
 		case ok && rec.Kind == journalKindSweep:
 			m := sweepRecord{Schema: rec.Schema, Kind: rec.Kind, ID: rec.ID, Key: rec.Key, Created: rec.Created}
@@ -212,27 +220,4 @@ func (jl *journal) replay() (jobs []journalRecord, sweeps []sweepRecord, gcKeys 
 		return true
 	})
 	return jobs, sweeps, gcKeys, err
-}
-
-// gc deletes the records replay and recovery collected. Best-effort: a
-// record that refuses to die is retried at the next boot.
-func (jl *journal) gc(keys []string) int {
-	if jl == nil {
-		return 0
-	}
-	n := 0
-	for _, key := range keys {
-		if jl.st.Delete(key) == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// lastWriteError exposes the underlying store's diagnostic record.
-func (jl *journal) lastWriteError() string {
-	if jl == nil {
-		return ""
-	}
-	return jl.st.LastWriteError()
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,7 +41,7 @@ func putRecord(t *testing.T, cacheDir, key string, rec any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(rec)
+	raw, err := encodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +89,11 @@ func TestJournalReplayResumesUnfinishedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jst, err := checkpoint.Open(filepath.Join(cacheDir, "journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"fig12","workloads":["KM"]},`+
 		`"state":"running","created":"2026-01-02T03:04:05Z","updated":"2026-01-02T03:04:07Z",`+
 		`"attempts":[{"started":"2026-01-02T03:04:05Z","finished":"2026-01-02T03:04:06Z","error":"attempt doomed: injected fault"},`+
 		`{"started":"2026-01-02T03:04:07Z"}]}`, journalSchema, jobID(legacyKey), legacyKey)
-	if err := jst.Put(legacyKey, json.RawMessage(raw)); err != nil {
-		t.Fatal(err)
-	}
+	putRecord(t, cacheDir, legacyKey, json.RawMessage(raw))
 
 	// Server B boots over the same cache directory and must recover both
 	// jobs from the journal without a client resubmission, running each
@@ -188,35 +184,86 @@ func TestJournalGCsTerminalRecords(t *testing.T) {
 	}
 }
 
-// TestJournalBootKeepsNoReport: boot decodes each record once and keeps
-// no report in the records it hands to recovery. A `done` record's text
-// stays on disk, where admission reads it on demand, and a record whose
-// report is not a string is collected as unreadable.
+// TestJournalBootKeepsNoReport: boot decodes each record's head once and
+// keeps no report in the records it hands to recovery. A `done` record's
+// report stays on disk, where admission reads it on demand, byte for
+// byte: it is stored after the head line, not as a JSON string, so bytes
+// a JSON string would rewrite (invalid UTF-8 becomes U+FFFD) or escape
+// come back unchanged, and a report that is not text at all boots too.
 func TestJournalBootKeepsNoReport(t *testing.T) {
 	cacheDir := t.TempDir()
-	spec := JobSpec{Experiment: "table4"}
-	_, key, _ := spec.Resolve()
-	putRecord(t, cacheDir, key, journalRecord{Schema: journalSchema, ID: jobID(key), Key: key, Spec: spec,
-		State: StateDone, Text: "report\n"})
-	bad := JobSpec{Experiment: "table4", Threads: 2}
-	_, badKey, _ := bad.Resolve()
-	putRecord(t, cacheDir, badKey, map[string]any{"schema": journalSchema, "id": jobID(badKey), "key": badKey,
-		"spec": bad, "state": StateDone, "text": 5})
+	reports := map[string]string{}
+	for i, report := range []string{
+		"report\n",
+		"bad utf-8 \xff\xfe\xc3(, a NUL \x00, \"quotes\", <html> & \\ \u2028\n",
+		"\n{\"schema\":1,\"state\":\"failed\"}\n",
+	} {
+		spec := JobSpec{Experiment: "table4", Threads: i + 1}
+		_, key, _ := spec.Resolve()
+		putRecord(t, cacheDir, key, journalRecord{Schema: journalSchema, ID: jobID(key), Key: key, Spec: spec,
+			State: StateDone, Text: report})
+		reports[key] = report
+	}
 
 	jl, err := openJournal(filepath.Join(cacheDir, "journal"), atomicio.OS, slog.New(slog.DiscardHandler), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs, sweeps, gcKeys, err := jl.replay()
-	if err != nil || len(jobs) != 1 || len(sweeps) != 0 || len(gcKeys) != 1 || gcKeys[0] != badKey {
-		t.Fatalf("replay = %d jobs, %d sweeps, collect %q, err %v; want the done job, and the bad record collected",
-			len(jobs), len(sweeps), gcKeys, err)
+	if err != nil || len(jobs) != len(reports) || len(sweeps) != 0 || len(gcKeys) != 0 {
+		t.Fatalf("replay = %d jobs, %d sweeps, collect %q, err %v; want the %d done jobs",
+			len(jobs), len(sweeps), gcKeys, err, len(reports))
 	}
-	if rec := jobs[0]; rec.Key != key || rec.State != StateDone || rec.Spec.Experiment != "table4" || rec.Text != "" {
-		t.Fatalf("replayed %+v, want the done table4 record without its report", rec)
+	for _, rec := range jobs {
+		if _, ok := reports[rec.Key]; !ok || rec.State != StateDone || rec.Spec.Experiment != "table4" || rec.Text != "" {
+			t.Fatalf("replayed %+v, want a done table4 record without its report", rec)
+		}
 	}
-	if text, ok := jl.doneText(key); !ok || text != "report\n" {
-		t.Fatalf("doneText = %q, %v; want the stored report", text, ok)
+	for key, report := range reports {
+		if text, ok := jl.doneText(key); !ok || text != report {
+			t.Fatalf("doneText = %q, %v; want the stored report %q byte for byte", text, ok, report)
+		}
+	}
+}
+
+// TestJournalBootCollectsVersion1Entries: a journal entry in the store's
+// version-1 format — one JSON object with the record nested inside, as
+// every server before the head-line format wrote it — is discarded and
+// deleted at boot and counted in the journal's discards. Its `done`
+// report is never served: the job runs afresh.
+func TestJournalBootCollectsVersion1Entries(t *testing.T) {
+	cacheDir := t.TempDir()
+	jdir := filepath.Join(cacheDir, "journal")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Experiment: "table4"}
+	_, key, _ := spec.Resolve()
+	record := fmt.Sprintf(`{"schema":2,"id":%q,"key":%q,"spec":{"experiment":"table4"},"state":"done",`+
+		`"text":"WRONG: a version-1 entry was served\n","created":"2026-01-02T03:04:05Z"}`, jobID(key), key)
+	sum := sha256.Sum256([]byte(record))
+	v1 := fmt.Sprintf(`{"version":1,"key":%q,"checksum_sha256":%q,"payload":%s}`, key, hex.EncodeToString(sum[:]), record)
+	path := filepath.Join(jdir, checkpoint.KeyHash(key)+".ckpt.json")
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	g := newGate("fresh run\n")
+	close(g.open)
+	s, base := newTestServer(t, Config{Workers: 1, CacheDir: cacheDir, runner: g.runner})
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("version-1 entry survived boot (stat: %v)", err)
+	}
+	if n := s.snapshotMetrics().Counters["server/journal/discards"]; n != 1 {
+		t.Fatalf("server/journal/discards = %v, want 1", n)
+	}
+	resp, v := postJob(t, base, `{"experiment":"table4"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit over a version-1 done entry = %d, want 202", resp.StatusCode)
+	}
+	waitState(t, base, v.ID, StateDone)
+	if body := fetchResult(t, base, v.ID); body != "fresh run\n" {
+		t.Fatalf("result = %q, want a fresh run", body)
 	}
 }
 
@@ -229,14 +276,6 @@ func TestJournalBootKeepsNoReport(t *testing.T) {
 // than re-run with the knob silently dropped.
 func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 	cacheDir := t.TempDir()
-	jdir := filepath.Join(cacheDir, "journal")
-	if err := os.MkdirAll(jdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jst, err := checkpoint.Open(jdir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The v1 key of {"experiment":"table4"}: v1 still carried the
 	// removed event-queue watchdog bound (wqueue).
 	v1Key := fmt.Sprintf("job/v1|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0|fseed=0|deadline=0|timeout=0|wstalls=0|wqueue=0",
@@ -251,18 +290,14 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 		strings.Join(charonsim.Workloads(), ","))
 	v3Raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"table4","offload_deadline":"1ms"},`+
 		`"state":"queued","created":"2026-01-02T03:04:05Z"}`, journalSchema, jobID(v3Key), v3Key)
-	if err := jst.Put(v3Key, json.RawMessage(v3Raw)); err != nil {
-		t.Fatal(err)
-	}
+	putRecord(t, cacheDir, v3Key, json.RawMessage(v3Raw))
 	// The v4 key of {"experiment":"table4","fault_rate":0.01}: v4 still
 	// carried the removed session-wide fault knobs (frate, fseed).
 	v4Key := fmt.Sprintf("job/v4|exp=table4|threads=8|factor=1.5|wl=%s|par=0|frate=0.01|fseed=0|timeout=0",
 		strings.Join(charonsim.Workloads(), ","))
 	v4Raw := fmt.Sprintf(`{"schema":%d,"id":%q,"key":%q,"spec":{"experiment":"table4","fault_rate":0.01},`+
 		`"state":"queued","created":"2026-01-02T03:04:05Z"}`, journalSchema, jobID(v4Key), v4Key)
-	if err := jst.Put(v4Key, json.RawMessage(v4Raw)); err != nil {
-		t.Fatal(err)
-	}
+	putRecord(t, cacheDir, v4Key, json.RawMessage(v4Raw))
 	for _, rec := range []journalRecord{
 		// A record with a spec that no longer resolves.
 		{ID: "dead", Key: "job/v1|bogus", Spec: JobSpec{Experiment: "no-such-exp"}},
@@ -272,10 +307,7 @@ func TestJournalDiscardsUnreadableRecords(t *testing.T) {
 		{ID: jobID(v2Key), Key: v2Key, Spec: JobSpec{Experiment: "table4"}},
 	} {
 		rec.Schema, rec.State, rec.Created = journalSchema, StateQueued, time.Now()
-		raw, _ := json.Marshal(rec)
-		if err := jst.Put(rec.Key, raw); err != nil {
-			t.Fatal(err)
-		}
+		putRecord(t, cacheDir, rec.Key, rec)
 	}
 
 	g := newGate("re-ran a stale record\n")
@@ -467,7 +499,11 @@ func TestCancelRacesCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rec journalRecord
-		if payload, ok := jst.Get(key); !ok || json.Unmarshal(payload, &rec) != nil || rec.State != jv.State {
+		payload, ok := jst.Get(key)
+		if !ok {
+			t.Fatalf("iteration %d: no journal record", i)
+		}
+		if _, ok := decodeRecord(payload, &rec); !ok || rec.State != jv.State {
 			t.Fatalf("iteration %d: journaled state %q, status shows %q", i, rec.State, jv.State)
 		}
 	}

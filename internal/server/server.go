@@ -295,7 +295,13 @@ func (s *Server) recoverJournal() {
 	}
 	gcKeys = append(gcKeys, s.recoverSweepsLocked(sweeps)...)
 	s.mu.Unlock()
-	if n := s.journal.gc(gcKeys); n > 0 {
+	n := 0
+	for _, key := range gcKeys { // best effort: a record that refuses to die is retried at the next boot
+		if s.journal.st.Delete(key) == nil {
+			n++
+		}
+	}
+	if n > 0 {
 		s.reg.AddUint("server/journal_gc", uint64(n))
 		s.log.Info("journal: collected terminal records", "n", n)
 	}
@@ -706,8 +712,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if e := s.units.LastWriteError(); e != "" {
 		resp.Errors["server/unit_store/last_write_error"] = e
 	}
-	if e := s.journal.lastWriteError(); e != "" {
-		resp.Errors["server/journal/last_write_error"] = e
+	if s.journal != nil && s.journal.st.LastWriteError() != "" {
+		resp.Errors["server/journal/last_write_error"] = s.journal.st.LastWriteError()
 	}
 	if len(resp.Errors) == 0 {
 		resp.Errors = nil

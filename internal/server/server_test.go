@@ -344,7 +344,7 @@ func TestCancelLosingToCompletionKeepsNoError(t *testing.T) {
 			t.Fatalf("journal record state %q, want %q", rec.State, StateDone)
 		}
 		if payload, ok := jst.Get(key); ok {
-			_ = json.Unmarshal(payload, &rec)
+			decodeRecord(payload, &rec)
 		}
 	}
 	if rec.Error != "" {
