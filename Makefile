@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench benchmark benchsmoke parbench audit faults fuzz e2e lint ci
+.PHONY: build vet test short race golden bench benchmark benchsmoke parbench audit faults fuzz e2e lint loc ci
 
 build:
 	$(GO) build ./...
@@ -139,5 +139,10 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
+
+# The size of the program: lines of non-test Go outside bench/, the
+# headline count ROADMAP.md tracks from change to change.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -exec cat {} + | wc -l
 
 ci: lint build test race audit faults benchsmoke e2e

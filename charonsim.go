@@ -26,7 +26,7 @@
 // or simulate one workload on one platform:
 //
 //	st, err := charonsim.SimulateGC("ALS", 1.5, charonsim.PlatformCharon, 8)
-//	fmt.Printf("GC pause total: %v, speedup material: %v\n", st.TotalPause, st.Bandwidth)
+//	fmt.Printf("GC pause total: %v over %d collections, %.1f GB/s\n", st.TotalPause, len(st.Events), st.Bandwidth)
 package charonsim
 
 import (
@@ -55,7 +55,7 @@ import (
 // ErrNoProgress is the replay watchdog's verdict on a wedged simulation:
 // a run aborted because simulated time stopped advancing or the per-run
 // wall-clock heartbeat expired. Match it with errors.Is on any error
-// returned from Run, RunAll or the Simulate functions.
+// returned from Run, RunAll or SimulateGC.
 var ErrNoProgress = sim.ErrNoProgress
 
 // ErrInternal marks an internal invariant violation (a panic in the
@@ -519,90 +519,9 @@ type GCStats struct {
 	// LiveBytes / ReclaimedBytes sum over all GCs.
 	LiveBytes      uint64
 	ReclaimedBytes uint64
-}
-
-// Overhead returns GC time normalized to mutator time (Figure 2's metric).
-func (g *GCStats) Overhead() float64 {
-	if g.MutatorTime == 0 {
-		return 0
-	}
-	return float64(g.TotalPause) / float64(g.MutatorTime)
-}
-
-// SimulateGC runs one workload at the given heap factor, replays its GC
-// log on the chosen platform, and returns aggregate statistics.
-func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCStats, err error) {
-	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", name, p))
-	sm, err := simulate(name, factor, p, threads)
-	if err != nil {
-		return nil, err
-	}
-	tot := experiments.Sum(sm.kind, sm.results, sm.threads)
-
-	st = &GCStats{
-		Workload: name, Platform: p, HeapFactor: sm.factor, Threads: sm.threads,
-		TotalPause:   simToDuration(tot.Duration),
-		MutatorTime:  simToDuration(sm.run.MutTime),
-		PrimSeconds:  map[string]float64{},
-		Bandwidth:    tot.BandwidthGBs(),
-		LocalRatio:   tot.Local,
-		EnergyJoules: float64(tot.Energy.Total()),
-	}
-	for pr := 0; pr < int(gc.NumPrims); pr++ {
-		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
-	}
-	for _, ev := range sm.run.Col.Log {
-		if ev.Kind == gc.Minor {
-			st.MinorGCs++
-		} else {
-			st.MajorGCs++
-		}
-		st.LiveBytes += ev.LiveBytes
-		st.ReclaimedBytes += ev.ReclaimedBytes
-	}
-	return st, nil
-}
-
-// simulation is one workload recorded and replayed on one platform, with
-// the heap factor and thread count resolved to their defaults.
-type simulation struct {
-	kind    exec.Kind
-	factor  float64
-	threads int
-	run     *experiments.Run
-	results []exec.Result
-}
-
-// simulate validates the SimulateGC arguments, records the workload, and
-// replays its GC log on platform p.
-func simulate(name string, factor float64, p Platform, threads int) (simulation, error) {
-	kind, err := p.kind()
-	if err != nil {
-		return simulation{}, err
-	}
-	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
-		return simulation{}, err
-	}
-	if factor == 0 {
-		factor = 1.5
-	}
-	if threads == 0 {
-		threads = 8
-	}
-	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
-	run, err := s.Record(name, factor)
-	if err != nil {
-		return simulation{}, err
-	}
-	results, err := s.Replay(run, kind, threads)
-	if err != nil {
-		return simulation{}, err
-	}
-	return simulation{kind: kind, factor: factor, threads: threads, run: run, results: results}, nil
-}
-
-func simToDuration(t sim.Time) time.Duration {
-	return time.Duration(t / sim.Nanosecond * sim.Time(time.Nanosecond))
+	// Events is the per-collection detail: one entry per GC event, in
+	// order, with its simulated pause on the platform.
+	Events []GCEvent
 }
 
 // GCEvent is one collection's outcome on a platform.
@@ -616,18 +535,62 @@ type GCEvent struct {
 	BandwidthGBs   float64
 }
 
-// SimulateGCEvents is SimulateGC with per-collection detail: one entry
-// per GC event, in order, with its simulated pause on the chosen platform.
-func SimulateGCEvents(name string, factor float64, p Platform, threads int) (evs []GCEvent, err error) {
-	defer recoverInvariant(&err, fmt.Sprintf("SimulateGCEvents(%s, %s)", name, p))
-	sm, err := simulate(name, factor, p, threads)
+// Overhead returns GC time normalized to mutator time (Figure 2's metric).
+func (g *GCStats) Overhead() float64 {
+	if g.MutatorTime == 0 {
+		return 0
+	}
+	return float64(g.TotalPause) / float64(g.MutatorTime)
+}
+
+// SimulateGC runs one workload at the given heap factor, replays its GC
+// log on the chosen platform, and returns aggregate statistics with the
+// per-collection detail. A zero factor or thread count selects the same
+// default as Config; both are checked by Config.Validate.
+func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCStats, err error) {
+	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", name, p))
+	kind, err := p.kind()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]GCEvent, 0, len(sm.results))
-	for i, r := range sm.results {
-		ev := sm.run.Col.Log[i]
-		out = append(out, GCEvent{
+	s, _, _, err := sessionFor(context.Background(), Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}})
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.Config()
+	run, err := s.Record(name, cfg.Factor)
+	if err != nil {
+		return nil, err
+	}
+	results, err := s.Replay(run, kind, cfg.Threads)
+	if err != nil {
+		return nil, err
+	}
+	tot := experiments.Sum(kind, results, cfg.Threads)
+
+	st = &GCStats{
+		Workload: name, Platform: p, HeapFactor: cfg.Factor, Threads: cfg.Threads,
+		TotalPause:   simToDuration(tot.Duration),
+		MutatorTime:  simToDuration(run.MutTime),
+		PrimSeconds:  map[string]float64{},
+		Bandwidth:    tot.BandwidthGBs(),
+		LocalRatio:   tot.Local,
+		EnergyJoules: float64(tot.Energy.Total()),
+		Events:       make([]GCEvent, 0, len(results)),
+	}
+	for pr := 0; pr < int(gc.NumPrims); pr++ {
+		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
+	}
+	for i, ev := range run.Col.Log {
+		if ev.Kind == gc.Minor {
+			st.MinorGCs++
+		} else {
+			st.MajorGCs++
+		}
+		st.LiveBytes += ev.LiveBytes
+		st.ReclaimedBytes += ev.ReclaimedBytes
+		r := results[i]
+		st.Events = append(st.Events, GCEvent{
 			Seq: ev.Seq, Kind: ev.Kind.String(), Reason: ev.Reason,
 			Pause:          simToDuration(r.Duration),
 			LiveBytes:      ev.LiveBytes,
@@ -635,7 +598,11 @@ func SimulateGCEvents(name string, factor float64, p Platform, threads int) (evs
 			BandwidthGBs:   r.Traffic.BandwidthGBs(r.Duration),
 		})
 	}
-	return out, nil
+	return st, nil
+}
+
+func simToDuration(t sim.Time) time.Duration {
+	return time.Duration(t / sim.Nanosecond * sim.Time(time.Nanosecond))
 }
 
 // AreaSummary reports the Table 4 area model.

@@ -191,17 +191,19 @@ func TestArea(t *testing.T) {
 	}
 }
 
+// TestSimulateGCEvents: one SimulateGC call carries the per-collection
+// detail, one event per collection, whose pauses add up to the aggregate.
 func TestSimulateGCEvents(t *testing.T) {
-	events, err := SimulateGCEvents("CC", 1.5, PlatformCharon, 8)
+	st, err := SimulateGC("CC", 1.5, PlatformCharon, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) < 3 {
-		t.Fatalf("only %d events", len(events))
+	if len(st.Events) != st.MinorGCs+st.MajorGCs {
+		t.Fatalf("%d events for %d minor + %d major collections", len(st.Events), st.MinorGCs, st.MajorGCs)
 	}
 	var total int64
 	sawMajor := false
-	for i, ev := range events {
+	for i, ev := range st.Events {
 		if ev.Seq != i {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
@@ -216,18 +218,13 @@ func TestSimulateGCEvents(t *testing.T) {
 	if !sawMajor {
 		t.Fatal("no major GC in the log")
 	}
-	// Sum of per-event pauses equals the aggregate from SimulateGC.
-	agg, err := SimulateGC("CC", 1.5, PlatformCharon, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := total - int64(agg.TotalPause)
+	diff := total - int64(st.TotalPause)
 	if diff < 0 {
 		diff = -diff
 	}
 	// Per-event times truncate to nanoseconds individually.
-	if diff > int64(len(events)) {
-		t.Fatalf("per-event sum %d != aggregate %d", total, int64(agg.TotalPause))
+	if diff > int64(len(st.Events)) {
+		t.Fatalf("per-event sum %d != aggregate %d", total, int64(st.TotalPause))
 	}
 }
 
@@ -325,8 +322,8 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := SimulateGC("BS", 1.5, PlatformDDR4, -3); err == nil {
 		t.Fatal("SimulateGC accepted a negative thread count")
 	}
-	if _, err := SimulateGCEvents("BS", -1, PlatformDDR4, 8); err == nil {
-		t.Fatal("SimulateGCEvents accepted a negative heap factor")
+	if _, err := SimulateGC("BS", -1, PlatformDDR4, 8); err == nil {
+		t.Fatal("SimulateGC accepted a negative heap factor")
 	}
 }
 

@@ -6,6 +6,7 @@
 //
 //	gcstats -workload ALS -platform charon -factor 1.25 -threads 8
 //	gcstats -workload CC -platform ddr4 -compare
+//	gcstats -workload CC -percollection
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sort"
 
 	"charonsim"
+	"charonsim/internal/experiments"
 )
 
 // Main executes the gcstats command with the given arguments (excluding
@@ -32,8 +34,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	var (
 		name     = fs.String("workload", "BS", "workload: BS, KM, LR, CC, PR, ALS")
 		platform = fs.String("platform", "charon", "platform: ddr4, hmc, charon, charon-distributed, charon-cpuside, ideal")
-		factor   = fs.Float64("factor", 1.5, "heap overprovisioning factor")
-		threads  = fs.Int("threads", 8, "GC threads")
+		factor   = fs.Float64("factor", experiments.DefaultFactor, "heap overprovisioning factor")
+		threads  = fs.Int("threads", experiments.DefaultThreads, "GC threads")
 		compare  = fs.Bool("compare", false, "also run every other platform and print speedups")
 		perGC    = fs.Bool("percollection", false, "print one line per collection")
 	)
@@ -96,13 +98,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *perGC {
-		events, err := charonsim.SimulateGCEvents(*name, *factor, charonsim.Platform(*platform), *threads)
-		if err != nil {
-			fmt.Fprintf(stderr, "gcstats: %v\n", err)
-			return 1
-		}
 		fmt.Fprintln(stdout, "\nper-collection log:")
-		for _, ev := range events {
+		for _, ev := range st.Events {
 			fmt.Fprintf(stdout, "  [%2d] %-9s %-32s pause %10v  live %8.1f KB  reclaimed %8.1f KB  %6.1f GB/s\n",
 				ev.Seq, ev.Kind, ev.Reason, ev.Pause,
 				float64(ev.LiveBytes)/1024, float64(ev.ReclaimedBytes)/1024, ev.BandwidthGBs)
@@ -110,17 +107,24 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
+		// One simulation per platform, the headline one reused. ddr4 leads
+		// Platforms(), so the base is known before any other row prints.
 		fmt.Fprintln(stdout, "\nspeedup over ddr4:")
-		base, err := charonsim.SimulateGC(*name, *factor, charonsim.PlatformDDR4, *threads)
-		if err != nil {
-			fmt.Fprintf(stderr, "gcstats: %v\n", err)
-			return 1
-		}
+		var base *charonsim.GCStats
 		for _, p := range charonsim.Platforms() {
-			o, err := charonsim.SimulateGC(*name, *factor, p, *threads)
-			if err != nil {
-				fmt.Fprintf(stderr, "gcstats: %s: %v\n", p, err)
-				continue
+			o := st
+			if p != st.Platform {
+				if o, err = charonsim.SimulateGC(*name, *factor, p, *threads); err != nil {
+					if base == nil {
+						fmt.Fprintf(stderr, "gcstats: %v\n", err)
+						return 1
+					}
+					fmt.Fprintf(stderr, "gcstats: %s: %v\n", p, err)
+					continue
+				}
+			}
+			if p == charonsim.PlatformDDR4 {
+				base = o
 			}
 			fmt.Fprintf(stdout, "  %-20s %6.2fx  (pause %v)\n", p,
 				float64(base.TotalPause)/float64(o.TotalPause), o.TotalPause)

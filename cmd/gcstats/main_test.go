@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"charonsim"
 )
 
 // TestGcstatsHelperProcess re-enters the gcstats command inside the
@@ -103,6 +106,56 @@ func TestGcstatsRunsOneWorkload(t *testing.T) {
 	for _, want := range []string{"workload    BS", "platform    charon", "per-primitive time:"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestGcstatsCompareAndPerCollection: -compare prints one speedup row per
+// platform, in Platforms() order over a ddr4 base of 1.00x, and its row
+// for the headline platform is the headline result; -percollection prints
+// one line per counted collection.
+func TestGcstatsCompareAndPerCollection(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-workload", "ALS", "-platform", "charon", "-compare", "-percollection"}
+	if code := Main(args, &out, &errb); code != 0 {
+		t.Fatalf("gcstats %v exited %d (stderr: %s)", args, code, errb.String())
+	}
+	var minor, major, perGC int
+	var pause string
+	var rows [][]string
+	inCompare := false
+	for _, line := range strings.Split(out.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "collections "):
+			if _, err := fmt.Sscanf(line, "collections %d minor + %d major", &minor, &major); err != nil {
+				t.Fatalf("collections line %q: %v", line, err)
+			}
+		case strings.HasPrefix(line, "gc pause "):
+			pause = strings.Fields(line)[2]
+		case strings.HasPrefix(line, "  ["):
+			perGC++
+		case line == "speedup over ddr4:":
+			inCompare = true
+		case inCompare && line != "":
+			rows = append(rows, strings.Fields(line))
+		}
+	}
+	if minor+major == 0 || perGC != minor+major {
+		t.Fatalf("%d per-collection lines for %d minor + %d major:\n%s", perGC, minor, major, out.String())
+	}
+	platforms := charonsim.Platforms()
+	if len(rows) != len(platforms) {
+		t.Fatalf("%d speedup rows for %d platforms:\n%s", len(rows), len(platforms), out.String())
+	}
+	for i, row := range rows {
+		if len(row) != 4 || row[0] != string(platforms[i]) {
+			t.Fatalf("speedup row %d = %q, want platform %s", i, row, platforms[i])
+		}
+		if row[0] == string(charonsim.PlatformDDR4) && row[1] != "1.00x" {
+			t.Fatalf("ddr4 row %q, want 1.00x", row)
+		}
+		if row[0] == string(charonsim.PlatformCharon) && strings.TrimSuffix(row[3], ")") != pause {
+			t.Fatalf("charon row %q, want the headline pause %s", row, pause)
 		}
 	}
 }

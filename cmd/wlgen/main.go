@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"charonsim"
+	"charonsim/internal/experiments"
 	"charonsim/internal/gc"
 	"charonsim/internal/workload"
 )
@@ -33,7 +34,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		name    = fs.String("workload", "BS", "workload: BS, KM, LR, CC, PR, ALS")
-		factor  = fs.Float64("factor", 1.5, "heap overprovisioning factor")
+		factor  = fs.Float64("factor", experiments.DefaultFactor, "heap overprovisioning factor")
 		events  = fs.Bool("events", false, "print the per-collection log")
 		jsonOut = fs.Bool("json", false, "emit the GC log as newline-delimited JSON and exit")
 	)
@@ -48,7 +49,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *factor == 0 {
-		*factor = 1.5 // 0 selects the default, as in charonsim.Config
+		*factor = experiments.DefaultFactor // 0 selects the default, as in charonsim.Config
 	}
 
 	w, err := workload.New(*name)

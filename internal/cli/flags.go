@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"charonsim"
+	"charonsim/internal/experiments"
 )
 
 // SimFlags is the simulation-configuration flag set shared by the
@@ -28,8 +29,8 @@ type SimFlags struct {
 
 // Register installs the shared simulation flags on fs.
 func (f *SimFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&f.Threads, "threads", 8, "GC thread count")
-	fs.Float64Var(&f.Factor, "factor", 1.5, "heap overprovisioning factor (1.0 = minimum heap)")
+	fs.IntVar(&f.Threads, "threads", experiments.DefaultThreads, "GC thread count")
+	fs.Float64Var(&f.Factor, "factor", experiments.DefaultFactor, "heap overprovisioning factor (1.0 = minimum heap)")
 	fs.StringVar(&f.Workloads, "workloads", "", "comma-separated workload subset (default: all six)")
 	fs.IntVar(&f.Parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, -1 = serial); output is identical at any setting")
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write a component-counter snapshot here after the run (.csv = CSV, otherwise JSON)")

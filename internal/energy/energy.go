@@ -88,15 +88,6 @@ func ForGC(kind exec.Kind, r exec.Result, ncores int) Breakdown {
 	return b
 }
 
-// AveragePower returns watts over the GC duration.
-func AveragePower(b Breakdown, dur sim.Time) float64 {
-	s := dur.Seconds()
-	if s == 0 {
-		return 0
-	}
-	return float64(b.Total()) / s
-}
-
 // CharonPower returns just the accelerator's average power over dur
 // (Section 5.3's 2.98 W / 4.51 W figures).
 func CharonPower(b Breakdown, dur sim.Time) float64 {

@@ -69,16 +69,6 @@ func TestBreakdownAddTotal(t *testing.T) {
 	}
 }
 
-func TestAveragePower(t *testing.T) {
-	b := Breakdown{DRAM: 0.05} // 50 mJ over 10 ms = 5 W
-	if p := AveragePower(b, 10*sim.Millisecond); math.Abs(p-5) > 1e-9 {
-		t.Fatalf("power = %v", p)
-	}
-	if AveragePower(b, 0) != 0 {
-		t.Fatal("zero duration")
-	}
-}
-
 func TestAreaTableMatchesPaper(t *testing.T) {
 	// Table 4's totals: 1.9470 mm² overall, 0.4868 mm² per cube.
 	if math.Abs(TotalArea()-1.9470) > 0.0001 {

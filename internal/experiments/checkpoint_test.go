@@ -260,7 +260,7 @@ func TestWatchdogAbortConvertsToError(t *testing.T) {
 	np := &sim.NoProgressError{Reason: "test wedge",
 		Diag: sim.Diagnostics{Steps: 42, StallSteps: 42}}
 	for _, par := range []int{1, 4} {
-		err := forEach(par, 2, func(i int) error {
+		err := Config{Parallelism: par}.forEach(2, func(i int) error {
 			if i == 1 {
 				panic(sim.Aborted{Err: np})
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"charonsim/internal/energy"
 	"charonsim/internal/exec"
 	"charonsim/internal/gc"
 	"charonsim/internal/stats"
@@ -592,7 +593,7 @@ func Fig17(s *Session) (*Fig17Result, error) {
 			}
 			row[ki] = float64(t.Energy.Total()) / float64(base.Energy.Total())
 			if k == exec.KindCharon {
-				charonPower[w] = float64(t.Energy.Units) / t.Duration.Seconds()
+				charonPower[w] = energy.CharonPower(t.Energy, t.Duration)
 			}
 		}
 		rows[w] = row

@@ -9,7 +9,7 @@ import (
 	"charonsim/internal/sim"
 )
 
-// forEach runs fn(i) for every i in [0, n) on at most par concurrent
+// ForEachCtx runs fn(i) for every i in [0, n) on at most par concurrent
 // workers and returns the lowest-index error (nil if none). Callers write
 // results into index i of a preallocated slice, so assembling the final
 // (map-shaped, rendered) output in index order afterwards yields output
@@ -24,19 +24,16 @@ import (
 // Every invocation is panic-guarded: a panicking run (a faulted scenario
 // tripping an invariant, say) becomes that index's error instead of
 // killing the whole sweep.
-func forEach(par, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), par, n, fn)
-}
-
-// ForEachCtx is forEach with cooperative cancellation; charonsim.RunAll
-// fans the experiment list out through it so the whole suite shares one
-// concurrency discipline. When ctx is cancelled no new index is
-// dispatched; indexes never dispatched report ctx.Err() so the sweep's
-// error reflects the interruption, while already-running indexes finish
-// (or hit their own watchdog) and keep their results — that is what
-// makes an interrupted sweep's completed prefix flushable. A run's
-// wall-clock budget is not the pool's business: Config.RunTimeout arms
-// each replay's watchdog, which stops the run itself.
+//
+// Cancellation is cooperative; charonsim.RunAll fans the experiment list
+// out through it so the whole suite shares one concurrency discipline.
+// When ctx is cancelled no new index is dispatched; indexes never
+// dispatched report ctx.Err() so the sweep's error reflects the
+// interruption, while already-running indexes finish (or hit their own
+// watchdog) and keep their results — that is what makes an interrupted
+// sweep's completed prefix flushable. A run's wall-clock budget is not the
+// pool's business: Config.RunTimeout arms each replay's watchdog, which
+// stops the run itself.
 func ForEachCtx(ctx context.Context, par, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -119,13 +116,6 @@ func (c Config) forEach(n int, fn func(i int) error) error {
 
 // forEachGrid is forEach over an n-by-m index grid, flattened row-major so
 // all n*m cells can run concurrently.
-func forEachGrid(par, n, m int, fn func(i, j int) error) error {
-	return forEach(par, n*m, func(k int) error {
-		return fn(k/m, k%m)
-	})
-}
-
-// forEachGrid is the Config-bound grid variant.
 func (c Config) forEachGrid(n, m int, fn func(i, j int) error) error {
 	return c.forEach(n*m, func(k int) error {
 		return fn(k/m, k%m)

@@ -16,7 +16,7 @@ func TestForEachPanicRecovery(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var mu sync.Mutex
 		ran := map[int]bool{}
-		err := forEach(par, 8, func(i int) error {
+		err := Config{Parallelism: par}.forEach(8, func(i int) error {
 			mu.Lock()
 			ran[i] = true
 			mu.Unlock()

@@ -24,12 +24,21 @@ import (
 	"charonsim/internal/workload"
 )
 
+// The defaults a zero Threads or Factor selects, here and in every
+// command's flags.
+const (
+	// DefaultThreads is the GC thread count of the paper's 8-core host.
+	DefaultThreads = 8
+	// DefaultFactor is the heap overprovisioning factor, inside the
+	// paper's 1.25-2x policy.
+	DefaultFactor = 1.5
+)
+
 // Config controls an experiment session.
 type Config struct {
-	// Threads is the GC thread count (default 8, matching the 8-core host).
+	// Threads is the GC thread count (default DefaultThreads).
 	Threads int
-	// Factor is the heap overprovisioning factor (default 1.5, inside the
-	// paper's 1.25-2x policy).
+	// Factor is the heap overprovisioning factor (default DefaultFactor).
 	Factor float64
 	// Workloads restricts the benchmark set (default: all six).
 	Workloads []string
@@ -73,10 +82,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Threads == 0 {
-		c.Threads = 8
+		c.Threads = DefaultThreads
 	}
 	if c.Factor == 0 {
-		c.Factor = 1.5
+		c.Factor = DefaultFactor
 	}
 	if len(c.Workloads) == 0 {
 		c.Workloads = workload.Names()
@@ -94,12 +103,11 @@ func (c Config) withDefaults() Config {
 }
 
 // watchdog resolves the session's progress-monitor configuration for one
-// run unit: the default stall limit, the per-run wall-clock heartbeat, and
-// the cancellation context.
+// run unit: the default stall limit and the per-run wall-clock heartbeat.
+// The cancellation context reaches it through exec.Options.Ctx.
 func (c Config) watchdog() sim.Watchdog {
 	wd := sim.DefaultWatchdog()
 	wd.WallClock = c.RunTimeout
-	wd.Ctx = c.Ctx
 	return wd
 }
 

@@ -591,7 +591,7 @@ func TestForEach(t *testing.T) {
 		for _, par := range []int{-1, 0, 1, 2, 7, 64} {
 			var mu sync.Mutex
 			seen := map[int]int{}
-			err := forEach(par, 20, func(i int) error {
+			err := Config{Parallelism: par}.forEach(20, func(i int) error {
 				mu.Lock()
 				seen[i]++
 				mu.Unlock()
@@ -612,7 +612,7 @@ func TestForEach(t *testing.T) {
 	})
 	t.Run("empty and negative n", func(t *testing.T) {
 		for _, n := range []int{0, -3} {
-			if err := forEach(8, n, func(int) error { t.Fatal("called"); return nil }); err != nil {
+			if err := (Config{Parallelism: 8}).forEach(n, func(int) error { t.Fatal("called"); return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -620,7 +620,7 @@ func TestForEach(t *testing.T) {
 	t.Run("lowest-index error wins", func(t *testing.T) {
 		e3, e7 := &indexError{3}, &indexError{7}
 		for _, par := range []int{1, 4} {
-			err := forEach(par, 10, func(i int) error {
+			err := Config{Parallelism: par}.forEach(10, func(i int) error {
 				switch i {
 				case 3:
 					return e3
@@ -636,7 +636,7 @@ func TestForEach(t *testing.T) {
 	})
 	t.Run("serial stops at first error", func(t *testing.T) {
 		ran := 0
-		err := forEach(1, 10, func(i int) error {
+		err := Config{Parallelism: 1}.forEach(10, func(i int) error {
 			ran++
 			if i == 2 {
 				return &indexError{2}
@@ -650,7 +650,7 @@ func TestForEach(t *testing.T) {
 	t.Run("grid is row-major", func(t *testing.T) {
 		var mu sync.Mutex
 		var cells [][2]int
-		if err := forEachGrid(4, 3, 2, func(i, j int) error {
+		if err := (Config{Parallelism: 4}).forEachGrid(3, 2, func(i, j int) error {
 			mu.Lock()
 			cells = append(cells, [2]int{i, j})
 			mu.Unlock()

@@ -32,7 +32,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -474,11 +473,4 @@ func closeWrite(c net.Conn) {
 		return
 	}
 	_ = c.Close()
-}
-
-// ClassNames returns the fault classes in draw order, for docs and logs.
-func ClassNames() []string {
-	out := append([]string(nil), classes...)
-	sort.Strings(out)
-	return out
 }

@@ -278,9 +278,3 @@ func (r *BankRemap) Remapped() int {
 	}
 	return n
 }
-
-// AlignDown rounds addr down to a multiple of grain.
-func AlignDown(addr, grain uint64) uint64 { return addr / grain * grain }
-
-// AlignUp rounds addr up to a multiple of grain.
-func AlignUp(addr, grain uint64) uint64 { return (addr + grain - 1) / grain * grain }

@@ -167,15 +167,6 @@ func TestSplitBurstsAligned(t *testing.T) {
 	}
 }
 
-func TestAlignHelpers(t *testing.T) {
-	if AlignDown(100, 64) != 64 || AlignUp(100, 64) != 128 {
-		t.Fatal("align helpers wrong")
-	}
-	if AlignDown(128, 64) != 128 || AlignUp(128, 64) != 128 {
-		t.Fatal("align helpers wrong on boundary")
-	}
-}
-
 func TestStatsRecording(t *testing.T) {
 	var s Stats
 	s.Record(&Request{Kind: Read, Size: 64})

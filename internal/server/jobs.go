@@ -11,6 +11,7 @@ import (
 	"charonsim"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/cli"
+	"charonsim/internal/experiments"
 )
 
 // jobSchema versions the canonical job descriptor; bump it whenever it
@@ -105,11 +106,11 @@ func parseDuration(field, s string) (time.Duration, error) {
 func canonicalKey(experiment string, cfg charonsim.Config) string {
 	threads := cfg.Threads
 	if threads == 0 {
-		threads = 8
+		threads = experiments.DefaultThreads
 	}
 	factor := cfg.HeapFactor
 	if factor == 0 {
-		factor = 1.5
+		factor = experiments.DefaultFactor
 	}
 	wl := cfg.Workloads
 	if len(wl) == 0 {

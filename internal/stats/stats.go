@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -135,26 +134,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Percentiles returns the given quantiles (0..1) of xs.
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, len(qs))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		pos := q * float64(len(sorted)-1)
-		lo := int(pos)
-		hi := lo + 1
-		if hi >= len(sorted) {
-			out[i] = sorted[len(sorted)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
-	}
-	return out
 }

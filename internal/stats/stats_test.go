@@ -105,18 +105,3 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("columns misaligned:\n%s", out)
 	}
 }
-
-func TestPercentiles(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	got := Percentiles(xs, 0, 0.5, 1)
-	if got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("percentiles %v", got)
-	}
-	if p := Percentiles(nil, 0.5); p[0] != 0 {
-		t.Fatal("empty percentiles")
-	}
-	// Interpolation.
-	if p := Percentiles([]float64{0, 10}, 0.25)[0]; math.Abs(p-2.5) > 1e-12 {
-		t.Fatalf("interp = %v", p)
-	}
-}
