@@ -323,7 +323,11 @@ func BenchmarkRunAll(b *testing.B) {
 // every figure).
 func BenchmarkEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st, err := SimulateGC("KM", 1.5, PlatformCharon, 8)
+		rec, err := Record("KM", 1.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := rec.SimulateGC(PlatformCharon, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

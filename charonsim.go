@@ -23,9 +23,10 @@
 //	report, err := charonsim.Run("fig12", charonsim.Config{})
 //	fmt.Println(report.Text)
 //
-// or simulate one workload on one platform:
+// or record one workload once and replay it on any platform:
 //
-//	st, err := charonsim.SimulateGC("ALS", 1.5, charonsim.PlatformCharon, 8)
+//	rec, err := charonsim.Record("ALS", 1.5)
+//	st, err := rec.SimulateGC(charonsim.PlatformCharon, 8)
 //	fmt.Printf("GC pause total: %v over %d collections, %.1f GB/s\n", st.TotalPause, len(st.Events), st.Bandwidth)
 package charonsim
 
@@ -37,6 +38,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -55,7 +57,7 @@ import (
 // ErrNoProgress is the replay watchdog's verdict on a wedged simulation:
 // a run aborted because simulated time stopped advancing or the per-run
 // wall-clock heartbeat expired. Match it with errors.Is on any error
-// returned from Run, RunAll or SimulateGC.
+// returned from Run, RunAll, Record or Recording.SimulateGC.
 var ErrNoProgress = sim.ErrNoProgress
 
 // ErrInternal marks an internal invariant violation (a panic in the
@@ -142,12 +144,8 @@ func (c Config) Validate() error {
 	if c.Parallelism < -1 {
 		return fmt.Errorf("charonsim: Parallelism must be >= -1 (-1 = serial, 0 = GOMAXPROCS), got %d", c.Parallelism)
 	}
-	known := map[string]bool{}
-	for _, w := range workload.Names() {
-		known[w] = true
-	}
 	for _, w := range c.Workloads {
-		if !known[w] {
+		if !slices.Contains(workload.Names(), w) {
 			return fmt.Errorf("charonsim: unknown workload %q (have %v)", w, workload.Names())
 		}
 	}
@@ -255,7 +253,7 @@ type Report struct {
 	Text  string
 }
 
-// Platform selects a hardware configuration for SimulateGC.
+// Platform selects a hardware configuration for Recording.SimulateGC.
 type Platform string
 
 // The evaluated platforms (Figure 12, 15, 16).
@@ -330,6 +328,12 @@ func rendered[R interface{ Render() string }](run func(*experiments.Session) (R,
 	}
 }
 
+// constant adapts a render that needs no simulation to the
+// experimentEntry runner shape.
+func constant(render func() string) func(*experiments.Session) (string, error) {
+	return func(*experiments.Session) (string, error) { return render(), nil }
+}
+
 var experimentTable = map[string]experimentEntry{
 	"fig2": {"GC overhead vs heap size", rendered(experiments.Fig2)},
 	"fig4a": {"MinorGC runtime breakdown", rendered(func(s *experiments.Session) (*experiments.Fig4Result, error) {
@@ -338,24 +342,16 @@ var experimentTable = map[string]experimentEntry{
 	"fig4b": {"MajorGC runtime breakdown", rendered(func(s *experiments.Session) (*experiments.Fig4Result, error) {
 		return experiments.Fig4(s, gc.Major)
 	})},
-	"fig12": {"Overall GC speedup", rendered(experiments.Fig12)},
-	"fig13": {"Bandwidth and locality", rendered(experiments.Fig13)},
-	"fig14": {"Per-primitive speedups", rendered(experiments.Fig14)},
-	"fig15": {"GC throughput scalability", rendered(experiments.Fig15)},
-	"fig16": {"Memory-side vs CPU-side placement", rendered(experiments.Fig16)},
-	"fig17": {"GC energy", rendered(experiments.Fig17)},
-	"table1": {"Primitive applicability", func(*experiments.Session) (string, error) {
-		return experiments.RenderTable1(), nil
-	}},
-	"table2": {"Architectural parameters", func(*experiments.Session) (string, error) {
-		return experiments.RenderTable2(), nil
-	}},
-	"table3": {"Workloads", func(*experiments.Session) (string, error) {
-		return experiments.RenderTable3(), nil
-	}},
-	"table4": {"Charon area", func(*experiments.Session) (string, error) {
-		return experiments.RenderTable4(), nil
-	}},
+	"fig12":  {"Overall GC speedup", rendered(experiments.Fig12)},
+	"fig13":  {"Bandwidth and locality", rendered(experiments.Fig13)},
+	"fig14":  {"Per-primitive speedups", rendered(experiments.Fig14)},
+	"fig15":  {"GC throughput scalability", rendered(experiments.Fig15)},
+	"fig16":  {"Memory-side vs CPU-side placement", rendered(experiments.Fig16)},
+	"fig17":  {"GC energy", rendered(experiments.Fig17)},
+	"table1": {"Primitive applicability", constant(experiments.RenderTable1)},
+	"table2": {"Architectural parameters", constant(experiments.RenderTable2)},
+	"table3": {"Workloads", constant(experiments.RenderTable3)},
+	"table4": {"Charon area", constant(experiments.RenderTable4)},
 	"ablations": {"Design-space ablations (MAI, grain, bitmap cache, units, topology)", func(s *experiments.Session) (string, error) {
 		rs, err := experiments.Ablations(s)
 		if err != nil {
@@ -419,13 +415,12 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	text, err := runRecovered(id, func() (string, error) { return e.run(s) })
-	if err != nil {
-		// Flush whatever observability the completed units produced; the
-		// run error stays the primary failure.
-		_ = writeObservability(cfg, reg, rec)
-		return nil, err
+	// Flush whatever observability the completed units produced even on a
+	// failed run; a flush failure only surfaces when the run succeeded.
+	if werr := writeObservability(cfg, reg, rec); err == nil {
+		err = werr
 	}
-	if err := writeObservability(cfg, reg, rec); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &Report{ID: id, Title: e.title, Text: text}, nil
@@ -543,35 +538,56 @@ func (g *GCStats) Overhead() float64 {
 	return float64(g.TotalPause) / float64(g.MutatorTime)
 }
 
-// SimulateGC runs one workload at the given heap factor, replays its GC
-// log on the chosen platform, and returns aggregate statistics with the
-// per-collection detail. A zero factor or thread count selects the same
-// default as Config; both are checked by Config.Validate.
-func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCStats, err error) {
-	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", name, p))
+// Recording is one workload run at one heap factor, recorded once and
+// replayed by SimulateGC on any platform at any thread count. It keeps
+// the run's GC log, not its heap. Concurrent SimulateGC calls are safe:
+// the session behind it single-flights and memoizes each replay.
+type Recording struct {
+	s   *experiments.Session
+	run *experiments.Run
+}
+
+// Record runs one workload at the given heap factor and keeps its GC log
+// for SimulateGC. A zero factor selects the same default as Config; name
+// and factor are checked by Config.Validate.
+func Record(name string, factor float64) (rec *Recording, err error) {
+	defer recoverInvariant(&err, fmt.Sprintf("Record(%s)", name))
+	s, _, _, err := sessionFor(context.Background(), Config{HeapFactor: factor, Workloads: []string{name}})
+	if err != nil {
+		return nil, err
+	}
+	run, err := s.Record(name, s.Config().Factor)
+	if err != nil {
+		return nil, err
+	}
+	return &Recording{s: s, run: run}, nil
+}
+
+// SimulateGC replays the recording's GC log on the chosen platform with
+// threads GC threads and returns aggregate statistics with the
+// per-collection detail. A zero thread count selects the same default as
+// Config; a negative one is refused as Config.Validate refuses it.
+func (r *Recording) SimulateGC(p Platform, threads int) (st *GCStats, err error) {
+	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", r.run.Name, p))
 	kind, err := p.kind()
 	if err != nil {
 		return nil, err
 	}
-	s, _, _, err := sessionFor(context.Background(), Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}})
+	if err := (Config{Threads: threads}).Validate(); err != nil {
+		return nil, err
+	}
+	if threads == 0 {
+		threads = experiments.DefaultThreads
+	}
+	results, err := r.s.Replay(r.run, kind, threads)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.Config()
-	run, err := s.Record(name, cfg.Factor)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.Replay(run, kind, cfg.Threads)
-	if err != nil {
-		return nil, err
-	}
-	tot := experiments.Sum(kind, results, cfg.Threads)
-
+	tot := experiments.Sum(kind, results, threads)
 	st = &GCStats{
-		Workload: name, Platform: p, HeapFactor: cfg.Factor, Threads: cfg.Threads,
+		Workload: r.run.Name, Platform: p, HeapFactor: r.run.Factor, Threads: threads,
 		TotalPause:   simToDuration(tot.Duration),
-		MutatorTime:  simToDuration(run.MutTime),
+		MutatorTime:  simToDuration(r.run.MutTime),
 		PrimSeconds:  map[string]float64{},
 		Bandwidth:    tot.BandwidthGBs(),
 		LocalRatio:   tot.Local,
@@ -581,7 +597,7 @@ func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCSta
 	for pr := 0; pr < int(gc.NumPrims); pr++ {
 		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
 	}
-	for i, ev := range run.Col.Log {
+	for i, ev := range r.run.Col.Log {
 		if ev.Kind == gc.Minor {
 			st.MinorGCs++
 		} else {
@@ -589,13 +605,13 @@ func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCSta
 		}
 		st.LiveBytes += ev.LiveBytes
 		st.ReclaimedBytes += ev.ReclaimedBytes
-		r := results[i]
+		res := results[i]
 		st.Events = append(st.Events, GCEvent{
 			Seq: ev.Seq, Kind: ev.Kind.String(), Reason: ev.Reason,
-			Pause:          simToDuration(r.Duration),
+			Pause:          simToDuration(res.Duration),
 			LiveBytes:      ev.LiveBytes,
 			ReclaimedBytes: ev.ReclaimedBytes,
-			BandwidthGBs:   r.Traffic.BandwidthGBs(r.Duration),
+			BandwidthGBs:   res.Traffic.BandwidthGBs(res.Duration),
 		})
 	}
 	return st, nil

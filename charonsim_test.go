@@ -5,7 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,8 +73,21 @@ func TestWorkloadsAndInfo(t *testing.T) {
 	}
 }
 
+// simulate records one workload and replays it once.
+func simulate(name string, factor float64, p Platform, threads int) (*GCStats, error) {
+	rec, err := Record(name, factor)
+	if err != nil {
+		return nil, err
+	}
+	return rec.SimulateGC(p, threads)
+}
+
 func TestSimulateGC(t *testing.T) {
-	base, err := SimulateGC("BS", 1.5, PlatformDDR4, 8)
+	rec, err := Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := rec.SimulateGC(PlatformDDR4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +104,7 @@ func TestSimulateGC(t *testing.T) {
 		t.Fatal("no copy attribution")
 	}
 
-	ch, err := SimulateGC("BS", 1.5, PlatformCharon, 8)
+	ch, err := rec.SimulateGC(PlatformCharon, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +119,65 @@ func TestSimulateGC(t *testing.T) {
 	}
 }
 
+// TestRecordingConcurrentReplays: one recording replayed on every
+// platform gives the same statistics as a fresh recording per platform,
+// records exactly once, and concurrent replays of one recording return
+// what serial ones do.
+func TestRecordingConcurrentReplays(t *testing.T) {
+	rec, err := Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := map[Platform]*GCStats{}
+	for _, p := range Platforms() {
+		if serial[p], err = rec.SimulateGC(p, 8); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := simulate("BS", 1.5, p, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial[p], fresh) {
+			t.Errorf("%s: shared recording %+v, fresh recording %+v", p, serial[p], fresh)
+		}
+	}
+	if n := rec.s.Executions(); n != 1 {
+		t.Fatalf("shared recording ran %d times, want 1", n)
+	}
+
+	shared, err := Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 2
+	ps := Platforms()
+	got := make([]*GCStats, callers*len(ps))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = shared.SimulateGC(ps[i%len(ps)], 8)
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range got {
+		p := ps[i%len(ps)]
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", p, errs[i])
+		}
+		if !reflect.DeepEqual(st, serial[p]) {
+			t.Errorf("%s: concurrent %+v, serial %+v", p, st, serial[p])
+		}
+	}
+	if n := shared.s.Executions(); n != 1 {
+		t.Fatalf("concurrently replayed recording ran %d times, want 1", n)
+	}
+}
+
 func TestSimulateGCDefaults(t *testing.T) {
-	st, err := SimulateGC("ALS", 0, PlatformIdeal, 0)
+	st, err := simulate("ALS", 0, PlatformIdeal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +187,10 @@ func TestSimulateGCDefaults(t *testing.T) {
 }
 
 func TestSimulateGCBadInputs(t *testing.T) {
-	if _, err := SimulateGC("BS", 1.5, Platform("nope"), 8); err == nil {
+	if _, err := simulate("BS", 1.5, Platform("nope"), 8); err == nil {
 		t.Fatal("bad platform accepted")
 	}
-	if _, err := SimulateGC("nope", 1.5, PlatformDDR4, 8); err == nil {
+	if _, err := simulate("nope", 1.5, PlatformDDR4, 8); err == nil {
 		t.Fatal("bad workload accepted")
 	}
 }
@@ -191,10 +263,10 @@ func TestArea(t *testing.T) {
 	}
 }
 
-// TestSimulateGCEvents: one SimulateGC call carries the per-collection
+// TestSimulateGCEvents: one Recording.SimulateGC call carries the per-collection
 // detail, one event per collection, whose pauses add up to the aggregate.
 func TestSimulateGCEvents(t *testing.T) {
-	st, err := SimulateGC("CC", 1.5, PlatformCharon, 8)
+	st, err := simulate("CC", 1.5, PlatformCharon, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +388,14 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	if _, err := Run("table1", Config{TracePath: "t.json"}); err == nil {
 		t.Fatal("Run accepted a trace request without a metrics path")
 	}
-	if _, err := SimulateGC("BS", math.NaN(), PlatformDDR4, 8); err == nil {
-		t.Fatal("SimulateGC accepted a NaN heap factor")
+	if _, err := Record("BS", math.NaN()); err == nil {
+		t.Fatal("Record accepted a NaN heap factor")
 	}
-	if _, err := SimulateGC("BS", 1.5, PlatformDDR4, -3); err == nil {
+	if _, err := simulate("BS", 1.5, PlatformDDR4, -3); err == nil {
 		t.Fatal("SimulateGC accepted a negative thread count")
 	}
-	if _, err := SimulateGC("BS", -1, PlatformDDR4, 8); err == nil {
-		t.Fatal("SimulateGC accepted a negative heap factor")
+	if _, err := Record("BS", -1); err == nil {
+		t.Fatal("Record accepted a negative heap factor")
 	}
 }
 

@@ -56,7 +56,12 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	st, err := charonsim.SimulateGC(*name, *factor, charonsim.Platform(*platform), *threads)
+	rec, err := charonsim.Record(*name, *factor)
+	if err != nil {
+		fmt.Fprintf(stderr, "gcstats: %v\n", err)
+		return 1
+	}
+	st, err := rec.SimulateGC(charonsim.Platform(*platform), *threads)
 	if err != nil {
 		fmt.Fprintf(stderr, "gcstats: %v\n", err)
 		return 1
@@ -107,21 +112,20 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		// One simulation per platform, the headline one reused. ddr4 leads
-		// Platforms(), so the base is known before any other row prints.
+		// One replay of the one recording per platform; the headline
+		// platform's is a memo hit. ddr4 leads Platforms(), so the base is
+		// known before any other row prints.
 		fmt.Fprintln(stdout, "\nspeedup over ddr4:")
 		var base *charonsim.GCStats
 		for _, p := range charonsim.Platforms() {
-			o := st
-			if p != st.Platform {
-				if o, err = charonsim.SimulateGC(*name, *factor, p, *threads); err != nil {
-					if base == nil {
-						fmt.Fprintf(stderr, "gcstats: %v\n", err)
-						return 1
-					}
-					fmt.Fprintf(stderr, "gcstats: %s: %v\n", p, err)
-					continue
+			o, err := rec.SimulateGC(p, *threads)
+			if err != nil {
+				if base == nil {
+					fmt.Fprintf(stderr, "gcstats: %v\n", err)
+					return 1
 				}
+				fmt.Fprintf(stderr, "gcstats: %s: %v\n", p, err)
+				continue
 			}
 			if p == charonsim.PlatformDDR4 {
 				base = o

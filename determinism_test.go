@@ -1,6 +1,66 @@
 package charonsim
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// update rewrites the committed report digests from a full run instead of
+// comparing against them:
+//
+//	go test -run TestRunAllDeterministicAcrossParallelism -update .
+var update = flag.Bool("update", false, "rewrite testdata/runall_bs.json")
+
+// checkDigests pins the simulated report bytes: each report's SHA-256
+// must match testdata/runall_bs.json, so a change that moves any number
+// on BS fails here even when every figure-shape band still holds. The
+// -race run checks the subset it renders.
+func checkDigests(t *testing.T, reports []*Report) {
+	t.Helper()
+	got := map[string]string{}
+	for _, r := range reports {
+		sum := sha256.Sum256([]byte(r.Text))
+		got[r.ID] = hex.EncodeToString(sum[:])
+	}
+	path := filepath.Join("testdata", "runall_bs.json")
+	if *update {
+		if raceEnabled {
+			t.Fatal("-update rewrites every experiment's digest: run it without -race")
+		}
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing digest file (regenerate with -update): %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if !raceEnabled && len(want) != len(got) {
+		t.Errorf("%s pins %d experiments, the run rendered %d", path, len(want), len(got))
+	}
+	for _, r := range reports {
+		if sum := got[r.ID]; want[r.ID] != sum {
+			t.Errorf("%s: report SHA-256 %s, %s pins %q (re-run with -update if the change is intentional)", r.ID, sum, path, want[r.ID])
+		}
+	}
+}
 
 // TestRunAllDeterministicAcrossParallelism is the regression gate for all
 // concurrency work in the experiment harness: the full RunAll suite —
@@ -16,6 +76,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	workloads := []string{"BS"}
 
 	if raceEnabled {
+		var reports []*Report
 		for _, id := range []string{"fig12", "table1", "table2", "table3", "table4"} {
 			serial, err := Run(id, Config{Workloads: workloads, Parallelism: -1})
 			if err != nil {
@@ -29,7 +90,9 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 				t.Errorf("%s: Report.Text differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s",
 					id, serial.Text, par.Text)
 			}
+			reports = append(reports, serial)
 		}
+		checkDigests(t, reports)
 		return
 	}
 
@@ -57,4 +120,5 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 			t.Errorf("%s: empty report", serial[i].ID)
 		}
 	}
+	checkDigests(t, serial)
 }

@@ -8,9 +8,10 @@ import (
 
 // The smallest use of the library: compare one workload's GC on the
 // baseline host and on the Charon accelerator.
-func ExampleSimulateGC() {
-	host, _ := charonsim.SimulateGC("ALS", 1.5, charonsim.PlatformDDR4, 8)
-	accel, _ := charonsim.SimulateGC("ALS", 1.5, charonsim.PlatformCharon, 8)
+func ExampleRecord() {
+	rec, _ := charonsim.Record("ALS", 1.5)
+	host, _ := rec.SimulateGC(charonsim.PlatformDDR4, 8)
+	accel, _ := rec.SimulateGC(charonsim.PlatformCharon, 8)
 	fmt.Printf("collections: %d minor + %d major\n", host.MinorGCs, host.MajorGCs)
 	fmt.Printf("speedup > 5x: %v\n", float64(host.TotalPause)/float64(accel.TotalPause) > 5)
 	// Output:

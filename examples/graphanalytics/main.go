@@ -23,7 +23,11 @@ func main() {
 		}
 		fmt.Printf("== %s: %s on a synthetic R-MAT graph ==\n", name, info.Long)
 
-		host, err := charonsim.SimulateGC(name, 1.5, charonsim.PlatformDDR4, 8)
+		rec, err := charonsim.Record(name, 1.5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		host, err := rec.SimulateGC(charonsim.PlatformDDR4, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,7 +46,7 @@ func main() {
 		}
 		fmt.Println()
 
-		base, err := charonsim.SimulateGC(name, 1.5, charonsim.PlatformDDR4, 1)
+		base, err := rec.SimulateGC(charonsim.PlatformDDR4, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +55,7 @@ func main() {
 		} {
 			fmt.Printf("  %-22s", p)
 			for _, th := range threadCounts {
-				st, err := charonsim.SimulateGC(name, 1.5, p, th)
+				st, err := rec.SimulateGC(p, th)
 				if err != nil {
 					log.Fatal(err)
 				}

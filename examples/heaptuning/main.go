@@ -29,11 +29,15 @@ func main() {
 	fmt.Printf("%-8s %10s %14s %14s %12s\n",
 		"heap", "GCs", "host overhead", "charon overhead", "speedup")
 	for _, f := range factors {
-		host, err := charonsim.SimulateGC(*name, f, charonsim.PlatformDDR4, 8)
+		rec, err := charonsim.Record(*name, f)
 		if err != nil {
 			log.Fatal(err)
 		}
-		accel, err := charonsim.SimulateGC(*name, f, charonsim.PlatformCharon, 8)
+		host, err := rec.SimulateGC(charonsim.PlatformDDR4, 8)
+		if err != nil {
+			log.Fatal(err)
+		}
+		accel, err := rec.SimulateGC(charonsim.PlatformCharon, 8)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,11 +21,16 @@ func main() {
 	}
 	fmt.Printf("workload: %s — %s (%s)\n", info.Name, info.Long, info.Framework)
 
-	base, err := charonsim.SimulateGC(workload, factor, charonsim.PlatformDDR4, threads)
+	// Record the workload once, then replay its GC log on both platforms.
+	rec, err := charonsim.Record(workload, factor)
 	if err != nil {
 		log.Fatal(err)
 	}
-	accel, err := charonsim.SimulateGC(workload, factor, charonsim.PlatformCharon, threads)
+	base, err := rec.SimulateGC(charonsim.PlatformDDR4, threads)
+	if err != nil {
+		log.Fatal(err)
+	}
+	accel, err := rec.SimulateGC(charonsim.PlatformCharon, threads)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,11 +24,15 @@ func main() {
 		fmt.Printf("== %s: %s (paper heap %s, scaled to %d MB) ==\n",
 			name, info.Long, info.PaperHeap, info.MinHeapBytes>>20)
 
-		host, err := charonsim.SimulateGC(name, 1.5, charonsim.PlatformDDR4, 8)
+		rec, err := charonsim.Record(name, 1.5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		accel, err := charonsim.SimulateGC(name, 1.5, charonsim.PlatformCharon, 8)
+		host, err := rec.SimulateGC(charonsim.PlatformDDR4, 8)
+		if err != nil {
+			log.Fatal(err)
+		}
+		accel, err := rec.SimulateGC(charonsim.PlatformCharon, 8)
 		if err != nil {
 			log.Fatal(err)
 		}

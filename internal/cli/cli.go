@@ -81,16 +81,7 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	start := time.Now()
-	var reports []*charonsim.Report
-	if *exp == "all" {
-		reports, err = charonsim.RunAllContext(ctx, cfg)
-	} else {
-		var r *charonsim.Report
-		r, err = charonsim.RunContext(ctx, *exp, cfg)
-		if r != nil {
-			reports = append(reports, r)
-		}
-	}
+	reports, err := RunReports(ctx, *exp, cfg)
 	RenderReports(stdout, reports)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -110,6 +101,20 @@ func Run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "(%d experiment(s) in %.1fs)\n", len(reports), time.Since(start).Seconds())
 	return 0
+}
+
+// RunReports runs one experiment by id, or every experiment for "all".
+// On error it still returns the reports that completed: RunAllContext's
+// partial prefix, or none for a single experiment.
+func RunReports(ctx context.Context, exp string, cfg charonsim.Config) ([]*charonsim.Report, error) {
+	if exp == "all" {
+		return charonsim.RunAllContext(ctx, cfg)
+	}
+	r, err := charonsim.RunContext(ctx, exp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return []*charonsim.Report{r}, nil
 }
 
 // writeDump persists a watchdog diagnostic dump (atomically, so a partial

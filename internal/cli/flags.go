@@ -12,10 +12,11 @@ import (
 	"charonsim/internal/experiments"
 )
 
-// SimFlags is the simulation-configuration flag set shared by the
-// charonsim batch CLI and the charond service front-end: one place
-// defines the flag names, defaults, and help strings, and one place maps
-// them onto a charonsim.Config, so the two commands cannot drift.
+// SimFlags is the charonsim command's simulation-configuration flag set:
+// one place defines the flag names, defaults and help strings, and one
+// place maps them onto a charonsim.Config. charond does not register
+// them: each job's JSON body carries its own threads, heap factor,
+// workloads, parallelism and run timeout.
 type SimFlags struct {
 	Threads       int
 	Factor        float64
@@ -27,7 +28,7 @@ type SimFlags struct {
 	CheckpointDir string
 }
 
-// Register installs the shared simulation flags on fs.
+// Register installs the simulation flags on fs.
 func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Threads, "threads", experiments.DefaultThreads, "GC thread count")
 	fs.Float64Var(&f.Factor, "factor", experiments.DefaultFactor, "heap overprovisioning factor (1.0 = minimum heap)")

@@ -168,14 +168,6 @@ func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 // Cursor returns the core's local front-end clock.
 func (c *Core) Cursor() sim.Time { return c.cursor }
 
-// SetCursor fast-forwards the core's local clock (e.g. to the start of a
-// GC pause).
-func (c *Core) SetCursor(t sim.Time) {
-	if t > c.cursor {
-		c.cursor = t
-	}
-}
-
 // mshrAccess issues a 64 B miss to memory no earlier than ready, once one
 // of the cfg.MSHRs slots is free, and returns its completion.
 func (c *Core) mshrAccess(ready sim.Time, kind memsys.Kind, addr uint64) sim.Time {

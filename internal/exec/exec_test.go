@@ -93,7 +93,7 @@ func replayAll(p Platform, evs []*gc.Event, threads int) (total sim.Time, prim [
 func TestReplayAllPlatformsComplete(t *testing.T) {
 	evs, env := record(t, 8<<20)
 	for _, k := range []Kind{KindDDR4, KindHMC, KindCharon, KindCharonDistributed, KindCharonCPUSide, KindIdeal} {
-		p := New(k, env, 8)
+		p := mustOpt(t, k, env, 8, Options{})
 		total, prim, last := replayAll(p, evs, 8)
 		if total == 0 {
 			t.Fatalf("%v: zero duration", k)
@@ -116,7 +116,7 @@ func TestPlatformOrdering(t *testing.T) {
 	evs, env := record(t, 8<<20)
 	dur := map[Kind]sim.Time{}
 	for _, k := range []Kind{KindDDR4, KindHMC, KindCharon, KindIdeal} {
-		total, _, _ := replayAll(New(k, env, 8), evs, 8)
+		total, _, _ := replayAll(mustOpt(t, k, env, 8, Options{}), evs, 8)
 		dur[k] = total
 	}
 	if !(dur[KindIdeal] < dur[KindCharon] && dur[KindCharon] < dur[KindHMC] && dur[KindHMC] < dur[KindDDR4]) {
@@ -138,8 +138,8 @@ func TestPlatformOrdering(t *testing.T) {
 func TestCopyPrimitiveSpeedup(t *testing.T) {
 	// Figure 14: Copy gains the most from Charon (paper: 10.17x average).
 	evs, env := record(t, 8<<20)
-	_, primD, _ := replayAll(New(KindDDR4, env, 8), evs, 8)
-	_, primC, _ := replayAll(New(KindCharon, env, 8), evs, 8)
+	_, primD, _ := replayAll(mustOpt(t, KindDDR4, env, 8, Options{}), evs, 8)
+	_, primC, _ := replayAll(mustOpt(t, KindCharon, env, 8, Options{}), evs, 8)
 	if primC[gc.PrimCopy] == 0 {
 		t.Fatal("no copy time on Charon")
 	}
@@ -152,8 +152,8 @@ func TestCopyPrimitiveSpeedup(t *testing.T) {
 func TestCPUSideSlowerThanNearMemory(t *testing.T) {
 	// Figure 16: CPU-side Charon loses ~37% throughput vs memory-side.
 	evs, env := record(t, 8<<20)
-	near, _, _ := replayAll(New(KindCharon, env, 8), evs, 8)
-	cpuSide, _, _ := replayAll(New(KindCharonCPUSide, env, 8), evs, 8)
+	near, _, _ := replayAll(mustOpt(t, KindCharon, env, 8, Options{}), evs, 8)
+	cpuSide, _, _ := replayAll(mustOpt(t, KindCharonCPUSide, env, 8, Options{}), evs, 8)
 	if cpuSide <= near {
 		t.Fatalf("CPU-side (%v) should be slower than near-memory (%v)", cpuSide, near)
 	}
@@ -166,14 +166,14 @@ func TestCPUSideSlowerThanNearMemory(t *testing.T) {
 func TestCharonThreadScaling(t *testing.T) {
 	// Figure 15: Charon scales with threads; DDR4 saturates early.
 	evs, env := record(t, 8<<20)
-	c1, _, _ := replayAll(New(KindCharon, env, 1), evs, 1)
-	c8, _, _ := replayAll(New(KindCharon, env, 8), evs, 8)
+	c1, _, _ := replayAll(mustOpt(t, KindCharon, env, 1, Options{}), evs, 1)
+	c8, _, _ := replayAll(mustOpt(t, KindCharon, env, 8, Options{}), evs, 8)
 	charonScale := float64(c1) / float64(c8)
 	if charonScale < 1.5 {
 		t.Fatalf("Charon thread scaling only %.2fx from 1 to 8 threads", charonScale)
 	}
-	d1, _, _ := replayAll(New(KindDDR4, env, 1), evs, 1)
-	d8, _, _ := replayAll(New(KindDDR4, env, 8), evs, 8)
+	d1, _, _ := replayAll(mustOpt(t, KindDDR4, env, 1, Options{}), evs, 1)
+	d8, _, _ := replayAll(mustOpt(t, KindDDR4, env, 8, Options{}), evs, 8)
 	ddrScale := float64(d1) / float64(d8)
 	if ddrScale > charonScale {
 		t.Fatalf("DDR4 scaled better (%.2fx) than Charon (%.2fx)", ddrScale, charonScale)
@@ -182,8 +182,8 @@ func TestCharonThreadScaling(t *testing.T) {
 
 func TestDistributedBeatsUnifiedAtHighThreads(t *testing.T) {
 	evs, env := record(t, 8<<20)
-	uni, _, _ := replayAll(New(KindCharon, env, 16), evs, 16)
-	dist, _, _ := replayAll(New(KindCharonDistributed, env, 16), evs, 16)
+	uni, _, _ := replayAll(mustOpt(t, KindCharon, env, 16, Options{}), evs, 16)
+	dist, _, _ := replayAll(mustOpt(t, KindCharonDistributed, env, 16, Options{}), evs, 16)
 	if dist > uni {
 		t.Fatalf("distributed (%v) slower than unified (%v) at 16 threads", dist, uni)
 	}
@@ -191,7 +191,7 @@ func TestDistributedBeatsUnifiedAtHighThreads(t *testing.T) {
 
 func TestLocalRatioInRange(t *testing.T) {
 	evs, env := record(t, 8<<20)
-	p := New(KindCharon, env, 8)
+	p := mustOpt(t, KindCharon, env, 8, Options{})
 	for _, ev := range evs {
 		r := p.Replay(ev, 8)
 		if r.LocalRatio < 0 || r.LocalRatio > 1 {
@@ -202,7 +202,7 @@ func TestLocalRatioInRange(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	evs, env := record(t, 8<<20)
-	p := New(KindCharon, env, 8)
+	p := mustOpt(t, KindCharon, env, 8, Options{})
 	_, _, last := replayAll(p, evs, 8)
 	if last.Traffic.Bytes() == 0 {
 		t.Fatal("no traffic recorded")
@@ -220,8 +220,8 @@ func TestTrafficAccounting(t *testing.T) {
 
 func TestIdealIsLowerBound(t *testing.T) {
 	evs, env := record(t, 8<<20)
-	ideal, primI, _ := replayAll(New(KindIdeal, env, 8), evs, 8)
-	charonT, _, _ := replayAll(New(KindCharon, env, 8), evs, 8)
+	ideal, primI, _ := replayAll(mustOpt(t, KindIdeal, env, 8, Options{}), evs, 8)
+	charonT, _, _ := replayAll(mustOpt(t, KindCharon, env, 8, Options{}), evs, 8)
 	if ideal >= charonT {
 		t.Fatalf("ideal (%v) not faster than Charon (%v)", ideal, charonT)
 	}
@@ -236,7 +236,7 @@ func TestBreakdownDominatedByKeyPrimitives(t *testing.T) {
 	// Figure 4's qualitative claim: the offloadable primitives dominate GC
 	// time on the host.
 	evs, env := record(t, 8<<20)
-	_, prim, _ := replayAll(New(KindDDR4, env, 8), evs, 8)
+	_, prim, _ := replayAll(mustOpt(t, KindDDR4, env, 8, Options{}), evs, 8)
 	var total, key sim.Time
 	for p, v := range prim {
 		total += v
@@ -274,7 +274,7 @@ func TestKindString(t *testing.T) {
 
 func BenchmarkReplayCharon(b *testing.B) {
 	evs, env := record(b, 8<<20)
-	p := New(KindCharon, env, 8)
+	p := mustOpt(b, KindCharon, env, 8, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Replay(evs[i%len(evs)], 8)
@@ -292,7 +292,7 @@ func TestNewWithOptionsFillsDefaults(t *testing.T) {
 		t.Fatal("no duration with partial config")
 	}
 	// Fewer MAI entries should not be faster than the default.
-	pd := New(KindCharon, env, 8)
+	pd := mustOpt(t, KindCharon, env, 8, Options{})
 	rd := pd.Replay(evs[0], 8)
 	if r.Duration < rd.Duration {
 		t.Fatalf("MAI=8 (%v) faster than MAI=32 (%v)", r.Duration, rd.Duration)

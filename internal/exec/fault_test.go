@@ -64,7 +64,7 @@ func TestAllUnitsFailedMatchesHostBaseline(t *testing.T) {
 					}
 				}
 			}
-			if noUnit := dead.DegradationEvents(); noUnit != offloadable {
+			if noUnit := dead.degNoUnit; noUnit != offloadable {
 				t.Fatalf("%s threads=%d: degradation events %d, want one per offloadable invocation (%d)",
 					rec.name, nthreads, noUnit, offloadable)
 			}
@@ -76,7 +76,7 @@ func TestAllUnitsFailedMatchesHostBaseline(t *testing.T) {
 // system must not make GC faster.
 func TestFaultRatesSlowGC(t *testing.T) {
 	evs, env := record(t, 4<<20)
-	healthy := New(KindCharon, env, 8)
+	healthy := mustOpt(t, KindCharon, env, 8, Options{})
 	faulty := mustOpt(t, KindCharon, env, 8,
 		Options{Fault: fault.Config{Rate: 0.2, Seed: 7}})
 	var h, f sim.Time
@@ -113,7 +113,7 @@ func TestDegradationMetricsPublished(t *testing.T) {
 // offload, the same distribution as one sample per event.
 func TestDegradationSamplesOnlyNonzero(t *testing.T) {
 	evs, env := record(t, 4<<20)
-	healthy := New(KindCharon, env, 8).(*charonPlatform)
+	healthy := mustOpt(t, KindCharon, env, 8, Options{}).(*charonPlatform)
 	for _, ev := range evs {
 		healthy.Replay(ev, 8)
 	}

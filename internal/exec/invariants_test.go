@@ -128,7 +128,7 @@ func TestBusyNeverExceedsHorizon(t *testing.T) {
 // disabled registry stays empty and replay results are unaffected.
 func TestCollectMetricsDisabledIsNoop(t *testing.T) {
 	evs, env := record(t, 4<<20)
-	p := New(KindCharon, env, 8)
+	p := mustOpt(t, KindCharon, env, 8, Options{})
 	for _, ev := range evs {
 		p.Replay(ev, 8)
 	}

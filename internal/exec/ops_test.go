@@ -159,7 +159,7 @@ func TestReplayWithMoreThreadsThanBuilt(t *testing.T) {
 			want += uint64(len(expandWhole(x, &ev.Invocations[i], ev, ev.Kind != gc.Minor)))
 		}
 	}
-	host := New(KindDDR4, env, 1).(*hostPlatform)
+	host := mustOpt(t, KindDDR4, env, 1, Options{}).(*hostPlatform)
 	dead := mustOpt(t, KindCharon, env, 1, Options{Fault: fault.Config{FailAllUnits: true, Seed: 1}}).(*charonPlatform)
 	for _, ev := range evs {
 		host.Replay(ev, 2)

@@ -27,7 +27,7 @@ func TestHostReplayAllocBudget(t *testing.T) {
 	const nthreads = 8
 	const budget = 2*nthreads + 4
 	for _, ev := range []*gc.Event{small, big} {
-		p := New(KindDDR4, env, nthreads)
+		p := mustOpt(t, KindDDR4, env, nthreads, Options{})
 		p.Replay(ev, nthreads)
 		if allocs := testing.AllocsPerRun(5, func() { p.Replay(ev, nthreads) }); allocs > budget {
 			t.Fatalf("warmed replay of %d invocations allocates %.1f per event, budget %d",

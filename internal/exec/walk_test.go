@@ -20,7 +20,7 @@ import (
 // every cache level's Stats must be equal. It returns the Charon platform.
 func assertHostPathsAgree(t *testing.T, evs []*gc.Event, env Env, nthreads int) *charonPlatform {
 	t.Helper()
-	host := New(KindHMC, env, nthreads).(*hostPlatform)
+	host := mustOpt(t, KindHMC, env, nthreads, Options{}).(*hostPlatform)
 	dead := mustOpt(t, KindCharon, env, nthreads,
 		Options{Fault: fault.Config{FailAllUnits: true, Seed: 1}}).(*charonPlatform)
 	for i, ev := range evs {

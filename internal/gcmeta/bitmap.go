@@ -66,9 +66,6 @@ func (m *MarkBitmaps) AddrOfWord(idx uint64) heap.Addr {
 // bit idx (for timing).
 func (m *MarkBitmaps) BegByteAddr(idx uint64) heap.Addr { return m.BegBase + heap.Addr(idx/8) }
 
-// EndByteAddr is BegByteAddr for the end map.
-func (m *MarkBitmaps) EndByteAddr(idx uint64) heap.Addr { return m.EndBase() + heap.Addr(idx/8) }
-
 func get(b []uint64, i uint64) bool { return b[i/64]&(1<<(i%64)) != 0 }
 func set(b []uint64, i uint64)      { b[i/64] |= 1 << (i % 64) }
 func clearBit(b []uint64, i uint64) { b[i/64] &^= 1 << (i % 64) }
@@ -228,12 +225,6 @@ func (m *MarkBitmaps) LiveWordsInRange(lo, hi uint64) uint64 {
 		count += uint64(bits.OnesCount64(diff)) + uint64(bits.OnesCount64(bm))
 	}
 	return count
-}
-
-// LiveWordsInAddrRange is LiveWordsInRange over heap addresses.
-func (m *MarkBitmaps) LiveWordsInAddrRange(lo, hi heap.Addr) uint64 {
-	hiIdx := uint64(hi-m.heapLo) / heap.WordBytes
-	return m.LiveWordsInRange(m.WordIndex(lo), hiIdx)
 }
 
 // ClearObject removes an object's begin/end bits (used by tests).

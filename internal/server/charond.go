@@ -46,8 +46,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port, printed on stdout)")
-		workers      = fs.Int("workers", 2, "concurrent job executors (each job fans out further per its own parallelism)")
-		queueDepth   = fs.Int("queue", 16, "admission queue depth; a full queue rejects submissions with 429 + Retry-After")
+		workers      = fs.Int("workers", defaultWorkers, "concurrent job executors (each job fans out further per its own parallelism)")
+		queueDepth   = fs.Int("queue", defaultQueueDepth, "admission queue depth; a full queue rejects submissions with 429 + Retry-After")
 		cacheDir     = fs.String("cache-dir", "", "job journal + per-unit checkpoint root; identical resubmissions (including across restarts) are served from it without simulating")
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-unit run timeout applied to jobs that do not set run_timeout (0 = unbounded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before aborting them (completed units stay checkpointed)")

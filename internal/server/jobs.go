@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -47,7 +47,7 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 	if sp.Experiment == "" {
 		return cfg, "", fmt.Errorf("missing experiment id (one of %v, or \"all\")", charonsim.Experiments())
 	}
-	if sp.Experiment != "all" && !knownExperiment(sp.Experiment) {
+	if sp.Experiment != "all" && !slices.Contains(charonsim.Experiments(), sp.Experiment) {
 		return cfg, "", fmt.Errorf("unknown experiment %q (have %v, or \"all\")", sp.Experiment, charonsim.Experiments())
 	}
 	timeout, err := parseDuration("run_timeout", sp.RunTimeout)
@@ -79,12 +79,6 @@ func cleanWorkloads(raw []string) ([]string, error) {
 		return nil, fmt.Errorf("workloads %q contains no workload names", raw)
 	}
 	return names, nil
-}
-
-func knownExperiment(id string) bool {
-	ids := charonsim.Experiments()
-	i := sort.SearchStrings(ids, id)
-	return i < len(ids) && ids[i] == id
 }
 
 func parseDuration(field, s string) (time.Duration, error) {

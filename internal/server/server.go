@@ -53,6 +53,9 @@ import (
 	"charonsim/internal/metrics"
 )
 
+// The Workers and QueueDepth a zero value selects, here and in charond's flags.
+const defaultWorkers, defaultQueueDepth = 2, 16
+
 // Config configures a Server. There is no retry knob: the simulator is
 // deterministic, so a job that fails once fails the same way on every
 // re-run, and each job runs its runner exactly once.
@@ -95,10 +98,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = defaultWorkers
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
+		c.QueueDepth = defaultQueueDepth
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -864,21 +867,11 @@ func (s *Server) observeRunDuration(d time.Duration) {
 	}
 }
 
-// runExperiments is the real runner: the public harness entry points,
-// rendered with the CLI's formatter so served reports are byte-identical
-// to a charonsim invocation.
+// runExperiments is the real runner: the CLI's dispatch and formatter,
+// so served reports are byte-identical to a charonsim invocation. A
+// failed job serves no partial prefix.
 func runExperiments(ctx context.Context, experiment string, cfg charonsim.Config) (string, error) {
-	var reports []*charonsim.Report
-	var err error
-	if experiment == "all" {
-		reports, err = charonsim.RunAllContext(ctx, cfg)
-	} else {
-		var r *charonsim.Report
-		r, err = charonsim.RunContext(ctx, experiment, cfg)
-		if r != nil {
-			reports = append(reports, r)
-		}
-	}
+	reports, err := cli.RunReports(ctx, experiment, cfg)
 	if err != nil {
 		return "", err
 	}
