@@ -30,19 +30,27 @@ import (
 	"charonsim/internal/sim"
 )
 
-// Config sizes the accelerator (Table 2 defaults).
+// The accelerator's fixed Table 2 sizes and clock. Config holds only
+// what the ablations vary.
+const (
+	// BitmapCountPerCube is the number of Bitmap Count units per cube.
+	BitmapCountPerCube = 2
+	// ScanPushUnits is the number of Scan&Push units, all on the central
+	// cube.
+	ScanPushUnits = 8
+	// LogicPeriod is the logic-layer clock (HMC tCK, 1.6 ns).
+	LogicPeriod = 1600 * sim.Picosecond
+)
+
+// Config sizes the accelerator (Table 2 defaults): the knobs the
+// ablations sweep, plus the two placement flags. The Bitmap Count and
+// Scan&Push unit counts and the logic clock are the constants
+// BitmapCountPerCube, ScanPushUnits and LogicPeriod.
 type Config struct {
 	// CopySearchPerCube is the number of Copy/Search units per cube (2).
 	CopySearchPerCube int
-	// BitmapCountPerCube is the number of Bitmap Count units per cube (2).
-	BitmapCountPerCube int
-	// ScanPushUnits is the number of Scan&Push units, all on the central
-	// cube (8).
-	ScanPushUnits int
 	// MAIEntries is the per-cube request buffer depth (32).
 	MAIEntries int
-	// LogicPeriod is the logic-layer clock (HMC tCK, 1.6 ns).
-	LogicPeriod sim.Time
 	// StreamGrain is the Copy/Search access granularity (HMC max: 256 B).
 	StreamGrain uint64
 	// BitmapCacheBytes sizes the bitmap cache (default 8 KB).
@@ -60,35 +68,23 @@ type Config struct {
 // DefaultConfig returns Table 2's Charon configuration.
 func DefaultConfig() Config {
 	return Config{
-		CopySearchPerCube:  2,
-		BitmapCountPerCube: 2,
-		ScanPushUnits:      8,
-		MAIEntries:         32,
-		LogicPeriod:        1600 * sim.Picosecond,
-		StreamGrain:        256,
-		BitmapCacheBytes:   8 << 10,
+		CopySearchPerCube: 2,
+		MAIEntries:        32,
+		StreamGrain:       256,
+		BitmapCacheBytes:  8 << 10,
 	}
 }
 
 // WithDefaults completes a partially specified configuration: every
-// zero-valued unit count, depth, period, grain and size takes its Table 2
+// zero-valued unit count, depth, grain and size takes its Table 2
 // value. The placement flags (Distributed, CPUSide) are kept as given.
 func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.CopySearchPerCube == 0 {
 		c.CopySearchPerCube = d.CopySearchPerCube
 	}
-	if c.BitmapCountPerCube == 0 {
-		c.BitmapCountPerCube = d.BitmapCountPerCube
-	}
-	if c.ScanPushUnits == 0 {
-		c.ScanPushUnits = d.ScanPushUnits
-	}
 	if c.MAIEntries == 0 {
 		c.MAIEntries = d.MAIEntries
-	}
-	if c.LogicPeriod == 0 {
-		c.LogicPeriod = d.LogicPeriod
 	}
 	if c.StreamGrain == 0 {
 		c.StreamGrain = d.StreamGrain
@@ -190,10 +186,6 @@ type Accelerator struct {
 	// recording (all Recorder methods are nil-safe).
 	rec *metrics.Recorder
 
-	// degradeFactor stretches the service span of degraded units (1.0
-	// with faults off — arithmetic identity, not just approximately).
-	degradeFactor float64
-
 	// Reusable per-offload scratch (offloads on one accelerator are
 	// serialized by the replay loop): pending write-buffer entries for
 	// OffloadCopy, per-reference slot-load completion times for
@@ -224,13 +216,13 @@ func New(cfg Config, sys *hmc.System) *Accelerator {
 // the draws and fences off every unit. A nil injector is exactly New.
 func NewFault(cfg Config, sys *hmc.System, inj *fault.Injector) *Accelerator {
 	ncubes := sys.Mapper().Cubes
-	a := &Accelerator{cfg: cfg, sys: sys, degradeFactor: 1}
+	a := &Accelerator{cfg: cfg, sys: sys}
 	for c := 0; c < ncubes; c++ {
 		a.copySearch = append(a.copySearch, make([]unit, cfg.CopySearchPerCube))
-		a.bitmapCount = append(a.bitmapCount, make([]unit, cfg.BitmapCountPerCube))
+		a.bitmapCount = append(a.bitmapCount, make([]unit, BitmapCountPerCube))
 		a.mais = append(a.mais, sim.NewSlots(cfg.MAIEntries))
 	}
-	a.scanPush = make([]unit, cfg.ScanPushUnits)
+	a.scanPush = make([]unit, ScanPushUnits)
 	ncaches := 1
 	if cfg.Distributed {
 		ncaches = ncubes
@@ -255,16 +247,15 @@ func NewFault(cfg Config, sys *hmc.System, inj *fault.Injector) *Accelerator {
 	}
 	if inj != nil {
 		fc := inj.Config()
-		a.degradeFactor = fc.DegradeFactor
 		src := inj.Source("charon/units")
 		seed := func(u *unit) {
 			switch {
 			case fc.FailAllUnits:
 				u.failed = true
-			case src.Hit(fc.UnitFailRate):
+			case src.Hit(fc.UnitFailRate()):
 				u.failed = true
 			default:
-				u.degraded = src.Hit(fc.UnitDegradeRate)
+				u.degraded = src.Hit(fc.UnitDegradeRate())
 			}
 		}
 		for c := range a.copySearch {
@@ -399,11 +390,11 @@ func (a *Accelerator) UnitHealth() (failed, degraded, total int) {
 }
 
 // finish settles a unit's reservation over [start, last]: degraded units
-// stretch the service span by the configured factor before freeing.
+// stretch the service span by fault.DegradeFactor before freeing.
 // Returns the (possibly stretched) completion time.
 func (a *Accelerator) finish(u *unit, start, last sim.Time) sim.Time {
-	if u.degraded && a.degradeFactor > 1 {
-		last = start + sim.Time(float64(last-start)*a.degradeFactor)
+	if u.degraded {
+		last = start + sim.Time(float64(last-start)*fault.DegradeFactor)
 	}
 	u.busy += last - start
 	u.freeAt = last
@@ -483,7 +474,7 @@ func (a *Accelerator) bitmapCacheAccess(t sim.Time, cube int, addr uint64, write
 	idx, extra := a.bmCacheFor(cube)
 	c := a.bmCaches[idx]
 	// The SRAM is dual-ported: two accesses per logic cycle.
-	port := a.cfg.LogicPeriod / 2
+	port := LogicPeriod / 2
 	start := a.bmCachePort[idx].Reserve(t+extra, port) - port
 	res := c.Access(addr, write)
 	done := start + a.bmHitLatency

@@ -150,8 +150,8 @@ func TestBitmapCountComputeBound(t *testing.T) {
 	a.OffloadBitmapCount(0, 0, 1<<20, 4096)
 	t2 := busy() - t1
 	words := sim.Time(4096 / 8)
-	if t2 < words*a.cfg.LogicPeriod {
-		t.Fatalf("warm bitmap count %v faster than pipeline bound %v", t2, words*a.cfg.LogicPeriod)
+	if t2 < words*LogicPeriod {
+		t.Fatalf("warm bitmap count %v faster than pipeline bound %v", t2, words*LogicPeriod)
 	}
 }
 

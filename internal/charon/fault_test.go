@@ -20,7 +20,7 @@ func TestHealthyFaultAccelMatchesPlain(t *testing.T) {
 	// An armed injector that draws no fault for its seed must schedule
 	// identically to New.
 	plain := newAccel(false)
-	flt := newFaultAccel(t, fault.Config{HardBankRate: 1e-12, Seed: 1})
+	flt := newFaultAccel(t, fault.Config{Rate: 1e-12, Seed: 1})
 	for i := uint64(0); i < 8; i++ {
 		p := plain.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
 		f := flt.OffloadCopy(0, i<<cubeShift, (i<<cubeShift)+1<<20, 4096)
@@ -30,6 +30,9 @@ func TestHealthyFaultAccelMatchesPlain(t *testing.T) {
 	}
 	if failed, degraded, _ := flt.UnitHealth(); failed != 0 || degraded != 0 {
 		t.Fatalf("unexpected unit health: %d failed, %d degraded", failed, degraded)
+	}
+	if retries, _, ecc, remapped := flt.sys.FaultStats(); retries != 0 || ecc != 0 || remapped != 0 {
+		t.Fatalf("seed drew faults: %d retries, %d ECC corrections, %d remapped banks", retries, ecc, remapped)
 	}
 }
 
@@ -85,7 +88,6 @@ func TestDegradedUnitIsSlower(t *testing.T) {
 			slow.copySearch[c][i].degraded = true
 		}
 	}
-	slow.degradeFactor = 3
 	h := healthy.OffloadCopy(0, 0, 1<<20, 4096)
 	s := slow.OffloadCopy(0, 0, 1<<20, 4096)
 	if s <= h {
@@ -95,15 +97,19 @@ func TestDegradedUnitIsSlower(t *testing.T) {
 
 func TestUnitHealthDeterministicPerSeed(t *testing.T) {
 	health := func(seed int64) [3]int {
-		a := newFaultAccel(t, fault.Config{UnitFailRate: 0.3, UnitDegradeRate: 0.3, Seed: seed})
+		a := newFaultAccel(t, fault.Config{Rate: 0.9, Seed: seed})
 		f, d, tot := a.UnitHealth()
 		return [3]int{f, d, tot}
 	}
-	if health(5) != health(5) {
+	h := health(5)
+	if h[0] == 0 || h[1] == 0 {
+		t.Fatalf("seed drew %d failed and %d degraded units, want both", h[0], h[1])
+	}
+	if health(5) != h {
 		t.Fatal("same seed produced different unit health")
 	}
-	a1 := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
-	a2 := newFaultAccel(t, fault.Config{UnitFailRate: 0.5, Seed: 6})
+	a1 := newFaultAccel(t, fault.Config{Rate: 0.9, Seed: 6})
+	a2 := newFaultAccel(t, fault.Config{Rate: 0.9, Seed: 6})
 	for c := range a1.copySearch {
 		for i := range a1.copySearch[c] {
 			if a1.copySearch[c][i].failed != a2.copySearch[c][i].failed {

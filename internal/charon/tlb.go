@@ -140,7 +140,7 @@ func (a *Accelerator) translate(t sim.Time, cube int, addr uint64) sim.Time {
 		a.Stats.TLBRemote++
 	}
 	if tlb.Lookup(a.pcid, addr) {
-		return t + extra + a.cfg.LogicPeriod
+		return t + extra + LogicPeriod
 	}
 	// Page walk: two dependent memory reads (PMD, PTE) from the page-table
 	// region, then insert.

@@ -42,7 +42,7 @@ func (a *Accelerator) OffloadCopy(t sim.Time, src, dst uint64, size uint32) sim.
 		off := addr - src
 		readDone := a.maiAccess(issue, cube, memsys.Read, addr, n)
 		writes = append(writes, pendWrite{off: off, n: n, readDone: readDone})
-		issue += a.cfg.LogicPeriod
+		issue += LogicPeriod
 	})
 	a.copyPend = writes[:0]
 	for _, w := range writes {
@@ -52,7 +52,7 @@ func (a *Accelerator) OffloadCopy(t sim.Time, src, dst uint64, size uint32) sim.
 		}
 	}
 	if last == 0 {
-		last = start + a.cfg.LogicPeriod
+		last = start + LogicPeriod
 	}
 	last = a.finish(un, start, last)
 	a.span("copy", cube, tidCopy+u, start, last)
@@ -83,14 +83,14 @@ func (a *Accelerator) OffloadSearch(t sim.Time, start64 uint64, size uint32) sim
 	memsys.SplitBursts(start64, size, a.grain(), func(addr uint64, n uint32) {
 		done := a.maiAccess(issue, cube, memsys.Read, addr, n)
 		// One cycle of comparison per response.
-		done += a.cfg.LogicPeriod
+		done += LogicPeriod
 		if done > last {
 			last = done
 		}
-		issue += a.cfg.LogicPeriod
+		issue += LogicPeriod
 	})
 	if last == 0 {
-		last = start + a.cfg.LogicPeriod
+		last = start + LogicPeriod
 	}
 	last = a.finish(un, start, last)
 	a.span("search", cube, tidCopy+u, start, last)
@@ -129,7 +129,7 @@ func (a *Accelerator) OffloadBitmapCount(t sim.Time, begAddr, endAddr uint64, si
 	}
 	// Pipeline: 8 bytes of each map per cycle.
 	words := (size + 7) / 8
-	computeDone := start + sim.Time(words)*a.cfg.LogicPeriod
+	computeDone := start + sim.Time(words)*LogicPeriod
 	last := memLast
 	if computeDone > last {
 		last = computeDone
@@ -190,7 +190,7 @@ func (a *Accelerator) OffloadScanPush(t sim.Time, obj uint64, refs []RefOp, stac
 			slotDone[k] = done
 		}
 		bump(done)
-		issue += a.cfg.LogicPeriod
+		issue += LogicPeriod
 		i = j
 	}
 
@@ -234,7 +234,7 @@ func (a *Accelerator) OffloadScanPush(t sim.Time, obj uint64, refs []RefOp, stac
 	}
 
 	if last < start {
-		last = start + a.cfg.LogicPeriod
+		last = start + LogicPeriod
 	}
 	last = a.finish(un, start, last)
 	a.span("scanpush", cube, tidScanPush+u, start, last)

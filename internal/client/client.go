@@ -60,8 +60,8 @@ type Config struct {
 	// per attempt up to 64x, plus up to +50% deterministic jitter drawn
 	// from Seed. A server Retry-After hint overrides the computed delay.
 	RetryBackoff time.Duration
-	// PollInterval paces Wait's and SweepWait's status polling (default
-	// 250ms); a status document's Retry-After is not read.
+	// PollInterval paces Wait's and SweepWaitResult's status polling
+	// (default 250ms); a status document's Retry-After is not read.
 	PollInterval time.Duration
 	// RetryAfterMax caps how long a server Retry-After hint is honored
 	// (default 30s; negative disables the cap). A server quoting an hour
@@ -421,31 +421,13 @@ func (c *Client) SubmitSweep(ctx context.Context, spec server.SweepSpec) (Sweep,
 	return submit[Sweep](ctx, c, spec)
 }
 
-// SweepStatus fetches a sweep's aggregate status.
-func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
-	return status[Sweep](ctx, c, id)
-}
-
-// SweepWait polls the sweep every PollInterval until every child reaches
-// a terminal state or ctx expires. One aggregate poll covers the whole
-// grid — the server folds all child states into a single answer — and
-// each poll rides the usual retry loop. Transient polling failures do
-// not abort the wait.
-func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
-	return wait[Sweep](ctx, c, id)
-}
-
-// SweepResult fetches a completed sweep's combined report: every child's
-// rendered bytes concatenated in grid order, byte-identical to running
-// the equivalent charonsim CLI invocations locally. Returns ErrNotDone
-// while any child is still pending.
-func (c *Client) SweepResult(ctx context.Context, id string) (string, error) {
-	return result[Sweep](ctx, c, id)
-}
-
 // SweepWaitResult waits for the sweep to finish and returns its combined
-// report. A failed or canceled sweep maps onto ErrJobFailed/ErrJobCanceled,
-// so charonctl's exit contract treats sweeps and jobs uniformly.
+// report: every child's rendered bytes concatenated in grid order,
+// byte-identical to running the equivalent charonsim CLI invocations
+// locally. One aggregate poll every PollInterval covers the whole grid,
+// and transient polling failures do not abort the wait. A failed or
+// canceled sweep maps onto ErrJobFailed/ErrJobCanceled, so charonctl's
+// exit contract treats sweeps and jobs uniformly.
 func (c *Client) SweepWaitResult(ctx context.Context, id string) (string, error) {
 	return waitResult[Sweep](ctx, c, id)
 }
@@ -585,15 +567,6 @@ func (c *Client) ServerMetrics(ctx context.Context) ([]byte, error) {
 		return nil, err
 	}
 	return resp.body, nil
-}
-
-// Healthy probes /healthz.
-func (c *Client) Healthy(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, "/healthz", nil)
-	if err != nil {
-		return err
-	}
-	return resp.asError()
 }
 
 // MetricsSnapshot writes the client-side counter snapshot as JSON —

@@ -88,11 +88,12 @@ type Controller struct {
 
 	bus *sim.Calendar // data-bus occupancy (gap-filling reservations)
 
-	// Fault state: flt drives per-read ECC-correction draws, remap steers
-	// accesses away from hard-faulted banks. Both stay nil with faults off.
-	flt   *fault.Source
-	fcfg  fault.Config
-	remap *memsys.BankRemap
+	// Fault state: flt drives per-read ECC-correction draws at eccRate,
+	// remap steers accesses away from hard-faulted banks. Both stay nil
+	// with faults off.
+	flt     *fault.Source
+	eccRate float64
+	remap   *memsys.BankRemap
 
 	eccCorrections uint64
 	eccDelay       sim.Time
@@ -113,11 +114,12 @@ func NewController(timing Timing, nbanks int, inj *fault.Injector, name string) 
 		bus: sim.NewCalendar(100 * sim.Nanosecond),
 	}
 	if inj != nil {
-		c.fcfg = inj.Config()
+		fc := inj.Config()
+		c.eccRate = fc.ECCRate()
 		c.flt = inj.Source(name)
 		banks := inj.Source(name + "/banks")
 		c.remap = memsys.NewBankRemap(nbanks, func(int) bool {
-			return banks.Hit(c.fcfg.HardBankRate)
+			return banks.Hit(fc.HardBankRate())
 		})
 	}
 	return c
@@ -272,10 +274,10 @@ func (c *Controller) AccessAt(now sim.Time, kind memsys.Kind, bankIdx int, row u
 	// ECC correction: detect-correct-replay delays the returning data but
 	// occupies no extra bus slot (the corrected word is patched in the
 	// controller, not re-read from the bank).
-	if c.flt.Hit(c.fcfg.ECCRate) {
-		done += c.fcfg.ECCLatency
+	if c.flt.Hit(c.eccRate) {
+		done += fault.ECCLatency
 		c.eccCorrections++
-		c.eccDelay += c.fcfg.ECCLatency
+		c.eccDelay += fault.ECCLatency
 	}
 	return done
 }

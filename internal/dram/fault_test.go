@@ -8,23 +8,38 @@ import (
 	"charonsim/internal/sim"
 )
 
-// TestECCFaultSlowsReads: with ECCRate pinned to 1 every read pays exactly
-// the correction latency on top of the fault-free timing, the counters
-// book each correction, and writes (unprotected posted path) are
-// untouched.
+// TestECCFaultSlowsReads: every ECC-corrected read pays exactly the
+// correction latency on top of the fault-free timing, every other read
+// matches it, the counters book each correction, and writes (unprotected
+// posted path) are untouched. Seed 1 at rate 0.9 draws corrections and
+// no hard-faulted bank, so the faulted and plain controllers see the
+// same bank and bus state throughout.
 func TestECCFaultSlowsReads(t *testing.T) {
-	inj := fault.New(fault.Config{ECCRate: 0.999999, Seed: 1})
+	inj := fault.New(fault.Config{Rate: 0.9, Seed: 1})
 	c := NewController(DDR4Timing(), 8, inj, "test")
+	if _, _, banks, _ := c.FaultStats(); banks != 0 {
+		t.Fatalf("seed drew %d hard-faulted banks, want none", banks)
+	}
 
 	plain := NewController(DDR4Timing(), 8, nil, "")
-	want := plain.AccessAt(0, memsys.Read, 0, 0, 64) + inj.Config().ECCLatency
-	if got := c.AccessAt(0, memsys.Read, 0, 0, 64); got != want {
-		t.Fatalf("ECC-corrected read done at %v, want fault-free + %v = %v",
-			got, inj.Config().ECCLatency, want)
+	var corrected uint64
+	for i := 0; i < 32; i++ {
+		want := plain.AccessAt(0, memsys.Read, i%8, uint64(i), 64)
+		got := c.AccessAt(0, memsys.Read, i%8, uint64(i), 64)
+		if ecc, _, _, _ := c.FaultStats(); ecc > corrected {
+			want += fault.ECCLatency
+			corrected = ecc
+		}
+		if got != want {
+			t.Fatalf("read %d done at %v, want %v (fault-free, plus %v if corrected)",
+				i, got, want, fault.ECCLatency)
+		}
 	}
-	ecc, delay, _, _ := c.FaultStats()
-	if ecc != 1 || delay != inj.Config().ECCLatency {
-		t.Fatalf("FaultStats ecc=%d delay=%v, want 1 correction of %v", ecc, delay, inj.Config().ECCLatency)
+	if corrected == 0 {
+		t.Fatal("seed drew no ECC correction in 32 reads")
+	}
+	if _, delay, _, _ := c.FaultStats(); delay != sim.Time(corrected)*fault.ECCLatency {
+		t.Fatalf("FaultStats delay=%v, want %d corrections of %v", delay, corrected, fault.ECCLatency)
 	}
 
 	wPlain := NewController(DDR4Timing(), 8, nil, "")
@@ -34,26 +49,27 @@ func TestECCFaultSlowsReads(t *testing.T) {
 	}
 }
 
-// TestHardBankFaultRemapsAccesses: a controller built under a certain-fault
-// hard-bank rate remaps every access onto healthy neighbours (identity
-// when all banks die), counts the remapped accesses, and serves the same
-// bytes — faults reroute, they never lose traffic.
+// TestHardBankFaultRemapsAccesses: a controller whose seed draws hard bank
+// faults remaps every access to a faulted bank onto a healthy neighbour,
+// counts the remapped accesses, and serves the same bytes — faults
+// reroute, they never lose traffic.
 func TestHardBankFaultRemapsAccesses(t *testing.T) {
-	inj := fault.New(fault.Config{HardBankRate: 0.5, Seed: 9})
-	c := NewController(DDR4Timing(), 8, inj, "test")
+	const nbanks = 64
+	inj := fault.New(fault.Config{Rate: 0.9, Seed: 9})
+	c := NewController(DDR4Timing(), nbanks, inj, "test")
 	_, _, banks, _ := c.FaultStats()
 	if banks == 0 {
-		t.Fatal("rate-0.5 construction drew zero faulted banks out of 8")
+		t.Fatalf("seed drew zero faulted banks out of %d", nbanks)
 	}
-	for b := 0; b < 8; b++ {
+	for b := 0; b < nbanks; b++ {
 		c.AccessAt(0, memsys.Read, b, 0, 64)
 	}
 	_, _, _, accs := c.FaultStats()
-	if accs == 0 {
-		t.Fatal("accesses to faulted banks were not remapped")
+	if accs != uint64(banks) {
+		t.Fatalf("%d accesses remapped, want one per faulted bank (%d)", accs, banks)
 	}
-	if got := c.Stats.ReadBytes; got != 8*64 {
-		t.Fatalf("served %d bytes, want %d — remap lost traffic", got, 8*64)
+	if got := c.Stats.ReadBytes; got != nbanks*64 {
+		t.Fatalf("served %d bytes, want %d — remap lost traffic", got, nbanks*64)
 	}
 }
 
@@ -62,7 +78,7 @@ func TestHardBankFaultRemapsAccesses(t *testing.T) {
 // must change the ECC pattern.
 func TestControllerFaultDeterminism(t *testing.T) {
 	run := func(seed int64) (sim.Time, uint64) {
-		inj := fault.New(fault.Config{ECCRate: 0.5, Seed: seed})
+		inj := fault.New(fault.Config{Rate: 0.9, Seed: seed})
 		c := NewController(DDR4Timing(), 8, inj, "det")
 		var last sim.Time
 		for i := 0; i < 64; i++ {

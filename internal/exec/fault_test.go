@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"charonsim/internal/fault"
@@ -12,9 +13,10 @@ import (
 // TestByteConservationWithFaults asserts that the requester==served byte
 // invariant survives fault injection: link retransmissions occupy lanes
 // but must not double-count payload, ECC corrections delay but do not
-// re-read, and bank remaps redirect rather than duplicate.
+// re-read, and bank remaps redirect rather than duplicate. At rate 0.5,
+// seed 3 draws a hard-faulted bank that is accessed on every platform.
 func TestByteConservationWithFaults(t *testing.T) {
-	fc := fault.Config{Rate: 0.1, HardBankRate: 0.05, Seed: 3}
+	fc := fault.Config{Rate: 0.5, Seed: 3}
 	kinds := []Kind{KindDDR4, KindHMC, KindCharon, KindCharonDistributed, KindCharonCPUSide}
 	for _, k := range kinds {
 		s := collectAfterReplay(t, k, 4<<20, Options{Fault: fc})
@@ -27,14 +29,20 @@ func TestByteConservationWithFaults(t *testing.T) {
 				k, req, srv, srv-req)
 		}
 		// The fault machinery actually fired.
-		var retries float64
+		var retries, remapped float64
 		for name, v := range s.Counters {
-			if len(name) > 12 && name[len(name)-12:] == "/crc_retries" {
+			switch {
+			case strings.HasSuffix(name, "/crc_retries"):
 				retries += v
+			case strings.HasSuffix(name, "/remapped_accesses"):
+				remapped += v
 			}
 		}
 		if k != KindDDR4 && retries == 0 {
-			t.Errorf("%v: 10%% CRC rate produced no link retries", k)
+			t.Errorf("%v: 50%% CRC rate produced no link retries", k)
+		}
+		if remapped == 0 {
+			t.Errorf("%v: seed drew no remapped access", k)
 		}
 	}
 }

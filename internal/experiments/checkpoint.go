@@ -45,15 +45,17 @@ func (s *Session) runKey(u replayUnit) string {
 // configuration once its zero fields take their defaults, and the cube
 // topology. Table 2's accelerator and the star topology add nothing, so
 // a default-option unit keys exactly as a unit with no options does.
-// Field-by-field, like faultKey.
+// Field-by-field, like faultKey; the accelerator's constant unit counts
+// and clock keep their places in the key, so stored units stay
+// addressable.
 func optionsKey(opt exec.Options) string {
 	k := ""
 	if opt.CharonConfig != nil {
 		if c := opt.CharonConfig.WithDefaults(); c != charon.DefaultConfig() {
 			k += fmt.Sprintf(
 				"|charon:copy=%d,count=%d,scanpush=%d,mai=%d,period=%d,grain=%d,bmcache=%d,dist=%t,cpuside=%t",
-				c.CopySearchPerCube, c.BitmapCountPerCube, c.ScanPushUnits, c.MAIEntries,
-				c.LogicPeriod, c.StreamGrain, c.BitmapCacheBytes, c.Distributed, c.CPUSide)
+				c.CopySearchPerCube, charon.BitmapCountPerCube, charon.ScanPushUnits, c.MAIEntries,
+				charon.LogicPeriod, c.StreamGrain, c.BitmapCacheBytes, c.Distributed, c.CPUSide)
 		}
 	}
 	if opt.Topology != hmc.Star {
@@ -63,13 +65,13 @@ func optionsKey(opt exec.Options) string {
 }
 
 // faultKey canonicalizes every fault knob. Field-by-field (not %+v) so a
-// fault.Config field addition forces a conscious decision here.
+// fault.Config field addition forces a conscious decision here. The
+// fixed zeros between seed and failall keep the format of stored keys,
+// so no stored unit is orphaned.
 func faultKey(fc fault.Config) string {
 	return fmt.Sprintf(
-		"fault:rate=%.6g,seed=%d,crc=%.6g,budget=%d,backoff=%d,ecc=%.6g,ecclat=%d,bank=%.6g,ufail=%.6g,udeg=%.6g,dfac=%.6g,failall=%t",
-		fc.Rate, fc.Seed, fc.LinkCRCRate, fc.RetryBudget, uint64(fc.RetryBackoff),
-		fc.ECCRate, uint64(fc.ECCLatency), fc.HardBankRate, fc.UnitFailRate,
-		fc.UnitDegradeRate, fc.DegradeFactor, fc.FailAllUnits)
+		"fault:rate=%.6g,seed=%d,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=%t",
+		fc.Rate, fc.Seed, fc.FailAllUnits)
 }
 
 // getCachedUnit decodes a stored replay. Decode failures are treated as

@@ -114,9 +114,6 @@ func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 		"grain":      charonKey(charonOpt(func(c *charon.Config) { c.StreamGrain = 128 })),
 		"bmcache":    charonKey(charonOpt(func(c *charon.Config) { c.BitmapCacheBytes = 4 << 10 })),
 		"units":      charonKey(charonOpt(func(c *charon.Config) { c.CopySearchPerCube = 4 })),
-		"count":      charonKey(charonOpt(func(c *charon.Config) { c.BitmapCountPerCube = 1 })),
-		"scanpush":   charonKey(charonOpt(func(c *charon.Config) { c.ScanPushUnits = 4 })),
-		"period":     charonKey(charonOpt(func(c *charon.Config) { c.LogicPeriod *= 2 })),
 		"dist":       charonKey(charonOpt(func(c *charon.Config) { c.Distributed = true })),
 		"cpuside":    charonKey(charonOpt(func(c *charon.Config) { c.CPUSide = true })),
 		"chain":      charonKey(exec.Options{Topology: hmc.Chain}),
@@ -141,14 +138,18 @@ func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 	}
 	// optionsKey lists charon.Config field by field: a new field must join
 	// it and the rows above.
-	if n := reflect.TypeOf(charon.Config{}).NumField(); n != 9 {
-		t.Fatalf("charon.Config has %d fields; optionsKey and this test cover 9", n)
+	if n := reflect.TypeOf(charon.Config{}).NumField(); n != 6 {
+		t.Fatalf("charon.Config has %d fields; optionsKey and this test cover 6", n)
+	}
+	if n := reflect.TypeOf(fault.Config{}).NumField(); n != 3 {
+		t.Fatalf("fault.Config has %d fields; faultKey covers 3", n)
 	}
 }
 
-// TestDefaultUnitKeyPinned pins a default-option unit's key byte for
-// byte: checkpoint stores and charond's units dir are addressed by it, so
-// a change here orphans every stored unit.
+// TestDefaultUnitKeyPinned pins unit keys byte for byte — a default-option
+// unit, a faulted one, an ablation point and the fault sweep's all-failed
+// column: checkpoint stores and charond's units dir are addressed by
+// them, so a change here orphans every stored unit.
 func TestDefaultUnitKeyPinned(t *testing.T) {
 	s := NewSession(Config{Parallelism: 4})
 	def := charon.DefaultConfig()
@@ -164,6 +165,17 @@ func TestDefaultUnitKeyPinned(t *testing.T) {
 			fc: fault.Config{Rate: 0.01, Seed: 7}},
 			"replay/v2|wl=BS|factor=1.25|mode=ParallelScavenge|platform=DDR4|threads=8|par=4|" +
 				"fault:rate=0.01,seed=7,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false"},
+		// An ablation point: a non-default accelerator configuration.
+		{replayUnit{r: &Run{Name: "ALS", Factor: 1.5, Mode: gc.ModePS}, kind: exec.KindCharon, threads: 8,
+			opt: charonOpt(func(c *charon.Config) { c.CopySearchPerCube = 1 })},
+			"replay/v2|wl=ALS|factor=1.5|mode=ParallelScavenge|platform=Charon|threads=8|par=4|" +
+				"fault:rate=0,seed=0,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=false|" +
+				"charon:copy=1,count=2,scanpush=8,mai=32,period=1600,grain=256,bmcache=8192,dist=false,cpuside=false"},
+		// The fault sweep's all-failed column.
+		{replayUnit{r: &Run{Name: "BS", Factor: 1.5, Mode: gc.ModePS}, kind: exec.KindCharon, threads: 8,
+			fc: fault.Config{FailAllUnits: true, Seed: FaultSweepSeed}},
+			"replay/v2|wl=BS|factor=1.5|mode=ParallelScavenge|platform=Charon|threads=8|par=4|" +
+				"fault:rate=0,seed=42,crc=0,budget=0,backoff=0,ecc=0,ecclat=0,bank=0,ufail=0,udeg=0,dfac=0,failall=true"},
 	} {
 		if got := s.runKey(tc.u); got != tc.want {
 			t.Errorf("runKey = %s\nwant     %s", got, tc.want)

@@ -2,17 +2,26 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"charonsim/internal/exec"
 	"charonsim/internal/gc"
 )
 
-// quick returns a session over a reduced workload set for fast tests; the
-// full six-workload suite runs in the top-level benchmarks.
+// quickSession is the one session of the figure-shape tests that only
+// read results: they share its recordings and replays, so a unit two
+// figures need is simulated once per test binary. Tests that count
+// records or replays build private sessions.
+var quickSession = sync.OnceValue(func() *Session {
+	return NewSession(Config{Workloads: []string{"BS", "CC", "ALS"}})
+})
+
+// quick returns the shared session over a reduced workload set for fast
+// tests; the full six-workload suite runs in the top-level benchmarks.
 func quick(t testing.TB) *Session {
 	t.Helper()
-	return NewSession(Config{Workloads: []string{"BS", "CC", "ALS"}})
+	return quickSession()
 }
 
 // skipIfShort gates the slow figure-shape tests out of -short runs. The

@@ -80,7 +80,11 @@ type Config struct {
 	Checkpoint *checkpoint.Store
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults resolves the zero fields: DefaultThreads, DefaultFactor,
+// all six workloads, GOMAXPROCS workers (any value below 1 runs serially)
+// and a background context. It is the one resolver of these defaults;
+// charond's job keys read theirs from it.
+func (c Config) WithDefaults() Config {
 	if c.Threads == 0 {
 		c.Threads = DefaultThreads
 	}
@@ -172,7 +176,7 @@ type flight struct {
 
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{},
+	return &Session{cfg: cfg.WithDefaults(), runs: map[string]*inflight{},
 		replays: map[string]*flight{}}
 }
 

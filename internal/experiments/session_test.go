@@ -567,10 +567,10 @@ func TestConfigWithDefaults(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.withDefaults()
+			got := tc.in.WithDefaults()
 			if got.Threads != tc.want.Threads || got.Factor != tc.want.Factor ||
 				got.Parallelism != tc.want.Parallelism {
-				t.Fatalf("withDefaults() = %+v, want %+v", got, tc.want)
+				t.Fatalf("WithDefaults() = %+v, want %+v", got, tc.want)
 			}
 			if len(got.Workloads) != len(tc.want.Workloads) {
 				t.Fatalf("workloads %v, want %v", got.Workloads, tc.want.Workloads)

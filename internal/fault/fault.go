@@ -14,8 +14,12 @@
 //     same seed reproduces the same fault pattern at any host parallelism.
 //   - Zero cost (and zero behavioural change) when disabled. A nil
 //     *Injector or *Source short-circuits every method: no random draws
-//     happen, so a run with all fault knobs at zero is bit-identical to a
-//     build without this package.
+//     happen, so a run with the zero Config is bit-identical to a build
+//     without this package.
+//   - One knob. Config.Rate sets every fault class through a fixed ratio
+//     and every per-event cost is a constant, so the fault sweep's rate is
+//     the whole model; a test reaches one fault class through Rate and a
+//     seed whose stream draws that event.
 //   - Faults perturb timing and routing, never functional GC results. The
 //     collector's recorded log is replayed unchanged; the injector only
 //     makes the replay slower (retries, ECC stalls, degraded units) or
@@ -30,98 +34,68 @@ import (
 )
 
 // Config selects what faults to inject. The zero value disables injection
-// entirely. Rate is the master knob (the fault sweep's column rate): the
-// per-class rates derive from it unless set explicitly, keeping a single
-// scalar sweepable while still letting tests pin one fault class at a time.
+// entirely. Rate is the one sweepable knob (the fault sweep's column
+// rate): every per-class rate derives from it by a fixed ratio (the
+// methods below), and every per-event cost is a constant.
 type Config struct {
 	// Rate is the master transient-fault rate in [0, 1): the probability a
 	// link packet takes a CRC error and the baseline for the derived
-	// per-class rates below.
+	// per-class rates.
 	Rate float64
 	// Seed selects the deterministic fault pattern. Two runs with the same
 	// Seed (and the same work) take byte-identical faults; different seeds
 	// give statistically independent patterns.
 	Seed int64
-
-	// LinkCRCRate is the per-packet transient CRC error probability
-	// (default Rate). Each error costs one retransmission slot on the lane
-	// plus a bounded exponential backoff.
-	LinkCRCRate float64
-	// RetryBudget bounds retransmissions per packet (default 8); a packet
-	// that exhausts it is delivered anyway and counted as a give-up (a
-	// real controller would raise a fatal link error).
-	RetryBudget int
-	// RetryBackoff is the initial retransmission backoff (default 6 ns);
-	// it doubles per retry up to 16x.
-	RetryBackoff sim.Time
-
-	// ECCRate is the per-read probability of a correctable DRAM error
-	// (default Rate/4); each correction adds ECCLatency to the access.
-	ECCRate float64
-	// ECCLatency is the correction latency adder (default 30 ns, a
-	// detect-correct-replay round through the controller).
-	ECCLatency sim.Time
-
-	// HardBankRate is the per-bank probability, drawn once at platform
-	// construction, that a bank is hard-faulted and remapped onto its
-	// neighbouring healthy bank (default Rate/64).
-	HardBankRate float64
-
-	// UnitFailRate is the per-Charon-unit probability, drawn once at
-	// construction, that the unit is defective and never serves offloads
-	// (default Rate/8).
-	UnitFailRate float64
-	// UnitDegradeRate is the per-unit probability of thermal throttling
-	// (default Rate/4); a degraded unit serves every offload
-	// DegradeFactor times slower.
-	UnitDegradeRate float64
-	// DegradeFactor is the service-time multiplier of degraded units
-	// (default 2.0).
-	DegradeFactor float64
 	// FailAllUnits forces every Charon unit failed regardless of rates:
 	// the accelerator is present but dead, and every offload must fall
 	// back to the host collector path.
 	FailAllUnits bool
 }
 
+// The fixed costs of the fault classes.
+const (
+	// RetryBudget bounds retransmissions per packet; a packet that
+	// exhausts it is delivered anyway and counted as a give-up (a real
+	// controller would raise a fatal link error).
+	RetryBudget = 8
+	// RetryBackoff is the initial retransmission backoff; it doubles per
+	// retry up to 16x.
+	RetryBackoff = 6 * sim.Nanosecond
+	// ECCLatency is the latency an ECC correction adds to a read (a
+	// detect-correct-replay round through the controller).
+	ECCLatency = 30 * sim.Nanosecond
+	// DegradeFactor is the service-time multiplier of a thermally
+	// degraded Charon unit.
+	DegradeFactor = 2.0
+)
+
+// LinkCRCRate is the per-packet transient CRC error probability (Rate).
+// Each error costs one retransmission slot on the lane plus a bounded
+// exponential backoff.
+func (c Config) LinkCRCRate() float64 { return c.Rate }
+
+// ECCRate is the per-read probability of a correctable DRAM error
+// (Rate/4); each correction adds ECCLatency to the access.
+func (c Config) ECCRate() float64 { return c.Rate / 4 }
+
+// HardBankRate is the per-bank probability, drawn once at platform
+// construction, that a bank is hard-faulted and remapped onto its
+// neighbouring healthy bank (Rate/64).
+func (c Config) HardBankRate() float64 { return c.Rate / 64 }
+
+// UnitFailRate is the per-Charon-unit probability, drawn once at
+// construction, that the unit is defective and never serves offloads
+// (Rate/8).
+func (c Config) UnitFailRate() float64 { return c.Rate / 8 }
+
+// UnitDegradeRate is the per-unit probability of thermal throttling
+// (Rate/4); a degraded unit serves every offload DegradeFactor times
+// slower.
+func (c Config) UnitDegradeRate() float64 { return c.Rate / 4 }
+
 // Enabled reports whether any fault machinery is active. The zero Config
 // is the "no faults" configuration.
-func (c Config) Enabled() bool {
-	return c.Rate > 0 || c.LinkCRCRate > 0 || c.ECCRate > 0 || c.HardBankRate > 0 ||
-		c.UnitFailRate > 0 || c.UnitDegradeRate > 0 || c.FailAllUnits
-}
-
-// withDefaults fills the derived per-class knobs.
-func (c Config) withDefaults() Config {
-	if c.LinkCRCRate == 0 {
-		c.LinkCRCRate = c.Rate
-	}
-	if c.ECCRate == 0 {
-		c.ECCRate = c.Rate / 4
-	}
-	if c.HardBankRate == 0 {
-		c.HardBankRate = c.Rate / 64
-	}
-	if c.UnitFailRate == 0 {
-		c.UnitFailRate = c.Rate / 8
-	}
-	if c.UnitDegradeRate == 0 {
-		c.UnitDegradeRate = c.Rate / 4
-	}
-	if c.DegradeFactor == 0 {
-		c.DegradeFactor = 2.0
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 8
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 6 * sim.Nanosecond
-	}
-	if c.ECCLatency == 0 {
-		c.ECCLatency = 30 * sim.Nanosecond
-	}
-	return c
-}
+func (c Config) Enabled() bool { return c.Rate > 0 || c.FailAllUnits }
 
 // Injector hands out per-component fault sources. A nil *Injector is the
 // disabled state; every method short-circuits on it.
@@ -135,11 +109,11 @@ func New(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Injector{cfg: cfg.withDefaults()}
+	return &Injector{cfg: cfg}
 }
 
-// Config returns the defaults-applied configuration. Safe on nil: the
-// zero Config (everything disabled) comes back.
+// Config returns the injector's configuration. Safe on nil: the zero
+// Config (everything disabled) comes back.
 func (in *Injector) Config() Config {
 	if in == nil {
 		return Config{}

@@ -35,11 +35,6 @@ func TestEnabledVariants(t *testing.T) {
 	}{
 		{Config{}, false},
 		{Config{Rate: 0.01}, true},
-		{Config{LinkCRCRate: 0.5}, true},
-		{Config{ECCRate: 0.1}, true},
-		{Config{HardBankRate: 0.01}, true},
-		{Config{UnitFailRate: 0.1}, true},
-		{Config{UnitDegradeRate: 0.1}, true},
 		{Config{FailAllUnits: true}, true},
 		{Config{Seed: 9}, false},
 	}
@@ -50,27 +45,24 @@ func TestEnabledVariants(t *testing.T) {
 	}
 }
 
+// TestDefaultsDerivation: every per-class rate derives from Rate by its
+// fixed ratio.
 func TestDefaultsDerivation(t *testing.T) {
 	cfg := New(Config{Rate: 0.08}).Config()
-	if cfg.LinkCRCRate != 0.08 {
-		t.Errorf("LinkCRCRate = %v, want master rate", cfg.LinkCRCRate)
+	if got := cfg.LinkCRCRate(); got != 0.08 {
+		t.Errorf("LinkCRCRate = %v, want master rate", got)
 	}
-	if cfg.ECCRate != 0.02 {
-		t.Errorf("ECCRate = %v, want Rate/4", cfg.ECCRate)
+	if got := cfg.ECCRate(); got != 0.02 {
+		t.Errorf("ECCRate = %v, want Rate/4", got)
 	}
-	if cfg.HardBankRate != 0.08/64 {
-		t.Errorf("HardBankRate = %v, want Rate/64", cfg.HardBankRate)
+	if got := cfg.HardBankRate(); got != 0.08/64 {
+		t.Errorf("HardBankRate = %v, want Rate/64", got)
 	}
-	if cfg.UnitFailRate != 0.01 {
-		t.Errorf("UnitFailRate = %v, want Rate/8", cfg.UnitFailRate)
+	if got := cfg.UnitFailRate(); got != 0.01 {
+		t.Errorf("UnitFailRate = %v, want Rate/8", got)
 	}
-	if cfg.RetryBudget != 8 || cfg.RetryBackoff == 0 || cfg.ECCLatency == 0 || cfg.DegradeFactor != 2.0 {
-		t.Errorf("retry/latency defaults not applied: %+v", cfg)
-	}
-	// Explicit per-class settings survive.
-	cfg = New(Config{Rate: 0.08, ECCRate: 0.5, RetryBudget: 3}).Config()
-	if cfg.ECCRate != 0.5 || cfg.RetryBudget != 3 {
-		t.Errorf("explicit overrides lost: %+v", cfg)
+	if got := cfg.UnitDegradeRate(); got != 0.02 {
+		t.Errorf("UnitDegradeRate = %v, want Rate/4", got)
 	}
 }
 

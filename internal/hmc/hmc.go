@@ -78,9 +78,10 @@ type Link struct {
 	// for every size up to serMemoBytes.
 	ser [serMemoBytes + 1]sim.Time
 
-	// flt drives per-packet CRC-error draws; nil with faults off.
-	flt  *fault.Source
-	fcfg fault.Config
+	// flt drives per-packet CRC-error draws at crcRate; nil with faults
+	// off.
+	flt     *fault.Source
+	crcRate float64
 
 	// Retry accounting. Stats records each logical packet exactly once —
 	// retransmissions appear only here (plus as extra lane occupancy), so
@@ -114,7 +115,7 @@ func NewLink(cfg LinkConfig, inj *fault.Injector, name string) *Link {
 		l.ser[n] = serialization(cfg, uint32(n))
 	}
 	if inj != nil {
-		l.fcfg = inj.Config()
+		l.crcRate = inj.Config().LinkCRCRate()
 		l.flt = inj.Source(name)
 	}
 	return l
@@ -146,17 +147,17 @@ func (l *Link) TransferAt(start sim.Time, dir int, n uint32) sim.Time {
 	// and timing degrade together — but Stats below records the logical
 	// packet once, keeping delivered-byte accounting exact.
 	if l.flt != nil {
-		backoff := l.fcfg.RetryBackoff
+		backoff := fault.RetryBackoff
 		firstTry := end
-		for attempt := 0; l.flt.Hit(l.fcfg.LinkCRCRate); attempt++ {
-			if attempt >= l.fcfg.RetryBudget {
+		for attempt := 0; l.flt.Hit(l.crcRate); attempt++ {
+			if attempt >= fault.RetryBudget {
 				l.RetryGiveups++
 				break
 			}
 			l.Retries++
 			l.RetransBytes += uint64(n)
 			end = l.lane[dir].Reserve(end+backoff, ser)
-			if backoff < l.fcfg.RetryBackoff*16 {
+			if backoff < fault.RetryBackoff*16 {
 				backoff *= 2
 			}
 		}

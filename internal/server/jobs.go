@@ -93,26 +93,18 @@ func parseDuration(field, s string) (time.Duration, error) {
 }
 
 // canonicalKey renders the fully-resolved job descriptor as the canonical
-// string the journal stores the job under and job ids hash. Field-by-field, defaults
-// resolved; any knob change — including ones like Parallelism that are
-// documented not to change bytes — misses conservatively, mirroring the
-// checkpoint layer's invalidation rule.
+// string the journal stores the job under and job ids hash. Field-by-field,
+// with the threads, factor and workloads defaults resolved by the
+// experiment layer; any knob change — including ones like Parallelism that
+// are documented not to change bytes — misses conservatively, mirroring
+// the checkpoint layer's invalidation rule. par= is the spec's raw value:
+// its resolved form is the host's GOMAXPROCS.
 func canonicalKey(experiment string, cfg charonsim.Config) string {
-	threads := cfg.Threads
-	if threads == 0 {
-		threads = experiments.DefaultThreads
-	}
-	factor := cfg.HeapFactor
-	if factor == 0 {
-		factor = experiments.DefaultFactor
-	}
-	wl := cfg.Workloads
-	if len(wl) == 0 {
-		wl = charonsim.Workloads()
-	}
+	r := experiments.Config{Threads: cfg.Threads, Factor: cfg.HeapFactor,
+		Workloads: cfg.Workloads}.WithDefaults()
 	return fmt.Sprintf(
 		"job/v%d|exp=%s|threads=%d|factor=%.6g|wl=%s|par=%d|timeout=%d",
-		jobSchema, experiment, threads, factor, strings.Join(wl, ","), cfg.Parallelism,
+		jobSchema, experiment, r.Threads, r.Factor, strings.Join(r.Workloads, ","), cfg.Parallelism,
 		cfg.RunTimeout.Nanoseconds())
 }
 

@@ -133,6 +133,15 @@ func TestJobKeyCanonicalization(t *testing.T) {
 		seen[key] = i
 	}
 
+	// Journal done records are addressed by this key: its bytes are pinned.
+	_, key, err := JobSpec{Experiment: "fig12"}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "job/v5|exp=fig12|threads=8|factor=1.5|wl=BS,KM,LR,CC,PR,ALS|par=0|timeout=0"; key != want {
+		t.Errorf("fig12 key = %s\nwant        %s", key, want)
+	}
+
 	// Identical spec ⇒ identical job id, and the id is the checkpoint
 	// content address of the key.
 	if jobID(baseKey) != jobID(baseKey) || len(jobID(baseKey)) != 16 {
